@@ -21,7 +21,6 @@ from .codebook import (
 )
 from .codec import (
     DEFAULT_MAX_ATTEMPTS,
-    MIN_COVER_TOKENS,
     Secret,
     StegoResult,
     best_position,
@@ -31,7 +30,14 @@ from .codec import (
     insertion_score,
     steganize,
 )
-from .corpus import Corpus, Message, load_corpus, scrub_message, tokenize
+from .corpus import (
+    MIN_COVER_TOKENS,
+    Corpus,
+    Message,
+    load_corpus,
+    scrub_message,
+    tokenize,
+)
 from .errors import (
     CodebookValidationError,
     EmptyCorpusError,
@@ -43,12 +49,9 @@ from .errors import (
 from .evaluate import (
     BandExperimentRow,
     DensityPoint,
-    EvalReport,
     build_pairs,
-    density,
     derive_seed,
     distinguisher_accuracy,
-    estimate_decodability,
     kl_divergence,
     run_band_experiment,
     run_density_experiment,
@@ -74,7 +77,6 @@ __all__ = [
     "DIGITS",
     "DensityPoint",
     "EmptyCorpusError",
-    "EvalReport",
     "FormatError",
     "InsufficientBandError",
     "Message",
@@ -90,10 +92,8 @@ __all__ = [
     "build_pairs",
     "contains_codeword",
     "decode",
-    "density",
     "derive_seed",
     "distinguisher_accuracy",
-    "estimate_decodability",
     "format_band",
     "insert_codewords",
     "insertion_score",

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from .corpus import scrub_message
 from .errors import CodebookValidationError, FormatError, InsufficientBandError
 from .ngram import NGramModel
 
@@ -66,16 +67,14 @@ class Codebook:
         for word in words:
             if not word or word.split() != [word]:
                 raise CodebookValidationError(f"codeword {word!r} is not a single token")
+            if scrub_message(word) != word:
+                raise CodebookValidationError(
+                    f"codeword {word!r} is not in scrubbed form, so decode never sees it"
+                )
 
     @cached_property
     def inverse(self) -> dict[str, str]:
         return {word: symbol for symbol, word in self.forward.items()}
-
-    def map_symbol(self, symbol: str) -> str:
-        try:
-            return self.forward[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} is not in the alphabet") from None
 
     def unmap_word(self, word: str) -> str | None:
         """Symbol for a codeword, None for any other word."""
@@ -138,7 +137,7 @@ def load_codebook(path) -> Codebook:
     """Read a codebook written by save_codebook.
 
     Malformed files raise FormatError; files that parse but violate an
-    invariant (duplicate codewords, alphabet mismatch) raise
+    invariant (duplicate or unscrubbed codewords, alphabet mismatch) raise
     CodebookValidationError.
     """
     with open(path, encoding="utf-8") as handle:
@@ -154,6 +153,6 @@ def load_codebook(path) -> Codebook:
         lo, hi = doc["band"]
         band = (int(lo), None if hi is None else int(hi))
         seed = int(doc["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"codebook file is missing or corrupt: {exc}") from exc
     return Codebook(alphabet=alphabet, forward=forward, band=band, seed=seed)

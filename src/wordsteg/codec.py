@@ -17,15 +17,13 @@ raw error rates.
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .codebook import Codebook
 from .corpus import Corpus, Message
 from .errors import SteganizeError
 from .ngram import NGramModel
 
-# A cover must offer at least two inter-word slots before any insertion.
-MIN_COVER_TOKENS = 3
 DEFAULT_MAX_ATTEMPTS = 1000
 
 Secret = tuple[str, ...]
@@ -58,6 +56,28 @@ class StegoResult:
 
 def contains_codeword(tokens: Sequence[str], codebook: Codebook) -> bool:
     return any(token in codebook.inverse for token in tokens)
+
+
+def draw_covers(
+    covers: Corpus,
+    codebook: Codebook | None,
+    rng: random.Random,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+) -> Iterator[tuple[int, Message]]:
+    """Seeded uniform draws from covers.cover_pool, one rng.randrange each.
+
+    Yields (attempt, cover) for every drawn cover that holds no codeword of
+    `codebook`; with codebook=None every draw is yielded. Draws happen only
+    as the caller asks for the next cover, so a caller that stops early
+    leaves the rng exactly where its last cover left it. Raises
+    SteganizeError once max_attempts covers have been drawn.
+    """
+    pool = covers.cover_pool
+    for attempt in range(1, max_attempts + 1):
+        cover = pool[rng.randrange(len(pool))]
+        if codebook is None or not contains_codeword(cover.tokens, codebook):
+            yield attempt, cover
+    raise SteganizeError(max_attempts, "every drawn cover contained a codeword")
 
 
 def insertion_score(
@@ -147,12 +167,12 @@ def steganize(
 ) -> StegoResult:
     """Embed a secret into a randomly drawn cover message.
 
-    Draws uniformly (seeded) from covers with at least MIN_COVER_TOKENS
-    tokens, then inserts the codeword for each secret symbol in order. An
-    empty secret returns the cover unchanged. With validate=True, covers
-    already containing codewords are rejected and the round trip is checked
-    before returning; with validate=False the first draw is used as-is.
-    Raises SteganizeError when the attempt budget runs out.
+    Draws uniformly (seeded) from covers.cover_pool via draw_covers, then
+    inserts the codeword for each secret symbol in order. An empty secret
+    returns the cover unchanged. With validate=True, covers already
+    containing codewords are rejected and the round trip is checked before
+    returning; with validate=False the first draw is used as-is. Raises
+    SteganizeError when the pool is empty or the attempt budget runs out.
     """
     symbols: Secret = tuple(secret)
     unknown = [s for s in symbols if s not in codebook.forward]
@@ -161,14 +181,10 @@ def steganize(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     words = [codebook.forward[s] for s in symbols]
-    eligible = [m for m in covers.messages if len(m.tokens) >= MIN_COVER_TOKENS]
-    if not eligible:
-        raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
-    rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
-        cover = eligible[rng.randrange(len(eligible))]
-        if validate and contains_codeword(cover.tokens, codebook):
-            continue
+    draws = draw_covers(
+        covers, codebook if validate else None, random.Random(seed), max_attempts
+    )
+    for attempt, cover in draws:
         stego_tokens, positions = insert_codewords(model, cover.tokens, words)
         if validate and decode(stego_tokens, codebook) != symbols:
             continue
@@ -179,4 +195,3 @@ def steganize(
             attempts=attempt,
             density=len(positions) / len(stego_tokens),
         )
-    raise SteganizeError(max_attempts)

@@ -8,10 +8,14 @@ as-is; they are part of the cover signal.
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable
 import unicodedata
 
-from .errors import EmptyCorpusError
+from .errors import EmptyCorpusError, SteganizeError
+
+# A cover must offer at least two inter-word slots before any insertion.
+MIN_COVER_TOKENS = 3
 
 
 def _is_punctuation(ch: str) -> bool:
@@ -67,8 +71,16 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.messages)
 
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self.messages)
+    @cached_property
+    def cover_pool(self) -> tuple[Message, ...]:
+        """Messages long enough to serve as covers, computed on first use.
+
+        Raises SteganizeError (after 0 attempts) when no message qualifies.
+        """
+        pool = tuple(m for m in self.messages if len(m.tokens) >= MIN_COVER_TOKENS)
+        if not pool:
+            raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
+        return pool
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], limit: int | None = None) -> "Corpus":

@@ -12,23 +12,13 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Mapping, Sequence
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
-from .codec import (
-    MIN_COVER_TOKENS,
-    StegoResult,
-    contains_codeword,
-    decode,
-    insert_codewords,
-    steganize,
-)
-from .corpus import Corpus, Message
+from .codec import decode, draw_covers, insert_codewords, steganize
+from .corpus import Corpus
 from .errors import InsufficientBandError, SteganizeError
 from .ngram import NGramModel, smoothed_distribution
-
-DEFAULT_DRAW_ATTEMPTS = 1000
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -38,83 +28,8 @@ def derive_seed(master: int, *labels) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def density(result: StegoResult) -> float:
-    """Fraction of stego tokens that are inserted codewords."""
-    if not result.stego.tokens:
-        raise ValueError("stego message has no tokens")
-    return len(result.inserted_positions) / len(result.stego.tokens)
-
-
 def random_secret(rng: random.Random, alphabet: Sequence[str], length: int) -> tuple:
     return tuple(rng.choice(alphabet) for _ in range(length))
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Summary of one decodability run."""
-
-    trials: int
-    errors: int
-    decodability: float
-    mean_density: float
-    kl_nats: float | None = None
-    distinguisher_accuracy: float | None = None
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0 <= self.errors <= self.trials:
-            raise ValueError("errors must lie in 0..trials")
-        if not 0.0 <= self.decodability <= 1.0:
-            raise ValueError("decodability must lie in [0, 1]")
-
-
-def estimate_decodability(
-    corpus: Corpus,
-    model: NGramModel,
-    codebook: Codebook,
-    secret_len: int = 2,
-    trials: int = 1000,
-    seed: int = 0,
-    validate: bool = True,
-) -> EvalReport:
-    """Round-trip random secrets and count the rounds that go wrong.
-
-    An error is any round where the decoded sequence differs from the secret
-    or steganize exhausts its attempt budget. With validate=True the only
-    possible errors are exhaustions; with validate=False accidental
-    codewords in covers produce real decode errors.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if secret_len < 0:
-        raise ValueError("secret_len must be >= 0")
-    secret_rng = random.Random(derive_seed(seed, "secrets"))
-    errors = 0
-    densities = []
-    for trial in range(trials):
-        secret = random_secret(secret_rng, codebook.alphabet, secret_len)
-        try:
-            result = steganize(
-                secret,
-                codebook,
-                model,
-                corpus,
-                seed=derive_seed(seed, "trial", trial),
-                validate=validate,
-            )
-        except SteganizeError:
-            errors += 1
-            continue
-        densities.append(result.density)
-        if decode(result.stego.tokens, codebook) != secret:
-            errors += 1
-    return EvalReport(
-        trials=trials,
-        errors=errors,
-        decodability=1.0 - errors / trials,
-        mean_density=fmean(densities) if densities else 0.0,
-    )
 
 
 def kl_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
@@ -242,20 +157,6 @@ def _insert_count(cover_len: int, target_density: float) -> int:
     return max(1, round(exact))
 
 
-def _draw_clean_cover(
-    rng: random.Random,
-    eligible: Sequence[Message],
-    codebook: Codebook,
-    max_attempts: int,
-) -> Message:
-    """Uniform cover draw, rejecting covers that already hold codewords."""
-    for _ in range(max_attempts):
-        cover = eligible[rng.randrange(len(eligible))]
-        if not contains_codeword(cover.tokens, codebook):
-            return cover
-    raise SteganizeError(max_attempts, "every drawn cover contained a codeword")
-
-
 def run_density_experiment(
     corpus: Corpus,
     model: NGramModel,
@@ -280,15 +181,11 @@ def run_density_experiment(
     for target in densities:
         if not 0.0 <= target < 1.0:
             raise ValueError(f"target density {target} outside [0, 1)")
-    eligible = [m for m in corpus.messages if len(m.tokens) >= MIN_COVER_TOKENS]
     points = []
     try:
-        if not eligible:
-            raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
         cover_rng = random.Random(derive_seed(seed, "covers"))
         covers = [
-            _draw_clean_cover(cover_rng, eligible, codebook, DEFAULT_DRAW_ATTEMPTS)
-            for _ in range(trials)
+            next(draw_covers(corpus, codebook, cover_rng))[1] for _ in range(trials)
         ]
     except SteganizeError as exc:
         return [
@@ -344,13 +241,10 @@ def build_pairs(
         raise ValueError("n_pairs must be >= 1")
     if min_density is not None and not 0.0 <= min_density < 1.0:
         raise ValueError("min_density must lie in [0, 1)")
-    eligible = [m for m in corpus.messages if len(m.tokens) >= MIN_COVER_TOKENS]
-    if not eligible:
-        raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
     pairs = []
     for index in range(n_pairs):
         rng = random.Random(derive_seed(seed, "pair", index))
-        cover = _draw_clean_cover(rng, eligible, codebook, DEFAULT_DRAW_ATTEMPTS)
+        _, cover = next(draw_covers(corpus, codebook, rng))
         if min_density is None:
             wanted = secret_len
         else:

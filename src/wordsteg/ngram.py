@@ -45,18 +45,6 @@ class NGramModel:
             raise ValueError(f"gram length {n} outside 1..{self.max_n}")
         return self.counts[n].get(tuple(gram), 0)
 
-    def unigram_distribution(
-        self, smoothing: float = 0.0, vocabulary: Iterable[str] | None = None
-    ) -> dict[str, float]:
-        """Maximum-likelihood unigram distribution with additive smoothing.
-
-        p(w) = (count(w) + smoothing) / (total_tokens + smoothing * |V|).
-        Pass a vocabulary that covers both corpora (and smoothing > 0) when
-        the distribution will be compared against another corpus.
-        """
-        vocab = self.word_counts.keys() if vocabulary is None else vocabulary
-        return smoothed_distribution(self.word_counts, self.totals[1], vocab, smoothing)
-
     def plausibility_score(self, tokens: Sequence[str]) -> float:
         """Mean log(1 + count) over every n-gram of the token sequence.
 
@@ -136,6 +124,8 @@ def load_model(path) -> NGramModel:
         raise FormatError("unsupported or missing model format version")
     try:
         max_n = int(doc["max_n"])
+        if max_n < 1:
+            raise ValueError(f"max_n {max_n} is below 1")
         counts: dict[int, Counter] = {}
         totals: dict[int, int] = {}
         for n in range(1, max_n + 1):
@@ -144,6 +134,6 @@ def load_model(path) -> NGramModel:
                 table[tuple(gram_text.split(" "))] = int(count)
             counts[n] = table
             totals[n] = int(doc["totals"][str(n)])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model file is missing or corrupt: {exc}") from exc
     return NGramModel(max_n, counts, totals)

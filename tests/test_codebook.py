@@ -93,22 +93,17 @@ def test_select_codebook_rejects_inverted_band(toy_model):
         select_codebook(toy_model, (6, 4), ("0",), seed=0)
 
 
-def test_map_symbol_and_unmap_word(two_word_codebook):
-    assert two_word_codebook.map_symbol("2") == "good"
-    assert two_word_codebook.map_symbol("1") == "really"
+def test_forward_and_unmap_word(two_word_codebook):
+    assert two_word_codebook.forward["2"] == "good"
+    assert two_word_codebook.forward["1"] == "really"
     assert two_word_codebook.unmap_word("good") == "2"
     assert two_word_codebook.unmap_word("trash") is None
-
-
-def test_map_symbol_unknown_raises(two_word_codebook):
-    with pytest.raises(ValueError):
-        two_word_codebook.map_symbol("9")
 
 
 def test_codebook_round_trips_every_symbol(desk_model):
     codebook = select_codebook(desk_model, (14, None), DIGITS, seed=0)
     for symbol in codebook.alphabet:
-        assert codebook.unmap_word(codebook.map_symbol(symbol)) == symbol
+        assert codebook.unmap_word(codebook.forward[symbol]) == symbol
 
 
 def test_codebook_rejects_duplicate_codewords():
@@ -129,6 +124,23 @@ def test_codebook_rejects_multi_token_codeword():
 def test_codebook_rejects_empty_codeword():
     with pytest.raises(CodebookValidationError):
         Codebook(("0",), {"0": ""}, (1, None), 0)
+
+
+def test_codebook_rejects_unscrubbed_codeword(tmp_path):
+    # Decode scrubs its input first, so these codewords could never match.
+    with pytest.raises(CodebookValidationError):
+        Codebook(("0", "1"), {"0": "Really", "1": "good"}, (1, None), 0)
+    path = tmp_path / "codebook.json"
+    doc = {
+        "version": 1,
+        "alphabet": ["0", "1"],
+        "forward": {"0": "really", "1": "good!"},
+        "band": [1, None],
+        "seed": 0,
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CodebookValidationError):
+        load_codebook(path)
 
 
 def test_save_load_round_trip(tmp_path, desk_model):
@@ -178,6 +190,11 @@ def test_load_rejects_duplicate_codewords(tmp_path):
 
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "codebook.json"
-    path.write_text(json.dumps({"version": 1, "alphabet": ["0"]}), encoding="utf-8")
-    with pytest.raises(FormatError):
-        load_codebook(path)
+    corrupt = [
+        {"version": 1, "alphabet": ["0"]},
+        {"version": 1, "alphabet": ["0"], "forward": ["x"], "band": [1, 1], "seed": 0},
+    ]
+    for doc in corrupt:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_codebook(path)

@@ -143,6 +143,7 @@ def test_steganize_empty_secret_returns_cover(small_corpus, small_model):
     codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
     result = steganize((), codebook, small_model, small_corpus, seed=5)
     assert result.stego.tokens == result.cover.tokens
+    assert decode(result.stego.tokens, codebook) == ()
     assert result.inserted_positions == ()
     assert result.density == 0.0
 

@@ -102,7 +102,7 @@ def test_load_corpus_missing_file_raises_oserror(tmp_path):
 def test_vocabulary_counts_sum_to_total_tokens(desk_corpus):
     assert sum(desk_corpus.vocabulary.values()) == desk_corpus.total_tokens
     observed = set()
-    for message in desk_corpus:
+    for message in desk_corpus.messages:
         observed.update(message.tokens)
     assert observed == set(desk_corpus.vocabulary)
 
@@ -119,5 +119,4 @@ def test_from_lines_matches_load_corpus(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     from_file = load_corpus(path)
     from_lines = Corpus.from_lines(lines)
-    assert [m.tokens for m in from_file] == [m.tokens for m in from_lines]
-    assert [m.source_id for m in from_file] == [m.source_id for m in from_lines]
+    assert from_file.messages == from_lines.messages

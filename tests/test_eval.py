@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from wordsteg import (
     DIGITS,
-    EvalReport,
     build_pairs,
-    density,
     derive_seed,
     distinguisher_accuracy,
-    estimate_decodability,
     kl_divergence,
     run_band_experiment,
     run_density_experiment,
@@ -32,7 +29,6 @@ def test_density_matches_inserted_fraction(small_corpus, small_model):
     codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
     result = steganize("123", codebook, small_model, small_corpus, seed=6)
     expected = 3 / len(result.stego.tokens)
-    assert density(result) == pytest.approx(expected)
     assert result.density == pytest.approx(expected)
 
 
@@ -79,51 +75,6 @@ def test_kl_is_nonnegative(weights):
     p = {str(i): w / p_total for i, (w, _) in enumerate(weights)}
     q = {str(i): w / q_total for i, (_, w) in enumerate(weights)}
     assert kl_divergence(p, q) >= -1e-12
-
-
-def test_eval_report_validates_ranges():
-    with pytest.raises(ValueError):
-        EvalReport(trials=0, errors=0, decodability=1.0, mean_density=0.0)
-    with pytest.raises(ValueError):
-        EvalReport(trials=5, errors=6, decodability=0.0, mean_density=0.0)
-    with pytest.raises(ValueError):
-        EvalReport(trials=5, errors=0, decodability=1.5, mean_density=0.0)
-
-
-def test_decodability_is_perfect_with_validation(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
-    report = estimate_decodability(
-        small_corpus, small_model, codebook, secret_len=2, trials=80, seed=0
-    )
-    assert report.errors == 0
-    assert report.decodability == 1.0
-    assert 0.0 < report.mean_density < 1.0
-
-
-def test_decodability_drops_without_validation(small_corpus, small_model):
-    # Codewords this common appear in most covers, so blind embedding
-    # produces plenty of decode errors.
-    codebook = select_codebook(small_model, (30, None), DIGITS, seed=1)
-    report = estimate_decodability(
-        small_corpus,
-        small_model,
-        codebook,
-        secret_len=2,
-        trials=150,
-        seed=0,
-        validate=False,
-    )
-    assert report.errors > 0
-    assert report.decodability < 1.0
-
-
-def test_decodability_with_empty_secrets(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
-    report = estimate_decodability(
-        small_corpus, small_model, codebook, secret_len=0, trials=10, seed=0
-    )
-    assert report.decodability == 1.0
-    assert report.mean_density == 0.0
 
 
 def test_band_experiment_reports_each_band(small_corpus, small_model):

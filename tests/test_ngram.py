@@ -103,32 +103,37 @@ def test_longer_grams_never_outnumber_their_parts(messages):
 
 
 def test_unigram_distribution_maximum_likelihood(toy_model):
-    p = toy_model.unigram_distribution()
+    counts = toy_model.word_counts
+    p = smoothed_distribution(counts, toy_model.totals[1], counts)
     assert p["cat"] == pytest.approx(3 / 9)
     assert sum(p.values()) == pytest.approx(1.0)
 
 
 def test_unigram_distribution_additive_smoothing(toy_model):
-    p = toy_model.unigram_distribution(smoothing=1.0)
+    counts = toy_model.word_counts
+    p = smoothed_distribution(counts, toy_model.totals[1], counts, smoothing=1.0)
     assert p["cat"] == pytest.approx(4 / 14)
     assert sum(p.values()) == pytest.approx(1.0)
 
 
 def test_unigram_distribution_over_superset_vocabulary(toy_model):
-    vocab = sorted(set(toy_model.word_counts) | {"dog"})
-    p = toy_model.unigram_distribution(smoothing=1.0, vocabulary=vocab)
+    counts = toy_model.word_counts
+    vocab = sorted(set(counts) | {"dog"})
+    p = smoothed_distribution(counts, toy_model.totals[1], vocab, smoothing=1.0)
     assert p["dog"] == pytest.approx(1 / (9 + 6))
     assert sum(p.values()) == pytest.approx(1.0)
 
 
 def test_unigram_distribution_flattens_with_heavy_smoothing(toy_model):
-    p = toy_model.unigram_distribution(smoothing=1e9)
+    counts = toy_model.word_counts
+    p = smoothed_distribution(counts, toy_model.totals[1], counts, smoothing=1e9)
     assert max(p.values()) - min(p.values()) < 1e-9
 
 
 def test_unigram_distribution_rejects_negative_smoothing(toy_model):
+    counts = toy_model.word_counts
     with pytest.raises(ValueError):
-        toy_model.unigram_distribution(smoothing=-0.5)
+        smoothed_distribution(counts, toy_model.totals[1], counts, smoothing=-0.5)
 
 
 def test_smoothed_distribution_zero_counts_need_smoothing():
@@ -184,10 +189,12 @@ def test_model_load_rejects_missing_version(tmp_path):
 
 def test_model_load_rejects_truncated_tables(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(
-        '{"version": 1, "max_n": 2, "totals": {"1": 2}, '
-        '"counts": {"1": [["a", 2]]}}',
-        encoding="utf-8",
-    )
-    with pytest.raises(FormatError):
-        load_model(path)
+    corrupt = [
+        '{"version": 1, "max_n": 2, "totals": {"1": 2}, "counts": {"1": [["a", 2]]}}',
+        '{"version": 1, "max_n": 0, "totals": {}, "counts": {}}',
+        '{"version": 1, "max_n": 1, "totals": {"1": 3}, "counts": {"1": [[5, 3]]}}',
+    ]
+    for text in corrupt:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_model(path)
