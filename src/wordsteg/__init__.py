@@ -60,8 +60,6 @@ from .ngram import (
     DEFAULT_MAX_N,
     NGramModel,
     build_model,
-    load_model,
-    save_model,
     smoothed_distribution,
 )
 
@@ -100,12 +98,10 @@ __all__ = [
     "kl_divergence",
     "load_codebook",
     "load_corpus",
-    "load_model",
     "parse_band",
     "run_band_experiment",
     "run_density_experiment",
     "save_codebook",
-    "save_model",
     "scrub_message",
     "select_codebook",
     "smoothed_distribution",

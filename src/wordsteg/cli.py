@@ -1,11 +1,13 @@
 """Command-line interface.
 
-One binary, five verbs: build-model, gen-codebook, encode, decode, and eval
-(with band, density, and distinguish subcommands). Exit codes: 0 success,
-2 usage or I/O problems, 3 insufficient band occupancy, 4 steganization
-failure. Every artifact written by --out embeds the seed, the settings, and
-the tool version; rerunning a command with the same inputs rewrites the
-same bytes except for the created_utc stamp.
+One binary, four verbs: gen-codebook, encode, decode, and eval (with band,
+density, and distinguish subcommands). Every verb that needs n-gram counts
+takes --corpus and counts them itself; there is no model file. Exit codes:
+0 success, 2 usage or I/O problems, 3 insufficient band occupancy, 4
+steganization failure. Every artifact written by --out embeds the seed, the
+settings, and the tool version, and is written atomically; rerunning a
+command with the same inputs rewrites the same bytes except for the
+created_utc stamp.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
+from .atomic import atomic_open
 from .codebook import (
     DIGITS,
     band_words,
@@ -33,7 +36,7 @@ from .evaluate import (
     run_band_experiment,
     run_density_experiment,
 )
-from .ngram import DEFAULT_MAX_N, build_model, load_model, save_model
+from .ngram import build_model
 
 
 def _artifact(seed: int | None, config: dict, results) -> dict:
@@ -48,13 +51,13 @@ def _artifact(seed: int | None, config: dict, results) -> dict:
 
 
 def _write_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         json.dump(doc, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
 
 def _write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path, newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
@@ -85,20 +88,9 @@ def _print_rows(rows: list[dict], fieldnames: list[str], fmt: str) -> None:
             print("  ".join(str(row[f]).ljust(widths[f]) for f in fieldnames))
 
 
-def cmd_build_model(args) -> int:
-    corpus = load_corpus(args.corpus, limit=args.limit)
-    model = build_model(corpus, max_n=args.max_n)
-    save_model(model, args.out)
-    print(
-        f"messages={len(corpus)} vocabulary={model.vocab_size} "
-        f"tokens={corpus.total_tokens} max_n={model.max_n}"
-    )
-    return 0
-
-
 def cmd_gen_codebook(args) -> int:
-    model = load_model(args.model)
     band = parse_band(args.band)
+    model = build_model(load_corpus(args.corpus))
     occupancy = len(band_words(model, band))
     codebook = select_codebook(model, band, tuple(args.alphabet), seed=args.seed)
     save_codebook(codebook, args.out)
@@ -111,12 +103,11 @@ def cmd_gen_codebook(args) -> int:
 
 def cmd_encode(args) -> int:
     codebook = load_codebook(args.codebook)
-    model = load_model(args.model)
     corpus = load_corpus(args.corpus, limit=args.limit)
     result = steganize(
         tuple(args.secret),
         codebook,
-        model,
+        build_model(corpus),
         corpus,
         seed=args.seed,
         validate=not args.no_validate,
@@ -127,7 +118,6 @@ def cmd_encode(args) -> int:
         config = {
             "codebook": args.codebook,
             "corpus": args.corpus,
-            "model": args.model,
             "secret_len": len(args.secret),
             "validate": not args.no_validate,
             "max_attempts": args.max_attempts,
@@ -146,7 +136,7 @@ def cmd_decode(args) -> int:
 
 def cmd_eval_band(args) -> int:
     corpus = load_corpus(args.corpus)
-    model = load_model(args.model)
+    model = build_model(corpus)
     bands = [parse_band(b) for b in args.bands.split(",")]
     rows = run_band_experiment(
         corpus,
@@ -161,7 +151,6 @@ def cmd_eval_band(args) -> int:
     fields = ["band", "trials", "errors", "failures", "skipped", "reason"]
     config = {
         "corpus": args.corpus,
-        "model": args.model,
         "bands": args.bands,
         "alphabet": args.alphabet,
         "trials": args.trials,
@@ -173,9 +162,9 @@ def cmd_eval_band(args) -> int:
 
 
 def cmd_eval_density(args) -> int:
-    corpus = load_corpus(args.corpus)
-    model = load_model(args.model)
     codebook = load_codebook(args.codebook)
+    corpus = load_corpus(args.corpus)
+    model = build_model(corpus)
     densities = [float(d) for d in args.densities.split(",")]
     points = run_density_experiment(
         corpus,
@@ -197,7 +186,6 @@ def cmd_eval_density(args) -> int:
     ]
     config = {
         "corpus": args.corpus,
-        "model": args.model,
         "codebook": args.codebook,
         "densities": args.densities,
         "trials": args.trials,
@@ -209,9 +197,9 @@ def cmd_eval_density(args) -> int:
 
 
 def cmd_eval_distinguish(args) -> int:
-    corpus = load_corpus(args.corpus)
-    model = load_model(args.model)
     codebook = load_codebook(args.codebook)
+    corpus = load_corpus(args.corpus)
+    model = build_model(corpus)
     pairs = build_pairs(
         corpus,
         model,
@@ -231,7 +219,6 @@ def cmd_eval_distinguish(args) -> int:
     fields = ["pairs", "correct", "accuracy", "advantage"]
     config = {
         "corpus": args.corpus,
-        "model": args.model,
         "codebook": args.codebook,
         "secret_len": args.secret_len,
         "min_density": args.min_density,
@@ -244,7 +231,6 @@ def cmd_eval_distinguish(args) -> int:
 
 def _add_eval_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="line-delimited corpus file")
-    parser.add_argument("--model", required=True, help="model file from build-model")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="base path; writes <out>.json and <out>.csv")
     parser.add_argument(
@@ -265,15 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-model", help="count n-grams over a corpus")
-    p.add_argument("--corpus", required=True, help="line-delimited corpus file")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--limit", type=int, help="use at most this many messages")
-    p.add_argument("--out", required=True, help="where to write the model JSON")
-    p.set_defaults(func=cmd_build_model)
-
     p = sub.add_parser("gen-codebook", help="draw codewords from a frequency band")
-    p.add_argument("--model", required=True)
+    p.add_argument("--corpus", required=True, help="line-delimited corpus file")
     p.add_argument("--band", required=True, help="inclusive band, e.g. 4-6 or 14+")
     p.add_argument("--alphabet", default="".join(DIGITS))
     p.add_argument("--seed", type=int, default=0)
@@ -284,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret", required=True, help="symbol string, e.g. 21")
     p.add_argument("--codebook", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--model", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, help="use at most this many messages")
+    p.add_argument(
+        "--limit", type=int, help="use at most this many messages, for covers and counts"
+    )
     p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     p.add_argument(
         "--no-validate",

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from .atomic import atomic_open
 from .corpus import scrub_message
 from .errors import CodebookValidationError, FormatError, InsufficientBandError
 from .ngram import NGramModel
@@ -22,6 +23,10 @@ DIGITS = tuple("0123456789")
 
 # Inclusive occurrence-count band; hi=None means unbounded above.
 Band = tuple[int, int | None]
+
+
+def _band_in_order(lo: int, hi: int | None) -> bool:
+    return lo >= 1 and (hi is None or hi >= lo)
 
 
 def parse_band(text: str) -> Band:
@@ -37,7 +42,7 @@ def parse_band(text: str) -> Band:
             lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise ValueError(f"band must look like 'lo-hi' or 'lo+', got {text!r}") from None
-    if lo < 1 or (hi is not None and hi < lo):
+    if not _band_in_order(lo, hi):
         raise ValueError(f"band bounds out of order: {text!r}")
     return (lo, hi)
 
@@ -57,6 +62,8 @@ class Codebook:
     seed: int
 
     def __post_init__(self):
+        if not _band_in_order(*self.band):
+            raise CodebookValidationError(f"invalid band {format_band(self.band)}")
         if set(self.forward) != set(self.alphabet):
             raise CodebookValidationError("mapped symbols do not match the alphabet")
         if len(set(self.alphabet)) != len(self.alphabet):
@@ -105,8 +112,7 @@ def select_codebook(
         raise ValueError("alphabet must contain at least one symbol")
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet contains duplicate symbols")
-    lo, hi = band
-    if lo < 1 or (hi is not None and hi < lo):
+    if not _band_in_order(*band):
         raise ValueError(f"invalid band {format_band(band)}")
     candidates = band_words(model, band)
     if len(candidates) < len(alphabet):
@@ -115,7 +121,7 @@ def select_codebook(
     return Codebook(
         alphabet=alphabet,
         forward=dict(zip(alphabet, chosen)),
-        band=(lo, hi),
+        band=tuple(band),
         seed=seed,
     )
 
@@ -128,7 +134,7 @@ def save_codebook(codebook: Codebook, path) -> None:
         "band": list(codebook.band),
         "seed": codebook.seed,
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         json.dump(doc, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -137,14 +143,14 @@ def load_codebook(path) -> Codebook:
     """Read a codebook written by save_codebook.
 
     Malformed files raise FormatError; files that parse but violate an
-    invariant (duplicate or unscrubbed codewords, alphabet mismatch) raise
-    CodebookValidationError.
+    invariant (duplicate or unscrubbed codewords, alphabet mismatch, a band
+    out of order) raise CodebookValidationError.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"codebook file is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"codebook file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != CODEBOOK_FORMAT_VERSION:
         raise FormatError("unsupported or missing codebook format version")
     try:

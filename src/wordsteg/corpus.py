@@ -18,8 +18,21 @@ from .errors import EmptyCorpusError, SteganizeError
 MIN_COVER_TOKENS = 3
 
 
-def _is_punctuation(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+class _PunctuationTable(dict):
+    """str.translate table that deletes Unicode punctuation (category P*).
+
+    Filled one code point at a time, on first sight, so no call pays for a
+    table over all of Unicode; it holds one entry per distinct code point
+    the process has scrubbed.
+    """
+
+    def __missing__(self, code: int) -> int | None:
+        kept = None if unicodedata.category(chr(code)).startswith("P") else code
+        self[code] = kept
+        return kept
+
+
+_PUNCTUATION = _PunctuationTable()
 
 
 def scrub_message(raw: str) -> str:
@@ -36,7 +49,7 @@ def scrub_message(raw: str) -> str:
             continue
         if "://" in token or token.startswith("www."):
             continue
-        word = "".join(ch for ch in token if not _is_punctuation(ch))
+        word = token.translate(_PUNCTUATION)
         if word:
             kept.append(word)
     return " ".join(kept)

@@ -10,7 +10,7 @@ class EmptyCorpusError(WordstegError):
 
 
 class FormatError(WordstegError):
-    """A persisted artifact (model or codebook file) is malformed."""
+    """A codebook file is not UTF-8 JSON, has an unknown version, or lacks a field."""
 
 
 class CodebookValidationError(WordstegError):

@@ -3,18 +3,17 @@
 Counts every n-gram of order 1..max_n inside message boundaries (no grams
 span two messages) and answers the frequency queries the encoder and the
 distinguisher share: raw counts, smoothed unigram distributions, and a
-length-normalized plausibility score. All logarithms are natural.
+length-normalized plausibility score. All logarithms are natural. The model
+is a pure function of the corpus and is never stored: every CLI verb counts
+it afresh from the corpus it loads.
 """
 
-import json
 import math
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus
-from .errors import FormatError
-
-MODEL_FORMAT_VERSION = 1
 
 # Orders above 3 are almost all singletons at the corpus sizes this tool
 # targets (~1e5 short messages) and add nothing but memory.
@@ -69,13 +68,14 @@ def build_model(corpus: Corpus, max_n: int = DEFAULT_MAX_N) -> NGramModel:
     """Count all n-grams of order 1..max_n, message by message."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    counts: dict[int, Counter] = {n: Counter() for n in range(1, max_n + 1)}
-    for message in corpus.messages:
-        toks = message.tokens
-        for n in range(1, max_n + 1):
-            table = counts[n]
-            for i in range(len(toks) - n + 1):
-                table[toks[i : i + n]] += 1
+    counts: dict[int, Counter] = {}
+    for n in range(1, max_n + 1):
+        # zip over n staggered views yields exactly the n-grams of one message.
+        counts[n] = Counter(
+            chain.from_iterable(
+                zip(*(m.tokens[i:] for i in range(n))) for m in corpus.messages
+            )
+        )
     totals = {n: counts[n].total() for n in range(1, max_n + 1)}
     return NGramModel(max_n, counts, totals)
 
@@ -95,45 +95,3 @@ def smoothed_distribution(
         raise ValueError("distribution has no probability mass")
     return {w: (counts.get(w, 0) + smoothing) / denominator for w in vocab}
 
-
-def save_model(model: NGramModel, path) -> None:
-    """Write the model as JSON. Counts round-trip exactly (they are ints)."""
-    doc = {
-        "version": MODEL_FORMAT_VERSION,
-        "max_n": model.max_n,
-        "totals": {str(n): model.totals[n] for n in model.totals},
-        "counts": {
-            str(n): sorted(
-                [" ".join(gram), count] for gram, count in model.counts[n].items()
-            )
-            for n in model.counts
-        },
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-
-
-def load_model(path) -> NGramModel:
-    """Read a model written by save_model. Malformed files raise FormatError."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != MODEL_FORMAT_VERSION:
-        raise FormatError("unsupported or missing model format version")
-    try:
-        max_n = int(doc["max_n"])
-        if max_n < 1:
-            raise ValueError(f"max_n {max_n} is below 1")
-        counts: dict[int, Counter] = {}
-        totals: dict[int, int] = {}
-        for n in range(1, max_n + 1):
-            table = Counter()
-            for gram_text, count in doc["counts"][str(n)]:
-                table[tuple(gram_text.split(" "))] = int(count)
-            counts[n] = table
-            totals[n] = int(doc["totals"][str(n)])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"model file is missing or corrupt: {exc}") from exc
-    return NGramModel(max_n, counts, totals)

@@ -220,21 +220,16 @@ def _run_pipeline(corpus, workdir):
     # Identical argv both times (relative output paths, run from workdir),
     # so the artifacts must agree byte for byte apart from the timestamp.
     commands = [
-        ["build-model", "--corpus", corpus, "--out", "model.json"],
-        ["gen-codebook", "--model", "model.json", "--band", "14+", "--seed", "9",
+        ["gen-codebook", "--corpus", corpus, "--band", "14+", "--seed", "9",
          "--out", "codebook.json"],
         ["encode", "--secret", "0451", "--codebook", "codebook.json",
-         "--corpus", corpus, "--model", "model.json", "--seed", "12",
-         "--out", "stego.json"],
-        ["eval", "band", "--corpus", corpus, "--model", "model.json",
-         "--bands", "4-6,14+", "--trials", "40", "--seed", "3",
-         "--out", "bands"],
-        ["eval", "density", "--corpus", corpus, "--model", "model.json",
-         "--codebook", "codebook.json", "--densities", "0.0,0.2",
-         "--trials", "30", "--seed", "3", "--out", "density"],
-        ["eval", "distinguish", "--corpus", corpus, "--model", "model.json",
-         "--codebook", "codebook.json", "--trials", "30", "--secret-len", "2",
-         "--seed", "3", "--out", "pairs"],
+         "--corpus", corpus, "--seed", "12", "--out", "stego.json"],
+        ["eval", "band", "--corpus", corpus, "--bands", "4-6,14+", "--trials", "40",
+         "--seed", "3", "--out", "bands"],
+        ["eval", "density", "--corpus", corpus, "--codebook", "codebook.json",
+         "--densities", "0.0,0.2", "--trials", "30", "--seed", "3", "--out", "density"],
+        ["eval", "distinguish", "--corpus", corpus, "--codebook", "codebook.json",
+         "--trials", "30", "--secret-len", "2", "--seed", "3", "--out", "pairs"],
     ]
     previous = os.getcwd()
     os.chdir(workdir)
@@ -255,7 +250,7 @@ def test_pipelines_rerun_byte_identically(small_corpus_path, tmp_path, capsys):
     _run_pipeline(str(small_corpus_path), second)
     capsys.readouterr()
 
-    identical_files = ["model.json", "codebook.json"]
+    identical_files = ["codebook.json"]
     stamped_files = ["stego.json", "bands.json", "density.json", "pairs.json"]
     csv_files = ["bands.csv", "density.csv", "pairs.csv"]
     mismatches = []

@@ -21,65 +21,48 @@ def write_two_word_codebook(path):
 
 @pytest.fixture(scope="session")
 def cli_files(small_corpus_path, tmp_path_factory):
-    """Model and codebooks built once through the real CLI."""
+    """Codebooks built once through the real CLI."""
     base = tmp_path_factory.mktemp("cli")
-    model = base / "model.json"
     cb_common = base / "cb14.json"
     cb_rare = base / "cb46.json"
-    assert main(["build-model", "--corpus", str(small_corpus_path), "--out", str(model)]) == 0
     assert (
         main(
-            ["gen-codebook", "--model", str(model), "--band", "14+",
+            ["gen-codebook", "--corpus", str(small_corpus_path), "--band", "14+",
              "--seed", "3", "--out", str(cb_common)]
         )
         == 0
     )
     assert (
         main(
-            ["gen-codebook", "--model", str(model), "--band", "4-6",
+            ["gen-codebook", "--corpus", str(small_corpus_path), "--band", "4-6",
              "--seed", "3", "--out", str(cb_rare)]
         )
         == 0
     )
     return {
         "corpus": str(small_corpus_path),
-        "model": str(model),
         "cb_common": str(cb_common),
         "cb_rare": str(cb_rare),
         "dir": base,
     }
 
 
-def test_build_model_reports_counts(small_corpus_path, tmp_path, capsys):
-    out = tmp_path / "model.json"
-    code = main(["build-model", "--corpus", str(small_corpus_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert out.exists()
-    assert "messages=800" in captured.out
-    assert "max_n=3" in captured.out
-
-
 def test_build_model_missing_corpus_exits_2(tmp_path, capsys):
+    # gen-codebook counts its model from --corpus, so a missing corpus is an I/O error.
+    out = tmp_path / "cb.json"
     code = main(
-        ["build-model", "--corpus", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "m.json")]
+        ["gen-codebook", "--corpus", str(tmp_path / "nope.txt"), "--band", "1+",
+         "--out", str(out)]
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_build_model_bad_max_n_exits_2(small_corpus_path, tmp_path, capsys):
-    code = main(
-        ["build-model", "--corpus", str(small_corpus_path), "--max-n", "0",
-         "--out", str(tmp_path / "m.json")]
-    )
-    assert code == 2
+    assert not out.exists()
 
 
 def test_gen_codebook_prints_occupancy(cli_files, tmp_path, capsys):
     out = tmp_path / "cb.json"
     code = main(
-        ["gen-codebook", "--model", cli_files["model"], "--band", "8-12",
+        ["gen-codebook", "--corpus", cli_files["corpus"], "--band", "8-12",
          "--out", str(out)]
     )
     captured = capsys.readouterr()
@@ -90,7 +73,7 @@ def test_gen_codebook_prints_occupancy(cli_files, tmp_path, capsys):
 
 def test_gen_codebook_insufficient_band_exits_3(cli_files, tmp_path, capsys):
     code = main(
-        ["gen-codebook", "--model", cli_files["model"], "--band", "99999+",
+        ["gen-codebook", "--corpus", cli_files["corpus"], "--band", "99999+",
          "--out", str(tmp_path / "cb.json")]
     )
     assert code == 3
@@ -99,7 +82,7 @@ def test_gen_codebook_insufficient_band_exits_3(cli_files, tmp_path, capsys):
 
 def test_gen_codebook_bad_band_syntax_exits_2(cli_files, tmp_path):
     code = main(
-        ["gen-codebook", "--model", cli_files["model"], "--band", "six-ish",
+        ["gen-codebook", "--corpus", cli_files["corpus"], "--band", "six-ish",
          "--out", str(tmp_path / "cb.json")]
     )
     assert code == 2
@@ -108,8 +91,7 @@ def test_gen_codebook_bad_band_syntax_exits_2(cli_files, tmp_path):
 def test_encode_then_decode_round_trip(cli_files, capsys):
     code = main(
         ["encode", "--secret", "3141", "--codebook", cli_files["cb_common"],
-         "--corpus", cli_files["corpus"], "--model", cli_files["model"],
-         "--seed", "11"]
+         "--corpus", cli_files["corpus"], "--seed", "11"]
     )
     stego = capsys.readouterr().out.strip()
     assert code == 0
@@ -123,8 +105,7 @@ def test_encode_then_decode_round_trip(cli_files, capsys):
 def test_decode_reads_stdin(cli_files, capsys, monkeypatch):
     code = main(
         ["encode", "--secret", "27", "--codebook", cli_files["cb_common"],
-         "--corpus", cli_files["corpus"], "--model", cli_files["model"],
-         "--seed", "4"]
+         "--corpus", cli_files["corpus"], "--seed", "4"]
     )
     stego = capsys.readouterr().out.strip()
     assert code == 0
@@ -164,7 +145,7 @@ def test_decode_missing_codebook_exits_2(tmp_path, capsys):
 def test_encode_unknown_symbol_exits_2(cli_files, capsys):
     code = main(
         ["encode", "--secret", "2x", "--codebook", cli_files["cb_common"],
-         "--corpus", cli_files["corpus"], "--model", cli_files["model"]]
+         "--corpus", cli_files["corpus"]]
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
@@ -174,8 +155,7 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     out = tmp_path / "stego.json"
     code = main(
         ["encode", "--secret", "88", "--codebook", cli_files["cb_common"],
-         "--corpus", cli_files["corpus"], "--model", cli_files["model"],
-         "--seed", "2", "--out", str(out)]
+         "--corpus", cli_files["corpus"], "--seed", "2", "--out", str(out)]
     )
     stego_line = capsys.readouterr().out.strip()
     assert code == 0
@@ -185,22 +165,22 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     assert doc["results"]["stego"] == stego_line
     assert "created_utc" in doc
     assert doc["config"]["secret_len"] == 2
+    assert "model" not in doc["config"]
 
 
 def test_encode_exhaustion_exits_4(tmp_path, capsys):
     corpus = tmp_path / "tiny.txt"
     words = " ".join(f"c{i}" for i in range(10))
     corpus.write_text((words + "\n") * 5, encoding="utf-8")
-    model = tmp_path / "model.json"
     codebook = tmp_path / "cb.json"
-    assert main(["build-model", "--corpus", str(corpus), "--out", str(model)]) == 0
     assert (
-        main(["gen-codebook", "--model", str(model), "--band", "5-5", "--out", str(codebook)])
+        main(["gen-codebook", "--corpus", str(corpus), "--band", "5-5",
+              "--out", str(codebook)])
         == 0
     )
     code = main(
         ["encode", "--secret", "7", "--codebook", str(codebook),
-         "--corpus", str(corpus), "--model", str(model), "--max-attempts", "10"]
+         "--corpus", str(corpus), "--max-attempts", "10"]
     )
     assert code == 4
     assert "error:" in capsys.readouterr().err
@@ -209,7 +189,7 @@ def test_encode_exhaustion_exits_4(tmp_path, capsys):
 def test_eval_band_writes_json_and_csv(cli_files, tmp_path, capsys):
     out = tmp_path / "bands"
     code = main(
-        ["eval", "band", "--corpus", cli_files["corpus"], "--model", cli_files["model"],
+        ["eval", "band", "--corpus", cli_files["corpus"],
          "--bands", "4-6,14+", "--trials", "25", "--seed", "1", "--out", str(out)]
     )
     assert code == 0
@@ -224,7 +204,7 @@ def test_eval_band_writes_json_and_csv(cli_files, tmp_path, capsys):
 
 def test_eval_band_skips_thin_bands_without_failing(cli_files, capsys):
     code = main(
-        ["eval", "band", "--corpus", cli_files["corpus"], "--model", cli_files["model"],
+        ["eval", "band", "--corpus", cli_files["corpus"],
          "--bands", "99999+,4-6", "--trials", "10", "--format", "json"]
     )
     assert code == 0
@@ -236,7 +216,7 @@ def test_eval_band_skips_thin_bands_without_failing(cli_files, capsys):
 def test_eval_density_writes_points(cli_files, tmp_path, capsys):
     out = tmp_path / "density"
     code = main(
-        ["eval", "density", "--corpus", cli_files["corpus"], "--model", cli_files["model"],
+        ["eval", "density", "--corpus", cli_files["corpus"],
          "--codebook", cli_files["cb_common"], "--densities", "0.0,0.2",
          "--trials", "40", "--seed", "1", "--out", str(out), "--format", "json"]
     )
@@ -250,7 +230,7 @@ def test_eval_density_writes_points(cli_files, tmp_path, capsys):
 
 def test_eval_distinguish_blind_baseline(cli_files, capsys):
     code = main(
-        ["eval", "distinguish", "--corpus", cli_files["corpus"], "--model", cli_files["model"],
+        ["eval", "distinguish", "--corpus", cli_files["corpus"],
          "--codebook", cli_files["cb_common"], "--trials", "80", "--secret-len", "0",
          "--seed", "1", "--format", "json"]
     )
@@ -263,7 +243,7 @@ def test_eval_distinguish_blind_baseline(cli_files, capsys):
 
 def test_eval_distinguish_dense_rare_words(cli_files, capsys):
     code = main(
-        ["eval", "distinguish", "--corpus", cli_files["corpus"], "--model", cli_files["model"],
+        ["eval", "distinguish", "--corpus", cli_files["corpus"],
          "--codebook", cli_files["cb_rare"], "--trials", "60", "--min-density", "0.3",
          "--seed", "1", "--format", "json"]
     )

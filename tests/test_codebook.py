@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordsteg import (
     Codebook,
@@ -13,6 +15,7 @@ from wordsteg import (
     load_codebook,
     parse_band,
     save_codebook,
+    scrub_message,
     select_codebook,
 )
 
@@ -159,9 +162,10 @@ def test_save_load_preserves_open_band(tmp_path, desk_model):
 
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "codebook.json"
-    path.write_text("]", encoding="utf-8")
-    with pytest.raises(FormatError):
-        load_codebook(path)
+    for raw in [b"]", b'{"version": 1, "seed": "\xff"}']:
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            load_codebook(path)
 
 
 def test_load_rejects_missing_version(tmp_path):
@@ -198,3 +202,94 @@ def test_load_rejects_missing_field(tmp_path):
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(FormatError):
             load_codebook(path)
+
+
+def test_load_rejects_band_out_of_order(tmp_path):
+    path = tmp_path / "codebook.json"
+    doc = {
+        "version": 1,
+        "alphabet": ["0"],
+        "forward": {"0": "x"},
+        "band": [9, 6],
+        "seed": 0,
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CodebookValidationError):
+        load_codebook(path)
+
+
+def test_interrupted_save_keeps_the_previous_file(tmp_path, two_word_codebook):
+    path = tmp_path / "codebook.json"
+    save_codebook(two_word_codebook, path)
+    before = path.read_bytes()
+    # json.dump has written part of the document when it meets the seed.
+    unwritable = Codebook(("1",), {"1": "good"}, (1, None), seed=object())
+    with pytest.raises(TypeError):
+        save_codebook(unwritable, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["codebook.json"]
+
+
+codewords = st.text(
+    st.characters(categories=("Ll", "Lo", "Nd")), min_size=1, max_size=8
+).filter(lambda word: scrub_message(word) == word)
+
+
+@st.composite
+def codebooks(draw):
+    symbols = st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=12, unique=True)
+    alphabet = tuple(draw(symbols))
+    words = draw(
+        st.lists(codewords, min_size=len(alphabet), max_size=len(alphabet), unique=True)
+    )
+    lo = draw(st.integers(1, 10**6))
+    hi = draw(st.none() | st.integers(lo, 2 * 10**6))
+    seed = draw(st.integers(-(2**63), 2**63))
+    return Codebook(alphabet, dict(zip(alphabet, words)), (lo, hi), seed)
+
+
+@pytest.fixture(scope="module")
+def codebook_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("codebook") / "codebook.json"
+
+
+@given(codebook=codebooks())
+@settings(deadline=None)
+def test_save_load_round_trip_property(codebook_file, codebook):
+    save_codebook(codebook, codebook_file)
+    assert load_codebook(codebook_file) == codebook
+
+
+@given(codebook=codebooks(), data=st.data())
+@settings(deadline=None)
+def test_truncated_codebook_never_loads_a_different_one(codebook_file, codebook, data):
+    save_codebook(codebook, codebook_file)
+    raw = codebook_file.read_bytes()
+    codebook_file.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    try:
+        loaded = load_codebook(codebook_file)
+    except (FormatError, CodebookValidationError):
+        return
+    assert loaded == codebook  # only the trailing newline was cut
+
+
+@given(codebook=codebooks(), data=st.data())
+@settings(deadline=None)
+def test_byte_flipped_codebook_fails_loudly_or_changes_one_value(
+    codebook_file, codebook, data
+):
+    save_codebook(codebook, codebook_file)
+    raw = bytearray(codebook_file.read_bytes())
+    raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    codebook_file.write_bytes(raw)
+    try:
+        loaded = load_codebook(codebook_file)
+    except (FormatError, CodebookValidationError):
+        return
+    # The format has no checksum, so a flip inside one codeword, a band bound
+    # or the seed can still load. Symbols and their slots never change
+    # silently, and at most one value differs from what was saved.
+    assert loaded.alphabet == codebook.alphabet
+    changed = [s for s in codebook.alphabet if loaded.forward[s] != codebook.forward[s]]
+    changed += [f for f in ("band", "seed") if getattr(loaded, f) != getattr(codebook, f)]
+    assert len(changed) <= 1

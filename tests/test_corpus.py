@@ -1,3 +1,5 @@
+import unicodedata
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +33,32 @@ def test_scrub_keeps_misspellings():
 
 def test_scrub_strips_inner_punctuation():
     assert scrub_message("can't re-use") == "cant reuse"
+
+
+def _scrub_reference(raw):
+    """The per-character scrubber that scrub_message's translate table replaced."""
+    kept = []
+    for token in raw.lower().split():
+        if token.startswith("@") or token.startswith("#"):
+            continue
+        if "://" in token or token.startswith("www."):
+            continue
+        word = "".join(ch for ch in token if not unicodedata.category(ch).startswith("P"))
+        if word:
+            kept.append(word)
+    return " ".join(kept)
+
+
+# Any code point (surrogates too), mixed with the characters the scrubber
+# treats specially and the ASCII symbols that are not punctuation.
+raw_text = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from("@#:/.wW !?'$+<=>^`|~")
+)
+
+
+@given(raw_text)
+def test_scrub_matches_per_character_reference(raw):
+    assert scrub_message(raw) == _scrub_reference(raw)
 
 
 @given(st.text())

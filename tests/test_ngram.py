@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg import (
-    Corpus,
-    FormatError,
-    build_model,
-    load_model,
-    save_model,
-    smoothed_distribution,
-)
+from wordsteg import Corpus, build_model, smoothed_distribution
 
 
 def window_count(token_lists, gram):
@@ -162,39 +155,3 @@ def test_plausibility_prefers_attested_word_order(toy_model):
     scrambled = toy_model.plausibility_score(("cat", "the"))
     assert natural > scrambled
 
-
-def test_model_save_load_round_trip(tmp_path, toy_model):
-    path = tmp_path / "model.json"
-    save_model(toy_model, path)
-    loaded = load_model(path)
-    assert loaded.max_n == toy_model.max_n
-    assert loaded.totals == toy_model.totals
-    assert loaded.counts == toy_model.counts
-    assert loaded.word_counts == toy_model.word_counts
-
-
-def test_model_load_rejects_invalid_json(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(FormatError):
-        load_model(path)
-
-
-def test_model_load_rejects_missing_version(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text('{"max_n": 1, "totals": {}, "counts": {}}', encoding="utf-8")
-    with pytest.raises(FormatError):
-        load_model(path)
-
-
-def test_model_load_rejects_truncated_tables(tmp_path):
-    path = tmp_path / "model.json"
-    corrupt = [
-        '{"version": 1, "max_n": 2, "totals": {"1": 2}, "counts": {"1": [["a", 2]]}}',
-        '{"version": 1, "max_n": 0, "totals": {}, "counts": {}}',
-        '{"version": 1, "max_n": 1, "totals": {"1": 3}, "counts": {"1": [[5, 3]]}}',
-    ]
-    for text in corrupt:
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(FormatError):
-            load_model(path)
