@@ -2,7 +2,10 @@
 
 One binary, four verbs: gen-codebook, encode, decode, and eval (with band,
 density, and distinguish subcommands). Every verb that needs n-gram counts
-takes --corpus and counts them itself; there is no model file. Exit codes:
+takes --corpus and counts them itself; there is no model file. Each counts
+only what it reads: gen-codebook the unigrams, encode and eval density the
+longer grams of the messages that hold a codeword, eval band and eval
+distinguish the full model. Exit codes:
 0 success, 2 usage or I/O problems, 3 insufficient band occupancy, 4
 steganization failure. Every artifact written by --out embeds the seed, the
 settings, and the tool version, and is written atomically; rerunning a
@@ -90,7 +93,7 @@ def _print_rows(rows: list[dict], fieldnames: list[str], fmt: str) -> None:
 
 def cmd_gen_codebook(args) -> int:
     band = parse_band(args.band)
-    model = build_model(load_corpus(args.corpus))
+    model = build_model(load_corpus(args.corpus), max_n=1)
     occupancy = len(band_words(model, band))
     codebook = select_codebook(model, band, tuple(args.alphabet), seed=args.seed)
     save_codebook(codebook, args.out)
@@ -107,7 +110,7 @@ def cmd_encode(args) -> int:
     result = steganize(
         tuple(args.secret),
         codebook,
-        build_model(corpus),
+        build_model(corpus, around=codebook.inverse),
         corpus,
         seed=args.seed,
         validate=not args.no_validate,
@@ -164,7 +167,7 @@ def cmd_eval_band(args) -> int:
 def cmd_eval_density(args) -> int:
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
-    model = build_model(corpus)
+    model = build_model(corpus, around=codebook.inverse)
     densities = [float(d) for d in args.densities.split(",")]
     points = run_density_experiment(
         corpus,

@@ -3,8 +3,11 @@
 The encoder hides a secret by inserting one codeword per symbol into a cover
 message drawn from the corpus. Each codeword goes into the inter-word slot
 whose newly created n-grams are most frequent in the model, scanning left to
-right so the receiver recovers symbol order with a single pass. Decoding is
-a plain scan: every token that is a codeword contributes its symbol.
+right so the receiver recovers symbol order with a single pass. Every gram
+it scores holds the inserted codeword, so a model counted only around the
+codewords (build_model(corpus, around=codebook.inverse)) places them exactly
+as the full model does. Decoding is a plain scan: every token that is a
+codeword contributes its symbol.
 
 Correct decoding therefore requires that the cover itself contains no
 codewords. With validate=True (the default) steganize rejects such covers
@@ -87,8 +90,12 @@ def insertion_score(
 
     Sums log(1 + count) over every n-gram (2 <= n <= max_n) of the modified
     sequence that covers the inserted word. Unigrams are skipped: they score
-    the word, not the position.
+    the word, not the position. Every gram scored holds `word`, so a model
+    counted around the codewords answers exactly; for a `word` outside its
+    `around` set this raises ValueError.
     """
+    if model.around is not None and word not in model.around:
+        raise ValueError(f"model was not counted around {word!r}")
     if not 1 <= position <= len(tokens) - 1:
         raise ValueError(
             f"position {position} outside 1..{len(tokens) - 1}: "

@@ -100,8 +100,11 @@ class Corpus:
         """Scrub and tokenize raw lines, skipping any that scrub to nothing.
 
         source_id is the 1-based line number of the raw record. limit caps
-        the number of usable messages kept, not the number of lines read.
+        the number of usable messages kept, not the number of lines read;
+        it must be at least 1.
         """
+        if limit is not None and limit < 1:
+            raise ValueError("limit must be >= 1")
         messages = []
         for lineno, line in enumerate(lines, start=1):
             if limit is not None and len(messages) >= limit:

@@ -93,6 +93,8 @@ def run_band_experiment(
         raise ValueError("need at least one band")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if secret_len < 0:
+        raise ValueError("secret_len must be >= 0")
     rows = []
     for index, band in enumerate(bands):
         try:
@@ -232,13 +234,15 @@ def build_pairs(
 ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Build (cover, stego) pairs for the distinguisher.
 
-    secret_len fixes the number of inserted codewords per pair; secret_len=0
-    yields identical pairs, the blind-guess baseline. min_density, when set,
-    overrides secret_len and sizes each secret so the stego density reaches
-    at least that value.
+    secret_len (>= 0) fixes the number of inserted codewords per pair;
+    secret_len=0 yields identical pairs, the blind-guess baseline.
+    min_density, when set, overrides secret_len and sizes each secret so the
+    stego density reaches at least that value.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if secret_len < 0:
+        raise ValueError("secret_len must be >= 0")
     if min_density is not None and not 0.0 <= min_density < 1.0:
         raise ValueError("min_density must lie in [0, 1)")
     pairs = []

@@ -252,6 +252,32 @@ def test_eval_distinguish_dense_rare_words(cli_files, capsys):
     assert row["accuracy"] > 0.7
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "band", "--secret-len", "-1", "--trials", "5"],
+        ["eval", "distinguish", "--codebook", "CB", "--secret-len", "-3", "--trials", "5"],
+    ],
+    ids=["band", "distinguish"],
+)
+def test_eval_negative_secret_len_exits_2(cli_files, capsys, argv):
+    argv = [cli_files["cb_common"] if arg == "CB" else arg for arg in argv]
+    assert main([*argv, "--corpus", cli_files["corpus"]]) == 2
+    captured = capsys.readouterr()
+    assert "secret_len must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_encode_limit_below_one_exits_2(cli_files, capsys, limit):
+    code = main(
+        ["encode", "--secret", "21", "--codebook", cli_files["cb_common"],
+         "--corpus", cli_files["corpus"], "--limit", limit]
+    )
+    assert code == 2
+    assert "error: limit must be >= 1" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])

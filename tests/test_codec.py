@@ -92,6 +92,34 @@ def test_insertion_score_rejects_edge_positions(toy_model):
         insertion_score(toy_model, ("the", "cat"), 2, "sat")
 
 
+def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corpus):
+    model = build_model(toy_corpus, max_n=2, around={"cat"})
+    assert insertion_score(model, ("the", "sat"), 1, "cat") == pytest.approx(2 * math.log(3))
+    with pytest.raises(ValueError):
+        insertion_score(model, ("the", "sat"), 1, "ran")
+
+
+# "z" never occurs in a message, and a set holding only "z" matches none.
+@given(
+    messages=st.lists(
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=6), min_size=1, max_size=8
+    ),
+    around=st.sets(st.sampled_from("abcz"), max_size=3),
+    data=st.data(),
+)
+@settings(deadline=None)
+def test_insert_codewords_same_under_model_counted_around(messages, around, data):
+    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    full = build_model(corpus, max_n=3)
+    partial = build_model(corpus, max_n=3, around=around)
+    words = data.draw(st.lists(st.sampled_from(sorted(around)), max_size=4)) if around else []
+    for message in corpus.messages:
+        if len(message.tokens) >= 2:
+            assert insert_codewords(partial, message.tokens, words) == insert_codewords(
+                full, message.tokens, words
+            )
+
+
 def test_best_position_prefers_frequent_context(toy_model):
     assert best_position(toy_model, ("the", "sat", "ran"), "cat", 1) == 1
 

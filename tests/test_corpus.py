@@ -108,6 +108,12 @@ def test_load_corpus_limit_counts_messages_not_lines(tmp_path):
     assert corpus.messages[0].tokens == ("kept", "line")
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_from_lines_rejects_limit_below_one(limit):
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        Corpus.from_lines(["one two"], limit=limit)
+
+
 def test_load_corpus_empty_file_raises(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("", encoding="utf-8")

@@ -168,6 +168,14 @@ def test_build_pairs_identical_when_secret_len_zero(small_corpus, small_model):
     assert all(cover == stego for cover, stego in pairs)
 
 
+def test_negative_secret_len_is_rejected(small_corpus, small_model):
+    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    with pytest.raises(ValueError, match="secret_len"):
+        run_band_experiment(small_corpus, small_model, [(4, 8)], DIGITS, secret_len=-1)
+    with pytest.raises(ValueError, match="secret_len"):
+        build_pairs(small_corpus, small_model, codebook, 5, secret_len=-3)
+
+
 def test_build_pairs_reaches_min_density(small_corpus, small_model):
     codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
     pairs = build_pairs(

@@ -3,25 +3,40 @@
 The rerun test in test_acceptance only compares two runs of the same code,
 so a change in how many random numbers a cover draw consumes would slip past
 it. These strings were recorded once and must not move: any refactor of the
-cover pool, the cover draw or the trial loop has to reproduce them exactly.
+cover pool, the cover draw, the trial loop or of which n-grams each verb
+counts has to reproduce them exactly.
 """
+
+import hashlib
 
 import pytest
 
 from wordsteg import (
+    DIGITS,
     Codebook,
     Corpus,
     SteganizeError,
     build_model,
     build_pairs,
     run_density_experiment,
+    save_codebook,
     steganize,
 )
 from wordsteg.cli import main
 
+GEN_CODEBOOK = ["gen-codebook", "--corpus", "CORPUS", "--band", "14+", "--seed", "3",
+                "--out", "CODEBOOK"]
+GOLDEN_GEN_CODEBOOK = "band=14+ occupancy=74 selected=10 out=CODEBOOK\n"
+GOLDEN_CODEBOOK_SHA256 = "8bff0dfc5bffc0e6bccfdbf82888b5df43c7f32db4992ed27313525e8389e95c"
+
 # Seed 13 takes the first cover it draws, so any shift in the draw shows.
 GOLDEN_ENCODE = (
     "w0003 w0002 w0047 w0000 w0082 w0060 w0000 w0082 w0002 w0108 w0216 w0539\n"
+)
+# Codewords that never occur in the corpus score 0 in every slot, so each
+# goes to the leftmost slot still open.
+GOLDEN_ENCODE_ABSENT = (
+    "w0003 zz3 zz1 zz4 zz1 w0002 w0000 w0000 w0002 w0108 w0216 w0539\n"
 )
 GOLDEN_BAND = (
     "band,trials,errors,failures,skipped,reason\r\n"
@@ -43,16 +58,33 @@ GOLDEN_DISTINGUISH = (
 EMPTY_POOL_REASON = "no covers with >= 3 tokens after 0 attempts"
 
 
+def _argv(files, argv):
+    return [files.get(arg, arg) for arg in argv]
+
+
 @pytest.fixture(scope="module")
 def golden_files(small_corpus_path, tmp_path_factory):
     """Placeholder argv words mapped to files built through the real CLI."""
-    codebook = str(tmp_path_factory.mktemp("golden") / "cb14.json")
-    assert (
-        main(["gen-codebook", "--corpus", str(small_corpus_path), "--band", "14+",
-              "--seed", "3", "--out", codebook])
-        == 0
+    workdir = tmp_path_factory.mktemp("golden")
+    files = {
+        "CORPUS": str(small_corpus_path),
+        "CODEBOOK": str(workdir / "cb14.json"),
+        "ABSENT": str(workdir / "absent.json"),
+    }
+    assert main(_argv(files, GEN_CODEBOOK)) == 0
+    absent = {s: f"zz{s}" for s in DIGITS}
+    save_codebook(Codebook(DIGITS, absent, (1, None), 0), files["ABSENT"])
+    return files
+
+
+def test_gen_codebook_matches_golden(small_corpus_path, tmp_path, capsys):
+    files = {"CORPUS": str(small_corpus_path), "CODEBOOK": str(tmp_path / "cb14.json")}
+    assert main(_argv(files, GEN_CODEBOOK)) == 0
+    assert capsys.readouterr().out.replace(files["CODEBOOK"], "CODEBOOK") == (
+        GOLDEN_GEN_CODEBOOK
     )
-    return {"CORPUS": str(small_corpus_path), "CODEBOOK": codebook}
+    digest = hashlib.sha256((tmp_path / "cb14.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CODEBOOK_SHA256
 
 
 FILES = ["--corpus", "CORPUS"]
@@ -65,6 +97,11 @@ FILES = ["--corpus", "CORPUS"]
             ["encode", "--secret", "3141", "--codebook", "CODEBOOK", *FILES,
              "--seed", "13"],
             GOLDEN_ENCODE,
+        ),
+        (
+            ["encode", "--secret", "3141", "--codebook", "ABSENT", *FILES,
+             "--seed", "13"],
+            GOLDEN_ENCODE_ABSENT,
         ),
         (
             ["eval", "band", *FILES, "--bands", "4-6,6-8,14+", "--trials", "40",
@@ -83,11 +120,12 @@ FILES = ["--corpus", "CORPUS"]
             GOLDEN_DISTINGUISH,
         ),
     ],
-    ids=["encode", "eval-band", "eval-density", "eval-distinguish"],
+    ids=["encode", "encode-absent-codewords", "eval-band", "eval-density",
+         "eval-distinguish"],
 )
 def test_cli_stdout_matches_golden(golden_files, capsys, argv, expected):
     capsys.readouterr()
-    assert main([golden_files.get(arg, arg) for arg in argv]) == 0
+    assert main(_argv(golden_files, argv)) == 0
     assert capsys.readouterr().out == expected
 
 

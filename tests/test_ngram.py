@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,32 @@ def test_build_model_rejects_nonpositive_max_n(toy_corpus):
         build_model(toy_corpus, max_n=0)
 
 
+def test_unigrams_match_an_independent_recount(desk_corpus, desk_model):
+    recount = {}
+    for message in desk_corpus.messages:
+        for word in message.tokens:
+            recount[word] = recount.get(word, 0) + 1
+    for model in (desk_model, build_model(desk_corpus, max_n=1)):
+        assert list(model.word_counts.items()) == list(recount.items())
+        assert list(model.counts[1].items()) == [((w,), c) for w, c in recount.items()]
+        assert model.totals[1] == sum(recount.values())
+
+
+def test_model_counted_around_refuses_what_it_cannot_answer(toy_corpus):
+    model = build_model(toy_corpus, max_n=3, around={"ran"})
+    assert model.around == frozenset({"ran"})
+    assert set(model.totals) == {1}
+    assert model.count(("cat",)) == 3
+    assert model.count(("cat", "ran")) == 1
+    assert model.count(("the", "cat", "ran")) == 1
+    with pytest.raises(ValueError):
+        model.count(("the", "cat"))
+    with pytest.raises(ValueError):
+        model.count(("the", "cat", "sat"))
+    with pytest.raises(ValueError):
+        model.plausibility_score(("the", "cat", "ran"))
+
+
 token = st.sampled_from(["a", "b", "c"])
 message_lists = st.lists(
     st.lists(token, min_size=1, max_size=6), min_size=1, max_size=8
@@ -82,6 +109,26 @@ def test_counts_match_window_scan(messages):
         )
         for gram in model.counts[n]:
             assert model.count(gram) == window_count(token_lists, gram)
+
+
+# "z" never occurs in a message, and an empty set matches none.
+around_sets = st.sets(st.sampled_from(["a", "b", "c", "z"]), max_size=3)
+
+
+@given(messages=message_lists, around=around_sets)
+@settings(deadline=None)
+def test_model_counted_around_is_exact_where_it_answers(messages, around):
+    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    full = build_model(corpus, max_n=3)
+    partial = build_model(corpus, max_n=3, around=around)
+    assert partial.word_counts == full.word_counts
+    assert partial.totals == {1: full.totals[1]}
+    for gram in [g for n in (2, 3) for g in product("abcz", repeat=n)]:
+        if set(gram) & around:
+            assert partial.count(gram) == full.count(gram)
+        else:
+            with pytest.raises(ValueError):
+                partial.count(gram)
 
 
 @given(messages=message_lists)
