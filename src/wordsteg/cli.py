@@ -1,11 +1,12 @@
 """Command-line interface.
 
 One binary, four verbs: gen-codebook, encode, decode, and eval (with band,
-density, and distinguish subcommands). Every verb that needs n-gram counts
-takes --corpus and counts them itself; there is no model file. Each counts
-only what it reads: gen-codebook the unigrams, encode and eval density the
-longer grams of the messages that hold a codeword, eval band and eval
-distinguish the full model. Exit codes:
+density, and distinguish subcommands). Every verb that needs word or n-gram
+counts takes --corpus and counts them itself; there is no model file. Each
+counts only what it reads: gen-codebook reads the corpus vocabulary and
+counts nothing more, encode and eval density count the longer grams of the
+messages that hold a codeword, eval band does the same around each band's
+codebook, and eval distinguish counts the full model. Exit codes:
 0 success, 2 usage or I/O problems, 3 insufficient band occupancy, 4
 steganization failure. Every artifact written by --out embeds the seed, the
 settings, and the tool version, and is written atomically; rerunning a
@@ -59,43 +60,41 @@ def _write_json(path, doc: dict) -> None:
         handle.write("\n")
 
 
-def _write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
-    with atomic_open(path, newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+def _write_csv(handle, rows: list[dict]) -> None:
+    """Header plus rows; the columns are the keys of the first row, in order."""
+    writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
-def _emit_experiment(out_base: str | None, doc: dict, fieldnames: list[str]) -> None:
+def _emit_experiment(out_base: str | None, doc: dict) -> None:
     """Write <base>.json and <base>.csv for an experiment, if requested."""
     if out_base is None:
         return
     _write_json(f"{out_base}.json", doc)
-    _write_csv(f"{out_base}.csv", fieldnames, doc["results"])
+    with atomic_open(f"{out_base}.csv", newline="") as handle:
+        _write_csv(handle, doc["results"])
 
 
-def _print_rows(rows: list[dict], fieldnames: list[str], fmt: str) -> None:
+def _print_rows(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         json.dump(rows, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
     elif fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        _write_csv(sys.stdout, rows)
     else:
-        widths = {f: max(len(f), *(len(str(r[f])) for r in rows)) for f in fieldnames}
-        print("  ".join(f.ljust(widths[f]) for f in fieldnames))
+        fields = list(rows[0])
+        widths = {f: max(len(f), *(len(str(r[f])) for r in rows)) for f in fields}
+        print("  ".join(f.ljust(widths[f]) for f in fields))
         for row in rows:
-            print("  ".join(str(row[f]).ljust(widths[f]) for f in fieldnames))
+            print("  ".join(str(row[f]).ljust(widths[f]) for f in fields))
 
 
 def cmd_gen_codebook(args) -> int:
     band = parse_band(args.band)
-    model = build_model(load_corpus(args.corpus), max_n=1)
-    occupancy = len(band_words(model, band))
-    codebook = select_codebook(model, band, tuple(args.alphabet), seed=args.seed)
+    vocabulary = load_corpus(args.corpus).vocabulary
+    occupancy = len(band_words(vocabulary, band))
+    codebook = select_codebook(vocabulary, band, tuple(args.alphabet), seed=args.seed)
     save_codebook(codebook, args.out)
     print(
         f"band={format_band(band)} occupancy={occupancy} "
@@ -139,11 +138,9 @@ def cmd_decode(args) -> int:
 
 def cmd_eval_band(args) -> int:
     corpus = load_corpus(args.corpus)
-    model = build_model(corpus)
     bands = [parse_band(b) for b in args.bands.split(",")]
     rows = run_band_experiment(
         corpus,
-        model,
         bands,
         alphabet=tuple(args.alphabet),
         trials=args.trials,
@@ -151,7 +148,6 @@ def cmd_eval_band(args) -> int:
         seed=args.seed,
     )
     docs = [row.to_doc() for row in rows]
-    fields = ["band", "trials", "errors", "failures", "skipped", "reason"]
     config = {
         "corpus": args.corpus,
         "bands": args.bands,
@@ -159,8 +155,8 @@ def cmd_eval_band(args) -> int:
         "trials": args.trials,
         "secret_len": args.secret_len,
     }
-    _emit_experiment(args.out, _artifact(args.seed, config, docs), fields)
-    _print_rows(docs, fields, args.format)
+    _emit_experiment(args.out, _artifact(args.seed, config, docs))
+    _print_rows(docs, args.format)
     return 0
 
 
@@ -179,14 +175,6 @@ def cmd_eval_density(args) -> int:
         smoothing=args.smoothing,
     )
     docs = [point.to_doc() for point in points]
-    fields = [
-        "target_density",
-        "realized_density",
-        "trials",
-        "kl_nats",
-        "skipped",
-        "reason",
-    ]
     config = {
         "corpus": args.corpus,
         "codebook": args.codebook,
@@ -194,8 +182,8 @@ def cmd_eval_density(args) -> int:
         "trials": args.trials,
         "smoothing": args.smoothing,
     }
-    _emit_experiment(args.out, _artifact(args.seed, config, docs), fields)
-    _print_rows(docs, fields, args.format)
+    _emit_experiment(args.out, _artifact(args.seed, config, docs))
+    _print_rows(docs, args.format)
     return 0
 
 
@@ -219,7 +207,6 @@ def cmd_eval_distinguish(args) -> int:
         "accuracy": accuracy,
         "advantage": abs(2.0 * accuracy - 1.0),
     }
-    fields = ["pairs", "correct", "accuracy", "advantage"]
     config = {
         "corpus": args.corpus,
         "codebook": args.codebook,
@@ -227,8 +214,8 @@ def cmd_eval_distinguish(args) -> int:
         "min_density": args.min_density,
         "trials": args.trials,
     }
-    _emit_experiment(args.out, _artifact(args.seed, config, [doc]), fields)
-    _print_rows([doc], fields, args.format)
+    _emit_experiment(args.out, _artifact(args.seed, config, [doc]))
+    _print_rows([doc], args.format)
     return 0
 
 

@@ -12,11 +12,11 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Mapping
 
 from .atomic import atomic_open
 from .corpus import scrub_message
 from .errors import CodebookValidationError, FormatError, InsufficientBandError
-from .ngram import NGramModel
 
 CODEBOOK_FORMAT_VERSION = 1
 DIGITS = tuple("0123456789")
@@ -88,24 +88,24 @@ class Codebook:
         return self.inverse.get(word)
 
 
-def band_words(model: NGramModel, band: Band) -> list[str]:
-    """All vocabulary words whose count falls inside the band, sorted."""
+def band_words(counts: Mapping[str, int], band: Band) -> list[str]:
+    """Words whose count (e.g. in Corpus.vocabulary) lies inside the band, sorted."""
     lo, hi = band
     top = math.inf if hi is None else hi
-    return sorted(w for w, c in model.word_counts.items() if lo <= c <= top)
+    return sorted(w for w, c in counts.items() if lo <= c <= top)
 
 
 def select_codebook(
-    model: NGramModel,
+    counts: Mapping[str, int],
     band: Band,
     alphabet: tuple[str, ...] = DIGITS,
     seed: int = 0,
 ) -> Codebook:
     """Sample one codeword per symbol, uniformly without replacement.
 
-    The draw is deterministic in (model vocabulary, band, alphabet, seed).
-    Raises InsufficientBandError when the band holds fewer words than the
-    alphabet has symbols.
+    The draw is deterministic in (counts, band, alphabet, seed); the CLI
+    passes Corpus.vocabulary as counts. Raises InsufficientBandError when the
+    band holds fewer words than the alphabet has symbols.
     """
     alphabet = tuple(alphabet)
     if not alphabet:
@@ -114,7 +114,7 @@ def select_codebook(
         raise ValueError("alphabet contains duplicate symbols")
     if not _band_in_order(*band):
         raise ValueError(f"invalid band {format_band(band)}")
-    candidates = band_words(model, band)
+    candidates = band_words(counts, band)
     if len(candidates) < len(alphabet):
         raise InsufficientBandError(band, needed=len(alphabet), found=len(candidates))
     chosen = random.Random(seed).sample(candidates, len(alphabet))
@@ -151,14 +151,26 @@ def load_codebook(path) -> Codebook:
             doc = json.load(handle)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"codebook file is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != CODEBOOK_FORMAT_VERSION:
+    # Only the JSON types save_codebook writes. Integers are checked with
+    # type(x) is int: true and 1.0 compare equal to 1, and bool passes
+    # isinstance(x, int).
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != CODEBOOK_FORMAT_VERSION:
         raise FormatError("unsupported or missing codebook format version")
-    try:
-        alphabet = tuple(str(s) for s in doc["alphabet"])
-        forward = {str(k): str(v) for k, v in doc["forward"].items()}
-        lo, hi = doc["band"]
-        band = (int(lo), None if hi is None else int(hi))
-        seed = int(doc["seed"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"codebook file is missing or corrupt: {exc}") from exc
-    return Codebook(alphabet=alphabet, forward=forward, band=band, seed=seed)
+    alphabet, forward, band, seed = (
+        doc.get(key) for key in ("alphabet", "forward", "band", "seed")
+    )
+    if not (isinstance(alphabet, list) and all(isinstance(s, str) for s in alphabet)):
+        raise FormatError("codebook alphabet must be a list of strings")
+    if not (isinstance(forward, dict) and all(isinstance(w, str) for w in forward.values())):
+        raise FormatError("codebook forward must map strings to strings")
+    if not (
+        isinstance(band, list)
+        and len(band) == 2
+        and type(band[0]) is int
+        and (band[1] is None or type(band[1]) is int)
+    ):
+        raise FormatError("codebook band must be [int, int or null]")
+    if type(seed) is not int:
+        raise FormatError("codebook seed must be an integer")
+    return Codebook(tuple(alphabet), forward, tuple(band), seed)

@@ -10,7 +10,7 @@ class EmptyCorpusError(WordstegError):
 
 
 class FormatError(WordstegError):
-    """A codebook file is not UTF-8 JSON, has an unknown version, or lacks a field."""
+    """A codebook file is not UTF-8 JSON, or a version or field is missing or mistyped."""
 
 
 class CodebookValidationError(WordstegError):

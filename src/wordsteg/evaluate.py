@@ -11,14 +11,14 @@ import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
 from .codec import decode, draw_covers, insert_codewords, steganize
 from .corpus import Corpus
 from .errors import InsufficientBandError, SteganizeError
-from .ngram import NGramModel, smoothed_distribution
+from .ngram import NGramModel, build_model, smoothed_distribution
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -53,7 +53,10 @@ def kl_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
 
 @dataclass(frozen=True)
 class BandExperimentRow:
-    """Raw decode-error tally for one codeword frequency band."""
+    """Raw decode-error tally for one codeword frequency band.
+
+    Fields are in the order of the CLI's table and CSV columns.
+    """
 
     band: Band
     trials: int
@@ -63,19 +66,11 @@ class BandExperimentRow:
     reason: str | None = None
 
     def to_doc(self) -> dict:
-        return {
-            "band": format_band(self.band),
-            "trials": self.trials,
-            "errors": self.errors,
-            "failures": self.failures,
-            "skipped": self.skipped,
-            "reason": self.reason,
-        }
+        return {**asdict(self), "band": format_band(self.band)}
 
 
 def run_band_experiment(
     corpus: Corpus,
-    model: NGramModel,
     bands: Sequence[Band],
     alphabet: tuple[str, ...] = DIGITS,
     trials: int = 2000,
@@ -84,7 +79,8 @@ def run_band_experiment(
 ) -> list[BandExperimentRow]:
     """Measure raw decode errors as codeword frequency rises.
 
-    Each band gets its own codebook and `trials` rounds of
+    Each band gets its own codebook, drawn from corpus.vocabulary, a model
+    counted around its codewords, and `trials` rounds of
     steganize(validate=False) followed by decode. Errors count exact-sequence
     mismatches; failures count attempt-budget exhaustions, separately. Bands
     too thin to fill a codebook are reported as skipped, not raised.
@@ -99,13 +95,14 @@ def run_band_experiment(
     for index, band in enumerate(bands):
         try:
             codebook = select_codebook(
-                model, band, alphabet, seed=derive_seed(seed, "band", index)
+                corpus.vocabulary, band, alphabet, seed=derive_seed(seed, "band", index)
             )
         except InsufficientBandError as exc:
             rows.append(
                 BandExperimentRow(band, trials=0, errors=0, skipped=True, reason=str(exc))
             )
             continue
+        model = build_model(corpus, around=codebook.inverse)
         secret_rng = random.Random(derive_seed(seed, "band", index, "secrets"))
         errors = 0
         failures = 0
@@ -131,24 +128,20 @@ def run_band_experiment(
 
 @dataclass(frozen=True)
 class DensityPoint:
-    """Distribution shift measured at one target codeword density."""
+    """Distribution shift measured at one target codeword density.
+
+    Fields are in the order of the CLI's table and CSV columns.
+    """
 
     target_density: float
+    realized_density: float | None
     trials: int
     kl_nats: float | None
-    realized_density: float | None = None
     skipped: bool = False
     reason: str | None = None
 
     def to_doc(self) -> dict:
-        return {
-            "target_density": self.target_density,
-            "trials": self.trials,
-            "kl_nats": self.kl_nats,
-            "realized_density": self.realized_density,
-            "skipped": self.skipped,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def _insert_count(cover_len: int, target_density: float) -> int:
@@ -191,7 +184,7 @@ def run_density_experiment(
         ]
     except SteganizeError as exc:
         return [
-            DensityPoint(target, trials=0, kl_nats=None, skipped=True, reason=str(exc))
+            DensityPoint(target, None, trials=0, kl_nats=None, skipped=True, reason=str(exc))
             for target in densities
         ]
     for index, target in enumerate(densities):
@@ -215,9 +208,9 @@ def run_density_experiment(
         points.append(
             DensityPoint(
                 target_density=target,
+                realized_density=inserted_total / token_total,
                 trials=trials,
                 kl_nats=kl_divergence(p, q),
-                realized_density=inserted_total / token_total,
             )
         )
     return points

@@ -58,7 +58,7 @@ def test_thousand_seeded_round_trips(desk_corpus, desk_model):
     bad = 0
     total = 0
     for band_index, band in enumerate(ACCEPTANCE_BANDS):
-        codebook = select_codebook(desk_model, band, DIGITS, seed=41)
+        codebook = select_codebook(desk_corpus.vocabulary, band, DIGITS, seed=41)
         rng = random.Random(derive_seed(606, "roundtrip", band_index))
         for trial in range(trials_per_band):
             secret = tuple(
@@ -96,11 +96,10 @@ def test_thousand_seeded_round_trips(desk_corpus, desk_model):
     )
 
 
-def test_decode_errors_grow_with_codeword_frequency(desk_corpus, desk_model):
+def test_decode_errors_grow_with_codeword_frequency(desk_corpus):
     started = time.monotonic()
     rows = run_band_experiment(
         desk_corpus,
-        desk_model,
         ACCEPTANCE_BANDS,
         DIGITS,
         trials=2000,
@@ -120,7 +119,7 @@ def test_decode_errors_grow_with_codeword_frequency(desk_corpus, desk_model):
 
 def test_distribution_shift_grows_with_density(desk_corpus, desk_model):
     started = time.monotonic()
-    codebook = select_codebook(desk_model, (14, None), DIGITS, seed=41)
+    codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=41)
     points = run_density_experiment(
         desk_corpus,
         desk_model,
@@ -194,7 +193,7 @@ def test_distinguisher_blind_then_sighted(desk_corpus, desk_model):
     margin = 3 * math.sqrt(0.25 / 1000)
     blind_ok = abs(blind - 0.5) <= margin
 
-    rare = select_codebook(desk_model, (4, 6), DIGITS, seed=41)
+    rare = select_codebook(desk_corpus.vocabulary, (4, 6), DIGITS, seed=41)
     pairs = build_pairs(
         desk_corpus, desk_model, rare, 200, seed=5, min_density=0.3
     )

@@ -268,6 +268,19 @@ def test_eval_negative_secret_len_exits_2(cli_files, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("smoothing", ["nan", "inf"])
+def test_eval_density_non_finite_smoothing_exits_2(cli_files, capsys, smoothing):
+    code = main(
+        ["eval", "density", "--corpus", cli_files["corpus"],
+         "--codebook", cli_files["cb_common"], "--densities", "0.0,0.2",
+         "--trials", "10", "--smoothing", smoothing]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "smoothing must be a finite number >= 0" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("limit", ["0", "-5"])
 def test_encode_limit_below_one_exits_2(cli_files, capsys, limit):
     code = main(

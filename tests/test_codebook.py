@@ -44,56 +44,56 @@ def test_format_band_round_trips(band):
     assert parse_band(format_band(band)) == band
 
 
-def test_band_words_inclusive_and_sorted(toy_model):
-    assert band_words(toy_model, (2, 3)) == ["cat", "sat", "the"]
-    assert band_words(toy_model, (3, None)) == ["cat"]
-    assert band_words(toy_model, (4, None)) == []
+def test_band_words_inclusive_and_sorted(toy_corpus):
+    assert band_words(toy_corpus.vocabulary, (2, 3)) == ["cat", "sat", "the"]
+    assert band_words(toy_corpus.vocabulary, (3, None)) == ["cat"]
+    assert band_words(toy_corpus.vocabulary, (4, None)) == []
 
 
-def test_select_codebook_is_deterministic(desk_model):
-    first = select_codebook(desk_model, (14, None), DIGITS, seed=11)
-    again = select_codebook(desk_model, (14, None), DIGITS, seed=11)
+def test_select_codebook_is_deterministic(desk_corpus):
+    first = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=11)
+    again = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=11)
     assert first == again
 
 
-def test_select_codebook_draws_from_the_band(desk_model):
-    codebook = select_codebook(desk_model, (6, 8), DIGITS, seed=2)
+def test_select_codebook_draws_from_the_band(desk_corpus):
+    codebook = select_codebook(desk_corpus.vocabulary, (6, 8), DIGITS, seed=2)
     for word in codebook.forward.values():
-        assert 6 <= desk_model.word_counts[word] <= 8
+        assert 6 <= desk_corpus.vocabulary[word] <= 8
 
 
-def test_select_codebook_codewords_are_distinct(desk_model):
-    codebook = select_codebook(desk_model, (8, 12), DIGITS, seed=5)
+def test_select_codebook_codewords_are_distinct(desk_corpus):
+    codebook = select_codebook(desk_corpus.vocabulary, (8, 12), DIGITS, seed=5)
     assert len(set(codebook.forward.values())) == len(DIGITS)
     assert set(codebook.forward) == set(DIGITS)
 
 
-def test_select_codebook_insufficient_band(toy_model):
+def test_select_codebook_insufficient_band(toy_corpus):
     with pytest.raises(InsufficientBandError) as excinfo:
-        select_codebook(toy_model, (1, None), DIGITS, seed=0)
+        select_codebook(toy_corpus.vocabulary, (1, None), DIGITS, seed=0)
     assert excinfo.value.needed == 10
     assert excinfo.value.found == 5
 
 
-def test_select_codebook_empty_band(toy_model):
+def test_select_codebook_empty_band(toy_corpus):
     with pytest.raises(InsufficientBandError) as excinfo:
-        select_codebook(toy_model, (5, None), ("0",), seed=0)
+        select_codebook(toy_corpus.vocabulary, (5, None), ("0",), seed=0)
     assert excinfo.value.found == 0
 
 
-def test_select_codebook_rejects_empty_alphabet(toy_model):
+def test_select_codebook_rejects_empty_alphabet(toy_corpus):
     with pytest.raises(ValueError):
-        select_codebook(toy_model, (1, 3), (), seed=0)
+        select_codebook(toy_corpus.vocabulary, (1, 3), (), seed=0)
 
 
-def test_select_codebook_rejects_duplicate_symbols(toy_model):
+def test_select_codebook_rejects_duplicate_symbols(toy_corpus):
     with pytest.raises(ValueError):
-        select_codebook(toy_model, (1, 3), ("0", "0"), seed=0)
+        select_codebook(toy_corpus.vocabulary, (1, 3), ("0", "0"), seed=0)
 
 
-def test_select_codebook_rejects_inverted_band(toy_model):
+def test_select_codebook_rejects_inverted_band(toy_corpus):
     with pytest.raises(ValueError):
-        select_codebook(toy_model, (6, 4), ("0",), seed=0)
+        select_codebook(toy_corpus.vocabulary, (6, 4), ("0",), seed=0)
 
 
 def test_forward_and_unmap_word(two_word_codebook):
@@ -103,8 +103,8 @@ def test_forward_and_unmap_word(two_word_codebook):
     assert two_word_codebook.unmap_word("trash") is None
 
 
-def test_codebook_round_trips_every_symbol(desk_model):
-    codebook = select_codebook(desk_model, (14, None), DIGITS, seed=0)
+def test_codebook_round_trips_every_symbol(desk_corpus):
+    codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=0)
     for symbol in codebook.alphabet:
         assert codebook.unmap_word(codebook.forward[symbol]) == symbol
 
@@ -146,15 +146,15 @@ def test_codebook_rejects_unscrubbed_codeword(tmp_path):
         load_codebook(path)
 
 
-def test_save_load_round_trip(tmp_path, desk_model):
-    codebook = select_codebook(desk_model, (4, 6), DIGITS, seed=9)
+def test_save_load_round_trip(tmp_path, desk_corpus):
+    codebook = select_codebook(desk_corpus.vocabulary, (4, 6), DIGITS, seed=9)
     path = tmp_path / "codebook.json"
     save_codebook(codebook, path)
     assert load_codebook(path) == codebook
 
 
-def test_save_load_preserves_open_band(tmp_path, desk_model):
-    codebook = select_codebook(desk_model, (14, None), DIGITS, seed=9)
+def test_save_load_preserves_open_band(tmp_path, desk_corpus):
+    codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=9)
     path = tmp_path / "codebook.json"
     save_codebook(codebook, path)
     assert load_codebook(path).band == (14, None)
@@ -194,9 +194,23 @@ def test_load_rejects_duplicate_codewords(tmp_path):
 
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "codebook.json"
+    valid = {"version": 1, "alphabet": ["0"], "forward": {"0": "x"}, "band": [1, 1], "seed": 0}
     corrupt = [
         {"version": 1, "alphabet": ["0"]},
-        {"version": 1, "alphabet": ["0"], "forward": ["x"], "band": [1, 1], "seed": 0},
+        {**valid, "forward": ["x"]},
+        # Values of another JSON type than save_codebook writes, which a
+        # coercing loader would turn into a different, valid codebook.
+        {**valid, "seed": 7.9},
+        {**valid, "seed": True},
+        {**valid, "seed": "7"},
+        {**valid, "band": [4, 6.7]},
+        {**valid, "band": [True, None]},
+        {**valid, "band": [1]},
+        {**valid, "alphabet": "0"},
+        {**valid, "alphabet": [0], "forward": {"0": "x"}},
+        {**valid, "forward": {"0": 5}},
+        {**valid, "version": True},
+        {**valid, "version": 1.0},
     ]
     for doc in corrupt:
         path.write_text(json.dumps(doc), encoding="utf-8")

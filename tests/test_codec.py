@@ -15,8 +15,10 @@ from wordsteg import (
     decode,
     insert_codewords,
     insertion_score,
+    scrub_message,
     select_codebook,
     steganize,
+    tokenize,
 )
 
 from synthcorpus import synth_lines
@@ -34,7 +36,7 @@ def oracle_insertion_score(model, tokens, position, word):
     for n in range(2, model.max_n + 1):
         for i in range(len(trial) - n + 1):
             if i <= position <= i + n - 1:
-                score += math.log1p(model.count(tuple(trial[i : i + n])))
+                score += math.log1p(model.counts[n].get(tuple(trial[i : i + n]), 0))
     return score
 
 
@@ -78,7 +80,7 @@ def test_insertion_score_matches_oracle_everywhere(toy_model):
 
 def test_insertion_score_matches_oracle_on_trigram_model(small_model, small_corpus):
     tokens = small_corpus.messages[0].tokens
-    word = next(iter(small_model.word_counts))
+    word = next(iter(small_corpus.vocabulary))
     for position in range(1, len(tokens)):
         assert insertion_score(small_model, tokens, position, word) == pytest.approx(
             oracle_insertion_score(small_model, tokens, position, word)
@@ -145,7 +147,7 @@ def test_insert_codewords_keeps_cover_order(toy_model):
 
 
 def test_steganize_round_trip(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     secret = ("3", "1", "4")
     result = steganize(secret, codebook, small_model, small_corpus, seed=99)
     assert decode(result.stego.tokens, codebook) == secret
@@ -162,13 +164,13 @@ def test_steganize_round_trip(small_corpus, small_model):
 
 
 def test_steganize_accepts_plain_string_secret(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize("271", codebook, small_model, small_corpus, seed=4)
     assert "".join(decode(result.stego.tokens, codebook)) == "271"
 
 
 def test_steganize_empty_secret_returns_cover(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize((), codebook, small_model, small_corpus, seed=5)
     assert result.stego.tokens == result.cover.tokens
     assert decode(result.stego.tokens, codebook) == ()
@@ -177,14 +179,14 @@ def test_steganize_empty_secret_returns_cover(small_corpus, small_model):
 
 
 def test_steganize_is_deterministic(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     first = steganize("42", codebook, small_model, small_corpus, seed=123)
     again = steganize("42", codebook, small_model, small_corpus, seed=123)
     assert first == again
 
 
 def test_steganize_rejects_unknown_symbols(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     with pytest.raises(ValueError):
         steganize("2x", codebook, small_model, small_corpus, seed=0)
 
@@ -228,14 +230,14 @@ def test_steganize_without_validation_embeds_blindly():
 
 
 def test_steganize_rejects_zero_attempt_budget(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     with pytest.raises(ValueError):
         steganize("1", codebook, small_model, small_corpus, seed=0, max_attempts=0)
 
 
 _codec_corpus = Corpus.from_lines(synth_lines(n_messages=150, seed=5, vocab_size=300))
 _codec_model = build_model(_codec_corpus, max_n=3)
-_codec_codebook = select_codebook(_codec_model, (2, None), DIGITS, seed=8)
+_codec_codebook = select_codebook(_codec_corpus.vocabulary, (2, None), DIGITS, seed=8)
 
 
 @given(
@@ -257,8 +259,38 @@ def test_round_trip_property(secret, seed):
     assert list(result.inserted_positions) == sorted(result.inserted_positions)
 
 
+# Raw lines that scrub to non-ASCII words ("«Ŵ0001»," -> "ŵ0001"), so the
+# codewords and the covers come out of real scrubbing.
+_raw_corpus = Corpus.from_lines(
+    " ".join(f"«{word.replace('w', 'Ŵ')}»," for word in line.split())
+    for line in synth_lines(n_messages=150, seed=5, vocab_size=300)
+)
+_raw_model = build_model(_raw_corpus, max_n=3)
+
+
+@given(
+    # Any alphabet the CLI accepts: distinct single characters, digits,
+    # punctuation, whitespace and non-ASCII included.
+    alphabet=st.lists(
+        st.characters(exclude_categories=("Cs",)), min_size=1, max_size=10, unique=True
+    ),
+    codebook_seed=st.integers(min_value=0, max_value=2**32),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=60)
+def test_printed_stego_decodes_after_scrubbing(alphabet, codebook_seed, seed, data):
+    codebook = select_codebook(
+        _raw_corpus.vocabulary, (2, 20), tuple(alphabet), seed=codebook_seed
+    )
+    secret = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=4)))
+    result = steganize(secret, codebook, _raw_model, _raw_corpus, seed=seed)
+    printed = " ".join(result.stego.tokens)
+    assert decode(tokenize(scrub_message(printed)), codebook) == secret
+
+
 def test_stego_result_serializes_to_plain_doc(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize("90", codebook, small_model, small_corpus, seed=77)
     doc = result.to_doc()
     assert doc["stego"] == " ".join(result.stego.tokens)

@@ -26,7 +26,7 @@ def test_derive_seed_is_stable_and_label_sensitive():
 
 
 def test_density_matches_inserted_fraction(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize("123", codebook, small_model, small_corpus, seed=6)
     expected = 3 / len(result.stego.tokens)
     assert result.density == pytest.approx(expected)
@@ -77,21 +77,18 @@ def test_kl_is_nonnegative(weights):
     assert kl_divergence(p, q) >= -1e-12
 
 
-def test_band_experiment_reports_each_band(small_corpus, small_model):
+def test_band_experiment_reports_each_band(small_corpus):
     bands = [(2, 4), (30, None)]
-    rows = run_band_experiment(
-        small_corpus, small_model, bands, DIGITS, trials=150, secret_len=2, seed=0
-    )
+    rows = run_band_experiment(small_corpus, bands, DIGITS, trials=150, secret_len=2, seed=0)
     assert [row.band for row in rows] == bands
     assert all(row.trials == 150 and not row.skipped for row in rows)
     assert rows[0].errors <= rows[1].errors
     assert rows[1].errors > 0
 
 
-def test_band_experiment_skips_impossible_bands(small_corpus, small_model):
+def test_band_experiment_skips_impossible_bands(small_corpus):
     rows = run_band_experiment(
         small_corpus,
-        small_model,
         [(10_000, None), (2, 4)],
         DIGITS,
         trials=20,
@@ -103,21 +100,17 @@ def test_band_experiment_skips_impossible_bands(small_corpus, small_model):
     assert not rows[1].skipped
 
 
-def test_band_experiment_is_deterministic(small_corpus, small_model):
+def test_band_experiment_is_deterministic(small_corpus):
     kwargs = dict(trials=40, secret_len=2, seed=17)
-    first = run_band_experiment(
-        small_corpus, small_model, [(2, 4), (8, None)], DIGITS, **kwargs
-    )
-    again = run_band_experiment(
-        small_corpus, small_model, [(2, 4), (8, None)], DIGITS, **kwargs
-    )
+    first = run_band_experiment(small_corpus, [(2, 4), (8, None)], DIGITS, **kwargs)
+    again = run_band_experiment(small_corpus, [(2, 4), (8, None)], DIGITS, **kwargs)
     assert first == again
 
 
 def test_density_experiment_tracks_targets(small_corpus, small_model):
     # Rare codewords, so packing them in can only push the stego set away
     # from the corpus distribution.
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=2)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=2)
     points = run_density_experiment(
         small_corpus,
         small_model,
@@ -136,7 +129,7 @@ def test_density_experiment_tracks_targets(small_corpus, small_model):
 
 
 def test_density_experiment_is_deterministic(small_corpus, small_model):
-    codebook = select_codebook(small_model, (8, None), DIGITS, seed=2)
+    codebook = select_codebook(small_corpus.vocabulary, (8, None), DIGITS, seed=2)
     args = (small_corpus, small_model, codebook, [0.0, 0.2])
     first = run_density_experiment(*args, trials=30, seed=3)
     again = run_density_experiment(*args, trials=30, seed=3)
@@ -144,7 +137,7 @@ def test_density_experiment_is_deterministic(small_corpus, small_model):
 
 
 def test_density_experiment_rejects_bad_targets(small_corpus, small_model):
-    codebook = select_codebook(small_model, (8, None), DIGITS, seed=2)
+    codebook = select_codebook(small_corpus.vocabulary, (8, None), DIGITS, seed=2)
     with pytest.raises(ValueError):
         run_density_experiment(small_corpus, small_model, codebook, [1.0], trials=5)
     with pytest.raises(ValueError):
@@ -154,7 +147,7 @@ def test_density_experiment_rejects_bad_targets(small_corpus, small_model):
 def test_density_experiment_unsmoothed_sparse_sample_raises(small_corpus, small_model):
     # A small sample misses vocabulary words, so with no smoothing the
     # divergence is undefined and the domain error surfaces.
-    codebook = select_codebook(small_model, (8, None), DIGITS, seed=2)
+    codebook = select_codebook(small_corpus.vocabulary, (8, None), DIGITS, seed=2)
     with pytest.raises(ValueError):
         run_density_experiment(
             small_corpus, small_model, codebook, [0.1], trials=5, smoothing=0.0
@@ -162,22 +155,22 @@ def test_density_experiment_unsmoothed_sparse_sample_raises(small_corpus, small_
 
 
 def test_build_pairs_identical_when_secret_len_zero(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     pairs = build_pairs(small_corpus, small_model, codebook, 12, seed=0, secret_len=0)
     assert len(pairs) == 12
     assert all(cover == stego for cover, stego in pairs)
 
 
 def test_negative_secret_len_is_rejected(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     with pytest.raises(ValueError, match="secret_len"):
-        run_band_experiment(small_corpus, small_model, [(4, 8)], DIGITS, secret_len=-1)
+        run_band_experiment(small_corpus, [(4, 8)], DIGITS, secret_len=-1)
     with pytest.raises(ValueError, match="secret_len"):
         build_pairs(small_corpus, small_model, codebook, 5, secret_len=-3)
 
 
 def test_build_pairs_reaches_min_density(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 8), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     pairs = build_pairs(
         small_corpus, small_model, codebook, 12, seed=0, min_density=0.3
     )
@@ -193,7 +186,7 @@ def test_distinguisher_is_blind_on_identical_pairs(small_corpus, small_model):
 
 
 def test_distinguisher_spots_rare_word_insertions(small_corpus, small_model):
-    codebook = select_codebook(small_model, (4, 6), DIGITS, seed=1)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 6), DIGITS, seed=1)
     pairs = build_pairs(
         small_corpus, small_model, codebook, 60, seed=0, min_density=0.3
     )

@@ -20,12 +20,12 @@ def window_count(token_lists, gram):
     return hits
 
 
-def test_toy_unigram_counts(toy_model):
+def test_toy_unigram_counts(toy_corpus, toy_model):
     expected = {"the": 2, "cat": 3, "sat": 2, "ran": 1, "a": 1}
-    for word, count in expected.items():
-        assert toy_model.count((word,)) == count
-    assert toy_model.vocab_size == 5
-    assert toy_model.totals[1] == 9
+    assert toy_model.vocabulary is toy_corpus.vocabulary
+    assert dict(toy_model.vocabulary) == expected
+    assert toy_corpus.total_tokens == 9
+    assert set(toy_model.counts) == {2}
 
 
 def test_toy_bigram_counts(toy_model):
@@ -35,29 +35,15 @@ def test_toy_bigram_counts(toy_model):
         ("cat", "ran"): 1,
         ("a", "cat"): 1,
     }
-    for gram, count in expected.items():
-        assert toy_model.count(gram) == count
-    assert toy_model.totals[2] == 6
-    assert set(toy_model.counts[2]) == set(expected)
-
-
-def test_unseen_grams_count_zero(toy_model):
-    assert toy_model.count(("dog",)) == 0
-    assert toy_model.count(("sat", "the")) == 0
-
-
-def test_count_rejects_out_of_range_gram_lengths(toy_model):
-    with pytest.raises(ValueError):
-        toy_model.count(())
-    with pytest.raises(ValueError):
-        toy_model.count(("a", "cat", "sat"))
+    assert toy_model.counts[2] == expected
+    assert toy_model.counts[2].total() == 6
 
 
 def test_grams_do_not_span_messages():
     corpus = Corpus.from_lines(["a b", "c d"])
     model = build_model(corpus, max_n=2)
-    assert model.count(("b", "c")) == 0
-    assert model.totals[2] == 2
+    assert ("b", "c") not in model.counts[2]
+    assert model.counts[2].total() == 2
 
 
 def test_build_model_rejects_nonpositive_max_n(toy_corpus):
@@ -70,23 +56,20 @@ def test_unigrams_match_an_independent_recount(desk_corpus, desk_model):
     for message in desk_corpus.messages:
         for word in message.tokens:
             recount[word] = recount.get(word, 0) + 1
+    assert list(desk_corpus.vocabulary.items()) == list(recount.items())
+    assert desk_corpus.total_tokens == sum(recount.values())
     for model in (desk_model, build_model(desk_corpus, max_n=1)):
-        assert list(model.word_counts.items()) == list(recount.items())
-        assert list(model.counts[1].items()) == [((w,), c) for w, c in recount.items()]
-        assert model.totals[1] == sum(recount.values())
+        assert model.vocabulary is desk_corpus.vocabulary
+        assert 1 not in model.counts
 
 
 def test_model_counted_around_refuses_what_it_cannot_answer(toy_corpus):
     model = build_model(toy_corpus, max_n=3, around={"ran"})
     assert model.around == frozenset({"ran"})
-    assert set(model.totals) == {1}
-    assert model.count(("cat",)) == 3
-    assert model.count(("cat", "ran")) == 1
-    assert model.count(("the", "cat", "ran")) == 1
-    with pytest.raises(ValueError):
-        model.count(("the", "cat"))
-    with pytest.raises(ValueError):
-        model.count(("the", "cat", "sat"))
+    assert model.vocabulary is toy_corpus.vocabulary
+    # Only "the cat ran" holds "ran", so its grams alone are counted.
+    assert model.counts[2] == {("the", "cat"): 1, ("cat", "ran"): 1}
+    assert model.counts[3] == {("the", "cat", "ran"): 1}
     with pytest.raises(ValueError):
         model.plausibility_score(("the", "cat", "ran"))
 
@@ -103,12 +86,14 @@ def test_counts_match_window_scan(messages):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
     model = build_model(corpus, max_n=3)
     token_lists = [m.tokens for m in corpus.messages]
-    for n in (1, 2, 3):
-        assert model.totals[n] == sum(
+    for word, count in model.vocabulary.items():
+        assert count == window_count(token_lists, (word,))
+    for n in (2, 3):
+        assert model.counts[n].total() == sum(
             max(0, len(t) - n + 1) for t in token_lists
         )
-        for gram in model.counts[n]:
-            assert model.count(gram) == window_count(token_lists, gram)
+        for gram, count in model.counts[n].items():
+            assert count == window_count(token_lists, gram)
 
 
 # "z" never occurs in a message, and an empty set matches none.
@@ -121,14 +106,11 @@ def test_model_counted_around_is_exact_where_it_answers(messages, around):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
     full = build_model(corpus, max_n=3)
     partial = build_model(corpus, max_n=3, around=around)
-    assert partial.word_counts == full.word_counts
-    assert partial.totals == {1: full.totals[1]}
-    for gram in [g for n in (2, 3) for g in product("abcz", repeat=n)]:
-        if set(gram) & around:
-            assert partial.count(gram) == full.count(gram)
-        else:
-            with pytest.raises(ValueError):
-                partial.count(gram)
+    assert partial.vocabulary is full.vocabulary
+    for n in (2, 3):
+        for gram in product("abcz", repeat=n):
+            if set(gram) & around:
+                assert partial.counts[n].get(gram, 0) == full.counts[n].get(gram, 0)
 
 
 @given(messages=message_lists)
@@ -136,44 +118,51 @@ def test_model_counted_around_is_exact_where_it_answers(messages, around):
 def test_longer_grams_never_outnumber_their_parts(messages):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
     model = build_model(corpus, max_n=3)
+
+    def count(gram):
+        if len(gram) == 1:
+            return model.vocabulary[gram[0]]
+        return model.counts[len(gram)][gram]
+
     for n in (2, 3):
         for gram in model.counts[n]:
-            assert model.count(gram) <= model.count(gram[:-1])
-            assert model.count(gram) <= model.count(gram[1:])
+            assert count(gram) <= count(gram[:-1])
+            assert count(gram) <= count(gram[1:])
 
 
-def test_unigram_distribution_maximum_likelihood(toy_model):
-    counts = toy_model.word_counts
-    p = smoothed_distribution(counts, toy_model.totals[1], counts)
+def test_unigram_distribution_maximum_likelihood(toy_corpus):
+    counts = toy_corpus.vocabulary
+    p = smoothed_distribution(counts, toy_corpus.total_tokens, counts)
     assert p["cat"] == pytest.approx(3 / 9)
     assert sum(p.values()) == pytest.approx(1.0)
 
 
-def test_unigram_distribution_additive_smoothing(toy_model):
-    counts = toy_model.word_counts
-    p = smoothed_distribution(counts, toy_model.totals[1], counts, smoothing=1.0)
+def test_unigram_distribution_additive_smoothing(toy_corpus):
+    counts = toy_corpus.vocabulary
+    p = smoothed_distribution(counts, toy_corpus.total_tokens, counts, smoothing=1.0)
     assert p["cat"] == pytest.approx(4 / 14)
     assert sum(p.values()) == pytest.approx(1.0)
 
 
-def test_unigram_distribution_over_superset_vocabulary(toy_model):
-    counts = toy_model.word_counts
+def test_unigram_distribution_over_superset_vocabulary(toy_corpus):
+    counts = toy_corpus.vocabulary
     vocab = sorted(set(counts) | {"dog"})
-    p = smoothed_distribution(counts, toy_model.totals[1], vocab, smoothing=1.0)
+    p = smoothed_distribution(counts, toy_corpus.total_tokens, vocab, smoothing=1.0)
     assert p["dog"] == pytest.approx(1 / (9 + 6))
     assert sum(p.values()) == pytest.approx(1.0)
 
 
-def test_unigram_distribution_flattens_with_heavy_smoothing(toy_model):
-    counts = toy_model.word_counts
-    p = smoothed_distribution(counts, toy_model.totals[1], counts, smoothing=1e9)
+def test_unigram_distribution_flattens_with_heavy_smoothing(toy_corpus):
+    counts = toy_corpus.vocabulary
+    p = smoothed_distribution(counts, toy_corpus.total_tokens, counts, smoothing=1e9)
     assert max(p.values()) - min(p.values()) < 1e-9
 
 
-def test_unigram_distribution_rejects_negative_smoothing(toy_model):
-    counts = toy_model.word_counts
-    with pytest.raises(ValueError):
-        smoothed_distribution(counts, toy_model.totals[1], counts, smoothing=-0.5)
+def test_unigram_distribution_rejects_negative_smoothing(toy_corpus):
+    counts = toy_corpus.vocabulary
+    for smoothing in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="smoothing"):
+            smoothed_distribution(counts, toy_corpus.total_tokens, counts, smoothing)
 
 
 def test_smoothed_distribution_zero_counts_need_smoothing():
