@@ -33,7 +33,6 @@ from .codec import (
 from .corpus import (
     MIN_COVER_TOKENS,
     Corpus,
-    Message,
     load_corpus,
     scrub_message,
     tokenize,
@@ -77,7 +76,6 @@ __all__ = [
     "EmptyCorpusError",
     "FormatError",
     "InsufficientBandError",
-    "Message",
     "MIN_COVER_TOKENS",
     "NGramModel",
     "Secret",

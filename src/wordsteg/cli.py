@@ -3,10 +3,10 @@
 One binary, four verbs: gen-codebook, encode, decode, and eval (with band,
 density, and distinguish subcommands). Every verb that needs word or n-gram
 counts takes --corpus and counts them itself; there is no model file. Each
-counts only what it reads: gen-codebook reads the corpus vocabulary and
-counts nothing more, encode and eval density count the longer grams of the
-messages that hold a codeword, eval band does the same around each band's
-codebook, and eval distinguish counts the full model. Exit codes:
+counts only what it reads: gen-codebook and eval band read the corpus
+vocabulary and count nothing more, encode and eval density count the longer
+grams of the messages that hold a codeword, and eval distinguish counts the
+full model. Exit codes:
 0 success, 2 usage or I/O problems, 3 insufficient band occupancy, 4
 steganization failure. Every artifact written by --out embeds the seed, the
 settings, and the tool version, and is written atomically; rerunning a
@@ -112,16 +112,15 @@ def cmd_encode(args) -> int:
         build_model(corpus, around=codebook.inverse),
         corpus,
         seed=args.seed,
-        validate=not args.no_validate,
         max_attempts=args.max_attempts,
     )
-    print(" ".join(result.stego.tokens))
+    print(" ".join(result.stego))
     if args.out:
         config = {
             "codebook": args.codebook,
             "corpus": args.corpus,
             "secret_len": len(args.secret),
-            "validate": not args.no_validate,
+            "limit": args.limit,
             "max_attempts": args.max_attempts,
         }
         _write_json(args.out, _artifact(args.seed, config, result.to_doc()))
@@ -144,7 +143,6 @@ def cmd_eval_band(args) -> int:
         bands,
         alphabet=tuple(args.alphabet),
         trials=args.trials,
-        secret_len=args.secret_len,
         seed=args.seed,
     )
     docs = [row.to_doc() for row in rows]
@@ -153,7 +151,6 @@ def cmd_eval_band(args) -> int:
         "bands": args.bands,
         "alphabet": args.alphabet,
         "trials": args.trials,
-        "secret_len": args.secret_len,
     }
     _emit_experiment(args.out, _artifact(args.seed, config, docs))
     _print_rows(docs, args.format)
@@ -258,11 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, help="use at most this many messages, for covers and counts"
     )
     p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
-    p.add_argument(
-        "--no-validate",
-        action="store_true",
-        help="skip cover rejection and the round-trip check",
-    )
     p.add_argument("--out", help="also write the full result as JSON")
     p.set_defaults(func=cmd_encode)
 
@@ -279,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", default="4-6,6-8,8-12,14+", help="comma-separated bands")
     p.add_argument("--alphabet", default="".join(DIGITS))
     p.add_argument("--trials", type=int, default=2000, help="rounds per band")
-    p.add_argument("--secret-len", type=int, default=2)
     p.set_defaults(func=cmd_eval_band)
 
     p = ev_sub.add_parser("density", help="distribution shift per codeword density")

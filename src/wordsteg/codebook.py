@@ -64,6 +64,8 @@ class Codebook:
     def __post_init__(self):
         if not _band_in_order(*self.band):
             raise CodebookValidationError(f"invalid band {format_band(self.band)}")
+        if not self.alphabet:
+            raise CodebookValidationError("alphabet is empty")
         if set(self.forward) != set(self.alphabet):
             raise CodebookValidationError("mapped symbols do not match the alphabet")
         if len(set(self.alphabet)) != len(self.alphabet):

@@ -10,11 +10,10 @@ as the full model does. Decoding is a plain scan: every token that is a
 codeword contributes its symbol.
 
 Correct decoding therefore requires that the cover itself contains no
-codewords. With validate=True (the default) steganize rejects such covers
-and re-draws, which also makes the round trip exact by construction. With
-validate=False it embeds into the first cover drawn, so accidental codewords
-corrupt the decoded secret; the evaluation harness uses that mode to measure
-raw error rates.
+codewords, so steganize rejects such covers and re-draws, which also makes
+the round trip exact by construction. Without that rejection an embed would
+decode wrongly exactly when its cover holds a codeword, so the evaluation
+harness counts such covers instead of embedding.
 """
 
 import math
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .codebook import Codebook
-from .corpus import Corpus, Message
+from .corpus import Corpus
 from .errors import SteganizeError
 from .ngram import NGramModel
 
@@ -36,21 +35,21 @@ Secret = tuple[str, ...]
 class StegoResult:
     """One successful embedding.
 
-    inserted_positions are indexes into stego.tokens, strictly increasing;
-    attempts counts covers drawn, including the accepted one; density is
-    inserted codewords over total stego tokens.
+    stego and cover are token tuples; inserted_positions are indexes into
+    stego, strictly increasing; attempts counts covers drawn, including the
+    accepted one; density is inserted codewords over total stego tokens.
     """
 
-    stego: Message
-    cover: Message
+    stego: tuple[str, ...]
+    cover: tuple[str, ...]
     inserted_positions: tuple[int, ...]
     attempts: int
     density: float
 
     def to_doc(self) -> dict:
         return {
-            "stego": " ".join(self.stego.tokens),
-            "cover": " ".join(self.cover.tokens),
+            "stego": " ".join(self.stego),
+            "cover": " ".join(self.cover),
             "inserted_positions": list(self.inserted_positions),
             "attempts": self.attempts,
             "density": self.density,
@@ -66,7 +65,7 @@ def draw_covers(
     codebook: Codebook | None,
     rng: random.Random,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> Iterator[tuple[int, Message]]:
+) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Seeded uniform draws from covers.cover_pool, one rng.randrange each.
 
     Yields (attempt, cover) for every drawn cover that holds no codeword of
@@ -78,7 +77,7 @@ def draw_covers(
     pool = covers.cover_pool
     for attempt in range(1, max_attempts + 1):
         cover = pool[rng.randrange(len(pool))]
-        if codebook is None or not contains_codeword(cover.tokens, codebook):
+        if codebook is None or not contains_codeword(cover, codebook):
             yield attempt, cover
     raise SteganizeError(max_attempts, "every drawn cover contained a codeword")
 
@@ -169,16 +168,14 @@ def steganize(
     model: NGramModel,
     covers: Corpus,
     seed: int,
-    validate: bool = True,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> StegoResult:
     """Embed a secret into a randomly drawn cover message.
 
     Draws uniformly (seeded) from covers.cover_pool via draw_covers, then
     inserts the codeword for each secret symbol in order. An empty secret
-    returns the cover unchanged. With validate=True, covers already
-    containing codewords are rejected and the round trip is checked before
-    returning; with validate=False the first draw is used as-is. Raises
+    returns the cover unchanged. Covers already containing codewords are
+    rejected, and the round trip is checked before returning. Raises
     SteganizeError when the pool is empty or the attempt budget runs out.
     """
     symbols: Secret = tuple(secret)
@@ -188,15 +185,13 @@ def steganize(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     words = [codebook.forward[s] for s in symbols]
-    draws = draw_covers(
-        covers, codebook if validate else None, random.Random(seed), max_attempts
-    )
+    draws = draw_covers(covers, codebook, random.Random(seed), max_attempts)
     for attempt, cover in draws:
-        stego_tokens, positions = insert_codewords(model, cover.tokens, words)
-        if validate and decode(stego_tokens, codebook) != symbols:
+        stego_tokens, positions = insert_codewords(model, cover, words)
+        if decode(stego_tokens, codebook) != symbols:
             continue
         return StegoResult(
-            stego=Message(stego_tokens, cover.source_id),
+            stego=stego_tokens,
             cover=cover,
             inserted_positions=positions,
             attempts=attempt,

@@ -7,7 +7,6 @@ as-is; they are part of the cover signal.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 import unicodedata
@@ -60,24 +59,19 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One scrubbed message: a non-empty token tuple plus its source line."""
-
-    tokens: tuple[str, ...]
-    source_id: int
-
-
 class Corpus:
-    """Immutable collection of scrubbed messages with vocabulary counts."""
+    """Immutable collection of scrubbed messages with vocabulary counts.
 
-    def __init__(self, messages: Iterable[Message]):
-        self.messages: tuple[Message, ...] = tuple(messages)
+    Each message is a non-empty tuple of tokens.
+    """
+
+    def __init__(self, messages: Iterable[tuple[str, ...]]):
+        self.messages: tuple[tuple[str, ...], ...] = tuple(messages)
         if not self.messages:
             raise EmptyCorpusError("corpus contains no usable messages")
         vocabulary: Counter[str] = Counter()
         for message in self.messages:
-            vocabulary.update(message.tokens)
+            vocabulary.update(message)
         self.vocabulary = vocabulary
         self.total_tokens = vocabulary.total()
 
@@ -85,12 +79,12 @@ class Corpus:
         return len(self.messages)
 
     @cached_property
-    def cover_pool(self) -> tuple[Message, ...]:
+    def cover_pool(self) -> tuple[tuple[str, ...], ...]:
         """Messages long enough to serve as covers, computed on first use.
 
         Raises SteganizeError (after 0 attempts) when no message qualifies.
         """
-        pool = tuple(m for m in self.messages if len(m.tokens) >= MIN_COVER_TOKENS)
+        pool = tuple(m for m in self.messages if len(m) >= MIN_COVER_TOKENS)
         if not pool:
             raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
         return pool
@@ -99,19 +93,18 @@ class Corpus:
     def from_lines(cls, lines: Iterable[str], limit: int | None = None) -> "Corpus":
         """Scrub and tokenize raw lines, skipping any that scrub to nothing.
 
-        source_id is the 1-based line number of the raw record. limit caps
-        the number of usable messages kept, not the number of lines read;
-        it must be at least 1.
+        limit caps the number of usable messages kept, not the number of
+        lines read; it must be at least 1.
         """
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
         messages = []
-        for lineno, line in enumerate(lines, start=1):
+        for line in lines:
             if limit is not None and len(messages) >= limit:
                 break
             tokens = tokenize(scrub_message(line))
             if tokens:
-                messages.append(Message(tuple(tokens), lineno))
+                messages.append(tuple(tokens))
         return cls(messages)
 
 

@@ -1,10 +1,11 @@
 """Measurement harness for the three quality axes of the insertion code.
 
-Decodability: how often the receiver recovers the exact secret. Density:
-what fraction of stego tokens are codewords. Detectability: how well a
-statistical observer separates stego messages from covers. Every experiment
-is driven by per-trial seeds derived from one master seed, so reruns with
-the same inputs reproduce results exactly, in any execution order.
+Decodability: how often an embed that skipped cover rejection would decode
+to the wrong secret. Density: what fraction of stego tokens are codewords.
+Detectability: how well a statistical observer separates stego messages
+from covers. Every experiment is driven by per-trial seeds derived from one
+master seed, so reruns with the same inputs reproduce results exactly, in
+any execution order.
 """
 
 import hashlib
@@ -15,10 +16,10 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
-from .codec import decode, draw_covers, insert_codewords, steganize
+from .codec import contains_codeword, draw_covers, insert_codewords
 from .corpus import Corpus
 from .errors import InsufficientBandError, SteganizeError
-from .ngram import NGramModel, build_model, smoothed_distribution
+from .ngram import NGramModel, smoothed_distribution
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -74,23 +75,23 @@ def run_band_experiment(
     bands: Sequence[Band],
     alphabet: tuple[str, ...] = DIGITS,
     trials: int = 2000,
-    secret_len: int = 2,
     seed: int = 0,
 ) -> list[BandExperimentRow]:
     """Measure raw decode errors as codeword frequency rises.
 
-    Each band gets its own codebook, drawn from corpus.vocabulary, a model
-    counted around its codewords, and `trials` rounds of
-    steganize(validate=False) followed by decode. Errors count exact-sequence
-    mismatches; failures count attempt-budget exhaustions, separately. Bands
-    too thin to fill a codebook are reported as skipped, not raised.
+    Each band gets its own codebook, drawn from corpus.vocabulary, and
+    `trials` seeded cover draws without rejection. A raw embed into a drawn
+    cover decodes wrongly exactly when that cover already holds a codeword:
+    insertion always finds a slot and the inserted codewords decode in
+    order, so no other error occurs, whatever the secret. Errors therefore
+    count the drawn covers that hold a codeword; failures count draws from
+    an empty cover pool, separately. Bands too thin to fill a codebook are
+    reported as skipped, not raised.
     """
     if not bands:
         raise ValueError("need at least one band")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if secret_len < 0:
-        raise ValueError("secret_len must be >= 0")
     rows = []
     for index, band in enumerate(bands):
         try:
@@ -102,26 +103,16 @@ def run_band_experiment(
                 BandExperimentRow(band, trials=0, errors=0, skipped=True, reason=str(exc))
             )
             continue
-        model = build_model(corpus, around=codebook.inverse)
-        secret_rng = random.Random(derive_seed(seed, "band", index, "secrets"))
         errors = 0
         failures = 0
         for trial in range(trials):
-            secret = random_secret(secret_rng, codebook.alphabet, secret_len)
+            rng = random.Random(derive_seed(seed, "band", index, "trial", trial))
             try:
-                result = steganize(
-                    secret,
-                    codebook,
-                    model,
-                    corpus,
-                    seed=derive_seed(seed, "band", index, "trial", trial),
-                    validate=False,
-                )
+                _, cover = next(draw_covers(corpus, None, rng))
             except SteganizeError:
                 failures += 1
                 continue
-            if decode(result.stego.tokens, codebook) != secret:
-                errors += 1
+            errors += contains_codeword(cover, codebook)
         rows.append(BandExperimentRow(band, trials=trials, errors=errors, failures=failures))
     return rows
 
@@ -193,10 +184,10 @@ def run_density_experiment(
         inserted_total = 0
         token_total = 0
         for cover in covers:
-            wanted = _insert_count(len(cover.tokens), target)
+            wanted = _insert_count(len(cover), target)
             secret = random_secret(secret_rng, codebook.alphabet, wanted)
             words = [codebook.forward[s] for s in secret]
-            stego_tokens, positions = insert_codewords(model, cover.tokens, words)
+            stego_tokens, positions = insert_codewords(model, cover, words)
             stego_counts.update(stego_tokens)
             inserted_total += len(positions)
             token_total += len(stego_tokens)
@@ -245,11 +236,11 @@ def build_pairs(
         if min_density is None:
             wanted = secret_len
         else:
-            wanted = math.ceil(min_density * len(cover.tokens) / (1.0 - min_density))
+            wanted = math.ceil(min_density * len(cover) / (1.0 - min_density))
         secret = random_secret(rng, codebook.alphabet, wanted)
         words = [codebook.forward[s] for s in secret]
-        stego_tokens, _ = insert_codewords(model, cover.tokens, words)
-        pairs.append((cover.tokens, stego_tokens))
+        stego_tokens, _ = insert_codewords(model, cover, words)
+        pairs.append((cover, stego_tokens))
     return pairs
 
 

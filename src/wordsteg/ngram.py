@@ -9,12 +9,12 @@ corpus and is never stored: every CLI verb that needs it counts it afresh
 from the corpus it loads.
 
 The encoder only scores grams that contain the codeword it inserts, so
-encode, eval band and eval density pass the codewords as `around`: orders
->= 2 are then counted only over the messages that hold one of those words.
-Any gram containing such a word can occur only inside such a message, so
-its count is exact; insertion_score refuses any other word and
-plausibility_score refuses such a model. eval distinguish counts the full
-model.
+encode and eval density pass the codewords as `around`: orders >= 2 are
+then counted only over the messages that hold one of those words. Any gram
+containing such a word can occur only inside such a message, so its count
+is exact; insertion_score refuses any other word and plausibility_score
+refuses such a model. eval distinguish counts the full model; eval band
+counts no n-grams at all.
 """
 
 import math
@@ -92,13 +92,13 @@ def build_model(
     messages = corpus.messages
     if around is not None:
         around = frozenset(around)
-        messages = [m for m in messages if not around.isdisjoint(m.tokens)]
+        messages = [m for m in messages if not around.isdisjoint(m)]
     counts: dict[int, Counter] = {}
     for n in range(2, max_n + 1):
         # zip over n staggered views yields exactly the n-grams of one message.
         counts[n] = Counter(
             chain.from_iterable(
-                zip(*(m.tokens[i:] for i in range(n))) for m in messages
+                zip(*(m[i:] for i in range(n))) for m in messages
             )
         )
     return NGramModel(max_n, counts, corpus.vocabulary, around)

@@ -155,7 +155,8 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     out = tmp_path / "stego.json"
     code = main(
         ["encode", "--secret", "88", "--codebook", cli_files["cb_common"],
-         "--corpus", cli_files["corpus"], "--seed", "2", "--out", str(out)]
+         "--corpus", cli_files["corpus"], "--seed", "2", "--limit", "600",
+         "--out", str(out)]
     )
     stego_line = capsys.readouterr().out.strip()
     assert code == 0
@@ -165,6 +166,8 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     assert doc["results"]["stego"] == stego_line
     assert "created_utc" in doc
     assert doc["config"]["secret_len"] == 2
+    # --limit bounds the covers and counts, so the artifact must carry it.
+    assert doc["config"]["limit"] == 600
     assert "model" not in doc["config"]
 
 
@@ -195,6 +198,7 @@ def test_eval_band_writes_json_and_csv(cli_files, tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "bands.json").read_text(encoding="utf-8"))
     assert [row["band"] for row in doc["results"]] == ["4-6", "14+"]
+    assert set(doc["config"]) == {"corpus", "bands", "alphabet", "trials"}
     csv_lines = (tmp_path / "bands.csv").read_text(encoding="utf-8").strip().splitlines()
     assert csv_lines[0] == "band,trials,errors,failures,skipped,reason"
     assert len(csv_lines) == 3
@@ -254,17 +258,29 @@ def test_eval_distinguish_dense_rare_words(cli_files, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["eval", "band", "--secret-len", "-1", "--trials", "5"],
-        ["eval", "distinguish", "--codebook", "CB", "--secret-len", "-3", "--trials", "5"],
-    ],
-    ids=["band", "distinguish"],
+    [["eval", "distinguish", "--codebook", "CB", "--secret-len", "-3", "--trials", "5"]],
+    ids=["distinguish"],
 )
 def test_eval_negative_secret_len_exits_2(cli_files, capsys, argv):
     argv = [cli_files["cb_common"] if arg == "CB" else arg for arg in argv]
     assert main([*argv, "--corpus", cli_files["corpus"]]) == 2
     captured = capsys.readouterr()
     assert "secret_len must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("experiment", ["density", "distinguish"])
+def test_eval_empty_alphabet_codebook_exits_2(cli_files, tmp_path, capsys, experiment):
+    cb_path = tmp_path / "cb.json"
+    doc = {"version": 1, "alphabet": [], "forward": {}, "band": [1, None], "seed": 0}
+    cb_path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(
+        ["eval", experiment, "--corpus", cli_files["corpus"], "--codebook", str(cb_path),
+         "--trials", "5"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: alphabet is empty" in captured.err
     assert captured.out == ""
 
 

@@ -216,6 +216,10 @@ def test_load_rejects_missing_field(tmp_path):
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(FormatError):
             load_codebook(path)
+    # Well-typed but empty: a codebook with no symbols can hide nothing.
+    path.write_text(json.dumps({**valid, "alphabet": [], "forward": {}}), encoding="utf-8")
+    with pytest.raises(CodebookValidationError, match="alphabet is empty"):
+        load_codebook(path)
 
 
 def test_load_rejects_band_out_of_order(tmp_path):

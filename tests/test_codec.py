@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wordsteg import (
     Codebook,
+    CodebookValidationError,
     Corpus,
     DIGITS,
     SteganizeError,
@@ -59,8 +60,9 @@ def test_contains_codeword(two_word_codebook):
 
 
 def test_contains_codeword_empty_codebook():
-    empty = Codebook(alphabet=(), forward={}, band=(1, None), seed=0)
-    assert not contains_codeword(["any", "words"], empty)
+    # A codebook with no symbols hides nothing, so none can be built.
+    with pytest.raises(CodebookValidationError, match="alphabet is empty"):
+        Codebook(alphabet=(), forward={}, band=(1, None), seed=0)
 
 
 def test_insertion_score_matches_hand_computation(toy_model):
@@ -79,7 +81,7 @@ def test_insertion_score_matches_oracle_everywhere(toy_model):
 
 
 def test_insertion_score_matches_oracle_on_trigram_model(small_model, small_corpus):
-    tokens = small_corpus.messages[0].tokens
+    tokens = small_corpus.messages[0]
     word = next(iter(small_corpus.vocabulary))
     for position in range(1, len(tokens)):
         assert insertion_score(small_model, tokens, position, word) == pytest.approx(
@@ -116,9 +118,9 @@ def test_insert_codewords_same_under_model_counted_around(messages, around, data
     partial = build_model(corpus, max_n=3, around=around)
     words = data.draw(st.lists(st.sampled_from(sorted(around)), max_size=4)) if around else []
     for message in corpus.messages:
-        if len(message.tokens) >= 2:
-            assert insert_codewords(partial, message.tokens, words) == insert_codewords(
-                full, message.tokens, words
+        if len(message) >= 2:
+            assert insert_codewords(partial, message, words) == insert_codewords(
+                full, message, words
             )
 
 
@@ -150,30 +152,30 @@ def test_steganize_round_trip(small_corpus, small_model):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     secret = ("3", "1", "4")
     result = steganize(secret, codebook, small_model, small_corpus, seed=99)
-    assert decode(result.stego.tokens, codebook) == secret
+    assert decode(result.stego, codebook) == secret
     kept = [
         t
-        for i, t in enumerate(result.stego.tokens)
+        for i, t in enumerate(result.stego)
         if i not in set(result.inserted_positions)
     ]
-    assert tuple(kept) == result.cover.tokens
-    assert len(result.stego.tokens) == len(result.cover.tokens) + len(secret)
+    assert tuple(kept) == result.cover
+    assert len(result.stego) == len(result.cover) + len(secret)
     assert result.density == pytest.approx(
-        len(secret) / len(result.stego.tokens)
+        len(secret) / len(result.stego)
     )
 
 
 def test_steganize_accepts_plain_string_secret(small_corpus, small_model):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize("271", codebook, small_model, small_corpus, seed=4)
-    assert "".join(decode(result.stego.tokens, codebook)) == "271"
+    assert "".join(decode(result.stego, codebook)) == "271"
 
 
 def test_steganize_empty_secret_returns_cover(small_corpus, small_model):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize((), codebook, small_model, small_corpus, seed=5)
-    assert result.stego.tokens == result.cover.tokens
-    assert decode(result.stego.tokens, codebook) == ()
+    assert result.stego == result.cover
+    assert decode(result.stego, codebook) == ()
     assert result.inserted_positions == ()
     assert result.density == 0.0
 
@@ -197,8 +199,8 @@ def test_steganize_avoids_covers_that_already_hold_codewords():
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     for seed in range(10):
         result = steganize(("0",), codebook, model, corpus, seed=seed)
-        assert not contains_codeword(result.cover.tokens, codebook)
-        assert decode(result.stego.tokens, codebook) == ("0",)
+        assert not contains_codeword(result.cover, codebook)
+        assert decode(result.stego, codebook) == ("0",)
 
 
 def test_steganize_fails_when_every_cover_holds_a_codeword():
@@ -217,16 +219,6 @@ def test_steganize_needs_covers_with_three_tokens():
     with pytest.raises(SteganizeError) as excinfo:
         steganize(("0",), codebook, model, corpus, seed=0)
     assert excinfo.value.attempts == 0
-
-
-def test_steganize_without_validation_embeds_blindly():
-    corpus = Corpus.from_lines(["q a b"])
-    model = build_model(corpus, max_n=2)
-    codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
-    result = steganize(("0",), codebook, model, corpus, seed=0, validate=False)
-    assert result.attempts == 1
-    # The accidental codeword in the cover corrupts the decoded sequence.
-    assert decode(result.stego.tokens, codebook) != ("0",)
 
 
 def test_steganize_rejects_zero_attempt_budget(small_corpus, small_model):
@@ -249,13 +241,13 @@ def test_round_trip_property(secret, seed):
     result = steganize(
         tuple(secret), _codec_codebook, _codec_model, _codec_corpus, seed=seed
     )
-    assert decode(result.stego.tokens, _codec_codebook) == tuple(secret)
+    assert decode(result.stego, _codec_codebook) == tuple(secret)
     kept = [
         t
-        for i, t in enumerate(result.stego.tokens)
+        for i, t in enumerate(result.stego)
         if i not in set(result.inserted_positions)
     ]
-    assert tuple(kept) == result.cover.tokens
+    assert tuple(kept) == result.cover
     assert list(result.inserted_positions) == sorted(result.inserted_positions)
 
 
@@ -285,7 +277,7 @@ def test_printed_stego_decodes_after_scrubbing(alphabet, codebook_seed, seed, da
     )
     secret = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=4)))
     result = steganize(secret, codebook, _raw_model, _raw_corpus, seed=seed)
-    printed = " ".join(result.stego.tokens)
+    printed = " ".join(result.stego)
     assert decode(tokenize(scrub_message(printed)), codebook) == secret
 
 
@@ -293,8 +285,8 @@ def test_stego_result_serializes_to_plain_doc(small_corpus, small_model):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize("90", codebook, small_model, small_corpus, seed=77)
     doc = result.to_doc()
-    assert doc["stego"] == " ".join(result.stego.tokens)
-    assert doc["cover"] == " ".join(result.cover.tokens)
+    assert doc["stego"] == " ".join(result.stego)
+    assert doc["cover"] == " ".join(result.cover)
     assert doc["inserted_positions"] == list(result.inserted_positions)
     assert doc["attempts"] == result.attempts
     assert doc["density"] == result.density

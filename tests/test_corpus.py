@@ -88,8 +88,7 @@ def test_load_corpus_skips_lines_that_scrub_to_nothing(tmp_path):
     path.write_text("@alice #topic\nthe cat sat\n\n", encoding="utf-8")
     corpus = load_corpus(path)
     assert len(corpus) == 1
-    assert corpus.messages[0].tokens == ("the", "cat", "sat")
-    assert corpus.messages[0].source_id == 2
+    assert corpus.messages == (("the", "cat", "sat"),)
 
 
 def test_load_corpus_limit_caps_usable_messages(tmp_path):
@@ -97,7 +96,7 @@ def test_load_corpus_limit_caps_usable_messages(tmp_path):
     path.write_text("one two\nthree four\nfive six\n", encoding="utf-8")
     corpus = load_corpus(path, limit=1)
     assert len(corpus) == 1
-    assert corpus.messages[0].tokens == ("one", "two")
+    assert corpus.messages[0] == ("one", "two")
 
 
 def test_load_corpus_limit_counts_messages_not_lines(tmp_path):
@@ -105,7 +104,7 @@ def test_load_corpus_limit_counts_messages_not_lines(tmp_path):
     path.write_text("@skip\n#skip\nkept line\nalso kept\n", encoding="utf-8")
     corpus = load_corpus(path, limit=1)
     assert len(corpus) == 1
-    assert corpus.messages[0].tokens == ("kept", "line")
+    assert corpus.messages[0] == ("kept", "line")
 
 
 @pytest.mark.parametrize("limit", [0, -5])
@@ -137,14 +136,16 @@ def test_vocabulary_counts_sum_to_total_tokens(desk_corpus):
     assert sum(desk_corpus.vocabulary.values()) == desk_corpus.total_tokens
     observed = set()
     for message in desk_corpus.messages:
-        observed.update(message.tokens)
+        observed.update(message)
     assert observed == set(desk_corpus.vocabulary)
 
 
 def test_messages_are_immutable(toy_corpus):
-    message = toy_corpus.messages[0]
-    with pytest.raises(AttributeError):
-        message.tokens = ("x",)
+    assert toy_corpus.messages[0] == ("the", "cat", "sat")
+    with pytest.raises(TypeError):
+        toy_corpus.messages[0][0] = "x"
+    with pytest.raises(TypeError):
+        toy_corpus.messages[0] = ("x",)
 
 
 def test_from_lines_matches_load_corpus(tmp_path):

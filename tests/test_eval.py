@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from wordsteg import (
     DIGITS,
+    build_model,
     build_pairs,
+    decode,
     derive_seed,
     distinguisher_accuracy,
+    insert_codewords,
     kl_divergence,
     run_band_experiment,
     run_density_experiment,
     select_codebook,
     steganize,
 )
+from wordsteg.codec import draw_covers
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -28,7 +32,7 @@ def test_derive_seed_is_stable_and_label_sensitive():
 def test_density_matches_inserted_fraction(small_corpus, small_model):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize("123", codebook, small_model, small_corpus, seed=6)
-    expected = 3 / len(result.stego.tokens)
+    expected = 3 / len(result.stego)
     assert result.density == pytest.approx(expected)
 
 
@@ -79,7 +83,7 @@ def test_kl_is_nonnegative(weights):
 
 def test_band_experiment_reports_each_band(small_corpus):
     bands = [(2, 4), (30, None)]
-    rows = run_band_experiment(small_corpus, bands, DIGITS, trials=150, secret_len=2, seed=0)
+    rows = run_band_experiment(small_corpus, bands, DIGITS, trials=150, seed=0)
     assert [row.band for row in rows] == bands
     assert all(row.trials == 150 and not row.skipped for row in rows)
     assert rows[0].errors <= rows[1].errors
@@ -92,7 +96,6 @@ def test_band_experiment_skips_impossible_bands(small_corpus):
         [(10_000, None), (2, 4)],
         DIGITS,
         trials=20,
-        secret_len=1,
         seed=0,
     )
     assert rows[0].skipped and rows[0].reason
@@ -100,8 +103,34 @@ def test_band_experiment_skips_impossible_bands(small_corpus):
     assert not rows[1].skipped
 
 
+@pytest.mark.parametrize("secret_len", [0, 1, 2, 4])
+def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
+    # Reference: replay every trial as an embed without cover rejection,
+    # on the same cover draw, and count the secrets that decode wrongly.
+    bands = [(2, 4), (8, 12), (30, None)]
+    seed = 11
+    rows = run_band_experiment(small_corpus, bands, DIGITS, trials=120, seed=seed)
+    for index, (band, row) in enumerate(zip(bands, rows)):
+        codebook = select_codebook(
+            small_corpus.vocabulary, band, DIGITS, seed=derive_seed(seed, "band", index)
+        )
+        model = build_model(small_corpus, around=codebook.inverse)
+        secret_rng = random.Random(derive_seed(seed, "band", index, "secrets"))
+        mismatches = 0
+        for trial in range(row.trials):
+            secret = tuple(secret_rng.choice(codebook.alphabet) for _ in range(secret_len))
+            rng = random.Random(derive_seed(seed, "band", index, "trial", trial))
+            _, cover = next(draw_covers(small_corpus, None, rng))
+            words = [codebook.forward[s] for s in secret]
+            stego, _ = insert_codewords(model, cover, words)
+            mismatches += decode(stego, codebook) != secret
+        assert (row.trials, row.failures, row.skipped) == (120, 0, False)
+        assert row.errors == mismatches, band
+    assert any(row.errors for row in rows)
+
+
 def test_band_experiment_is_deterministic(small_corpus):
-    kwargs = dict(trials=40, secret_len=2, seed=17)
+    kwargs = dict(trials=40, seed=17)
     first = run_band_experiment(small_corpus, [(2, 4), (8, None)], DIGITS, **kwargs)
     again = run_band_experiment(small_corpus, [(2, 4), (8, None)], DIGITS, **kwargs)
     assert first == again
@@ -164,8 +193,6 @@ def test_build_pairs_identical_when_secret_len_zero(small_corpus, small_model):
 def test_negative_secret_len_is_rejected(small_corpus, small_model):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     with pytest.raises(ValueError, match="secret_len"):
-        run_band_experiment(small_corpus, [(4, 8)], DIGITS, secret_len=-1)
-    with pytest.raises(ValueError, match="secret_len"):
         build_pairs(small_corpus, small_model, codebook, 5, secret_len=-3)
 
 
@@ -180,7 +207,7 @@ def test_build_pairs_reaches_min_density(small_corpus, small_model):
 
 
 def test_distinguisher_is_blind_on_identical_pairs(small_corpus, small_model):
-    pairs = [(m.tokens, m.tokens) for m in small_corpus.messages]
+    pairs = [(m, m) for m in small_corpus.messages]
     accuracy = distinguisher_accuracy(small_model, pairs, seed=5)
     assert 0.35 <= accuracy <= 0.65
 
@@ -200,7 +227,7 @@ def test_distinguisher_rejects_empty_input(small_model):
 
 
 def test_distinguisher_is_deterministic(small_corpus, small_model):
-    pairs = [(m.tokens, m.tokens) for m in small_corpus.messages[:50]]
+    pairs = [(m, m) for m in small_corpus.messages[:50]]
     first = distinguisher_accuracy(small_model, pairs, seed=9)
     again = distinguisher_accuracy(small_model, pairs, seed=9)
     assert first == again

@@ -54,7 +54,7 @@ def test_build_model_rejects_nonpositive_max_n(toy_corpus):
 def test_unigrams_match_an_independent_recount(desk_corpus, desk_model):
     recount = {}
     for message in desk_corpus.messages:
-        for word in message.tokens:
+        for word in message:
             recount[word] = recount.get(word, 0) + 1
     assert list(desk_corpus.vocabulary.items()) == list(recount.items())
     assert desk_corpus.total_tokens == sum(recount.values())
@@ -85,7 +85,7 @@ message_lists = st.lists(
 def test_counts_match_window_scan(messages):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
     model = build_model(corpus, max_n=3)
-    token_lists = [m.tokens for m in corpus.messages]
+    token_lists = [m for m in corpus.messages]
     for word, count in model.vocabulary.items():
         assert count == window_count(token_lists, (word,))
     for n in (2, 3):
