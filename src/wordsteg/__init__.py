@@ -35,7 +35,6 @@ from .corpus import (
     Corpus,
     load_corpus,
     scrub_message,
-    tokenize,
 )
 from .errors import (
     CodebookValidationError,
@@ -104,5 +103,4 @@ __all__ = [
     "select_codebook",
     "smoothed_distribution",
     "steganize",
-    "tokenize",
 ]

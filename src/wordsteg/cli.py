@@ -3,10 +3,10 @@
 One binary, four verbs: gen-codebook, encode, decode, and eval (with band,
 density, and distinguish subcommands). Every verb that needs word or n-gram
 counts takes --corpus and counts them itself; there is no model file. Each
-counts only what it reads: gen-codebook and eval band read the corpus
-vocabulary and count nothing more, encode and eval density count the longer
-grams of the messages that hold a codeword, and eval distinguish counts the
-full model. Exit codes:
+counts only what it reads: gen-codebook, eval band and eval density read the
+corpus vocabulary and count nothing more, encode counts the longer grams of
+the messages that hold a codeword, and eval distinguish counts the full
+model. Exit codes:
 0 success, 2 usage or I/O problems, 3 insufficient band occupancy, 4
 steganization failure. Every artifact written by --out embeds the seed, the
 settings, and the tool version, and is written atomically; rerunning a
@@ -32,7 +32,7 @@ from .codebook import (
     select_codebook,
 )
 from .codec import DEFAULT_MAX_ATTEMPTS, decode, steganize
-from .corpus import load_corpus, scrub_message, tokenize
+from .corpus import load_corpus, scrub_message
 from .errors import InsufficientBandError, SteganizeError, WordstegError
 from .evaluate import (
     build_pairs,
@@ -130,7 +130,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     codebook = load_codebook(args.codebook)
     text = " ".join(args.text) if args.text else sys.stdin.read()
-    symbols = decode(tokenize(scrub_message(text)), codebook)
+    symbols = decode(scrub_message(text).split(), codebook)
     print("".join(symbols))
     return 0
 
@@ -160,11 +160,9 @@ def cmd_eval_band(args) -> int:
 def cmd_eval_density(args) -> int:
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
-    model = build_model(corpus, around=codebook.inverse)
     densities = [float(d) for d in args.densities.split(",")]
     points = run_density_experiment(
         corpus,
-        model,
         codebook,
         densities,
         trials=args.trials,

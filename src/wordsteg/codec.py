@@ -13,7 +13,9 @@ Correct decoding therefore requires that the cover itself contains no
 codewords, so steganize rejects such covers and re-draws, which also makes
 the round trip exact by construction. Without that rejection an embed would
 decode wrongly exactly when its cover holds a codeword, so the evaluation
-harness counts such covers instead of embedding.
+harness counts such covers instead of embedding. Insertion always places
+every codeword, so the density experiment, which reads only token counts,
+adds the codewords to the cover counts instead of inserting them.
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .codebook import Codebook
-from .corpus import Corpus
+from .corpus import MIN_COVER_TOKENS, Corpus
 from .errors import SteganizeError
 from .ngram import NGramModel
 
@@ -72,9 +74,12 @@ def draw_covers(
     `codebook`; with codebook=None every draw is yielded. Draws happen only
     as the caller asks for the next cover, so a caller that stops early
     leaves the rng exactly where its last cover left it. Raises
-    SteganizeError once max_attempts covers have been drawn.
+    SteganizeError at the first draw from an empty pool (after 0 attempts),
+    or once max_attempts covers have been drawn.
     """
     pool = covers.cover_pool
+    if not pool:
+        raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
     for attempt in range(1, max_attempts + 1):
         cover = pool[rng.randrange(len(pool))]
         if codebook is None or not contains_codeword(cover, codebook):

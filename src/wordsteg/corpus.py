@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Iterable
 import unicodedata
 
-from .errors import EmptyCorpusError, SteganizeError
+from .errors import EmptyCorpusError
 
 # A cover must offer at least two inter-word slots before any insertion.
 MIN_COVER_TOKENS = 3
@@ -54,11 +54,6 @@ def scrub_message(raw: str) -> str:
     return " ".join(kept)
 
 
-def tokenize(text: str) -> list[str]:
-    """Split scrubbed text on whitespace. No empty tokens, ever."""
-    return text.split()
-
-
 class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
@@ -82,12 +77,9 @@ class Corpus:
     def cover_pool(self) -> tuple[tuple[str, ...], ...]:
         """Messages long enough to serve as covers, computed on first use.
 
-        Raises SteganizeError (after 0 attempts) when no message qualifies.
+        () when no message qualifies; codec.draw_covers raises on that.
         """
-        pool = tuple(m for m in self.messages if len(m) >= MIN_COVER_TOKENS)
-        if not pool:
-            raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
-        return pool
+        return tuple(m for m in self.messages if len(m) >= MIN_COVER_TOKENS)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], limit: int | None = None) -> "Corpus":
@@ -102,7 +94,7 @@ class Corpus:
         for line in lines:
             if limit is not None and len(messages) >= limit:
                 break
-            tokens = tokenize(scrub_message(line))
+            tokens = scrub_message(line).split()
             if tokens:
                 messages.append(tuple(tokens))
         return cls(messages)

@@ -13,6 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
@@ -145,7 +146,6 @@ def _insert_count(cover_len: int, target_density: float) -> int:
 
 def run_density_experiment(
     corpus: Corpus,
-    model: NGramModel,
     codebook: Codebook,
     densities: Sequence[float],
     trials: int = 500,
@@ -161,6 +161,12 @@ def run_density_experiment(
     point, whose divergence is pure sampling noise). The score per point is
     kl_divergence(corpus distribution, stego-set distribution), both
     additively smoothed over the union vocabulary.
+
+    Both outputs read only token counts, so nothing is inserted. Every cover
+    has at least MIN_COVER_TOKENS tokens, so insert_codewords would place
+    every codeword, and where it lands changes neither the stego set's token
+    multiset nor its length: each point's stego counts are the cover counts
+    plus that point's codewords.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -178,19 +184,18 @@ def run_density_experiment(
             DensityPoint(target, None, trials=0, kl_nats=None, skipped=True, reason=str(exc))
             for target in densities
         ]
+    cover_counts = Counter(chain.from_iterable(covers))
+    cover_total = cover_counts.total()
     for index, target in enumerate(densities):
         secret_rng = random.Random(derive_seed(seed, "density", index))
-        stego_counts: Counter[str] = Counter()
-        inserted_total = 0
-        token_total = 0
+        stego_counts = cover_counts.copy()
+        inserted = 0
         for cover in covers:
             wanted = _insert_count(len(cover), target)
             secret = random_secret(secret_rng, codebook.alphabet, wanted)
-            words = [codebook.forward[s] for s in secret]
-            stego_tokens, positions = insert_codewords(model, cover, words)
-            stego_counts.update(stego_tokens)
-            inserted_total += len(positions)
-            token_total += len(stego_tokens)
+            stego_counts.update(codebook.forward[s] for s in secret)
+            inserted += wanted
+        token_total = cover_total + inserted
         vocabulary = sorted(corpus.vocabulary.keys() | stego_counts.keys())
         p = smoothed_distribution(
             corpus.vocabulary, corpus.total_tokens, vocabulary, smoothing
@@ -199,7 +204,7 @@ def run_density_experiment(
         points.append(
             DensityPoint(
                 target_density=target,
-                realized_density=inserted_total / token_total,
+                realized_density=inserted / token_total,
                 trials=trials,
                 kl_nats=kl_divergence(p, q),
             )

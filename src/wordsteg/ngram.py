@@ -9,12 +9,12 @@ corpus and is never stored: every CLI verb that needs it counts it afresh
 from the corpus it loads.
 
 The encoder only scores grams that contain the codeword it inserts, so
-encode and eval density pass the codewords as `around`: orders >= 2 are
-then counted only over the messages that hold one of those words. Any gram
-containing such a word can occur only inside such a message, so its count
-is exact; insertion_score refuses any other word and plausibility_score
-refuses such a model. eval distinguish counts the full model; eval band
-counts no n-grams at all.
+encode passes the codewords as `around`: orders >= 2 are then counted only
+over the messages that hold one of those words. Any gram containing such a
+word can occur only inside such a message, so its count is exact;
+insertion_score refuses any other word and plausibility_score refuses such
+a model. eval distinguish counts the full model; eval band and eval density
+count no n-grams at all.
 """
 
 import math

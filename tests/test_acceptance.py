@@ -115,12 +115,11 @@ def test_decode_errors_grow_with_codeword_frequency(desk_corpus):
     check("band-errors", ok, f"errors={errors} elapsed={elapsed:.1f}s")
 
 
-def test_distribution_shift_grows_with_density(desk_corpus, desk_model):
+def test_distribution_shift_grows_with_density(desk_corpus):
     started = time.monotonic()
     codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=41)
     points = run_density_experiment(
         desk_corpus,
-        desk_model,
         codebook,
         [0.0, 0.05, 0.1, 0.2, 0.3],
         trials=500,

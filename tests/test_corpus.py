@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordsteg import Corpus, EmptyCorpusError, load_corpus, scrub_message, tokenize
+from wordsteg import Corpus, EmptyCorpusError, load_corpus, scrub_message
 
 
 def test_scrub_removes_usernames_hashtags_and_urls():
@@ -69,9 +69,9 @@ def test_scrub_is_idempotent(raw):
 
 @given(st.text())
 def test_scrubbed_text_tokenizes_without_empties(raw):
-    tokens = tokenize(scrub_message(raw))
+    tokens = scrub_message(raw).split()
     assert all(tokens)
-    assert tokenize(" ".join(tokens)) == tokens
+    assert " ".join(tokens).split() == tokens
 
 
 def test_load_corpus_counts_vocabulary(tmp_path):

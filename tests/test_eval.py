@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from wordsteg import (
     DIGITS,
+    Corpus,
+    DensityPoint,
     build_model,
     build_pairs,
     decode,
@@ -17,9 +20,11 @@ from wordsteg import (
     run_band_experiment,
     run_density_experiment,
     select_codebook,
+    smoothed_distribution,
     steganize,
 )
 from wordsteg.codec import draw_covers
+from wordsteg.evaluate import _insert_count, random_secret
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -129,6 +134,13 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
     assert any(row.errors for row in rows)
 
 
+def test_empty_cover_pool_fails_every_band_trial():
+    corpus = Corpus.from_lines(["a b", "c d", "e"])
+    assert corpus.cover_pool == ()
+    (row,) = run_band_experiment(corpus, [(1, None)], ("0",), trials=25, seed=0)
+    assert (row.trials, row.failures, row.errors, row.skipped) == (25, 25, 0, False)
+
+
 def test_band_experiment_is_deterministic(small_corpus):
     kwargs = dict(trials=40, seed=17)
     first = run_band_experiment(small_corpus, [(2, 4), (8, None)], DIGITS, **kwargs)
@@ -136,13 +148,12 @@ def test_band_experiment_is_deterministic(small_corpus):
     assert first == again
 
 
-def test_density_experiment_tracks_targets(small_corpus, small_model):
+def test_density_experiment_tracks_targets(small_corpus):
     # Rare codewords, so packing them in can only push the stego set away
     # from the corpus distribution.
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=2)
     points = run_density_experiment(
         small_corpus,
-        small_model,
         codebook,
         [0.0, 0.1, 0.3],
         trials=60,
@@ -157,29 +168,66 @@ def test_density_experiment_tracks_targets(small_corpus, small_model):
     assert points[2].kl_nats > points[0].kl_nats
 
 
-def test_density_experiment_is_deterministic(small_corpus, small_model):
+@pytest.mark.parametrize("band", [(4, 8), (14, None)])
+def test_density_equals_explicit_embed(small_corpus, band):
+    # Reference: replay every point by inserting each secret into its cover
+    # under the model counted around the codebook, on the same cover draw
+    # and secrets, and score the stego messages themselves.
+    codebook = select_codebook(small_corpus.vocabulary, band, DIGITS, seed=2)
+    densities, trials, seed, smoothing = [0.0, 0.05, 0.2, 0.5], 40, 9, 0.5
+    points = run_density_experiment(
+        small_corpus, codebook, densities, trials=trials, seed=seed, smoothing=smoothing
+    )
+    model = build_model(small_corpus, around=codebook.inverse)
+    cover_rng = random.Random(derive_seed(seed, "covers"))
+    covers = [next(draw_covers(small_corpus, codebook, cover_rng))[1] for _ in range(trials)]
+    expected = []
+    for index, target in enumerate(densities):
+        secret_rng = random.Random(derive_seed(seed, "density", index))
+        stego_counts: Counter[str] = Counter()
+        inserted = 0
+        for cover in covers:
+            wanted = _insert_count(len(cover), target)
+            secret = random_secret(secret_rng, codebook.alphabet, wanted)
+            stego, positions = insert_codewords(
+                model, cover, [codebook.forward[s] for s in secret]
+            )
+            stego_counts.update(stego)
+            inserted += len(positions)
+        total = stego_counts.total()
+        vocabulary = sorted(small_corpus.vocabulary.keys() | stego_counts.keys())
+        p = smoothed_distribution(
+            small_corpus.vocabulary, small_corpus.total_tokens, vocabulary, smoothing
+        )
+        q = smoothed_distribution(stego_counts, total, vocabulary, smoothing)
+        expected.append(DensityPoint(target, inserted / total, trials, kl_divergence(p, q)))
+    assert points == expected
+    assert points[-1].realized_density > 0.4
+
+
+def test_density_experiment_is_deterministic(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (8, None), DIGITS, seed=2)
-    args = (small_corpus, small_model, codebook, [0.0, 0.2])
+    args = (small_corpus, codebook, [0.0, 0.2])
     first = run_density_experiment(*args, trials=30, seed=3)
     again = run_density_experiment(*args, trials=30, seed=3)
     assert first == again
 
 
-def test_density_experiment_rejects_bad_targets(small_corpus, small_model):
+def test_density_experiment_rejects_bad_targets(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (8, None), DIGITS, seed=2)
     with pytest.raises(ValueError):
-        run_density_experiment(small_corpus, small_model, codebook, [1.0], trials=5)
+        run_density_experiment(small_corpus, codebook, [1.0], trials=5)
     with pytest.raises(ValueError):
-        run_density_experiment(small_corpus, small_model, codebook, [-0.1], trials=5)
+        run_density_experiment(small_corpus, codebook, [-0.1], trials=5)
 
 
-def test_density_experiment_unsmoothed_sparse_sample_raises(small_corpus, small_model):
+def test_density_experiment_unsmoothed_sparse_sample_raises(small_corpus):
     # A small sample misses vocabulary words, so with no smoothing the
     # divergence is undefined and the domain error surfaces.
     codebook = select_codebook(small_corpus.vocabulary, (8, None), DIGITS, seed=2)
     with pytest.raises(ValueError):
         run_density_experiment(
-            small_corpus, small_model, codebook, [0.1], trials=5, smoothing=0.0
+            small_corpus, codebook, [0.1], trials=5, smoothing=0.0
         )
 
 
