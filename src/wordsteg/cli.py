@@ -11,7 +11,10 @@ model. Exit codes:
 steganization failure. Every artifact written by --out embeds the seed, the
 settings, and the tool version, and is written atomically; rerunning a
 command with the same inputs rewrites the same bytes except for the
-created_utc stamp.
+created_utc stamp. The three eval verbs print and write their rows through
+one function, _report, and their settings are every flag they parse except
+--seed, --out and --format; encode records its settings by hand, with the
+secret's length and never the secret.
 """
 
 import argparse
@@ -67,26 +70,35 @@ def _write_csv(handle, rows: list[dict]) -> None:
     writer.writerows(rows)
 
 
-def _emit_experiment(out_base: str | None, doc: dict) -> None:
-    """Write <base>.json and <base>.csv for an experiment, if requested."""
-    if out_base is None:
-        return
-    _write_json(f"{out_base}.json", doc)
-    with atomic_open(f"{out_base}.csv", newline="") as handle:
-        _write_csv(handle, doc["results"])
+# Parsed attributes that are not settings: argparse's dispatch, the seed
+# (recorded at the artifact's top level), and where output goes.
+_NOT_CONFIG = frozenset({"func", "command", "experiment", "seed", "out", "format"})
 
 
-def _print_rows(rows: list[dict], fmt: str) -> None:
-    if fmt == "json":
-        json.dump(rows, sys.stdout, sort_keys=True, indent=2)
+def _report(args, docs: list[dict]) -> None:
+    """Print an eval verb's rows in --format; with --out, first write
+    <out>.json and <out>.csv atomically.
+
+    The artifact's config is every parsed flag outside _NOT_CONFIG, so each
+    eval flag reaches its artifact without a second list of flags. encode
+    does not report through here: its config is written out by hand because
+    --secret must never reach an artifact.
+    """
+    if args.out is not None:
+        config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+        _write_json(f"{args.out}.json", _artifact(args.seed, config, docs))
+        with atomic_open(f"{args.out}.csv", newline="") as handle:
+            _write_csv(handle, docs)
+    if args.format == "json":
+        json.dump(docs, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
-    elif fmt == "csv":
-        _write_csv(sys.stdout, rows)
+    elif args.format == "csv":
+        _write_csv(sys.stdout, docs)
     else:
-        fields = list(rows[0])
-        widths = {f: max(len(f), *(len(str(r[f])) for r in rows)) for f in fields}
+        fields = list(docs[0])
+        widths = {f: max(len(f), *(len(str(r[f])) for r in docs)) for f in fields}
         print("  ".join(f.ljust(widths[f]) for f in fields))
-        for row in rows:
+        for row in docs:
             print("  ".join(str(row[f]).ljust(widths[f]) for f in fields))
 
 
@@ -145,15 +157,7 @@ def cmd_eval_band(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    docs = [row.to_doc() for row in rows]
-    config = {
-        "corpus": args.corpus,
-        "bands": args.bands,
-        "alphabet": args.alphabet,
-        "trials": args.trials,
-    }
-    _emit_experiment(args.out, _artifact(args.seed, config, docs))
-    _print_rows(docs, args.format)
+    _report(args, [row.to_doc() for row in rows])
     return 0
 
 
@@ -169,16 +173,7 @@ def cmd_eval_density(args) -> int:
         seed=args.seed,
         smoothing=args.smoothing,
     )
-    docs = [point.to_doc() for point in points]
-    config = {
-        "corpus": args.corpus,
-        "codebook": args.codebook,
-        "densities": args.densities,
-        "trials": args.trials,
-        "smoothing": args.smoothing,
-    }
-    _emit_experiment(args.out, _artifact(args.seed, config, docs))
-    _print_rows(docs, args.format)
+    _report(args, [point.to_doc() for point in points])
     return 0
 
 
@@ -202,15 +197,7 @@ def cmd_eval_distinguish(args) -> int:
         "accuracy": accuracy,
         "advantage": abs(2.0 * accuracy - 1.0),
     }
-    config = {
-        "corpus": args.corpus,
-        "codebook": args.codebook,
-        "secret_len": args.secret_len,
-        "min_density": args.min_density,
-        "trials": args.trials,
-    }
-    _emit_experiment(args.out, _artifact(args.seed, config, [doc]))
-    _print_rows([doc], args.format)
+    _report(args, [doc])
     return 0
 
 

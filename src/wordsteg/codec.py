@@ -92,11 +92,12 @@ def insertion_score(
 ) -> float:
     """How well `word` fits between tokens[position-1] and tokens[position].
 
-    Sums log(1 + count) over every n-gram (2 <= n <= max_n) of the modified
-    sequence that covers the inserted word. Unigrams are skipped: they score
-    the word, not the position. Every gram scored holds `word`, so a model
-    counted around the codewords answers exactly; for a `word` outside its
-    `around` set this raises ValueError.
+    Sums log(1 + count) over every n-gram of the modified sequence that
+    covers the inserted word, for each order in model.counts (2 and up, in
+    ascending order). Unigrams are skipped: they score the word, not the
+    position. Every gram scored holds `word`, so a model counted around the
+    codewords answers exactly; for a `word` outside its `around` set this
+    raises ValueError.
     """
     if model.around is not None and word not in model.around:
         raise ValueError(f"model was not counted around {word!r}")
@@ -108,8 +109,7 @@ def insertion_score(
     trial = list(tokens)
     trial.insert(position, word)
     score = 0.0
-    for n in range(2, model.max_n + 1):
-        table = model.counts[n]
+    for n, table in model.counts.items():
         first = max(0, position - n + 1)
         last = min(position, len(trial) - n)
         for i in range(first, last + 1):

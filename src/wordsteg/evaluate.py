@@ -173,6 +173,14 @@ def run_density_experiment(
     for target in densities:
         if not 0.0 <= target < 1.0:
             raise ValueError(f"target density {target} outside [0, 1)")
+    # Built before any cover is drawn, so a bad smoothing raises even on a
+    # corpus with no cover. Every cover word is a corpus word, so the union
+    # vocabulary differs from the corpus's only when a codeword is absent
+    # from the corpus; only then is p built again over the union.
+    corpus_vocabulary = sorted(corpus.vocabulary)
+    corpus_p = smoothed_distribution(
+        corpus.vocabulary, corpus.total_tokens, corpus_vocabulary, smoothing
+    )
     points = []
     try:
         cover_rng = random.Random(derive_seed(seed, "covers"))
@@ -196,10 +204,13 @@ def run_density_experiment(
             stego_counts.update(codebook.forward[s] for s in secret)
             inserted += wanted
         token_total = cover_total + inserted
-        vocabulary = sorted(corpus.vocabulary.keys() | stego_counts.keys())
-        p = smoothed_distribution(
-            corpus.vocabulary, corpus.total_tokens, vocabulary, smoothing
-        )
+        if stego_counts.keys() <= corpus.vocabulary.keys():
+            vocabulary, p = corpus_vocabulary, corpus_p
+        else:
+            vocabulary = sorted(corpus.vocabulary.keys() | stego_counts.keys())
+            p = smoothed_distribution(
+                corpus.vocabulary, corpus.total_tokens, vocabulary, smoothing
+            )
         q = smoothed_distribution(stego_counts, token_total, vocabulary, smoothing)
         points.append(
             DensityPoint(

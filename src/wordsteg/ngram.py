@@ -32,20 +32,19 @@ DEFAULT_MAX_N = 3
 class NGramModel:
     """Frozen count tables: counts[n] maps an n-gram tuple to its count.
 
-    counts holds orders 2..max_n; vocabulary is the corpus's own word-count
-    table (Corpus.vocabulary), shared, not copied. When `around` is a set of
+    counts holds orders 2 and up, in ascending order; its keys are the
+    orders. vocabulary is the corpus's own word-count table
+    (Corpus.vocabulary), shared, not copied. When `around` is a set of
     words, the tables hold exact counts only for grams that contain one of
     those words.
     """
 
     def __init__(
         self,
-        max_n: int,
         counts: dict[int, Counter],
         vocabulary: Counter,
         around: frozenset[str] | None = None,
     ):
-        self.max_n = max_n
         self.counts = counts
         self.vocabulary: Counter[str] = vocabulary
         self.around = around
@@ -68,8 +67,7 @@ class NGramModel:
         for word in toks:
             total += math.log1p(self.vocabulary.get(word, 0))
         grams = len(toks)
-        for n in range(2, self.max_n + 1):
-            table = self.counts[n]
+        for n, table in self.counts.items():
             for i in range(len(toks) - n + 1):
                 total += math.log1p(table.get(toks[i : i + n], 0))
                 grams += 1
@@ -101,7 +99,7 @@ def build_model(
                 zip(*(m[i:] for i in range(n))) for m in messages
             )
         )
-    return NGramModel(max_n, counts, corpus.vocabulary, around)
+    return NGramModel(counts, corpus.vocabulary, around)
 
 
 def smoothed_distribution(

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from wordsteg.cli import main
+from wordsteg.codec import DEFAULT_MAX_ATTEMPTS
 
 GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
 
@@ -165,10 +166,16 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     assert doc["seed"] == 2
     assert doc["results"]["stego"] == stego_line
     assert "created_utc" in doc
-    assert doc["config"]["secret_len"] == 2
     # --limit bounds the covers and counts, so the artifact must carry it.
-    assert doc["config"]["limit"] == 600
-    assert "model" not in doc["config"]
+    # Every value is pinned, so the secret "88" is nowhere in the config: the
+    # paths are the test's own, and only the secret's length is recorded.
+    assert doc["config"] == {
+        "codebook": cli_files["cb_common"],
+        "corpus": cli_files["corpus"],
+        "secret_len": 2,
+        "limit": 600,
+        "max_attempts": DEFAULT_MAX_ATTEMPTS,
+    }
 
 
 def test_encode_exhaustion_exits_4(tmp_path, capsys):
@@ -228,21 +235,28 @@ def test_eval_density_writes_points(cli_files, tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [row["target_density"] for row in rows] == [0.0, 0.2]
     assert all(row["kl_nats"] >= 0 for row in rows)
-    assert (tmp_path / "density.json").exists()
+    doc = json.loads((tmp_path / "density.json").read_text(encoding="utf-8"))
+    assert doc["seed"] == 1
+    assert set(doc["config"]) == {"corpus", "codebook", "densities", "trials", "smoothing"}
+    assert doc["results"] == rows
     assert (tmp_path / "density.csv").exists()
 
 
-def test_eval_distinguish_blind_baseline(cli_files, capsys):
+def test_eval_distinguish_blind_baseline(cli_files, tmp_path, capsys):
+    out = tmp_path / "pairs"
     code = main(
         ["eval", "distinguish", "--corpus", cli_files["corpus"],
          "--codebook", cli_files["cb_common"], "--trials", "80", "--secret-len", "0",
-         "--seed", "1", "--format", "json"]
+         "--seed", "1", "--format", "json", "--out", str(out)]
     )
     assert code == 0
     row = json.loads(capsys.readouterr().out)[0]
     assert row["pairs"] == 80
     # Identical pairs leave nothing to detect.
     assert 0.3 <= row["accuracy"] <= 0.7
+    doc = json.loads((tmp_path / "pairs.json").read_text(encoding="utf-8"))
+    assert set(doc["config"]) == {"corpus", "codebook", "secret_len", "min_density", "trials"}
+    assert doc["results"] == [row]
 
 
 def test_eval_distinguish_dense_rare_words(cli_files, capsys):
@@ -290,6 +304,24 @@ def test_eval_density_non_finite_smoothing_exits_2(cli_files, capsys, smoothing)
         ["eval", "density", "--corpus", cli_files["corpus"],
          "--codebook", cli_files["cb_common"], "--densities", "0.0,0.2",
          "--trials", "10", "--smoothing", smoothing]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "smoothing must be a finite number >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("smoothing", ["-1", "nan"])
+def test_eval_density_bad_smoothing_without_covers_exits_2(tmp_path, capsys, smoothing):
+    # No message has 3 tokens, so no cover can be drawn; the bad smoothing
+    # must still be refused instead of printing skipped rows.
+    corpus = tmp_path / "short.txt"
+    corpus.write_text("a b\nc d\ne\n", encoding="utf-8")
+    cb_path = tmp_path / "cb.json"
+    write_two_word_codebook(cb_path)
+    code = main(
+        ["eval", "density", "--corpus", str(corpus), "--codebook", str(cb_path),
+         "--densities", "0.1", "--trials", "5", f"--smoothing={smoothing}"]
     )
     assert code == 2
     captured = capsys.readouterr()

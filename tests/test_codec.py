@@ -33,10 +33,10 @@ def oracle_insertion_score(model, tokens, position, word):
     trial = list(tokens)
     trial.insert(position, word)
     score = 0.0
-    for n in range(2, model.max_n + 1):
+    for n, table in model.counts.items():
         for i in range(len(trial) - n + 1):
             if i <= position <= i + n - 1:
-                score += math.log1p(model.counts[n].get(tuple(trial[i : i + n]), 0))
+                score += math.log1p(table.get(tuple(trial[i : i + n]), 0))
     return score
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wordsteg import (
     DIGITS,
+    Codebook,
     Corpus,
     DensityPoint,
     build_model,
@@ -168,12 +169,17 @@ def test_density_experiment_tracks_targets(small_corpus):
     assert points[2].kl_nats > points[0].kl_nats
 
 
-@pytest.mark.parametrize("band", [(4, 8), (14, None)])
+@pytest.mark.parametrize("band", [(4, 8), (14, None), None])
 def test_density_equals_explicit_embed(small_corpus, band):
     # Reference: replay every point by inserting each secret into its cover
     # under the model counted around the codebook, on the same cover draw
-    # and secrets, and score the stego messages themselves.
-    codebook = select_codebook(small_corpus.vocabulary, band, DIGITS, seed=2)
+    # and secrets, and score the stego messages themselves. band None is a
+    # codebook of words absent from the corpus, whose points above 0.0 score
+    # over a vocabulary wider than the corpus's.
+    if band is None:
+        codebook = Codebook(DIGITS, {s: f"zz{s}" for s in DIGITS}, (1, None), 0)
+    else:
+        codebook = select_codebook(small_corpus.vocabulary, band, DIGITS, seed=2)
     densities, trials, seed, smoothing = [0.0, 0.05, 0.2, 0.5], 40, 9, 0.5
     points = run_density_experiment(
         small_corpus, codebook, densities, trials=trials, seed=seed, smoothing=smoothing
@@ -229,6 +235,16 @@ def test_density_experiment_unsmoothed_sparse_sample_raises(small_corpus):
         run_density_experiment(
             small_corpus, codebook, [0.1], trials=5, smoothing=0.0
         )
+
+
+@pytest.mark.parametrize("smoothing", [-1.0, math.nan])
+def test_density_experiment_rejects_bad_smoothing_without_covers(smoothing):
+    # No message has 3 tokens, so every point would be skipped; a bad
+    # smoothing must still be refused rather than hidden behind the skips.
+    corpus = Corpus.from_lines(["a b", "c d", "e"])
+    codebook = Codebook(("0", "1"), {"0": "a", "1": "c"}, (1, None), 0)
+    with pytest.raises(ValueError, match="smoothing must be a finite number >= 0"):
+        run_density_experiment(corpus, codebook, [0.1], trials=5, smoothing=smoothing)
 
 
 def test_build_pairs_identical_when_secret_len_zero(small_corpus, small_model):
