@@ -21,21 +21,14 @@ from .codebook import (
 )
 from .codec import (
     DEFAULT_MAX_ATTEMPTS,
-    Secret,
     StegoResult,
-    best_position,
     contains_codeword,
     decode,
     insert_codewords,
     insertion_score,
     steganize,
 )
-from .corpus import (
-    MIN_COVER_TOKENS,
-    Corpus,
-    load_corpus,
-    scrub_message,
-)
+from .corpus import Corpus, load_corpus, scrub_message
 from .errors import (
     CodebookValidationError,
     EmptyCorpusError,
@@ -53,13 +46,9 @@ from .evaluate import (
     kl_divergence,
     run_band_experiment,
     run_density_experiment,
-)
-from .ngram import (
-    DEFAULT_MAX_N,
-    NGramModel,
-    build_model,
     smoothed_distribution,
 )
+from .ngram import NGramModel, build_model
 
 __all__ = [
     "__version__",
@@ -69,20 +58,16 @@ __all__ = [
     "CodebookValidationError",
     "Corpus",
     "DEFAULT_MAX_ATTEMPTS",
-    "DEFAULT_MAX_N",
     "DIGITS",
     "DensityPoint",
     "EmptyCorpusError",
     "FormatError",
     "InsufficientBandError",
-    "MIN_COVER_TOKENS",
     "NGramModel",
-    "Secret",
     "SteganizeError",
     "StegoResult",
     "WordstegError",
     "band_words",
-    "best_position",
     "build_model",
     "build_pairs",
     "contains_codeword",

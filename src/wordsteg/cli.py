@@ -185,7 +185,7 @@ def cmd_eval_distinguish(args) -> int:
         corpus,
         model,
         codebook,
-        n_pairs=args.trials,
+        trials=args.trials,
         seed=args.seed,
         secret_len=args.secret_len,
         min_density=args.min_density,

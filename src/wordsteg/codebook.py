@@ -85,10 +85,6 @@ class Codebook:
     def inverse(self) -> dict[str, str]:
         return {word: symbol for symbol, word in self.forward.items()}
 
-    def unmap_word(self, word: str) -> str | None:
-        """Symbol for a codeword, None for any other word."""
-        return self.inverse.get(word)
-
 
 def band_words(counts: Mapping[str, int], band: Band) -> list[str]:
     """Words whose count (e.g. in Corpus.vocabulary) lies inside the band, sorted."""

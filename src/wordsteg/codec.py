@@ -30,8 +30,6 @@ from .ngram import NGramModel
 
 DEFAULT_MAX_ATTEMPTS = 1000
 
-Secret = tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class StegoResult:
@@ -117,53 +115,42 @@ def insertion_score(
     return score
 
 
-def best_position(
-    model: NGramModel, tokens: Sequence[str], word: str, min_position: int = 1
-) -> int:
-    """Highest-scoring insertion slot at or after min_position.
-
-    Ties break toward the smallest index. Raises ValueError when no slot
-    exists at or after min_position.
-    """
-    first = max(min_position, 1)
-    last = len(tokens) - 1
-    if first > last:
-        raise ValueError(f"no insertion slot at or after position {min_position}")
-    best = first
-    best_score = -math.inf
-    for position in range(first, last + 1):
-        score = insertion_score(model, tokens, position, word)
-        if score > best_score:
-            best, best_score = position, score
-    return best
-
-
 def insert_codewords(
     model: NGramModel, tokens: Sequence[str], words: Sequence[str]
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Insert words left to right, each strictly after the previous one.
 
+    Each word goes into the highest-scoring slot (insertion_score) to the
+    right of the previous insertion; ties break toward the smallest index.
     Returns the modified token tuple and the final index of every inserted
     word. Indexes stay valid because later insertions always land to the
-    right of earlier ones.
+    right of earlier ones. Each insertion leaves a slot to its right, so
+    ValueError ("no insertion slot") is raised only when `words` is not
+    empty and `tokens` has fewer than 2 tokens.
     """
     out = list(tokens)
     positions = []
-    min_position = 1
+    first = 1
     for word in words:
-        position = best_position(model, out, word, min_position)
-        out.insert(position, word)
-        positions.append(position)
-        min_position = position + 1
+        if first >= len(out):
+            raise ValueError(f"no insertion slot at or after position {first}")
+        best, best_score = first, -math.inf
+        for position in range(first, len(out)):
+            score = insertion_score(model, out, position, word)
+            if score > best_score:
+                best, best_score = position, score
+        out.insert(best, word)
+        positions.append(best)
+        first = best + 1
     return tuple(out), tuple(positions)
 
 
-def decode(tokens: Sequence[str], codebook: Codebook) -> Secret:
+def decode(tokens: Sequence[str], codebook: Codebook) -> tuple[str, ...]:
     """Extract the symbol sequence: one symbol per codeword token, in order."""
     return tuple(
         symbol
         for token in tokens
-        if (symbol := codebook.unmap_word(token)) is not None
+        if (symbol := codebook.inverse.get(token)) is not None
     )
 
 
@@ -183,7 +170,7 @@ def steganize(
     rejected, and the round trip is checked before returning. Raises
     SteganizeError when the pool is empty or the attempt budget runs out.
     """
-    symbols: Secret = tuple(secret)
+    symbols: tuple[str, ...] = tuple(secret)
     unknown = [s for s in symbols if s not in codebook.forward]
     if unknown:
         raise ValueError(f"secret symbols {unknown!r} are not in the alphabet")

@@ -34,6 +34,6 @@ class InsufficientBandError(WordstegError):
 class SteganizeError(WordstegError):
     """No acceptable cover was found within the attempt budget."""
 
-    def __init__(self, attempts: int, reason: str = "no acceptable cover"):
+    def __init__(self, attempts: int, reason: str):
         self.attempts = attempts
         super().__init__(f"{reason} after {attempts} attempts")

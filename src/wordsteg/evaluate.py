@@ -14,13 +14,13 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
 from .codec import contains_codeword, draw_covers, insert_codewords
 from .corpus import Corpus
 from .errors import InsufficientBandError, SteganizeError
-from .ngram import NGramModel, smoothed_distribution
+from .ngram import NGramModel
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -51,6 +51,22 @@ def kl_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
             raise ValueError(f"q({word!r}) = 0 where p > 0: divergence is infinite")
         total += p_w * math.log(p_w / q_w)
     return total
+
+
+def smoothed_distribution(
+    counts: Mapping[str, int],
+    total: int,
+    vocabulary: Iterable[str],
+    smoothing: float,
+) -> dict[str, float]:
+    """Additively smoothed distribution of `counts` over `vocabulary`."""
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
+    vocab = list(vocabulary)
+    denominator = total + smoothing * len(vocab)
+    if denominator <= 0:
+        raise ValueError("distribution has no probability mass")
+    return {w: (counts.get(w, 0) + smoothing) / denominator for w in vocab}
 
 
 @dataclass(frozen=True)
@@ -227,26 +243,26 @@ def build_pairs(
     corpus: Corpus,
     model: NGramModel,
     codebook: Codebook,
-    n_pairs: int,
+    trials: int,
     seed: int = 0,
     secret_len: int = 2,
     min_density: float | None = None,
 ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Build (cover, stego) pairs for the distinguisher.
+    """Build `trials` (cover, stego) pairs for the distinguisher.
 
     secret_len (>= 0) fixes the number of inserted codewords per pair;
     secret_len=0 yields identical pairs, the blind-guess baseline.
     min_density, when set, overrides secret_len and sizes each secret so the
     stego density reaches at least that value.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if secret_len < 0:
         raise ValueError("secret_len must be >= 0")
     if min_density is not None and not 0.0 <= min_density < 1.0:
         raise ValueError("min_density must lie in [0, 1)")
     pairs = []
-    for index in range(n_pairs):
+    for index in range(trials):
         rng = random.Random(derive_seed(seed, "pair", index))
         _, cover = next(draw_covers(corpus, codebook, rng))
         if min_density is None:

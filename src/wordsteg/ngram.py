@@ -1,6 +1,6 @@
 """N-gram frequency model over a corpus.
 
-Counts n-grams of order 2..max_n inside message boundaries (no grams span
+Counts n-grams of orders 2 and 3 inside message boundaries (no grams span
 two messages) and scores how plausible a token sequence is. Unigram counts
 are not counted here: the model reads them from Corpus.vocabulary, the one
 word-count table, which also feeds codebook draws and the density
@@ -20,19 +20,19 @@ count no n-grams at all.
 import math
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Corpus
 
 # Orders above 3 are almost all singletons at the corpus sizes this tool
 # targets (~1e5 short messages) and add nothing but memory.
-DEFAULT_MAX_N = 3
+MAX_N = 3
 
 
 class NGramModel:
     """Frozen count tables: counts[n] maps an n-gram tuple to its count.
 
-    counts holds orders 2 and up, in ascending order; its keys are the
+    counts holds orders 2 and 3, in ascending order; its keys are the
     orders. vocabulary is the corpus's own word-count table
     (Corpus.vocabulary), shared, not copied. When `around` is a set of
     words, the tables hold exact counts only for grams that contain one of
@@ -74,25 +74,19 @@ class NGramModel:
         return total / grams
 
 
-def build_model(
-    corpus: Corpus,
-    max_n: int = DEFAULT_MAX_N,
-    around: Iterable[str] | None = None,
-) -> NGramModel:
-    """Count n-grams of order 2..max_n, message by message.
+def build_model(corpus: Corpus, around: Iterable[str] | None = None) -> NGramModel:
+    """Count n-grams of orders 2..MAX_N, message by message.
 
     Unigrams are corpus.vocabulary itself. With `around`, the grams are
     counted only over the messages that share a word with it, which is exact
     for every gram containing one of those words.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     messages = corpus.messages
     if around is not None:
         around = frozenset(around)
         messages = [m for m in messages if not around.isdisjoint(m)]
     counts: dict[int, Counter] = {}
-    for n in range(2, max_n + 1):
+    for n in range(2, MAX_N + 1):
         # zip over n staggered views yields exactly the n-grams of one message.
         counts[n] = Counter(
             chain.from_iterable(
@@ -100,19 +94,3 @@ def build_model(
             )
         )
     return NGramModel(counts, corpus.vocabulary, around)
-
-
-def smoothed_distribution(
-    counts: Mapping[str, int],
-    total: int,
-    vocabulary: Iterable[str],
-    smoothing: float = 0.0,
-) -> dict[str, float]:
-    """Additively smoothed distribution of `counts` over `vocabulary`."""
-    if not (math.isfinite(smoothing) and smoothing >= 0):
-        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
-    vocab = list(vocabulary)
-    denominator = total + smoothing * len(vocab)
-    if denominator <= 0:
-        raise ValueError("distribution has no probability mass")
-    return {w: (counts.get(w, 0) + smoothing) / denominator for w in vocab}

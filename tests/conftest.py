@@ -14,7 +14,7 @@ def toy_corpus():
 
 @pytest.fixture()
 def toy_model(toy_corpus):
-    return build_model(toy_corpus, max_n=2)
+    return build_model(toy_corpus)
 
 
 @pytest.fixture()
@@ -35,7 +35,7 @@ def desk_corpus():
 
 @pytest.fixture(scope="session")
 def desk_model(desk_corpus):
-    return build_model(desk_corpus, max_n=3)
+    return build_model(desk_corpus)
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def small_corpus():
 
 @pytest.fixture(scope="session")
 def small_model(small_corpus):
-    return build_model(small_corpus, max_n=3)
+    return build_model(small_corpus)
 
 
 @pytest.fixture(scope="session")

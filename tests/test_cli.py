@@ -48,8 +48,8 @@ def cli_files(small_corpus_path, tmp_path_factory):
     }
 
 
-def test_build_model_missing_corpus_exits_2(tmp_path, capsys):
-    # gen-codebook counts its model from --corpus, so a missing corpus is an I/O error.
+def test_gen_codebook_missing_corpus_exits_2(tmp_path, capsys):
+    # gen-codebook draws its codebook from --corpus, so a missing corpus is an I/O error.
     out = tmp_path / "cb.json"
     code = main(
         ["gen-codebook", "--corpus", str(tmp_path / "nope.txt"), "--band", "1+",
@@ -280,6 +280,19 @@ def test_eval_negative_secret_len_exits_2(cli_files, capsys, argv):
     assert main([*argv, "--corpus", cli_files["corpus"]]) == 2
     captured = capsys.readouterr()
     assert "secret_len must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("experiment", ["band", "density", "distinguish"])
+def test_eval_zero_trials_exits_2(cli_files, capsys, experiment):
+    # The error names the flag the user typed, the same for every verb.
+    codebook = [] if experiment == "band" else ["--codebook", cli_files["cb_common"]]
+    code = main(
+        ["eval", experiment, "--corpus", cli_files["corpus"], *codebook, "--trials", "0"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: trials must be >= 1" in captured.err
     assert captured.out == ""
 
 

@@ -99,14 +99,14 @@ def test_select_codebook_rejects_inverted_band(toy_corpus):
 def test_forward_and_unmap_word(two_word_codebook):
     assert two_word_codebook.forward["2"] == "good"
     assert two_word_codebook.forward["1"] == "really"
-    assert two_word_codebook.unmap_word("good") == "2"
-    assert two_word_codebook.unmap_word("trash") is None
+    assert two_word_codebook.inverse["good"] == "2"
+    assert two_word_codebook.inverse.get("trash") is None
 
 
 def test_codebook_round_trips_every_symbol(desk_corpus):
     codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=0)
     for symbol in codebook.alphabet:
-        assert codebook.unmap_word(codebook.forward[symbol]) == symbol
+        assert codebook.inverse[codebook.forward[symbol]] == symbol
 
 
 def test_codebook_rejects_duplicate_codewords():

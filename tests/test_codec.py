@@ -10,7 +10,6 @@ from wordsteg import (
     Corpus,
     DIGITS,
     SteganizeError,
-    best_position,
     build_model,
     contains_codeword,
     decode,
@@ -66,8 +65,8 @@ def test_contains_codeword_empty_codebook():
 
 def test_insertion_score_matches_hand_computation(toy_model):
     score = insertion_score(toy_model, ("the", "sat"), 1, "cat")
-    assert score == pytest.approx(2 * math.log(3))
-    assert score == pytest.approx(2.197, abs=5e-4)
+    assert score == pytest.approx(2 * math.log(3) + math.log(2))
+    assert score == pytest.approx(2.890, abs=5e-4)
 
 
 def test_insertion_score_matches_oracle_everywhere(toy_model):
@@ -96,8 +95,10 @@ def test_insertion_score_rejects_edge_positions(toy_model):
 
 
 def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corpus):
-    model = build_model(toy_corpus, max_n=2, around={"cat"})
-    assert insertion_score(model, ("the", "sat"), 1, "cat") == pytest.approx(2 * math.log(3))
+    model = build_model(toy_corpus, around={"cat"})
+    assert insertion_score(model, ("the", "sat"), 1, "cat") == pytest.approx(
+        2 * math.log(3) + math.log(2)
+    )
     with pytest.raises(ValueError):
         insertion_score(model, ("the", "sat"), 1, "ran")
 
@@ -113,8 +114,8 @@ def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corp
 @settings(deadline=None)
 def test_insert_codewords_same_under_model_counted_around(messages, around, data):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
-    full = build_model(corpus, max_n=3)
-    partial = build_model(corpus, max_n=3, around=around)
+    full = build_model(corpus)
+    partial = build_model(corpus, around=around)
     words = data.draw(st.lists(st.sampled_from(sorted(around)), max_size=4)) if around else []
     for message in corpus.messages:
         if len(message) >= 2:
@@ -124,18 +125,18 @@ def test_insert_codewords_same_under_model_counted_around(messages, around, data
 
 
 def test_best_position_prefers_frequent_context(toy_model):
-    assert best_position(toy_model, ("the", "sat", "ran"), "cat", 1) == 1
+    assert insert_codewords(toy_model, ("the", "sat", "ran"), ["cat"])[1] == (1,)
 
 
 def test_best_position_breaks_ties_leftward(toy_model):
-    # Unknown words score zero everywhere, so the tie covers all slots.
-    assert best_position(toy_model, ("x", "y", "z"), "q", 1) == 1
-    assert best_position(toy_model, ("x", "y", "z"), "q", 2) == 2
+    # Unknown words score zero everywhere, so the tie covers all slots: the
+    # first "q" takes slot 1 and the second the first slot to its right.
+    assert insert_codewords(toy_model, ("x", "y", "z"), ["q", "q"])[1] == (1, 2)
 
 
 def test_best_position_without_slots_raises(toy_model):
-    with pytest.raises(ValueError):
-        best_position(toy_model, ("the", "cat"), "sat", 2)
+    with pytest.raises(ValueError, match="no insertion slot"):
+        insert_codewords(toy_model, ("the",), ["sat"])
 
 
 def test_insert_codewords_keeps_cover_order(toy_model):
@@ -194,7 +195,7 @@ def test_steganize_rejects_unknown_symbols(small_corpus, small_model):
 
 def test_steganize_avoids_covers_that_already_hold_codewords():
     corpus = Corpus.from_lines(["x y z", "q x y", "x z y"])
-    model = build_model(corpus, max_n=2)
+    model = build_model(corpus)
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     for seed in range(10):
         result = steganize(("0",), codebook, model, corpus, seed=seed)
@@ -204,7 +205,7 @@ def test_steganize_avoids_covers_that_already_hold_codewords():
 
 def test_steganize_fails_when_every_cover_holds_a_codeword():
     corpus = Corpus.from_lines(["q a b", "b q a"])
-    model = build_model(corpus, max_n=2)
+    model = build_model(corpus)
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     with pytest.raises(SteganizeError) as excinfo:
         steganize(("0",), codebook, model, corpus, seed=0, max_attempts=25)
@@ -213,7 +214,7 @@ def test_steganize_fails_when_every_cover_holds_a_codeword():
 
 def test_steganize_needs_covers_with_three_tokens():
     corpus = Corpus.from_lines(["a b", "c d"])
-    model = build_model(corpus, max_n=2)
+    model = build_model(corpus)
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     with pytest.raises(SteganizeError) as excinfo:
         steganize(("0",), codebook, model, corpus, seed=0)
@@ -227,7 +228,7 @@ def test_steganize_rejects_zero_attempt_budget(small_corpus, small_model):
 
 
 _codec_corpus = Corpus.from_lines(synth_lines(n_messages=150, seed=5, vocab_size=300))
-_codec_model = build_model(_codec_corpus, max_n=3)
+_codec_model = build_model(_codec_corpus)
 _codec_codebook = select_codebook(_codec_corpus.vocabulary, (2, None), DIGITS, seed=8)
 
 
@@ -256,7 +257,7 @@ _raw_corpus = Corpus.from_lines(
     " ".join(f"«{word.replace('w', 'Ŵ')}»," for word in line.split())
     for line in synth_lines(n_messages=150, seed=5, vocab_size=300)
 )
-_raw_model = build_model(_raw_corpus, max_n=3)
+_raw_model = build_model(_raw_corpus)
 
 
 @given(

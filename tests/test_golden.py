@@ -154,6 +154,6 @@ def _density_reason(corpus, model, codebook):
 )
 def test_empty_cover_pool_reports_one_reason(measure):
     corpus = Corpus.from_lines(["a b", "c d", "e"])
-    model = build_model(corpus, max_n=2)
+    model = build_model(corpus)
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     assert measure(corpus, model, codebook) == EMPTY_POOL_REASON

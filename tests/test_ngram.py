@@ -25,7 +25,7 @@ def test_toy_unigram_counts(toy_corpus, toy_model):
     assert toy_model.vocabulary is toy_corpus.vocabulary
     assert dict(toy_model.vocabulary) == expected
     assert toy_corpus.total_tokens == 9
-    assert set(toy_model.counts) == {2}
+    assert set(toy_model.counts) == {2, 3}
 
 
 def test_toy_bigram_counts(toy_model):
@@ -41,14 +41,9 @@ def test_toy_bigram_counts(toy_model):
 
 def test_grams_do_not_span_messages():
     corpus = Corpus.from_lines(["a b", "c d"])
-    model = build_model(corpus, max_n=2)
+    model = build_model(corpus)
     assert ("b", "c") not in model.counts[2]
     assert model.counts[2].total() == 2
-
-
-def test_build_model_rejects_nonpositive_max_n(toy_corpus):
-    with pytest.raises(ValueError):
-        build_model(toy_corpus, max_n=0)
 
 
 def test_unigrams_match_an_independent_recount(desk_corpus, desk_model):
@@ -58,13 +53,12 @@ def test_unigrams_match_an_independent_recount(desk_corpus, desk_model):
             recount[word] = recount.get(word, 0) + 1
     assert list(desk_corpus.vocabulary.items()) == list(recount.items())
     assert desk_corpus.total_tokens == sum(recount.values())
-    for model in (desk_model, build_model(desk_corpus, max_n=1)):
-        assert model.vocabulary is desk_corpus.vocabulary
-        assert 1 not in model.counts
+    assert desk_model.vocabulary is desk_corpus.vocabulary
+    assert 1 not in desk_model.counts
 
 
 def test_model_counted_around_refuses_what_it_cannot_answer(toy_corpus):
-    model = build_model(toy_corpus, max_n=3, around={"ran"})
+    model = build_model(toy_corpus, around={"ran"})
     assert model.around == frozenset({"ran"})
     assert model.vocabulary is toy_corpus.vocabulary
     # Only "the cat ran" holds "ran", so its grams alone are counted.
@@ -84,7 +78,7 @@ message_lists = st.lists(
 @settings(deadline=None)
 def test_counts_match_window_scan(messages):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
-    model = build_model(corpus, max_n=3)
+    model = build_model(corpus)
     token_lists = [m for m in corpus.messages]
     for word, count in model.vocabulary.items():
         assert count == window_count(token_lists, (word,))
@@ -104,8 +98,8 @@ around_sets = st.sets(st.sampled_from(["a", "b", "c", "z"]), max_size=3)
 @settings(deadline=None)
 def test_model_counted_around_is_exact_where_it_answers(messages, around):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
-    full = build_model(corpus, max_n=3)
-    partial = build_model(corpus, max_n=3, around=around)
+    full = build_model(corpus)
+    partial = build_model(corpus, around=around)
     assert partial.vocabulary is full.vocabulary
     for n in (2, 3):
         for gram in product("abcz", repeat=n):
@@ -117,7 +111,7 @@ def test_model_counted_around_is_exact_where_it_answers(messages, around):
 @settings(deadline=None)
 def test_longer_grams_never_outnumber_their_parts(messages):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
-    model = build_model(corpus, max_n=3)
+    model = build_model(corpus)
 
     def count(gram):
         if len(gram) == 1:
@@ -132,7 +126,7 @@ def test_longer_grams_never_outnumber_their_parts(messages):
 
 def test_unigram_distribution_maximum_likelihood(toy_corpus):
     counts = toy_corpus.vocabulary
-    p = smoothed_distribution(counts, toy_corpus.total_tokens, counts)
+    p = smoothed_distribution(counts, toy_corpus.total_tokens, counts, smoothing=0.0)
     assert p["cat"] == pytest.approx(3 / 9)
     assert sum(p.values()) == pytest.approx(1.0)
 
