@@ -9,12 +9,12 @@ the messages that hold a codeword, and eval distinguish counts the full
 model. Exit codes:
 0 success, 2 usage or I/O problems, 3 insufficient band occupancy, 4
 steganization failure. Every artifact written by --out embeds the seed, the
-settings, and the tool version, and is written atomically; rerunning a
-command with the same inputs rewrites the same bytes except for the
-created_utc stamp. The three eval verbs print and write their rows through
-one function, _report, and their settings are every flag they parse except
---seed, --out and --format; encode records its settings by hand, with the
-secret's length and never the secret.
+settings, and the tool version, and is written atomically before anything is
+printed; rerunning a command with the same inputs rewrites the same bytes
+except for the created_utc stamp. The three eval verbs print and write their
+rows through one function, _report, and their settings are every flag they
+parse except --seed, --out and --format; encode records its settings by
+hand, with the secret's length and never the secret.
 """
 
 import argparse
@@ -126,7 +126,6 @@ def cmd_encode(args) -> int:
         seed=args.seed,
         max_attempts=args.max_attempts,
     )
-    print(" ".join(result.stego))
     if args.out:
         config = {
             "codebook": args.codebook,
@@ -136,6 +135,7 @@ def cmd_encode(args) -> int:
             "max_attempts": args.max_attempts,
         }
         _write_json(args.out, _artifact(args.seed, config, result.to_doc()))
+    print(" ".join(result.stego))
     return 0
 
 

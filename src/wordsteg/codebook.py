@@ -114,7 +114,10 @@ def select_codebook(
         raise ValueError(f"invalid band {format_band(band)}")
     candidates = band_words(counts, band)
     if len(candidates) < len(alphabet):
-        raise InsufficientBandError(band, needed=len(alphabet), found=len(candidates))
+        raise InsufficientBandError(
+            f"frequency band {format_band(band)} holds {len(candidates)} "
+            f"candidate words, need {len(alphabet)}"
+        )
     chosen = random.Random(seed).sample(candidates, len(alphabet))
     return Codebook(
         alphabet=alphabet,

@@ -10,18 +10,18 @@ as the full model does. Decoding is a plain scan: every token that is a
 codeword contributes its symbol.
 
 Correct decoding therefore requires that the cover itself contains no
-codewords, so steganize rejects such covers and re-draws, which also makes
-the round trip exact by construction. Without that rejection an embed would
-decode wrongly exactly when its cover holds a codeword, so the evaluation
-harness counts such covers instead of embedding. Insertion always places
-every codeword, so the density experiment, which reads only token counts,
-adds the codewords to the cover counts instead of inserting them.
+codewords, so draw_cover rejects such covers, which makes the round trip
+exact by construction; steganize checks it anyway. Without that rejection an
+embed would decode wrongly exactly when its cover holds a codeword, so the
+evaluation harness counts such covers instead of embedding. Insertion always
+places every codeword, so the density experiment, which reads only token
+counts, adds the codewords to the cover counts instead of inserting them.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .codebook import Codebook
 from .corpus import MIN_COVER_TOKENS, Corpus
@@ -60,20 +60,18 @@ def contains_codeword(tokens: Sequence[str], codebook: Codebook) -> bool:
     return any(token in codebook.inverse for token in tokens)
 
 
-def draw_covers(
+def draw_cover(
     covers: Corpus,
     codebook: Codebook | None,
     rng: random.Random,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> Iterator[tuple[int, tuple[str, ...]]]:
+) -> tuple[int, tuple[str, ...]]:
     """Seeded uniform draws from covers.cover_pool, one rng.randrange each.
 
-    Yields (attempt, cover) for every drawn cover that holds no codeword of
-    `codebook`; with codebook=None every draw is yielded. Draws happen only
-    as the caller asks for the next cover, so a caller that stops early
-    leaves the rng exactly where its last cover left it. Raises
-    SteganizeError at the first draw from an empty pool (after 0 attempts),
-    or once max_attempts covers have been drawn.
+    Returns (attempt, cover) for the first drawn cover that holds no
+    codeword of `codebook`; with codebook=None the first draw is returned.
+    Raises SteganizeError on an empty pool (after 0 attempts), or once
+    max_attempts covers have been drawn and every one held a codeword.
     """
     pool = covers.cover_pool
     if not pool:
@@ -81,7 +79,7 @@ def draw_covers(
     for attempt in range(1, max_attempts + 1):
         cover = pool[rng.randrange(len(pool))]
         if codebook is None or not contains_codeword(cover, codebook):
-            yield attempt, cover
+            return attempt, cover
     raise SteganizeError(max_attempts, "every drawn cover contained a codeword")
 
 
@@ -164,11 +162,11 @@ def steganize(
 ) -> StegoResult:
     """Embed a secret into a randomly drawn cover message.
 
-    Draws uniformly (seeded) from covers.cover_pool via draw_covers, then
-    inserts the codeword for each secret symbol in order. An empty secret
-    returns the cover unchanged. Covers already containing codewords are
-    rejected, and the round trip is checked before returning. Raises
-    SteganizeError when the pool is empty or the attempt budget runs out.
+    Draws one cover with no codeword via draw_cover (seeded, uniform over
+    covers.cover_pool), then inserts the codeword for each secret symbol in
+    order; an empty secret returns the cover unchanged. Raises SteganizeError
+    when the pool is empty, the attempt budget runs out, or the stego text
+    does not decode to the secret.
     """
     symbols: tuple[str, ...] = tuple(secret)
     unknown = [s for s in symbols if s not in codebook.forward]
@@ -176,16 +174,15 @@ def steganize(
         raise ValueError(f"secret symbols {unknown!r} are not in the alphabet")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    attempt, cover = draw_cover(covers, codebook, random.Random(seed), max_attempts)
     words = [codebook.forward[s] for s in symbols]
-    draws = draw_covers(covers, codebook, random.Random(seed), max_attempts)
-    for attempt, cover in draws:
-        stego_tokens, positions = insert_codewords(model, cover, words)
-        if decode(stego_tokens, codebook) != symbols:
-            continue
-        return StegoResult(
-            stego=stego_tokens,
-            cover=cover,
-            inserted_positions=positions,
-            attempts=attempt,
-            density=len(positions) / len(stego_tokens),
-        )
+    stego_tokens, positions = insert_codewords(model, cover, words)
+    if decode(stego_tokens, codebook) != symbols:
+        raise SteganizeError(attempt, "stego text does not decode to the secret")
+    return StegoResult(
+        stego=stego_tokens,
+        cover=cover,
+        inserted_positions=positions,
+        attempts=attempt,
+        density=len(positions) / len(stego_tokens),
+    )

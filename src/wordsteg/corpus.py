@@ -77,7 +77,7 @@ class Corpus:
     def cover_pool(self) -> tuple[tuple[str, ...], ...]:
         """Messages long enough to serve as covers, computed on first use.
 
-        () when no message qualifies; codec.draw_covers raises on that.
+        () when no message qualifies; codec.draw_cover raises on that.
         """
         return tuple(m for m in self.messages if len(m) >= MIN_COVER_TOKENS)
 

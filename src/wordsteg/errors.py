@@ -20,19 +20,11 @@ class CodebookValidationError(WordstegError):
 class InsufficientBandError(WordstegError):
     """The frequency band holds fewer distinct words than the alphabet needs."""
 
-    def __init__(self, band: tuple[int, int | None], needed: int, found: int):
-        self.band = band
-        self.needed = needed
-        self.found = found
-        lo, hi = band
-        label = f"{lo}+" if hi is None else f"{lo}-{hi}"
-        super().__init__(
-            f"frequency band {label} holds {found} candidate words, need {needed}"
-        )
-
 
 class SteganizeError(WordstegError):
-    """No acceptable cover was found within the attempt budget."""
+    """steganize failed after `attempts` cover draws: no acceptable cover
+    was found within the budget, or the stego failed its round-trip check.
+    """
 
     def __init__(self, attempts: int, reason: str):
         self.attempts = attempts

@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
-from .codec import contains_codeword, draw_covers, insert_codewords
+from .codec import contains_codeword, draw_cover, insert_codewords
 from .corpus import Corpus
 from .errors import InsufficientBandError, SteganizeError
 from .ngram import NGramModel
@@ -125,7 +125,7 @@ def run_band_experiment(
         for trial in range(trials):
             rng = random.Random(derive_seed(seed, "band", index, "trial", trial))
             try:
-                _, cover = next(draw_covers(corpus, None, rng))
+                _, cover = draw_cover(corpus, None, rng)
             except SteganizeError:
                 failures += 1
                 continue
@@ -200,9 +200,7 @@ def run_density_experiment(
     points = []
     try:
         cover_rng = random.Random(derive_seed(seed, "covers"))
-        covers = [
-            next(draw_covers(corpus, codebook, cover_rng))[1] for _ in range(trials)
-        ]
+        covers = [draw_cover(corpus, codebook, cover_rng)[1] for _ in range(trials)]
     except SteganizeError as exc:
         return [
             DensityPoint(target, None, trials=0, kl_nats=None, skipped=True, reason=str(exc))
@@ -264,7 +262,7 @@ def build_pairs(
     pairs = []
     for index in range(trials):
         rng = random.Random(derive_seed(seed, "pair", index))
-        _, cover = next(draw_covers(corpus, codebook, rng))
+        _, cover = draw_cover(corpus, codebook, rng)
         if min_density is None:
             wanted = secret_len
         else:

@@ -196,6 +196,28 @@ def test_encode_exhaustion_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "--secret", "21", "--codebook", "CB", "--corpus", "CORPUS"],
+        ["gen-codebook", "--corpus", "CORPUS", "--band", "14+"],
+        ["eval", "band", "--corpus", "CORPUS", "--bands", "14+", "--trials", "5"],
+    ],
+    ids=["encode", "gen-codebook", "eval-band"],
+)
+def test_out_in_missing_directory_exits_2(cli_files, tmp_path, capsys, argv):
+    # Nothing is printed before the artifact is written, and the error names
+    # the path the user gave, not the temporary file the write went through.
+    names = {"CB": cli_files["cb_common"], "CORPUS": cli_files["corpus"]}
+    out = str(tmp_path / "nodir" / "result")
+    assert main([*(names.get(arg, arg) for arg in argv), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+    assert out in captured.err
+    assert ".tmp" not in captured.err
+
+
 def test_eval_band_writes_json_and_csv(cli_files, tmp_path, capsys):
     out = tmp_path / "bands"
     code = main(

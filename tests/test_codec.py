@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from wordsteg import (
     select_codebook,
     steganize,
 )
+from wordsteg.codec import DEFAULT_MAX_ATTEMPTS, draw_cover
 
 from synthcorpus import synth_lines
 
@@ -210,6 +212,20 @@ def test_steganize_fails_when_every_cover_holds_a_codeword():
     with pytest.raises(SteganizeError) as excinfo:
         steganize(("0",), codebook, model, corpus, seed=0, max_attempts=25)
     assert excinfo.value.attempts == 25
+
+
+def test_steganize_raises_when_round_trip_fails(small_corpus, small_model, monkeypatch):
+    # An insertion that loses a codeword must surface on the first cover, not
+    # be hidden by drawing covers until the attempt budget runs out.
+    def drop_last(model, tokens, words):
+        return insert_codewords(model, tokens, list(words)[:-1])
+
+    monkeypatch.setattr("wordsteg.codec.insert_codewords", drop_last)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
+    with pytest.raises(SteganizeError, match="stego text does not decode") as excinfo:
+        steganize("42", codebook, small_model, small_corpus, seed=0)
+    attempt, _ = draw_cover(small_corpus, codebook, random.Random(0))
+    assert excinfo.value.attempts == attempt < DEFAULT_MAX_ATTEMPTS
 
 
 def test_steganize_needs_covers_with_three_tokens():

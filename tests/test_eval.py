@@ -24,7 +24,7 @@ from wordsteg import (
     smoothed_distribution,
     steganize,
 )
-from wordsteg.codec import draw_covers
+from wordsteg.codec import draw_cover
 from wordsteg.evaluate import _insert_count, random_secret
 
 
@@ -126,7 +126,7 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
         for trial in range(row.trials):
             secret = tuple(secret_rng.choice(codebook.alphabet) for _ in range(secret_len))
             rng = random.Random(derive_seed(seed, "band", index, "trial", trial))
-            _, cover = next(draw_covers(small_corpus, None, rng))
+            _, cover = draw_cover(small_corpus, None, rng)
             words = [codebook.forward[s] for s in secret]
             stego, _ = insert_codewords(model, cover, words)
             mismatches += decode(stego, codebook) != secret
@@ -186,7 +186,7 @@ def test_density_equals_explicit_embed(small_corpus, band):
     )
     model = build_model(small_corpus, around=codebook.inverse)
     cover_rng = random.Random(derive_seed(seed, "covers"))
-    covers = [next(draw_covers(small_corpus, codebook, cover_rng))[1] for _ in range(trials)]
+    covers = [draw_cover(small_corpus, codebook, cover_rng)[1] for _ in range(trials)]
     expected = []
     for index, target in enumerate(densities):
         secret_rng = random.Random(derive_seed(seed, "density", index))
