@@ -4,9 +4,9 @@ One binary, four verbs: gen-codebook, encode, decode, and eval (with band,
 density, and distinguish subcommands). Every verb that needs word or n-gram
 counts takes --corpus and counts them itself; there is no model file. Each
 counts only what it reads: gen-codebook, eval band and eval density read the
-corpus vocabulary and count nothing more, encode counts the longer grams of
-the messages that hold a codeword, and eval distinguish counts the full
-model. Exit codes:
+corpus vocabulary and count nothing more, encode counts only the longer
+grams of the messages that hold a codeword, and eval distinguish counts the
+full model. Exit codes:
 0 success, 2 usage or I/O problems, 3 insufficient band occupancy, 4
 steganization failure. Every artifact written by --out embeds the seed, the
 settings, and the tool version, and is written atomically before anything is
@@ -57,10 +57,9 @@ def _artifact(seed: int | None, config: dict, results) -> dict:
     }
 
 
-def _write_json(path, doc: dict) -> None:
-    with atomic_open(path) as handle:
-        json.dump(doc, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+def _write_json(handle, doc: dict) -> None:
+    json.dump(doc, handle, sort_keys=True, indent=2)
+    handle.write("\n")
 
 
 def _write_csv(handle, rows: list[dict]) -> None:
@@ -79,6 +78,9 @@ def _report(args, docs: list[dict]) -> None:
     """Print an eval verb's rows in --format; with --out, first write
     <out>.json and <out>.csv atomically.
 
+    The CSV is moved into place first and the JSON last, so a failed write
+    leaves no <out>.json for rows that were not written.
+
     The artifact's config is every parsed flag outside _NOT_CONFIG, so each
     eval flag reaches its artifact without a second list of flags. encode
     does not report through here: its config is written out by hand because
@@ -86,12 +88,14 @@ def _report(args, docs: list[dict]) -> None:
     """
     if args.out is not None:
         config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-        _write_json(f"{args.out}.json", _artifact(args.seed, config, docs))
-        with atomic_open(f"{args.out}.csv", newline="") as handle:
-            _write_csv(handle, docs)
+        with (
+            atomic_open(f"{args.out}.json") as json_handle,
+            atomic_open(f"{args.out}.csv", newline="") as csv_handle,
+        ):
+            _write_json(json_handle, _artifact(args.seed, config, docs))
+            _write_csv(csv_handle, docs)
     if args.format == "json":
-        json.dump(docs, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        _write_json(sys.stdout, docs)
     elif args.format == "csv":
         _write_csv(sys.stdout, docs)
     else:
@@ -134,7 +138,8 @@ def cmd_encode(args) -> int:
             "limit": args.limit,
             "max_attempts": args.max_attempts,
         }
-        _write_json(args.out, _artifact(args.seed, config, result.to_doc()))
+        with atomic_open(args.out) as handle:
+            _write_json(handle, _artifact(args.seed, config, result.to_doc()))
     print(" ".join(result.stego))
     return 0
 

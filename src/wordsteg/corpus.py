@@ -4,10 +4,19 @@ Raw records are one message per line (UTF-8). Scrubbing lowercases and
 removes the token classes that cannot occur in spoken language, then strips
 punctuation from whatever remains. Misspellings and other quirks are kept
 as-is; they are part of the cover signal.
+
+A corpus is scrubbed in blocks of about a thousand lines: each block is one
+string that is lowercased, cleared of dropped tokens and stripped of
+punctuation in three whole-string passes, then split back into lines. The
+rule is the one scrub_message applies to a single line. The word counts are
+computed on first access, so a verb that never reads them (encode) never
+pays for them.
 """
 
+import re
 from collections import Counter
 from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable
 import unicodedata
 
@@ -33,45 +42,60 @@ class _PunctuationTable(dict):
 
 _PUNCTUATION = _PunctuationTable()
 
+# A whole whitespace-delimited token that starts with "@", "#" or "www.", or
+# contains "://". re's \s and str.split agree on what whitespace is.
+_DROP = re.compile(r"(?<!\S)(?:[@#]|www\.|\S*://)\S*")
+
+# Lines scrubbed per block by Corpus.from_lines. Large enough that the
+# per-call overhead vanishes, small enough that the block's copies of the
+# text stay a small share of the corpus's memory.
+_CHUNK_LINES = 1024
+
+
+def _scrub_text(text: str) -> str:
+    """Lowercase, blank out dropped tokens, then delete punctuation.
+
+    Whitespace, line breaks included, passes through untouched, so the
+    result splits into the same lines as `text`.
+    """
+    return _DROP.sub("", text.lower()).translate(_PUNCTUATION)
+
 
 def scrub_message(raw: str) -> str:
     """Normalize one raw message into clean lowercase words.
 
     Whole tokens are dropped when they are @usernames, #hashtags, or URLs
     (contain "://" or start with "www."). Punctuation characters are stripped
-    from the surviving tokens; digits stay. Applying scrub_message to its own
-    output is a no-op.
+    from the surviving tokens; digits stay, and a token left with nothing is
+    gone. Applying scrub_message to its own output is a no-op.
     """
-    kept = []
-    for token in raw.lower().split():
-        if token.startswith("@") or token.startswith("#"):
-            continue
-        if "://" in token or token.startswith("www."):
-            continue
-        word = token.translate(_PUNCTUATION)
-        if word:
-            kept.append(word)
-    return " ".join(kept)
+    return " ".join(_scrub_text(raw).split())
 
 
 class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
-    Each message is a non-empty tuple of tokens.
+    Each message is a non-empty tuple of tokens. vocabulary, total_tokens
+    and cover_pool are computed on first access and then kept.
     """
 
     def __init__(self, messages: Iterable[tuple[str, ...]]):
         self.messages: tuple[tuple[str, ...], ...] = tuple(messages)
         if not self.messages:
             raise EmptyCorpusError("corpus contains no usable messages")
-        vocabulary: Counter[str] = Counter()
-        for message in self.messages:
-            vocabulary.update(message)
-        self.vocabulary = vocabulary
-        self.total_tokens = vocabulary.total()
 
     def __len__(self) -> int:
         return len(self.messages)
+
+    @cached_property
+    def vocabulary(self) -> Counter[str]:
+        """Count of every word, in order of first occurrence."""
+        return Counter(chain.from_iterable(self.messages))
+
+    @cached_property
+    def total_tokens(self) -> int:
+        """Number of tokens over all messages; vocabulary's total."""
+        return sum(map(len, self.messages))
 
     @cached_property
     def cover_pool(self) -> tuple[tuple[str, ...], ...]:
@@ -85,18 +109,25 @@ class Corpus:
     def from_lines(cls, lines: Iterable[str], limit: int | None = None) -> "Corpus":
         """Scrub and tokenize raw lines, skipping any that scrub to nothing.
 
-        limit caps the number of usable messages kept, not the number of
-        lines read; it must be at least 1.
+        Each line is scrubbed as scrub_message would scrub it, so a line
+        break inside one counts as a space. limit caps the number of usable
+        messages kept, not the number of lines read; it must be at least 1.
+        Lines are read _CHUNK_LINES at a time, and reading stops after the
+        block that reaches the limit.
         """
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
-        messages = []
-        for line in lines:
+        messages: list[tuple[str, ...]] = []
+        lines = iter(lines)
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            text = _scrub_text("\n".join(line.replace("\n", " ") for line in chunk))
+            for line in text.split("\n"):
+                tokens = line.split()
+                if tokens:
+                    messages.append(tuple(tokens))
             if limit is not None and len(messages) >= limit:
+                del messages[limit:]
                 break
-            tokens = scrub_message(line).split()
-            if tokens:
-                messages.append(tuple(tokens))
         return cls(messages)
 
 

@@ -4,9 +4,11 @@ Counts n-grams of orders 2 and 3 inside message boundaries (no grams span
 two messages) and scores how plausible a token sequence is. Unigram counts
 are not counted here: the model reads them from Corpus.vocabulary, the one
 word-count table, which also feeds codebook draws and the density
-experiment. All logarithms are natural. The model is a pure function of the
-corpus and is never stored: every CLI verb that needs it counts it afresh
-from the corpus it loads.
+experiment. The corpus counts that table on first access, and the model
+reads it only when its own vocabulary is read, so encode never counts it.
+All logarithms are natural. The model is a pure function of the corpus and
+is never stored: every CLI verb that needs it counts it afresh from the
+corpus it loads.
 
 The encoder only scores grams that contain the codeword it inserts, so
 encode passes the codewords as `around`: orders >= 2 are then counted only
@@ -34,20 +36,24 @@ class NGramModel:
 
     counts holds orders 2 and 3, in ascending order; its keys are the
     orders. vocabulary is the corpus's own word-count table
-    (Corpus.vocabulary), shared, not copied. When `around` is a set of
-    words, the tables hold exact counts only for grams that contain one of
-    those words.
+    (Corpus.vocabulary), shared, not copied, and read from the corpus on
+    access. When `around` is a set of words, the tables hold exact counts
+    only for grams that contain one of those words.
     """
 
     def __init__(
         self,
         counts: dict[int, Counter],
-        vocabulary: Counter,
+        corpus: Corpus,
         around: frozenset[str] | None = None,
     ):
         self.counts = counts
-        self.vocabulary: Counter[str] = vocabulary
+        self._corpus = corpus
         self.around = around
+
+    @property
+    def vocabulary(self) -> Counter[str]:
+        return self._corpus.vocabulary
 
     def plausibility_score(self, tokens: Sequence[str]) -> float:
         """Mean log(1 + count) over every n-gram of the token sequence.
@@ -63,9 +69,10 @@ class NGramModel:
         toks = tuple(tokens)
         if not toks:
             raise ValueError("cannot score an empty token sequence")
+        vocabulary = self.vocabulary
         total = 0.0
         for word in toks:
-            total += math.log1p(self.vocabulary.get(word, 0))
+            total += math.log1p(vocabulary.get(word, 0))
         grams = len(toks)
         for n, table in self.counts.items():
             for i in range(len(toks) - n + 1):
@@ -77,9 +84,10 @@ class NGramModel:
 def build_model(corpus: Corpus, around: Iterable[str] | None = None) -> NGramModel:
     """Count n-grams of orders 2..MAX_N, message by message.
 
-    Unigrams are corpus.vocabulary itself. With `around`, the grams are
-    counted only over the messages that share a word with it, which is exact
-    for every gram containing one of those words.
+    Unigrams are corpus.vocabulary itself, read only when the model's
+    vocabulary is. With `around`, the grams are counted only over the
+    messages that share a word with it, which is exact for every gram
+    containing one of those words.
     """
     messages = corpus.messages
     if around is not None:
@@ -93,4 +101,4 @@ def build_model(corpus: Corpus, around: Iterable[str] | None = None) -> NGramMod
                 zip(*(m[i:] for i in range(n))) for m in messages
             )
         )
-    return NGramModel(counts, corpus.vocabulary, around)
+    return NGramModel(counts, corpus, around)

@@ -218,6 +218,23 @@ def test_out_in_missing_directory_exits_2(cli_files, tmp_path, capsys, argv):
     assert ".tmp" not in captured.err
 
 
+def test_eval_failed_csv_write_leaves_no_json(cli_files, tmp_path, capsys):
+    # <out>.csv is a directory, so the CSV cannot be moved into place; the
+    # JSON must not outlive it.
+    out = tmp_path / "pair"
+    (tmp_path / "pair.csv").mkdir()
+    code = main(
+        ["eval", "band", "--corpus", cli_files["corpus"],
+         "--bands", "14+", "--trials", "5", "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{out}.csv" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.csv"]
+    assert list((tmp_path / "pair.csv").iterdir()) == []
+
+
 def test_eval_band_writes_json_and_csv(cli_files, tmp_path, capsys):
     out = tmp_path / "bands"
     code = main(

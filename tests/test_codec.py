@@ -167,6 +167,18 @@ def test_steganize_round_trip(small_corpus, small_model):
     )
 
 
+def test_encode_path_never_counts_the_vocabulary(small_corpus):
+    # What encode does: a model counted around the codewords, then steganize,
+    # on a corpus of its own that nothing else has read.
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
+    corpus = Corpus.from_lines(synth_lines(n_messages=400, seed=3, vocab_size=500))
+    model = build_model(corpus, around=codebook.inverse)
+    result = steganize("314", codebook, model, corpus, seed=99)
+    assert decode(result.stego, codebook) == ("3", "1", "4")
+    assert "vocabulary" not in corpus.__dict__
+    assert "total_tokens" not in corpus.__dict__
+
+
 def test_steganize_accepts_plain_string_secret(small_corpus, small_model):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize("271", codebook, small_model, small_corpus, seed=4)

@@ -1,10 +1,12 @@
 import unicodedata
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordsteg import Corpus, EmptyCorpusError, load_corpus, scrub_message
+from wordsteg import corpus as corpus_module
 
 
 def test_scrub_removes_usernames_hashtags_and_urls():
@@ -155,3 +157,108 @@ def test_from_lines_matches_load_corpus(tmp_path):
     from_file = load_corpus(path)
     from_lines = Corpus.from_lines(lines)
     assert from_file.messages == from_lines.messages
+
+
+# Fragments where a whole-text scrub could part from a per-line one: line
+# breaks (universal newlines turn "\r" and "\r\n" into "\n"), whitespace
+# that str.split splits on (str.splitlines breaks lines at most of it), a
+# capital sigma, whose lowercase depends on what follows it, and the marks
+# of dropped tokens.
+LINE_HAZARDS = ["\n", "\r", "\r\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028",
+                "\u2029", " ", "Σ", "ΑΣ", "@", "#", "://", "www.", "W", "!", "'"]
+
+
+def _hazard_text(chars):
+    return st.lists(chars | st.sampled_from(LINE_HAZARDS)).map("".join)
+
+
+def _messages_or_none(build):
+    try:
+        return build().messages
+    except EmptyCorpusError:
+        return None
+
+
+def _reference_messages(lines):
+    """Messages a per-line scrub with _scrub_reference gives, or None."""
+    tokens = (_scrub_reference(line).split() for line in lines)
+    return tuple(tuple(t) for t in tokens if t) or None
+
+
+def _universal_lines(text):
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+# Small blocks make hypothesis's short inputs cross block boundaries.
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3, corpus_module._CHUNK_LINES])
+@given(text=_hazard_text(st.characters(exclude_categories=("Cs",))))
+@settings(deadline=None)
+def test_load_corpus_matches_per_line_reference(tmp_path_factory, chunk_lines, text):
+    path = tmp_path_factory.mktemp("whole") / "corpus.txt"
+    # Bytes on disk, so "\r" and "\r\n" reach the reader untranslated.
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(corpus_module, "_CHUNK_LINES", chunk_lines):
+        built = _messages_or_none(lambda: load_corpus(path))
+    assert built == _reference_messages(_universal_lines(text))
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3, corpus_module._CHUNK_LINES])
+@given(lines=st.lists(_hazard_text(st.characters(exclude_categories=()))))
+def test_from_lines_matches_per_line_reference(chunk_lines, lines):
+    # Any code point, surrogates too; an element holding "\n" is one message.
+    with mock.patch.object(corpus_module, "_CHUNK_LINES", chunk_lines):
+        built = _messages_or_none(lambda: Corpus.from_lines(lines))
+    assert built == _reference_messages(lines)
+
+
+@pytest.mark.parametrize(
+    "space", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
+)
+def test_whitespace_that_is_no_line_break_stays_inside_the_line(tmp_path, space):
+    line = space.join(["Keep", "@Drop", "#drop", "WWW.Drop", "X://drop", "ΑΣ", "end!"])
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(f"first line\r\n{line}\rlast".encode("utf-8"))
+    expected = (("first", "line"), ("keep", "ας", "end"), ("last",))
+    assert load_corpus(path).messages == expected
+    assert Corpus.from_lines(["first\nline", line, "last"]).messages == expected
+    assert _reference_messages(["first line", line, "last"]) == expected
+
+
+def test_final_sigma_at_each_line_end_without_trailing_newline(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes("ΦΑΣ\nΦΑΣ\r\nΦΑΣ\rΦΑΣ".encode("utf-8"))
+    assert load_corpus(path).messages == (("φας",),) * 4
+
+
+class _ReadOnlyUpTo:
+    """Iterator over lines that fails the test if read past `stop` lines."""
+
+    def __init__(self, lines, stop):
+        self.lines, self.stop, self.read = lines, stop, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.read == self.stop:
+            raise AssertionError(f"line {self.stop} was read after the limit was reached")
+        if self.read == len(self.lines):
+            raise StopIteration
+        self.read += 1
+        return self.lines[self.read - 1]
+
+
+@pytest.mark.parametrize("dropped_every", [None, 7])
+@pytest.mark.parametrize("limit", [1023, 1024, 1025])
+def test_limit_stops_reading_after_the_block_that_reaches_it(limit, dropped_every):
+    block = corpus_module._CHUNK_LINES
+    lines, kept = [], []  # kept: the index in lines of each usable message
+    while len(kept) < 3 * block:
+        if dropped_every and len(lines) % dropped_every == 0:
+            lines.append("@dropped #line")
+            continue
+        kept.append(len(lines))
+        lines.append(f"Message {len(kept)}, kept!")
+    stop = (kept[limit - 1] // block + 1) * block
+    corpus = Corpus.from_lines(_ReadOnlyUpTo(lines, stop), limit=limit)
+    assert corpus.messages == tuple(("message", str(i), "kept") for i in range(1, limit + 1))
