@@ -20,7 +20,6 @@ from .codebook import (
     select_codebook,
 )
 from .codec import (
-    DEFAULT_MAX_ATTEMPTS,
     StegoResult,
     contains_codeword,
     decode,
@@ -57,7 +56,6 @@ __all__ = [
     "Codebook",
     "CodebookValidationError",
     "Corpus",
-    "DEFAULT_MAX_ATTEMPTS",
     "DIGITS",
     "DensityPoint",
     "EmptyCorpusError",

@@ -20,6 +20,7 @@ hand, with the secret's length and never the secret.
 import argparse
 import csv
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -34,7 +35,7 @@ from .codebook import (
     save_codebook,
     select_codebook,
 )
-from .codec import DEFAULT_MAX_ATTEMPTS, decode, steganize
+from .codec import decode, steganize
 from .corpus import load_corpus, scrub_message
 from .errors import InsufficientBandError, SteganizeError, WordstegError
 from .evaluate import (
@@ -78,8 +79,8 @@ def _report(args, docs: list[dict]) -> None:
     """Print an eval verb's rows in --format; with --out, first write
     <out>.json and <out>.csv atomically.
 
-    The CSV is moved into place first and the JSON last, so a failed write
-    leaves no <out>.json for rows that were not written.
+    The CSV is moved into place first and the JSON last; if either write
+    fails, the run leaves neither new file behind.
 
     The artifact's config is every parsed flag outside _NOT_CONFIG, so each
     eval flag reaches its artifact without a second list of flags. encode
@@ -88,12 +89,17 @@ def _report(args, docs: list[dict]) -> None:
     """
     if args.out is not None:
         config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-        with (
-            atomic_open(f"{args.out}.json") as json_handle,
-            atomic_open(f"{args.out}.csv", newline="") as csv_handle,
-        ):
-            _write_json(json_handle, _artifact(args.seed, config, docs))
-            _write_csv(csv_handle, docs)
+        csv_path, csv_placed = f"{args.out}.csv", False
+        try:
+            with atomic_open(f"{args.out}.json") as json_handle:
+                _write_json(json_handle, _artifact(args.seed, config, docs))
+                with atomic_open(csv_path, newline="") as csv_handle:
+                    _write_csv(csv_handle, docs)
+                csv_placed = True
+        except BaseException:
+            if csv_placed:
+                os.unlink(csv_path)
+            raise
     if args.format == "json":
         _write_json(sys.stdout, docs)
     elif args.format == "csv":
@@ -122,21 +128,14 @@ def cmd_gen_codebook(args) -> int:
 def cmd_encode(args) -> int:
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus, limit=args.limit)
-    result = steganize(
-        tuple(args.secret),
-        codebook,
-        build_model(corpus, around=codebook.inverse),
-        corpus,
-        seed=args.seed,
-        max_attempts=args.max_attempts,
-    )
+    model = build_model(corpus, around=codebook.inverse)
+    result = steganize(args.secret, codebook, model, corpus, seed=args.seed)
     if args.out:
         config = {
             "codebook": args.codebook,
             "corpus": args.corpus,
             "secret_len": len(args.secret),
             "limit": args.limit,
-            "max_attempts": args.max_attempts,
         }
         with atomic_open(args.out) as handle:
             _write_json(handle, _artifact(args.seed, config, result.to_doc()))
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit", type=int, help="use at most this many messages, for covers and counts"
     )
-    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     p.add_argument("--out", help="also write the full result as JSON")
     p.set_defaults(func=cmd_encode)
 

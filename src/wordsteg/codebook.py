@@ -42,6 +42,8 @@ def parse_band(text: str) -> Band:
             lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise ValueError(f"band must look like 'lo-hi' or 'lo+', got {text!r}") from None
+    if lo < 1:
+        raise ValueError(f"band lower bound must be at least 1, got {text!r}")
     if not _band_in_order(lo, hi):
         raise ValueError(f"band bounds out of order: {text!r}")
     return (lo, hi)

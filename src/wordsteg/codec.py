@@ -28,7 +28,10 @@ from .corpus import MIN_COVER_TOKENS, Corpus
 from .errors import SteganizeError
 from .ngram import NGramModel
 
-DEFAULT_MAX_ATTEMPTS = 1000
+# Covers drawn per draw_cover call. 1000 draws all hold a codeword only when
+# nearly every cover does (at 99% the chance is 0.99**1000, about 4e-5), and
+# then the remedy is a rarer band, not more draws.
+MAX_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -61,26 +64,23 @@ def contains_codeword(tokens: Sequence[str], codebook: Codebook) -> bool:
 
 
 def draw_cover(
-    covers: Corpus,
-    codebook: Codebook | None,
-    rng: random.Random,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    covers: Corpus, codebook: Codebook | None, rng: random.Random
 ) -> tuple[int, tuple[str, ...]]:
     """Seeded uniform draws from covers.cover_pool, one rng.randrange each.
 
     Returns (attempt, cover) for the first drawn cover that holds no
     codeword of `codebook`; with codebook=None the first draw is returned.
     Raises SteganizeError on an empty pool (after 0 attempts), or once
-    max_attempts covers have been drawn and every one held a codeword.
+    MAX_ATTEMPTS covers have been drawn and every one held a codeword.
     """
     pool = covers.cover_pool
     if not pool:
         raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         cover = pool[rng.randrange(len(pool))]
         if codebook is None or not contains_codeword(cover, codebook):
             return attempt, cover
-    raise SteganizeError(max_attempts, "every drawn cover contained a codeword")
+    raise SteganizeError(MAX_ATTEMPTS, "every drawn cover contained a codeword")
 
 
 def insertion_score(
@@ -158,23 +158,20 @@ def steganize(
     model: NGramModel,
     covers: Corpus,
     seed: int,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> StegoResult:
     """Embed a secret into a randomly drawn cover message.
 
     Draws one cover with no codeword via draw_cover (seeded, uniform over
     covers.cover_pool), then inserts the codeword for each secret symbol in
     order; an empty secret returns the cover unchanged. Raises SteganizeError
-    when the pool is empty, the attempt budget runs out, or the stego text
-    does not decode to the secret.
+    when the pool is empty, all MAX_ATTEMPTS covers drawn hold a codeword, or
+    the stego text does not decode to the secret.
     """
     symbols: tuple[str, ...] = tuple(secret)
     unknown = [s for s in symbols if s not in codebook.forward]
     if unknown:
         raise ValueError(f"secret symbols {unknown!r} are not in the alphabet")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    attempt, cover = draw_cover(covers, codebook, random.Random(seed), max_attempts)
+    attempt, cover = draw_cover(covers, codebook, random.Random(seed))
     words = [codebook.forward[s] for s in symbols]
     stego_tokens, positions = insert_codewords(model, cover, words)
     if decode(stego_tokens, codebook) != symbols:

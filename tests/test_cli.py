@@ -4,7 +4,6 @@ import json
 import pytest
 
 from wordsteg.cli import main
-from wordsteg.codec import DEFAULT_MAX_ATTEMPTS
 
 GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
 
@@ -174,7 +173,6 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
         "corpus": cli_files["corpus"],
         "secret_len": 2,
         "limit": 600,
-        "max_attempts": DEFAULT_MAX_ATTEMPTS,
     }
 
 
@@ -188,12 +186,15 @@ def test_encode_exhaustion_exits_4(tmp_path, capsys):
               "--out", str(codebook)])
         == 0
     )
+    # Every cover holds a codeword, so the whole budget of draws is spent.
     code = main(
         ["encode", "--secret", "7", "--codebook", str(codebook),
-         "--corpus", str(corpus), "--max-attempts", "10"]
+         "--corpus", str(corpus)]
     )
     assert code == 4
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: every drawn cover contained a codeword after 1000 attempts\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -233,6 +234,23 @@ def test_eval_failed_csv_write_leaves_no_json(cli_files, tmp_path, capsys):
     assert f"{out}.csv" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.csv"]
     assert list((tmp_path / "pair.csv").iterdir()) == []
+
+
+def test_eval_failed_json_write_leaves_no_csv(cli_files, tmp_path, capsys):
+    # <out>.json is a directory, so the JSON cannot be moved into place after
+    # the CSV was; the new CSV must not outlive it.
+    out = tmp_path / "pair"
+    (tmp_path / "pair.json").mkdir()
+    code = main(
+        ["eval", "band", "--corpus", cli_files["corpus"],
+         "--bands", "14+", "--trials", "5", "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{out}.json" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json"]
+    assert list((tmp_path / "pair.json").iterdir()) == []
 
 
 def test_eval_band_writes_json_and_csv(cli_files, tmp_path, capsys):
@@ -391,10 +409,17 @@ def test_encode_limit_below_one_exits_2(cli_files, capsys, limit):
     assert "error: limit must be >= 1" in capsys.readouterr().err
 
 
-def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["no-such-command"])
-    assert excinfo.value.code == 2
+def test_usage_error_exits_2(capsys):
+    # encode has no --max-attempts: the cover budget is codec.MAX_ATTEMPTS.
+    for argv in (
+        ["no-such-command"],
+        ["encode", "--secret", "1", "--codebook", "CB", "--corpus", "CORPUS",
+         "--max-attempts", "5"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    assert "unrecognized arguments: --max-attempts 5" in capsys.readouterr().err
 
 
 def test_version_flag_exits_cleanly(capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,13 @@ def test_parse_band(text, expected):
 
 @pytest.mark.parametrize("text", ["", "7", "x+", "4-", "-6", "6-4", "0-3", "0+"])
 def test_parse_band_rejects_junk(text):
-    with pytest.raises(ValueError):
+    # Each input names its own fault: syntax, order, or a lower bound below 1.
+    message = {
+        "6-4": "band bounds out of order: '6-4'",
+        "0-3": "band lower bound must be at least 1, got '0-3'",
+        "0+": "band lower bound must be at least 1, got '0+'",
+    }.get(text, f"band must look like 'lo-hi' or 'lo+', got {text!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_band(text)
 
 

@@ -20,7 +20,7 @@ from wordsteg import (
     select_codebook,
     steganize,
 )
-from wordsteg.codec import DEFAULT_MAX_ATTEMPTS, draw_cover
+from wordsteg.codec import MAX_ATTEMPTS, draw_cover
 
 from synthcorpus import synth_lines
 
@@ -222,8 +222,11 @@ def test_steganize_fails_when_every_cover_holds_a_codeword():
     model = build_model(corpus)
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     with pytest.raises(SteganizeError) as excinfo:
-        steganize(("0",), codebook, model, corpus, seed=0, max_attempts=25)
-    assert excinfo.value.attempts == 25
+        steganize(("0",), codebook, model, corpus, seed=0)
+    assert excinfo.value.attempts == MAX_ATTEMPTS
+    assert str(excinfo.value) == (
+        f"every drawn cover contained a codeword after {MAX_ATTEMPTS} attempts"
+    )
 
 
 def test_steganize_raises_when_round_trip_fails(small_corpus, small_model, monkeypatch):
@@ -237,7 +240,7 @@ def test_steganize_raises_when_round_trip_fails(small_corpus, small_model, monke
     with pytest.raises(SteganizeError, match="stego text does not decode") as excinfo:
         steganize("42", codebook, small_model, small_corpus, seed=0)
     attempt, _ = draw_cover(small_corpus, codebook, random.Random(0))
-    assert excinfo.value.attempts == attempt < DEFAULT_MAX_ATTEMPTS
+    assert excinfo.value.attempts == attempt < MAX_ATTEMPTS
 
 
 def test_steganize_needs_covers_with_three_tokens():
@@ -247,12 +250,6 @@ def test_steganize_needs_covers_with_three_tokens():
     with pytest.raises(SteganizeError) as excinfo:
         steganize(("0",), codebook, model, corpus, seed=0)
     assert excinfo.value.attempts == 0
-
-
-def test_steganize_rejects_zero_attempt_budget(small_corpus, small_model):
-    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    with pytest.raises(ValueError):
-        steganize("1", codebook, small_model, small_corpus, seed=0, max_attempts=0)
 
 
 _codec_corpus = Corpus.from_lines(synth_lines(n_messages=150, seed=5, vocab_size=300))
