@@ -165,10 +165,18 @@ def cmd_eval_band(args) -> int:
     return 0
 
 
+def _parse_density(text: str) -> float:
+    """One item of --densities; a bad item is named with the flag."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--densities items must be numbers, got {text!r}") from None
+
+
 def cmd_eval_density(args) -> int:
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
-    densities = [float(d) for d in args.densities.split(",")]
+    densities = [_parse_density(d) for d in args.densities.split(",")]
     points = run_density_experiment(
         corpus,
         codebook,

@@ -6,11 +6,11 @@ punctuation from whatever remains. Misspellings and other quirks are kept
 as-is; they are part of the cover signal.
 
 A corpus is scrubbed in blocks of about a thousand lines: each block is one
-string that is lowercased, cleared of dropped tokens and stripped of
-punctuation in three whole-string passes, then split back into lines. The
-rule is the one scrub_message applies to a single line. The word counts are
-computed on first access, so a verb that never reads them (encode) never
-pays for them.
+string that is lowercased, cleared of dropped tokens by regex passes that
+each begin with a literal, stripped of punctuation by one translate, then
+split back into lines. The rule is the one scrub_message applies to a
+single line. The word counts are computed on first access, so a verb that
+never reads them (encode) never pays for them.
 """
 
 import re
@@ -42,9 +42,27 @@ class _PunctuationTable(dict):
 
 _PUNCTUATION = _PunctuationTable()
 
-# A whole whitespace-delimited token that starts with "@", "#" or "www.", or
-# contains "://". re's \s and str.split agree on what whitespace is.
-_DROP = re.compile(r"(?<!\S)(?:[@#]|www\.|\S*://)\S*")
+# Each drop pattern begins with a literal, so re skips from one occurrence of
+# it to the next in C instead of trying a match at every character of the
+# text; the lookbehind placed after the literal then checks that the literal
+# starts a whitespace-delimited token, and \S* takes the rest of the token.
+# re's \s and str.split agree on what whitespace is.
+_DROP_STARTS = tuple(
+    re.compile(pattern)
+    for pattern in (r"@(?<!\S@)\S*", r"#(?<!\S#)\S*", r"www\.(?<!\Swww\.)\S*")
+)
+
+# A token that contains "://" anywhere is dropped in two passes, since no
+# pattern that begins with "://" can reach back to the token's start.
+# _URL_TAIL cuts each such token after its first "://", which stays behind
+# as a sentinel: it is now the last three characters of exactly the tokens
+# to drop. On the reversed text each sentinel reads "//:" at the start of its
+# token, so _URL_HEAD deletes the token through to its original start, and a
+# second reversal restores the order. A token without "://" holds no "//:"
+# once reversed, so the head pass touches nothing else. Text without "://"
+# skips both passes and both reversals.
+_URL_TAIL = re.compile(r"://\S*")
+_URL_HEAD = re.compile(r"//:\S*")
 
 # Lines scrubbed per block by Corpus.from_lines. Large enough that the
 # per-call overhead vanishes, small enough that the block's copies of the
@@ -53,12 +71,17 @@ _CHUNK_LINES = 1024
 
 
 def _scrub_text(text: str) -> str:
-    """Lowercase, blank out dropped tokens, then delete punctuation.
+    """Lowercase, delete dropped tokens, then delete punctuation.
 
     Whitespace, line breaks included, passes through untouched, so the
     result splits into the same lines as `text`.
     """
-    return _DROP.sub("", text.lower()).translate(_PUNCTUATION)
+    text = text.lower()
+    for pattern in _DROP_STARTS:
+        text = pattern.sub("", text)
+    if "://" in text:
+        text = _URL_HEAD.sub("", _URL_TAIL.sub("://", text)[::-1])[::-1]
+    return text.translate(_PUNCTUATION)
 
 
 def scrub_message(raw: str) -> str:

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from wordsteg import Codebook, Corpus, build_model
 
 from synthcorpus import synth_lines
+
+# A deeper search for CI's separate run of the scrub properties
+# (pytest --hypothesis-profile=ci); tier-1 keeps hypothesis's default profile.
+# No deadline: on a shared runner a slow example is no scrub failure.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 TOY_LINES = ["the cat sat", "the cat ran", "a cat sat"]
 

@@ -399,6 +399,20 @@ def test_eval_density_bad_smoothing_without_covers_exits_2(tmp_path, capsys, smo
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "densities, item", [("", "''"), ("0.1,", "''"), ("0.1,abc", "'abc'")]
+)
+def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, item):
+    code = main(
+        ["eval", "density", "--corpus", cli_files["corpus"], "--codebook",
+         cli_files["cb_common"], "--densities", densities, "--trials", "5"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"error: --densities items must be numbers, got {item}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("limit", ["0", "-5"])
 def test_encode_limit_below_one_exits_2(cli_files, capsys, limit):
     code = main(

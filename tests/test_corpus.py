@@ -211,6 +211,39 @@ def test_from_lines_matches_per_line_reference(chunk_lines, lines):
     assert built == _reference_messages(lines)
 
 
+# Markers of dropped tokens and pieces of them, so one token often holds
+# "www." or "://" somewhere other than its start, or a marker that only looks
+# like one; plus whitespace that is and is not a line break.
+MARKER_FRAGMENTS = ["@", "#", "w", "ww", "www.", "WWW.", ":", "/", ":/", "//", "://", "//:",
+                    ".", "x", "é", "Σ", " ", "\t", "\n", "\x85", "\u3000", "\u2028"]
+marker_text = st.lists(st.sampled_from(MARKER_FRAGMENTS)).map("".join)
+
+
+@given(marker_text)
+def test_scrub_of_marker_dense_text_matches_reference(raw):
+    assert scrub_message(raw) == _scrub_reference(raw)
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3, corpus_module._CHUNK_LINES])
+@given(lines=st.lists(marker_text))
+def test_from_lines_of_marker_dense_text_matches_reference(chunk_lines, lines):
+    with mock.patch.object(corpus_module, "_CHUNK_LINES", chunk_lines):
+        built = _messages_or_none(lambda: Corpus.from_lines(lines))
+    assert built == _reference_messages(lines)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["a:://b", "x://", "://", "a://b://c", ":///", "//:x", "www.", "wwww.x", "xwww.y",
+     "a@b", "@", "#", "\u3000@x", "\x85www.x"],
+)
+def test_edge_tokens_match_reference(token):
+    for raw in (token, f"keep {token} end", f"{token}\t{token}\n{token}"):
+        assert scrub_message(raw) == _scrub_reference(raw)
+        lines = [raw, f"first {raw}", "last"]
+        assert Corpus.from_lines(lines).messages == _reference_messages(lines)
+
+
 @pytest.mark.parametrize(
     "space", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
 )
