@@ -8,7 +8,9 @@ corpus vocabulary and count nothing more, encode counts only the longer
 grams of the messages that hold a codeword, and eval distinguish counts the
 full model. Exit codes:
 0 success, 2 usage or I/O problems, 3 insufficient band occupancy, 4
-steganization failure. Every artifact written by --out embeds the seed, the
+steganization failure. A verb parses its list flags (--bands, --densities)
+before it reads any file, so a typo in one is reported at once, not after a
+full corpus load. Every artifact written by --out embeds the seed, the
 settings, and the tool version, and is written atomically before anything is
 printed; rerunning a command with the same inputs rewrites the same bytes
 except for the created_utc stamp. The three eval verbs print and write their
@@ -152,8 +154,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval_band(args) -> int:
-    corpus = load_corpus(args.corpus)
     bands = [parse_band(b) for b in args.bands.split(",")]
+    corpus = load_corpus(args.corpus)
     rows = run_band_experiment(
         corpus,
         bands,
@@ -174,9 +176,9 @@ def _parse_density(text: str) -> float:
 
 
 def cmd_eval_density(args) -> int:
+    densities = [_parse_density(d) for d in args.densities.split(",")]
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
-    densities = [_parse_density(d) for d in args.densities.split(",")]
     points = run_density_experiment(
         corpus,
         codebook,

@@ -68,8 +68,9 @@ def draw_cover(
 ) -> tuple[int, tuple[str, ...]]:
     """Seeded uniform draws from covers.cover_pool, one rng.randrange each.
 
-    Returns (attempt, cover) for the first drawn cover that holds no
-    codeword of `codebook`; with codebook=None the first draw is returned.
+    Each drawn line is split into its tokens. Returns (attempt, cover
+    tokens) for the first drawn cover that holds no codeword of `codebook`;
+    with codebook=None the first draw is returned.
     Raises SteganizeError on an empty pool (after 0 attempts), or once
     MAX_ATTEMPTS covers have been drawn and every one held a codeword.
     """
@@ -77,7 +78,7 @@ def draw_cover(
     if not pool:
         raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        cover = pool[rng.randrange(len(pool))]
+        cover = tuple(pool[rng.randrange(len(pool))].split())
         if codebook is None or not contains_codeword(cover, codebook):
             return attempt, cover
     raise SteganizeError(MAX_ATTEMPTS, "every drawn cover contained a codeword")

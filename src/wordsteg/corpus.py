@@ -1,4 +1,4 @@
-"""Corpus ingestion: scrub raw messages, tokenize, index the vocabulary.
+"""Corpus ingestion: scrub raw messages, keep them as lines, count the words.
 
 Raw records are one message per line (UTF-8). Scrubbing lowercases and
 removes the token classes that cannot occur in spoken language, then strips
@@ -9,8 +9,12 @@ A corpus is scrubbed in blocks of about a thousand lines: each block is one
 string that is lowercased, cleared of dropped tokens by regex passes that
 each begin with a literal, stripped of punctuation by one translate, then
 split back into lines. The rule is the one scrub_message applies to a
-single line. The word counts are computed on first access, so a verb that
-never reads them (encode) never pays for them.
+single line. A corpus keeps each usable line as one string, with the
+whitespace the scrub leaves in it (a dropped @mention leaves its spaces
+behind), and never holds a token object of its own: each reader splits
+only the lines it reads, and str.split discards that whitespace. The word
+counts are computed on first access, so a verb that never reads them
+(encode) never pays for them.
 """
 
 import re
@@ -98,39 +102,45 @@ def scrub_message(raw: str) -> str:
 class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
-    Each message is a non-empty tuple of tokens. vocabulary, total_tokens
-    and cover_pool are computed on first access and then kept.
+    lines holds each message as one scrubbed line with at least one token;
+    line.split() gives its tokens. vocabulary, total_tokens and cover_pool
+    are computed on first access and then kept.
     """
 
-    def __init__(self, messages: Iterable[tuple[str, ...]]):
-        self.messages: tuple[tuple[str, ...], ...] = tuple(messages)
-        if not self.messages:
+    def __init__(self, lines: Iterable[str]):
+        self.lines: tuple[str, ...] = tuple(lines)
+        if not self.lines:
             raise EmptyCorpusError("corpus contains no usable messages")
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return len(self.lines)
 
     @cached_property
     def vocabulary(self) -> Counter[str]:
         """Count of every word, in order of first occurrence."""
-        return Counter(chain.from_iterable(self.messages))
+        return Counter(chain.from_iterable(map(str.split, self.lines)))
 
     @cached_property
     def total_tokens(self) -> int:
         """Number of tokens over all messages; vocabulary's total."""
-        return sum(map(len, self.messages))
+        return self.vocabulary.total()
 
     @cached_property
-    def cover_pool(self) -> tuple[tuple[str, ...], ...]:
-        """Messages long enough to serve as covers, computed on first use.
+    def cover_pool(self) -> tuple[str, ...]:
+        """Lines long enough to serve as covers, computed on first use.
 
-        () when no message qualifies; codec.draw_cover raises on that.
+        () when no line qualifies; codec.draw_cover raises on that. A split
+        capped at MIN_COVER_TOKENS parts counts just far enough.
         """
-        return tuple(m for m in self.messages if len(m) >= MIN_COVER_TOKENS)
+        return tuple(
+            line
+            for line in self.lines
+            if len(line.split(None, MIN_COVER_TOKENS - 1)) == MIN_COVER_TOKENS
+        )
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], limit: int | None = None) -> "Corpus":
-        """Scrub and tokenize raw lines, skipping any that scrub to nothing.
+        """Scrub raw lines, skipping any that scrub to nothing.
 
         Each line is scrubbed as scrub_message would scrub it, so a line
         break inside one counts as a space. limit caps the number of usable
@@ -140,18 +150,16 @@ class Corpus:
         """
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
-        messages: list[tuple[str, ...]] = []
+        kept: list[str] = []
         lines = iter(lines)
         while chunk := list(islice(lines, _CHUNK_LINES)):
             text = _scrub_text("\n".join(line.replace("\n", " ") for line in chunk))
-            for line in text.split("\n"):
-                tokens = line.split()
-                if tokens:
-                    messages.append(tuple(tokens))
-            if limit is not None and len(messages) >= limit:
-                del messages[limit:]
+            # str.isspace and str.split agree on what whitespace is.
+            kept.extend(line for line in text.split("\n") if line and not line.isspace())
+            if limit is not None and len(kept) >= limit:
+                del kept[limit:]
                 break
-        return cls(messages)
+        return cls(kept)
 
 
 def load_corpus(path, limit: int | None = None) -> Corpus:

@@ -4,11 +4,15 @@ Counts n-grams of orders 2 and 3 inside message boundaries (no grams span
 two messages) and scores how plausible a token sequence is. Unigram counts
 are not counted here: the model reads them from Corpus.vocabulary, the one
 word-count table, which also feeds codebook draws and the density
-experiment. The corpus counts that table on first access, and the model
-reads it only when its own vocabulary is read, so encode never counts it.
-All logarithms are natural. The model is a pure function of the corpus and
-is never stored: every CLI verb that needs it counts it afresh from the
-corpus it loads.
+experiment. The corpus counts that table on first access; a model counted
+`around` some words reads it only when its own vocabulary is read, so
+encode never counts it. The corpus holds its messages as lines, and the
+model splits each line it counts once. The full count maps every token to
+the vocabulary's own string, so the order-2 and order-3 keys share one
+string per word instead of keeping alive a copy from each message where a
+gram first occurs. All logarithms are natural. The model is a pure function
+of the corpus and is never stored: every CLI verb that needs it counts it
+afresh from the corpus it loads.
 
 The encoder only scores grams that contain the codeword it inserts, so
 encode passes the codewords as `around`: orders >= 2 are then counted only
@@ -84,15 +88,24 @@ class NGramModel:
 def build_model(corpus: Corpus, around: Iterable[str] | None = None) -> NGramModel:
     """Count n-grams of orders 2..MAX_N, message by message.
 
-    Unigrams are corpus.vocabulary itself, read only when the model's
-    vocabulary is. With `around`, the grams are counted only over the
-    messages that share a word with it, which is exact for every gram
-    containing one of those words.
+    Unigrams are corpus.vocabulary itself. The full count reads it at once,
+    for its strings; a count `around` some words reads it only when the
+    model's vocabulary is read. With `around`, the grams are counted only
+    over the messages that share a word with it, which is exact for every
+    gram containing one of those words.
     """
-    messages = corpus.messages
-    if around is not None:
+    # Tuples, not str.split's lists: they carry no spare capacity, which
+    # counts when a common codeword keeps most messages.
+    if around is None:
+        canonical = {word: word for word in corpus.vocabulary}
+        messages = [
+            tuple(map(canonical.__getitem__, line.split())) for line in corpus.lines
+        ]
+    else:
         around = frozenset(around)
-        messages = [m for m in messages if not around.isdisjoint(m)]
+        messages = [
+            tuple(m) for m in map(str.split, corpus.lines) if not around.isdisjoint(m)
+        ]
     counts: dict[int, Counter] = {}
     for n in range(2, MAX_N + 1):
         # zip over n staggered views yields exactly the n-grams of one message.

@@ -9,7 +9,9 @@ codebook selection and the band/density experiments far from degenerate.
 synth_lines draws every word independently, so its bigram counts are just
 products of unigram frequencies. markov_lines chains words through seeded
 successor lists over the same vocabulary, so its bigrams carry structure of
-their own.
+their own. raw_lines turns scrubbed lines back into raw chatter that the
+scrubber has to repair, so a raw corpus and its clean twin can be checked
+to give the same results.
 """
 
 import hashlib
@@ -88,3 +90,67 @@ def markov_lines(
                 message.append(zipf_draw())
         lines.append(" ".join(message))
     return lines
+
+
+# Unicode punctuation (category P) glued to words; the scrubber strips it.
+OPENERS = "“«¿¡(\"'"
+CLOSERS = "”»…—!?.,;:)\"'"
+# Runs between tokens. The scrubber leaves them in the line, as it leaves the
+# spaces around a token it drops; str.split discards them.
+GAPS = (" ", " ", " ", "  ", "\t", " \t ", "   ", "\u3000")
+
+
+def _dropped_token(rng: random.Random) -> str:
+    """A token the scrubber drops whole: @mention, #hashtag, URL or lone punctuation."""
+    n = rng.randrange(10_000)
+    return rng.choice((
+        f"@User_{n}", f"#Tag{n}", f"https://t.co/Ab{n}x", f"WWW.Site{n}.com/p?q={n}", "—", "¿?"
+    ))
+
+
+def raw_lines(clean_lines: list[str], seed: int) -> list[str]:
+    """Raw chatter for scrubbed lines, plus about 2% lines of pure noise.
+
+    Each clean line gets dropped tokens, case changes, glued punctuation and
+    runs of tabs and spaces (leading and trailing too). Raises ValueError
+    unless scrub_message maps every raw line back to its clean line, and
+    every pure-noise line to "", so the raw corpus gives the same messages
+    as the clean one.
+    """
+    # Imported here, so the generators above need no wordsteg on the path.
+    from wordsteg.corpus import scrub_message
+
+    rng = random.Random(seed)
+    raw = []
+    for clean in clean_lines:
+        if rng.random() < 0.02:
+            noise = " ".join(_dropped_token(rng) for _ in range(rng.randint(1, 3)))
+            raw.append((noise, ""))
+        parts = []
+        for word in clean.split():
+            if rng.random() < 0.15:
+                parts.append(_dropped_token(rng))
+            roll = rng.random()
+            if roll < 0.1:
+                word = word.upper()
+            elif roll < 0.2:
+                word = word.capitalize()
+            if rng.random() < 0.1:
+                word = rng.choice(OPENERS) + word
+            if rng.random() < 0.15:
+                word += rng.choice(CLOSERS)
+            parts.append(word)
+        if rng.random() < 0.2:
+            parts.append(_dropped_token(rng))
+        line = "".join(rng.choice(GAPS) + part for part in parts)
+        if rng.random() < 0.7:
+            line = line.lstrip()
+        if rng.random() < 0.3:
+            line += rng.choice(GAPS)
+        raw.append((line, clean))
+    for index, (line, expected) in enumerate(raw):
+        if scrub_message(line) != expected:
+            raise ValueError(
+                f"raw line {index} scrubs to {scrub_message(line)!r}, expected {expected!r}"
+            )
+    return [line for line, _ in raw]

@@ -184,8 +184,8 @@ def test_divergence_axioms():
 
 def test_distinguisher_blind_then_sighted(desk_corpus, desk_model):
     sampler = random.Random(derive_seed(77, "cc-sample"))
-    sampled = sampler.sample(list(desk_corpus.messages), 1000)
-    identical = [(m, m) for m in sampled]
+    sampled = sampler.sample(desk_corpus.lines, 1000)
+    identical = [(m, m) for m in map(str.split, sampled)]
     blind = distinguisher_accuracy(desk_model, identical, seed=5)
     margin = 3 * math.sqrt(0.25 / 1000)
     blind_ok = abs(blind - 0.5) <= margin

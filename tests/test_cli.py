@@ -5,6 +5,8 @@ import pytest
 
 from wordsteg.cli import main
 
+from synthcorpus import raw_lines, synth_lines
+
 GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
 
 
@@ -411,6 +413,56 @@ def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, i
     captured = capsys.readouterr()
     assert f"error: --densities items must be numbers, got {item}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "band", "--bands", "4-x"], "band must look like 'lo-hi' or 'lo+', got '4-x'"),
+        (["eval", "density", "--codebook", "nope.json", "--densities", "0.1,x"],
+         "--densities items must be numbers, got 'x'"),
+    ],
+    ids=["band", "density"],
+)
+def test_bad_list_flag_is_reported_before_any_file_is_read(tmp_path, capsys, argv, message):
+    code = main([*argv, "--corpus", str(tmp_path / "nope.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Each verb's stdout, run in a directory of its own so relative paths print alike.
+RAW_CLEAN_VERBS = [
+    ["gen-codebook", "--corpus", "corpus.txt", "--band", "14+", "--seed", "3",
+     "--out", "codebook.json"],
+    ["encode", "--secret", "2718", "--codebook", "codebook.json", "--corpus", "corpus.txt",
+     "--seed", "5"],
+    ["encode", "--secret", "31", "--codebook", "codebook.json", "--corpus", "corpus.txt",
+     "--seed", "8", "--limit", "1500"],
+    ["eval", "band", "--corpus", "corpus.txt", "--trials", "60", "--seed", "2"],
+    ["eval", "density", "--corpus", "corpus.txt", "--codebook", "codebook.json",
+     "--trials", "40", "--seed", "2", "--format", "csv"],
+    ["eval", "distinguish", "--corpus", "corpus.txt", "--codebook", "codebook.json",
+     "--trials", "30", "--seed", "2", "--format", "json"],
+]
+
+
+def test_raw_and_clean_corpora_print_the_same(tmp_path, capsys, monkeypatch):
+    # 2500 messages cross the corpus reader's 1024-line blocks, and --limit
+    # 1500 stops inside one; the raw lines keep the gaps a scrub leaves.
+    clean = synth_lines(n_messages=2500, seed=19, vocab_size=900)
+    outputs = {}
+    for form, lines in (("clean", clean), ("raw", raw_lines(clean, seed=19))):
+        workdir = tmp_path / form
+        workdir.mkdir()
+        (workdir / "corpus.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.chdir(workdir)
+        outputs[form] = []
+        for argv in RAW_CLEAN_VERBS:
+            assert main(argv) == 0, argv
+            outputs[form].append(capsys.readouterr().out)
+        outputs[form].append((workdir / "codebook.json").read_bytes())
+    assert all(outputs["clean"])
+    assert outputs["raw"] == outputs["clean"]
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])

@@ -81,7 +81,7 @@ def test_insertion_score_matches_oracle_everywhere(toy_model):
 
 
 def test_insertion_score_matches_oracle_on_trigram_model(small_model, small_corpus):
-    tokens = small_corpus.messages[0]
+    tokens = tuple(small_corpus.lines[0].split())
     word = next(iter(small_corpus.vocabulary))
     for position in range(1, len(tokens)):
         assert insertion_score(small_model, tokens, position, word) == pytest.approx(
@@ -119,7 +119,7 @@ def test_insert_codewords_same_under_model_counted_around(messages, around, data
     full = build_model(corpus)
     partial = build_model(corpus, around=around)
     words = data.draw(st.lists(st.sampled_from(sorted(around)), max_size=4)) if around else []
-    for message in corpus.messages:
+    for message in map(str.split, corpus.lines):
         if len(message) >= 2:
             assert insert_codewords(partial, message, words) == insert_codewords(
                 full, message, words

@@ -1,3 +1,4 @@
+import tracemalloc
 import unicodedata
 from unittest import mock
 
@@ -7,6 +8,13 @@ from hypothesis import strategies as st
 
 from wordsteg import Corpus, EmptyCorpusError, load_corpus, scrub_message
 from wordsteg import corpus as corpus_module
+
+from synthcorpus import synth_lines
+
+
+def _tokens(corpus):
+    """Each message of corpus as a tuple of its tokens."""
+    return tuple(tuple(line.split()) for line in corpus.lines)
 
 
 def test_scrub_removes_usernames_hashtags_and_urls():
@@ -90,7 +98,7 @@ def test_load_corpus_skips_lines_that_scrub_to_nothing(tmp_path):
     path.write_text("@alice #topic\nthe cat sat\n\n", encoding="utf-8")
     corpus = load_corpus(path)
     assert len(corpus) == 1
-    assert corpus.messages == (("the", "cat", "sat"),)
+    assert _tokens(corpus) == (("the", "cat", "sat"),)
 
 
 def test_load_corpus_limit_caps_usable_messages(tmp_path):
@@ -98,7 +106,7 @@ def test_load_corpus_limit_caps_usable_messages(tmp_path):
     path.write_text("one two\nthree four\nfive six\n", encoding="utf-8")
     corpus = load_corpus(path, limit=1)
     assert len(corpus) == 1
-    assert corpus.messages[0] == ("one", "two")
+    assert corpus.lines[0].split() == ["one", "two"]
 
 
 def test_load_corpus_limit_counts_messages_not_lines(tmp_path):
@@ -106,7 +114,7 @@ def test_load_corpus_limit_counts_messages_not_lines(tmp_path):
     path.write_text("@skip\n#skip\nkept line\nalso kept\n", encoding="utf-8")
     corpus = load_corpus(path, limit=1)
     assert len(corpus) == 1
-    assert corpus.messages[0] == ("kept", "line")
+    assert corpus.lines[0].split() == ["kept", "line"]
 
 
 @pytest.mark.parametrize("limit", [0, -5])
@@ -137,17 +145,17 @@ def test_load_corpus_missing_file_raises_oserror(tmp_path):
 def test_vocabulary_counts_sum_to_total_tokens(desk_corpus):
     assert sum(desk_corpus.vocabulary.values()) == desk_corpus.total_tokens
     observed = set()
-    for message in desk_corpus.messages:
-        observed.update(message)
+    for line in desk_corpus.lines:
+        observed.update(line.split())
     assert observed == set(desk_corpus.vocabulary)
 
 
 def test_messages_are_immutable(toy_corpus):
-    assert toy_corpus.messages[0] == ("the", "cat", "sat")
+    assert toy_corpus.lines[0] == "the cat sat"
     with pytest.raises(TypeError):
-        toy_corpus.messages[0][0] = "x"
+        toy_corpus.lines[0][0] = "x"
     with pytest.raises(TypeError):
-        toy_corpus.messages[0] = ("x",)
+        toy_corpus.lines[0] = "x"
 
 
 def test_from_lines_matches_load_corpus(tmp_path):
@@ -156,7 +164,7 @@ def test_from_lines_matches_load_corpus(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     from_file = load_corpus(path)
     from_lines = Corpus.from_lines(lines)
-    assert from_file.messages == from_lines.messages
+    assert _tokens(from_file) == _tokens(from_lines)
 
 
 # Fragments where a whole-text scrub could part from a per-line one: line
@@ -174,7 +182,7 @@ def _hazard_text(chars):
 
 def _messages_or_none(build):
     try:
-        return build().messages
+        return _tokens(build())
     except EmptyCorpusError:
         return None
 
@@ -241,7 +249,7 @@ def test_edge_tokens_match_reference(token):
     for raw in (token, f"keep {token} end", f"{token}\t{token}\n{token}"):
         assert scrub_message(raw) == _scrub_reference(raw)
         lines = [raw, f"first {raw}", "last"]
-        assert Corpus.from_lines(lines).messages == _reference_messages(lines)
+        assert _tokens(Corpus.from_lines(lines)) == _reference_messages(lines)
 
 
 @pytest.mark.parametrize(
@@ -252,15 +260,15 @@ def test_whitespace_that_is_no_line_break_stays_inside_the_line(tmp_path, space)
     path = tmp_path / "corpus.txt"
     path.write_bytes(f"first line\r\n{line}\rlast".encode("utf-8"))
     expected = (("first", "line"), ("keep", "ας", "end"), ("last",))
-    assert load_corpus(path).messages == expected
-    assert Corpus.from_lines(["first\nline", line, "last"]).messages == expected
+    assert _tokens(load_corpus(path)) == expected
+    assert _tokens(Corpus.from_lines(["first\nline", line, "last"])) == expected
     assert _reference_messages(["first line", line, "last"]) == expected
 
 
 def test_final_sigma_at_each_line_end_without_trailing_newline(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes("ΦΑΣ\nΦΑΣ\r\nΦΑΣ\rΦΑΣ".encode("utf-8"))
-    assert load_corpus(path).messages == (("φας",),) * 4
+    assert _tokens(load_corpus(path)) == (("φας",),) * 4
 
 
 class _ReadOnlyUpTo:
@@ -294,4 +302,43 @@ def test_limit_stops_reading_after_the_block_that_reaches_it(limit, dropped_ever
         lines.append(f"Message {len(kept)}, kept!")
     stop = (kept[limit - 1] // block + 1) * block
     corpus = Corpus.from_lines(_ReadOnlyUpTo(lines, stop), limit=limit)
-    assert corpus.messages == tuple(("message", str(i), "kept") for i in range(1, limit + 1))
+    assert corpus.lines == tuple(f"message {i} kept" for i in range(1, limit + 1))
+
+
+def test_lines_keep_the_scrubs_whitespace_and_readers_split_it():
+    # The dropped @mention and the lone punctuation leave their spaces behind.
+    corpus = Corpus.from_lines(["one @two\tthree !! four", "a  b", "five"])
+    assert corpus.lines == ("one \tthree  four", "a  b", "five")
+    assert list(corpus.vocabulary.items()) == [
+        ("one", 1), ("three", 1), ("four", 1), ("a", 1), ("b", 1), ("five", 1)
+    ]
+    assert corpus.total_tokens == 6
+    assert corpus.cover_pool == ("one \tthree  four",)
+
+
+@given(lines=st.lists(_hazard_text(st.sampled_from("ab \t\u3000@"))))
+def test_cover_pool_holds_the_lines_with_enough_tokens(lines):
+    try:
+        corpus = Corpus.from_lines(lines)
+    except EmptyCorpusError:
+        return
+    expected = tuple(
+        line for line in corpus.lines if len(line.split()) >= corpus_module.MIN_COVER_TOKENS
+    )
+    assert corpus.cover_pool == expected
+
+
+def test_loaded_corpus_holds_no_per_token_objects(tmp_path):
+    # One string per line: a tuple of token strings per message held 11x
+    # the file size, where the lines alone hold under 2x.
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(synth_lines(20_000, 3)) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = load_corpus(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 20_000
+    assert retained <= 3 * path.stat().st_size

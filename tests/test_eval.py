@@ -271,7 +271,7 @@ def test_build_pairs_reaches_min_density(small_corpus, small_model):
 
 
 def test_distinguisher_is_blind_on_identical_pairs(small_corpus, small_model):
-    pairs = [(m, m) for m in small_corpus.messages]
+    pairs = [(m, m) for m in map(str.split, small_corpus.lines)]
     accuracy = distinguisher_accuracy(small_model, pairs, seed=5)
     assert 0.35 <= accuracy <= 0.65
 
@@ -291,7 +291,7 @@ def test_distinguisher_rejects_empty_input(small_model):
 
 
 def test_distinguisher_is_deterministic(small_corpus, small_model):
-    pairs = [(m, m) for m in small_corpus.messages[:50]]
+    pairs = [(m, m) for m in map(str.split, small_corpus.lines[:50])]
     first = distinguisher_accuracy(small_model, pairs, seed=9)
     again = distinguisher_accuracy(small_model, pairs, seed=9)
     assert first == again

@@ -48,7 +48,7 @@ def test_grams_do_not_span_messages():
 
 def test_unigrams_match_an_independent_recount(desk_corpus, desk_model):
     recount = {}
-    for message in desk_corpus.messages:
+    for message in map(str.split, desk_corpus.lines):
         for word in message:
             recount[word] = recount.get(word, 0) + 1
     assert list(desk_corpus.vocabulary.items()) == list(recount.items())
@@ -79,7 +79,7 @@ message_lists = st.lists(
 def test_counts_match_window_scan(messages):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
     model = build_model(corpus)
-    token_lists = [m for m in corpus.messages]
+    token_lists = [line.split() for line in corpus.lines]
     for word, count in model.vocabulary.items():
         assert count == window_count(token_lists, (word,))
     for n in (2, 3):

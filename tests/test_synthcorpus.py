@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from synthcorpus import markov_lines, synth_lines
+from synthcorpus import markov_lines, raw_lines, synth_lines
 
 _PRINT_DIGEST = (
     "import hashlib\n"
@@ -61,3 +61,15 @@ def test_markov_bigrams_depart_from_unigram_products(seed):
     # about 0.16 around 1.
     assert _bigram_dependence(synth_lines(3000, seed)) < 1.5
     assert _bigram_dependence(markov_lines(3000, seed)) > 4.0
+
+
+def test_raw_lines_hold_every_kind_of_noise_and_scrub_back():
+    from wordsteg.corpus import scrub_message
+
+    clean = synth_lines(400, 4, vocab_size=300)
+    raw = raw_lines(clean, 4)
+    text = "\n".join(raw)
+    for mark in ("@", "#", "://", "WWW.", "\t", "  ", "　", "…", "W0"):
+        assert mark in text, mark
+    assert len(raw) > len(clean)
+    assert [line for line in map(scrub_message, raw) if line] == clean
