@@ -1,22 +1,25 @@
 """Command-line interface.
 
 One binary, four verbs: gen-codebook, encode, decode, and eval (with band,
-density, and distinguish subcommands). Every verb that needs word or n-gram
+density, and distinguish subcommands). It runs as the installed wordsteg
+script or as python -m wordsteg.cli. Every verb that needs word or n-gram
 counts takes --corpus and counts them itself; there is no model file. Each
 counts only what it reads: gen-codebook, eval band and eval density read the
 corpus vocabulary and count nothing more, encode counts only the longer
 grams of the messages that hold a codeword, and eval distinguish counts the
-full model. Exit codes:
-0 success, 2 usage or I/O problems, 3 insufficient band occupancy, 4
-steganization failure. A verb parses its list flags (--bands, --densities)
-before it reads any file, so a typo in one is reported at once, not after a
-full corpus load. Every artifact written by --out embeds the seed, the
-settings, and the tool version, and is written atomically before anything is
-printed; rerunning a command with the same inputs rewrites the same bytes
-except for the created_utc stamp. The three eval verbs print and write their
-rows through one function, _report, and their settings are every flag they
-parse except --seed, --out and --format; encode records its settings by
-hand, with the secret's length and never the secret.
+full model. Every verb reads the whole corpus it is given. eval density
+scores each point with a KL divergence that is always add-one (Laplace)
+smoothed, and eval distinguish sizes each secret by --secret-len.
+Exit codes: 0 success, 2 usage or I/O problems, 3 insufficient band
+occupancy, 4 steganization failure. A verb parses its list flags (--bands,
+--densities) before it reads any file, so a typo in one is reported at once,
+not after a full corpus load. Every artifact written by --out embeds the
+seed, the settings, and the tool version, and is written atomically before
+anything is printed; rerunning a command with the same inputs rewrites the
+same bytes except for the created_utc stamp. The three eval verbs print and
+write their rows through one function, _report, and their settings are every
+flag they parse except --seed, --out and --format; encode records its
+settings by hand, with the secret's length and never the secret.
 """
 
 import argparse
@@ -129,7 +132,7 @@ def cmd_gen_codebook(args) -> int:
 
 def cmd_encode(args) -> int:
     codebook = load_codebook(args.codebook)
-    corpus = load_corpus(args.corpus, limit=args.limit)
+    corpus = load_corpus(args.corpus)
     model = build_model(corpus, around=codebook.inverse)
     result = steganize(args.secret, codebook, model, corpus, seed=args.seed)
     if args.out:
@@ -137,7 +140,6 @@ def cmd_encode(args) -> int:
             "codebook": args.codebook,
             "corpus": args.corpus,
             "secret_len": len(args.secret),
-            "limit": args.limit,
         }
         with atomic_open(args.out) as handle:
             _write_json(handle, _artifact(args.seed, config, result.to_doc()))
@@ -185,7 +187,6 @@ def cmd_eval_density(args) -> int:
         densities,
         trials=args.trials,
         seed=args.seed,
-        smoothing=args.smoothing,
     )
     _report(args, [point.to_doc() for point in points])
     return 0
@@ -202,7 +203,6 @@ def cmd_eval_distinguish(args) -> int:
         trials=args.trials,
         seed=args.seed,
         secret_len=args.secret_len,
-        min_density=args.min_density,
     )
     accuracy = distinguisher_accuracy(model, pairs, seed=args.seed)
     doc = {
@@ -250,9 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebook", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--limit", type=int, help="use at most this many messages, for covers and counts"
-    )
     p.add_argument("--out", help="also write the full result as JSON")
     p.set_defaults(func=cmd_encode)
 
@@ -278,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--densities", default="0.0,0.05,0.1,0.2,0.3", help="comma-separated targets"
     )
     p.add_argument("--trials", type=int, default=500, help="covers per density point")
-    p.add_argument("--smoothing", type=float, default=1.0)
     p.set_defaults(func=cmd_eval_density)
 
     p = ev_sub.add_parser(
@@ -288,11 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebook", required=True)
     p.add_argument("--trials", type=int, default=200, help="number of pairs")
     p.add_argument("--secret-len", type=int, default=2)
-    p.add_argument(
-        "--min-density",
-        type=float,
-        help="size each secret to reach at least this density",
-    )
     p.set_defaults(func=cmd_eval_distinguish)
 
     return parser
@@ -315,3 +306,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -139,30 +139,23 @@ class Corpus:
         )
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str], limit: int | None = None) -> "Corpus":
+    def from_lines(cls, lines: Iterable[str]) -> "Corpus":
         """Scrub raw lines, skipping any that scrub to nothing.
 
         Each line is scrubbed as scrub_message would scrub it, so a line
-        break inside one counts as a space. limit caps the number of usable
-        messages kept, not the number of lines read; it must be at least 1.
-        Lines are read _CHUNK_LINES at a time, and reading stops after the
-        block that reaches the limit.
+        break inside one counts as a space. Lines are read _CHUNK_LINES at a
+        time.
         """
-        if limit is not None and limit < 1:
-            raise ValueError("limit must be >= 1")
         kept: list[str] = []
         lines = iter(lines)
         while chunk := list(islice(lines, _CHUNK_LINES)):
             text = _scrub_text("\n".join(line.replace("\n", " ") for line in chunk))
             # str.isspace and str.split agree on what whitespace is.
             kept.extend(line for line in text.split("\n") if line and not line.isspace())
-            if limit is not None and len(kept) >= limit:
-                del kept[limit:]
-                break
         return cls(kept)
 
 
-def load_corpus(path, limit: int | None = None) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Read a line-delimited text file into a Corpus. I/O errors propagate."""
     with open(path, encoding="utf-8") as handle:
-        return Corpus.from_lines(handle, limit=limit)
+        return Corpus.from_lines(handle)

@@ -54,19 +54,14 @@ def kl_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
 
 
 def smoothed_distribution(
-    counts: Mapping[str, int],
-    total: int,
-    vocabulary: Iterable[str],
-    smoothing: float,
+    counts: Mapping[str, int], total: int, vocabulary: Iterable[str]
 ) -> dict[str, float]:
-    """Additively smoothed distribution of `counts` over `vocabulary`."""
-    if not (math.isfinite(smoothing) and smoothing >= 0):
-        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
+    """Add-one (Laplace) smoothed distribution of `counts` over `vocabulary`."""
     vocab = list(vocabulary)
-    denominator = total + smoothing * len(vocab)
+    denominator = total + len(vocab)
     if denominator <= 0:
         raise ValueError("distribution has no probability mass")
-    return {w: (counts.get(w, 0) + smoothing) / denominator for w in vocab}
+    return {w: (counts.get(w, 0) + 1) / denominator for w in vocab}
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,6 @@ def run_density_experiment(
     densities: Sequence[float],
     trials: int = 500,
     seed: int = 0,
-    smoothing: float = 1.0,
 ) -> list[DensityPoint]:
     """Trace distribution shift against codeword density.
 
@@ -176,7 +170,7 @@ def run_density_experiment(
     codewords to approximate the target density (0.0 means none: the control
     point, whose divergence is pure sampling noise). The score per point is
     kl_divergence(corpus distribution, stego-set distribution), both
-    additively smoothed over the union vocabulary.
+    add-one smoothed over the union vocabulary.
 
     Both outputs read only token counts, so nothing is inserted. Every cover
     has at least MIN_COVER_TOKENS tokens, so insert_codewords would place
@@ -189,14 +183,11 @@ def run_density_experiment(
     for target in densities:
         if not 0.0 <= target < 1.0:
             raise ValueError(f"target density {target} outside [0, 1)")
-    # Built before any cover is drawn, so a bad smoothing raises even on a
-    # corpus with no cover. Every cover word is a corpus word, so the union
-    # vocabulary differs from the corpus's only when a codeword is absent
-    # from the corpus; only then is p built again over the union.
+    # Every cover word is a corpus word, so the union vocabulary differs from
+    # the corpus's only when a codeword is absent from the corpus; only then
+    # is p built again over the union.
     corpus_vocabulary = sorted(corpus.vocabulary)
-    corpus_p = smoothed_distribution(
-        corpus.vocabulary, corpus.total_tokens, corpus_vocabulary, smoothing
-    )
+    corpus_p = smoothed_distribution(corpus.vocabulary, corpus.total_tokens, corpus_vocabulary)
     points = []
     try:
         cover_rng = random.Random(derive_seed(seed, "covers"))
@@ -222,10 +213,8 @@ def run_density_experiment(
             vocabulary, p = corpus_vocabulary, corpus_p
         else:
             vocabulary = sorted(corpus.vocabulary.keys() | stego_counts.keys())
-            p = smoothed_distribution(
-                corpus.vocabulary, corpus.total_tokens, vocabulary, smoothing
-            )
-        q = smoothed_distribution(stego_counts, token_total, vocabulary, smoothing)
+            p = smoothed_distribution(corpus.vocabulary, corpus.total_tokens, vocabulary)
+        q = smoothed_distribution(stego_counts, token_total, vocabulary)
         points.append(
             DensityPoint(
                 target_density=target,
@@ -244,30 +233,21 @@ def build_pairs(
     trials: int,
     seed: int = 0,
     secret_len: int = 2,
-    min_density: float | None = None,
 ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Build `trials` (cover, stego) pairs for the distinguisher.
 
     secret_len (>= 0) fixes the number of inserted codewords per pair;
     secret_len=0 yields identical pairs, the blind-guess baseline.
-    min_density, when set, overrides secret_len and sizes each secret so the
-    stego density reaches at least that value.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if secret_len < 0:
         raise ValueError("secret_len must be >= 0")
-    if min_density is not None and not 0.0 <= min_density < 1.0:
-        raise ValueError("min_density must lie in [0, 1)")
     pairs = []
     for index in range(trials):
         rng = random.Random(derive_seed(seed, "pair", index))
         _, cover = draw_cover(corpus, codebook, rng)
-        if min_density is None:
-            wanted = secret_len
-        else:
-            wanted = math.ceil(min_density * len(cover) / (1.0 - min_density))
-        secret = random_secret(rng, codebook.alphabet, wanted)
+        secret = random_secret(rng, codebook.alphabet, secret_len)
         words = [codebook.forward[s] for s in secret]
         stego_tokens, _ = insert_codewords(model, cover, words)
         pairs.append((cover, stego_tokens))

@@ -124,7 +124,6 @@ def test_distribution_shift_grows_with_density(desk_corpus):
         [0.0, 0.05, 0.1, 0.2, 0.3],
         trials=500,
         seed=0,
-        smoothing=1.0,
     )
     elapsed = time.monotonic() - started
     control = points[0].kl_nats
@@ -191,9 +190,7 @@ def test_distinguisher_blind_then_sighted(desk_corpus, desk_model):
     blind_ok = abs(blind - 0.5) <= margin
 
     rare = select_codebook(desk_corpus.vocabulary, (4, 6), DIGITS, seed=41)
-    pairs = build_pairs(
-        desk_corpus, desk_model, rare, 200, seed=5, min_density=0.3
-    )
+    pairs = build_pairs(desk_corpus, desk_model, rare, 200, seed=5)
     sighted = distinguisher_accuracy(desk_model, pairs, seed=6)
     correct = round(sighted * len(pairs))
     # Exact one-sided binomial tail against blind guessing.

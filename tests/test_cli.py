@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wordsteg
 from wordsteg.cli import main
 
 from synthcorpus import raw_lines, synth_lines
@@ -157,8 +162,7 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     out = tmp_path / "stego.json"
     code = main(
         ["encode", "--secret", "88", "--codebook", cli_files["cb_common"],
-         "--corpus", cli_files["corpus"], "--seed", "2", "--limit", "600",
-         "--out", str(out)]
+         "--corpus", cli_files["corpus"], "--seed", "2", "--out", str(out)]
     )
     stego_line = capsys.readouterr().out.strip()
     assert code == 0
@@ -167,14 +171,12 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     assert doc["seed"] == 2
     assert doc["results"]["stego"] == stego_line
     assert "created_utc" in doc
-    # --limit bounds the covers and counts, so the artifact must carry it.
     # Every value is pinned, so the secret "88" is nowhere in the config: the
     # paths are the test's own, and only the secret's length is recorded.
     assert doc["config"] == {
         "codebook": cli_files["cb_common"],
         "corpus": cli_files["corpus"],
         "secret_len": 2,
-        "limit": 600,
     }
 
 
@@ -296,7 +298,7 @@ def test_eval_density_writes_points(cli_files, tmp_path, capsys):
     assert all(row["kl_nats"] >= 0 for row in rows)
     doc = json.loads((tmp_path / "density.json").read_text(encoding="utf-8"))
     assert doc["seed"] == 1
-    assert set(doc["config"]) == {"corpus", "codebook", "densities", "trials", "smoothing"}
+    assert set(doc["config"]) == {"corpus", "codebook", "densities", "trials"}
     assert doc["results"] == rows
     assert (tmp_path / "density.csv").exists()
 
@@ -314,14 +316,14 @@ def test_eval_distinguish_blind_baseline(cli_files, tmp_path, capsys):
     # Identical pairs leave nothing to detect.
     assert 0.3 <= row["accuracy"] <= 0.7
     doc = json.loads((tmp_path / "pairs.json").read_text(encoding="utf-8"))
-    assert set(doc["config"]) == {"corpus", "codebook", "secret_len", "min_density", "trials"}
+    assert set(doc["config"]) == {"corpus", "codebook", "secret_len", "trials"}
     assert doc["results"] == [row]
 
 
 def test_eval_distinguish_dense_rare_words(cli_files, capsys):
     code = main(
         ["eval", "distinguish", "--corpus", cli_files["corpus"],
-         "--codebook", cli_files["cb_rare"], "--trials", "60", "--min-density", "0.3",
+         "--codebook", cli_files["cb_rare"], "--trials", "60",
          "--seed", "1", "--format", "json"]
     )
     assert code == 0
@@ -370,37 +372,6 @@ def test_eval_empty_alphabet_codebook_exits_2(cli_files, tmp_path, capsys, exper
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("smoothing", ["nan", "inf"])
-def test_eval_density_non_finite_smoothing_exits_2(cli_files, capsys, smoothing):
-    code = main(
-        ["eval", "density", "--corpus", cli_files["corpus"],
-         "--codebook", cli_files["cb_common"], "--densities", "0.0,0.2",
-         "--trials", "10", "--smoothing", smoothing]
-    )
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "smoothing must be a finite number >= 0" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("smoothing", ["-1", "nan"])
-def test_eval_density_bad_smoothing_without_covers_exits_2(tmp_path, capsys, smoothing):
-    # No message has 3 tokens, so no cover can be drawn; the bad smoothing
-    # must still be refused instead of printing skipped rows.
-    corpus = tmp_path / "short.txt"
-    corpus.write_text("a b\nc d\ne\n", encoding="utf-8")
-    cb_path = tmp_path / "cb.json"
-    write_two_word_codebook(cb_path)
-    code = main(
-        ["eval", "density", "--corpus", str(corpus), "--codebook", str(cb_path),
-         "--densities", "0.1", "--trials", "5", f"--smoothing={smoothing}"]
-    )
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "smoothing must be a finite number >= 0" in captured.err
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize(
     "densities, item", [("", "''"), ("0.1,", "''"), ("0.1,abc", "'abc'")]
 )
@@ -436,8 +407,6 @@ RAW_CLEAN_VERBS = [
      "--out", "codebook.json"],
     ["encode", "--secret", "2718", "--codebook", "codebook.json", "--corpus", "corpus.txt",
      "--seed", "5"],
-    ["encode", "--secret", "31", "--codebook", "codebook.json", "--corpus", "corpus.txt",
-     "--seed", "8", "--limit", "1500"],
     ["eval", "band", "--corpus", "corpus.txt", "--trials", "60", "--seed", "2"],
     ["eval", "density", "--corpus", "corpus.txt", "--codebook", "codebook.json",
      "--trials", "40", "--seed", "2", "--format", "csv"],
@@ -447,8 +416,8 @@ RAW_CLEAN_VERBS = [
 
 
 def test_raw_and_clean_corpora_print_the_same(tmp_path, capsys, monkeypatch):
-    # 2500 messages cross the corpus reader's 1024-line blocks, and --limit
-    # 1500 stops inside one; the raw lines keep the gaps a scrub leaves.
+    # 2500 messages cross the corpus reader's 1024-line blocks; the raw lines
+    # keep the gaps a scrub leaves.
     clean = synth_lines(n_messages=2500, seed=19, vocab_size=900)
     outputs = {}
     for form, lines in (("clean", clean), ("raw", raw_lines(clean, seed=19))):
@@ -465,27 +434,28 @@ def test_raw_and_clean_corpora_print_the_same(tmp_path, capsys, monkeypatch):
     assert outputs["raw"] == outputs["clean"]
 
 
-@pytest.mark.parametrize("limit", ["0", "-5"])
-def test_encode_limit_below_one_exits_2(cli_files, capsys, limit):
-    code = main(
-        ["encode", "--secret", "21", "--codebook", cli_files["cb_common"],
-         "--corpus", cli_files["corpus"], "--limit", limit]
-    )
-    assert code == 2
-    assert "error: limit must be >= 1" in capsys.readouterr().err
-
-
 def test_usage_error_exits_2(capsys):
-    # encode has no --max-attempts: the cover budget is codec.MAX_ATTEMPTS.
-    for argv in (
-        ["no-such-command"],
-        ["encode", "--secret", "1", "--codebook", "CB", "--corpus", "CORPUS",
-         "--max-attempts", "5"],
+    # No flag stands in for a constant: encode has no --max-attempts (the
+    # cover budget is codec.MAX_ATTEMPTS) and no --limit (every verb reads the
+    # whole corpus), eval density has no --smoothing (the KL is add-one
+    # smoothed) and eval distinguish has no --min-density (--secret-len sizes
+    # each secret).
+    with pytest.raises(SystemExit) as excinfo:
+        main(["no-such-command"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    encode = ["encode", "--secret", "1", "--codebook", "CB", "--corpus", "CORPUS"]
+    for argv, flag in (
+        (encode, "--max-attempts 5"),
+        (encode, "--limit 5"),
+        (["eval", "density", "--codebook", "CB", "--corpus", "CORPUS"], "--smoothing 1"),
+        (["eval", "distinguish", "--codebook", "CB", "--corpus", "CORPUS"],
+         "--min-density 0.3"),
     ):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main([*argv, *flag.split()])
         assert excinfo.value.code == 2
-    assert "unrecognized arguments: --max-attempts 5" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_version_flag_exits_cleanly(capsys):
@@ -493,3 +463,26 @@ def test_version_flag_exits_cleanly(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "wordsteg" in capsys.readouterr().out
+
+
+def _run_module(*argv, cwd):
+    """Run python -m wordsteg.cli in a child process on the package under test."""
+    paths = [str(Path(wordsteg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, "-m", "wordsteg.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    missing = _run_module(
+        "gen-codebook", "--corpus", "nope.txt", "--band", "14+", "--out", "x.json",
+        cwd=tmp_path,
+    )
+    assert missing.returncode == 2
+    assert "error:" in missing.stderr
+    assert not (tmp_path / "x.json").exists()
+    version = _run_module("--version", cwd=tmp_path)
+    assert version.returncode == 0
+    assert version.stdout == f"wordsteg {wordsteg.__version__}\n"

@@ -101,28 +101,6 @@ def test_load_corpus_skips_lines_that_scrub_to_nothing(tmp_path):
     assert _tokens(corpus) == (("the", "cat", "sat"),)
 
 
-def test_load_corpus_limit_caps_usable_messages(tmp_path):
-    path = tmp_path / "corpus.txt"
-    path.write_text("one two\nthree four\nfive six\n", encoding="utf-8")
-    corpus = load_corpus(path, limit=1)
-    assert len(corpus) == 1
-    assert corpus.lines[0].split() == ["one", "two"]
-
-
-def test_load_corpus_limit_counts_messages_not_lines(tmp_path):
-    path = tmp_path / "corpus.txt"
-    path.write_text("@skip\n#skip\nkept line\nalso kept\n", encoding="utf-8")
-    corpus = load_corpus(path, limit=1)
-    assert len(corpus) == 1
-    assert corpus.lines[0].split() == ["kept", "line"]
-
-
-@pytest.mark.parametrize("limit", [0, -5])
-def test_from_lines_rejects_limit_below_one(limit):
-    with pytest.raises(ValueError, match="limit must be >= 1"):
-        Corpus.from_lines(["one two"], limit=limit)
-
-
 def test_load_corpus_empty_file_raises(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("", encoding="utf-8")
@@ -269,40 +247,6 @@ def test_final_sigma_at_each_line_end_without_trailing_newline(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes("ΦΑΣ\nΦΑΣ\r\nΦΑΣ\rΦΑΣ".encode("utf-8"))
     assert _tokens(load_corpus(path)) == (("φας",),) * 4
-
-
-class _ReadOnlyUpTo:
-    """Iterator over lines that fails the test if read past `stop` lines."""
-
-    def __init__(self, lines, stop):
-        self.lines, self.stop, self.read = lines, stop, 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self.read == self.stop:
-            raise AssertionError(f"line {self.stop} was read after the limit was reached")
-        if self.read == len(self.lines):
-            raise StopIteration
-        self.read += 1
-        return self.lines[self.read - 1]
-
-
-@pytest.mark.parametrize("dropped_every", [None, 7])
-@pytest.mark.parametrize("limit", [1023, 1024, 1025])
-def test_limit_stops_reading_after_the_block_that_reaches_it(limit, dropped_every):
-    block = corpus_module._CHUNK_LINES
-    lines, kept = [], []  # kept: the index in lines of each usable message
-    while len(kept) < 3 * block:
-        if dropped_every and len(lines) % dropped_every == 0:
-            lines.append("@dropped #line")
-            continue
-        kept.append(len(lines))
-        lines.append(f"Message {len(kept)}, kept!")
-    stop = (kept[limit - 1] // block + 1) * block
-    corpus = Corpus.from_lines(_ReadOnlyUpTo(lines, stop), limit=limit)
-    assert corpus.lines == tuple(f"message {i} kept" for i in range(1, limit + 1))
 
 
 def test_lines_keep_the_scrubs_whitespace_and_readers_split_it():

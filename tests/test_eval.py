@@ -159,7 +159,6 @@ def test_density_experiment_tracks_targets(small_corpus):
         [0.0, 0.1, 0.3],
         trials=60,
         seed=0,
-        smoothing=1.0,
     )
     assert [p.target_density for p in points] == [0.0, 0.1, 0.3]
     assert points[0].realized_density == 0.0
@@ -180,10 +179,8 @@ def test_density_equals_explicit_embed(small_corpus, band):
         codebook = Codebook(DIGITS, {s: f"zz{s}" for s in DIGITS}, (1, None), 0)
     else:
         codebook = select_codebook(small_corpus.vocabulary, band, DIGITS, seed=2)
-    densities, trials, seed, smoothing = [0.0, 0.05, 0.2, 0.5], 40, 9, 0.5
-    points = run_density_experiment(
-        small_corpus, codebook, densities, trials=trials, seed=seed, smoothing=smoothing
-    )
+    densities, trials, seed = [0.0, 0.05, 0.2, 0.5], 40, 9
+    points = run_density_experiment(small_corpus, codebook, densities, trials=trials, seed=seed)
     model = build_model(small_corpus, around=codebook.inverse)
     cover_rng = random.Random(derive_seed(seed, "covers"))
     covers = [draw_cover(small_corpus, codebook, cover_rng)[1] for _ in range(trials)]
@@ -202,10 +199,8 @@ def test_density_equals_explicit_embed(small_corpus, band):
             inserted += len(positions)
         total = stego_counts.total()
         vocabulary = sorted(small_corpus.vocabulary.keys() | stego_counts.keys())
-        p = smoothed_distribution(
-            small_corpus.vocabulary, small_corpus.total_tokens, vocabulary, smoothing
-        )
-        q = smoothed_distribution(stego_counts, total, vocabulary, smoothing)
+        p = smoothed_distribution(small_corpus.vocabulary, small_corpus.total_tokens, vocabulary)
+        q = smoothed_distribution(stego_counts, total, vocabulary)
         expected.append(DensityPoint(target, inserted / total, trials, kl_divergence(p, q)))
     assert points == expected
     assert points[-1].realized_density > 0.4
@@ -227,26 +222,6 @@ def test_density_experiment_rejects_bad_targets(small_corpus):
         run_density_experiment(small_corpus, codebook, [-0.1], trials=5)
 
 
-def test_density_experiment_unsmoothed_sparse_sample_raises(small_corpus):
-    # A small sample misses vocabulary words, so with no smoothing the
-    # divergence is undefined and the domain error surfaces.
-    codebook = select_codebook(small_corpus.vocabulary, (8, None), DIGITS, seed=2)
-    with pytest.raises(ValueError):
-        run_density_experiment(
-            small_corpus, codebook, [0.1], trials=5, smoothing=0.0
-        )
-
-
-@pytest.mark.parametrize("smoothing", [-1.0, math.nan])
-def test_density_experiment_rejects_bad_smoothing_without_covers(smoothing):
-    # No message has 3 tokens, so every point would be skipped; a bad
-    # smoothing must still be refused rather than hidden behind the skips.
-    corpus = Corpus.from_lines(["a b", "c d", "e"])
-    codebook = Codebook(("0", "1"), {"0": "a", "1": "c"}, (1, None), 0)
-    with pytest.raises(ValueError, match="smoothing must be a finite number >= 0"):
-        run_density_experiment(corpus, codebook, [0.1], trials=5, smoothing=smoothing)
-
-
 def test_build_pairs_identical_when_secret_len_zero(small_corpus, small_model):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     pairs = build_pairs(small_corpus, small_model, codebook, 12, seed=0, secret_len=0)
@@ -260,16 +235,6 @@ def test_negative_secret_len_is_rejected(small_corpus, small_model):
         build_pairs(small_corpus, small_model, codebook, 5, secret_len=-3)
 
 
-def test_build_pairs_reaches_min_density(small_corpus, small_model):
-    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    pairs = build_pairs(
-        small_corpus, small_model, codebook, 12, seed=0, min_density=0.3
-    )
-    for cover, stego in pairs:
-        inserted = len(stego) - len(cover)
-        assert inserted / len(stego) >= 0.3
-
-
 def test_distinguisher_is_blind_on_identical_pairs(small_corpus, small_model):
     pairs = [(m, m) for m in map(str.split, small_corpus.lines)]
     accuracy = distinguisher_accuracy(small_model, pairs, seed=5)
@@ -278,9 +243,7 @@ def test_distinguisher_is_blind_on_identical_pairs(small_corpus, small_model):
 
 def test_distinguisher_spots_rare_word_insertions(small_corpus, small_model):
     codebook = select_codebook(small_corpus.vocabulary, (4, 6), DIGITS, seed=1)
-    pairs = build_pairs(
-        small_corpus, small_model, codebook, 60, seed=0, min_density=0.3
-    )
+    pairs = build_pairs(small_corpus, small_model, codebook, 60, seed=0)
     accuracy = distinguisher_accuracy(small_model, pairs, seed=1)
     assert accuracy > 0.7
 

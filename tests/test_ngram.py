@@ -124,16 +124,9 @@ def test_longer_grams_never_outnumber_their_parts(messages):
             assert count(gram) <= count(gram[1:])
 
 
-def test_unigram_distribution_maximum_likelihood(toy_corpus):
-    counts = toy_corpus.vocabulary
-    p = smoothed_distribution(counts, toy_corpus.total_tokens, counts, smoothing=0.0)
-    assert p["cat"] == pytest.approx(3 / 9)
-    assert sum(p.values()) == pytest.approx(1.0)
-
-
 def test_unigram_distribution_additive_smoothing(toy_corpus):
     counts = toy_corpus.vocabulary
-    p = smoothed_distribution(counts, toy_corpus.total_tokens, counts, smoothing=1.0)
+    p = smoothed_distribution(counts, toy_corpus.total_tokens, counts)
     assert p["cat"] == pytest.approx(4 / 14)
     assert sum(p.values()) == pytest.approx(1.0)
 
@@ -141,27 +134,14 @@ def test_unigram_distribution_additive_smoothing(toy_corpus):
 def test_unigram_distribution_over_superset_vocabulary(toy_corpus):
     counts = toy_corpus.vocabulary
     vocab = sorted(set(counts) | {"dog"})
-    p = smoothed_distribution(counts, toy_corpus.total_tokens, vocab, smoothing=1.0)
+    p = smoothed_distribution(counts, toy_corpus.total_tokens, vocab)
     assert p["dog"] == pytest.approx(1 / (9 + 6))
     assert sum(p.values()) == pytest.approx(1.0)
 
 
-def test_unigram_distribution_flattens_with_heavy_smoothing(toy_corpus):
-    counts = toy_corpus.vocabulary
-    p = smoothed_distribution(counts, toy_corpus.total_tokens, counts, smoothing=1e9)
-    assert max(p.values()) - min(p.values()) < 1e-9
-
-
-def test_unigram_distribution_rejects_negative_smoothing(toy_corpus):
-    counts = toy_corpus.vocabulary
-    for smoothing in (-0.5, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="smoothing"):
-            smoothed_distribution(counts, toy_corpus.total_tokens, counts, smoothing)
-
-
-def test_smoothed_distribution_zero_counts_need_smoothing():
-    with pytest.raises(ValueError):
-        smoothed_distribution({}, 0, ["a", "b"], smoothing=0.0)
+def test_smoothed_distribution_over_no_words_raises():
+    with pytest.raises(ValueError, match="no probability mass"):
+        smoothed_distribution({}, 0, [])
 
 
 def test_plausibility_matches_hand_formula(toy_model):
