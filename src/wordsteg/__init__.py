@@ -47,7 +47,7 @@ from .evaluate import (
     run_density_experiment,
     smoothed_distribution,
 )
-from .ngram import NGramModel, build_model
+from .ngram import NGramModel, build_model, count_grams, plausibility_score
 
 __all__ = [
     "__version__",
@@ -69,6 +69,7 @@ __all__ = [
     "build_model",
     "build_pairs",
     "contains_codeword",
+    "count_grams",
     "decode",
     "derive_seed",
     "distinguisher_accuracy",
@@ -79,6 +80,7 @@ __all__ = [
     "load_codebook",
     "load_corpus",
     "parse_band",
+    "plausibility_score",
     "run_band_experiment",
     "run_density_experiment",
     "save_codebook",

@@ -5,9 +5,10 @@ density, and distinguish subcommands). It runs as the installed wordsteg
 script or as python -m wordsteg.cli. Every verb that needs word or n-gram
 counts takes --corpus and counts them itself; there is no model file. Each
 counts only what it reads: gen-codebook, eval band and eval density read the
-corpus vocabulary and count nothing more, encode counts only the longer
-grams of the messages that hold a codeword, and eval distinguish counts the
-full model. Every verb reads the whole corpus it is given. eval density
+corpus vocabulary and count nothing more; encode and eval distinguish count
+the longer grams of the messages that hold a codeword, for the covers they
+drew, and eval distinguish then counts the grams of the messages its
+observer scores. Every verb reads the whole corpus it is given. eval density
 scores each point with a KL divergence that is always add-one (Laplace)
 smoothed, and eval distinguish sizes each secret by --secret-len.
 Exit codes: 0 success, 2 usage or I/O problems, 3 insufficient band
@@ -49,7 +50,6 @@ from .evaluate import (
     run_band_experiment,
     run_density_experiment,
 )
-from .ngram import build_model
 
 
 def _artifact(seed: int | None, config: dict, results) -> dict:
@@ -133,8 +133,7 @@ def cmd_gen_codebook(args) -> int:
 def cmd_encode(args) -> int:
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
-    model = build_model(corpus, around=codebook.inverse)
-    result = steganize(args.secret, codebook, model, corpus, seed=args.seed)
+    result = steganize(args.secret, codebook, corpus, seed=args.seed)
     if args.out:
         config = {
             "codebook": args.codebook,
@@ -195,16 +194,14 @@ def cmd_eval_density(args) -> int:
 def cmd_eval_distinguish(args) -> int:
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
-    model = build_model(corpus)
     pairs = build_pairs(
         corpus,
-        model,
         codebook,
         trials=args.trials,
         seed=args.seed,
         secret_len=args.secret_len,
     )
-    accuracy = distinguisher_accuracy(model, pairs, seed=args.seed)
+    accuracy = distinguisher_accuracy(corpus, pairs, seed=args.seed)
     doc = {
         "pairs": len(pairs),
         "correct": round(accuracy * len(pairs)),

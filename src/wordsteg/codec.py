@@ -2,12 +2,14 @@
 
 The encoder hides a secret by inserting one codeword per symbol into a cover
 message drawn from the corpus. Each codeword goes into the inter-word slot
-whose newly created n-grams are most frequent in the model, scanning left to
-right so the receiver recovers symbol order with a single pass. Every gram
-it scores holds the inserted codeword, so a model counted only around the
-codewords (build_model(corpus, around=codebook.inverse)) places them exactly
-as the full model does. Decoding is a plain scan: every token that is a
-codeword contributes its symbol.
+whose newly created n-grams are most frequent in the corpus, scanning left
+to right so the receiver recovers symbol order with a single pass. Every
+gram it scores holds the inserted codeword, and its other words are cover
+words or codewords, so steganize draws the cover first and then counts the
+model for that cover and the secret's codewords alone
+(build_model(corpus, codewords, [cover])); the counts are exact for every
+gram it scores. Decoding is a plain scan: every token that is a codeword
+contributes its symbol.
 
 Correct decoding therefore requires that the cover itself contains no
 codewords, so draw_cover rejects such covers, which makes the round trip
@@ -26,7 +28,7 @@ from typing import Sequence
 from .codebook import Codebook
 from .corpus import MIN_COVER_TOKENS, Corpus
 from .errors import SteganizeError
-from .ngram import NGramModel
+from .ngram import MAX_N, NGramModel, build_model
 
 # Covers drawn per draw_cover call. 1000 draws all hold a codeword only when
 # nearly every cover does (at 99% the chance is 0.99**1000, about 4e-5), and
@@ -92,17 +94,20 @@ def insertion_score(
     Sums log(1 + count) over every n-gram of the modified sequence that
     covers the inserted word, for each order in model.counts (2 and up, in
     ascending order). Unigrams are skipped: they score the word, not the
-    position. Every gram scored holds `word`, so a model counted around the
-    codewords answers exactly; for a `word` outside its `around` set this
-    raises ValueError.
+    position. The model answers exactly for a word among its codewords
+    whose neighbours lie among its words; anything else raises ValueError.
     """
-    if model.around is not None and word not in model.around:
-        raise ValueError(f"model was not counted around {word!r}")
+    if word not in model.codewords:
+        raise ValueError(f"model was not counted for the codeword {word!r}")
     if not 1 <= position <= len(tokens) - 1:
         raise ValueError(
             f"position {position} outside 1..{len(tokens) - 1}: "
             "insertions go between existing words"
         )
+    # The grams that cover the slot read at most MAX_N - 1 words each side.
+    neighbours = tokens[max(0, position - MAX_N + 1) : position + MAX_N - 1]
+    if not model.words.issuperset(neighbours):
+        raise ValueError(f"model was not counted for the words {list(neighbours)!r}")
     trial = list(tokens)
     trial.insert(position, word)
     score = 0.0
@@ -156,17 +161,17 @@ def decode(tokens: Sequence[str], codebook: Codebook) -> tuple[str, ...]:
 def steganize(
     secret: Sequence[str],
     codebook: Codebook,
-    model: NGramModel,
     covers: Corpus,
     seed: int,
 ) -> StegoResult:
     """Embed a secret into a randomly drawn cover message.
 
     Draws one cover with no codeword via draw_cover (seeded, uniform over
-    covers.cover_pool), then inserts the codeword for each secret symbol in
-    order; an empty secret returns the cover unchanged. Raises SteganizeError
-    when the pool is empty, all MAX_ATTEMPTS covers drawn hold a codeword, or
-    the stego text does not decode to the secret.
+    covers.cover_pool), counts the model for that cover and the secret's
+    codewords, then inserts the codeword for each secret symbol in order;
+    an empty secret returns the cover unchanged. Raises SteganizeError when
+    the pool is empty, all MAX_ATTEMPTS covers drawn hold a codeword, or the
+    stego text does not decode to the secret.
     """
     symbols: tuple[str, ...] = tuple(secret)
     unknown = [s for s in symbols if s not in codebook.forward]
@@ -174,6 +179,7 @@ def steganize(
         raise ValueError(f"secret symbols {unknown!r} are not in the alphabet")
     attempt, cover = draw_cover(covers, codebook, random.Random(seed))
     words = [codebook.forward[s] for s in symbols]
+    model = build_model(covers, words, [cover])
     stego_tokens, positions = insert_codewords(model, cover, words)
     if decode(stego_tokens, codebook) != symbols:
         raise SteganizeError(attempt, "stego text does not decode to the secret")

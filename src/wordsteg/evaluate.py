@@ -20,7 +20,7 @@ from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
 from .codec import contains_codeword, draw_cover, insert_codewords
 from .corpus import Corpus
 from .errors import InsufficientBandError, SteganizeError
-from .ngram import NGramModel
+from .ngram import build_model, count_grams, message_grams, plausibility_score
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -228,7 +228,6 @@ def run_density_experiment(
 
 def build_pairs(
     corpus: Corpus,
-    model: NGramModel,
     codebook: Codebook,
     trials: int,
     seed: int = 0,
@@ -237,36 +236,47 @@ def build_pairs(
     """Build `trials` (cover, stego) pairs for the distinguisher.
 
     secret_len (>= 0) fixes the number of inserted codewords per pair;
-    secret_len=0 yields identical pairs, the blind-guess baseline.
+    secret_len=0 yields identical pairs, the blind-guess baseline. Every
+    cover and secret is drawn first, each pair from its own seeded rng;
+    then one model is counted for all the covers and the drawn codewords,
+    and the codewords are inserted.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if secret_len < 0:
         raise ValueError("secret_len must be >= 0")
-    pairs = []
+    draws = []
     for index in range(trials):
         rng = random.Random(derive_seed(seed, "pair", index))
         _, cover = draw_cover(corpus, codebook, rng)
         secret = random_secret(rng, codebook.alphabet, secret_len)
-        words = [codebook.forward[s] for s in secret]
-        stego_tokens, _ = insert_codewords(model, cover, words)
-        pairs.append((cover, stego_tokens))
-    return pairs
+        draws.append((cover, [codebook.forward[s] for s in secret]))
+    model = build_model(
+        corpus,
+        chain.from_iterable(words for _, words in draws),
+        (cover for cover, _ in draws),
+    )
+    return [(cover, insert_codewords(model, cover, words)[0]) for cover, words in draws]
 
 
 def distinguisher_accuracy(
-    model: NGramModel,
+    corpus: Corpus,
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     seed: int = 0,
 ) -> float:
     """Accuracy of a plausibility-threshold observer on (cover, stego) pairs.
 
     Each pair is shown in seeded random order and the member with the lower
-    plausibility score is classified as the stego. 0.5 means the observer is
-    blind; the scheme's detectability is the advantage above 0.5.
+    plausibility score is classified as the stego. The observer counts only
+    the grams of the messages in `pairs` (count_grams). 0.5 means the
+    observer is blind; the scheme's detectability is the advantage above
+    0.5.
     """
     if not pairs:
         raise ValueError("need at least one pair")
+    counts = count_grams(
+        corpus, set(chain.from_iterable(map(message_grams, chain.from_iterable(pairs))))
+    )
     rng = random.Random(seed)
     correct = 0
     for cover_tokens, stego_tokens in pairs:
@@ -274,6 +284,6 @@ def distinguisher_accuracy(
         first, second = (
             (stego_tokens, cover_tokens) if stego_first else (cover_tokens, stego_tokens)
         )
-        guess_first = model.plausibility_score(first) < model.plausibility_score(second)
+        guess_first = plausibility_score(counts, first) < plausibility_score(counts, second)
         correct += guess_first == stego_first
     return correct / len(pairs)

@@ -1,31 +1,28 @@
-"""N-gram frequency model over a corpus.
+"""N-gram counts over a corpus, for exactly the grams a scorer reads.
 
-Counts n-grams of orders 2 and 3 inside message boundaries (no grams span
-two messages) and scores how plausible a token sequence is. Unigram counts
-are not counted here: the model reads them from Corpus.vocabulary, the one
-word-count table, which also feeds codebook draws and the density
-experiment. The corpus counts that table on first access; a model counted
-`around` some words reads it only when its own vocabulary is read, so
-encode never counts it. The corpus holds its messages as lines, and the
-model splits each line it counts once. The full count maps every token to
-the vocabulary's own string, so the order-2 and order-3 keys share one
-string per word instead of keeping alive a copy from each message where a
-gram first occurs. All logarithms are natural. The model is a pure function
-of the corpus and is never stored: every CLI verb that needs it counts it
-afresh from the corpus it loads.
+Grams have orders 1 to 3 and never span two messages. No count covers every
+gram of the corpus: each scorer knows before the scan which grams it will
+read, and each count is exact on that domain and bounded by it, not by the
+corpus. All logarithms are natural. Counts are never stored: every CLI verb
+that needs them counts them afresh from the corpus it loads.
 
-The encoder only scores grams that contain the codeword it inserts, so
-encode passes the codewords as `around`: orders >= 2 are then counted only
-over the messages that hold one of those words. Any gram containing such a
-word can occur only inside such a message, so its count is exact;
-insertion_score refuses any other word and plausibility_score refuses such
-a model. eval distinguish counts the full model; eval band and eval density
-count no n-grams at all.
+Insertion (build_model) scores a slot only by the grams of orders 2 and 3
+that hold the inserted codeword; insertion only puts codewords between
+cover words, so every other word of such a gram is a cover word or a
+codeword. The model therefore scans only the messages that hold a codeword,
+counts every other word in them as one placeholder, None, and keeps only the
+grams that hold a codeword. Its tables are bounded by the covers'
+vocabulary, and insertion_score refuses a word or neighbour outside it.
+
+The observer (count_grams, plausibility_score) scores only the messages it is
+shown, so it asks for exactly their grams and counts nothing else; looking up
+any other gram raises ValueError. eval band and eval density count no
+n-grams at all.
 """
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Iterable, Sequence
 
 from .corpus import Corpus
@@ -34,84 +31,122 @@ from .corpus import Corpus
 # targets (~1e5 short messages) and add nothing but memory.
 MAX_N = 3
 
+# Both counts read the corpus in blocks of lines, so that one zip per order
+# serves a whole block. count_grams joins the lines of a block with this
+# token: the scrub deletes every punctuation character, so it is never a
+# word, and any gram that spans two messages holds it; count_grams refuses a
+# requested gram that holds it.
+_SEPARATOR = "."
+_BLOCK_LINES = 1024
+
 
 class NGramModel:
-    """Frozen count tables: counts[n] maps an n-gram tuple to its count.
+    """Insertion counts: counts[n] maps an n-gram tuple to its count.
 
-    counts holds orders 2 and 3, in ascending order; its keys are the
-    orders. vocabulary is the corpus's own word-count table
-    (Corpus.vocabulary), shared, not copied, and read from the corpus on
-    access. When `around` is a set of words, the tables hold exact counts
-    only for grams that contain one of those words.
+    counts holds orders 2 and 3, in ascending order. The tables hold only
+    grams that hold one of `codewords`, and are exact for every such gram
+    whose other words all lie in `words` (the codewords plus the cover words
+    the model was counted for); every other word is counted as None.
     """
 
     def __init__(
         self,
         counts: dict[int, Counter],
-        corpus: Corpus,
-        around: frozenset[str] | None = None,
+        codewords: frozenset[str],
+        words: frozenset[str],
     ):
         self.counts = counts
-        self._corpus = corpus
-        self.around = around
-
-    @property
-    def vocabulary(self) -> Counter[str]:
-        return self._corpus.vocabulary
-
-    def plausibility_score(self, tokens: Sequence[str]) -> float:
-        """Mean log(1 + count) over every n-gram of the token sequence.
-
-        Higher means the sequence is built from patterns the corpus actually
-        uses. Normalizing by the gram count keeps sequences of different
-        lengths comparable; log(1 + count) keeps unseen grams finite. Needs
-        the full model: a model counted `around` some words raises
-        ValueError.
-        """
-        if self.around is not None:
-            raise ValueError("plausibility needs a model counted over every message")
-        toks = tuple(tokens)
-        if not toks:
-            raise ValueError("cannot score an empty token sequence")
-        vocabulary = self.vocabulary
-        total = 0.0
-        for word in toks:
-            total += math.log1p(vocabulary.get(word, 0))
-        grams = len(toks)
-        for n, table in self.counts.items():
-            for i in range(len(toks) - n + 1):
-                total += math.log1p(table.get(toks[i : i + n], 0))
-                grams += 1
-        return total / grams
+        self.codewords = codewords
+        self.words = words
 
 
-def build_model(corpus: Corpus, around: Iterable[str] | None = None) -> NGramModel:
-    """Count n-grams of orders 2..MAX_N, message by message.
+def build_model(
+    corpus: Corpus, codewords: Iterable[str], covers: Iterable[Sequence[str]]
+) -> NGramModel:
+    """Count orders 2..MAX_N for inserting `codewords` into `covers`.
 
-    Unigrams are corpus.vocabulary itself. The full count reads it at once,
-    for its strings; a count `around` some words reads it only when the
-    model's vocabulary is read. With `around`, the grams are counted only
-    over the messages that share a word with it, which is exact for every
-    gram containing one of those words.
+    Only the messages that hold a codeword are scanned, since every gram
+    that holds one lies inside such a message; they are read _BLOCK_LINES
+    lines at a time. Within them, each word that is neither a codeword nor
+    a word of `covers` becomes None, and only the grams that hold a
+    codeword are kept, so the tables hold at most (len(words) + 1) ** n
+    keys of order n.
     """
-    # Tuples, not str.split's lists: they carry no spare capacity, which
-    # counts when a common codeword keeps most messages.
-    if around is None:
-        canonical = {word: word for word in corpus.vocabulary}
+    codewords = frozenset(codewords)
+    # word -> the same string, so the table keys share one string per word.
+    known = {word: word for word in chain(codewords, chain.from_iterable(covers))}
+    counts = {n: Counter() for n in range(2, MAX_N + 1)}
+    lines = corpus.lines
+    for start in range(0, len(lines), _BLOCK_LINES):
         messages = [
-            tuple(map(canonical.__getitem__, line.split())) for line in corpus.lines
+            m
+            for m in map(str.split, lines[start : start + _BLOCK_LINES])
+            if not codewords.isdisjoint(m)
         ]
-    else:
-        around = frozenset(around)
-        messages = [
-            tuple(m) for m in map(str.split, corpus.lines) if not around.isdisjoint(m)
-        ]
-    counts: dict[int, Counter] = {}
-    for n in range(2, MAX_N + 1):
-        # zip over n staggered views yields exactly the n-grams of one message.
-        counts[n] = Counter(
-            chain.from_iterable(
-                zip(*(m[i:] for i in range(n))) for m in messages
+        # A None after each message: no gram that spans two messages is read.
+        for m in messages:
+            m.append(None)
+        tokens = list(map(known.get, chain.from_iterable(messages)))
+        for n, table in counts.items():
+            # zip over n staggered views yields exactly the n-grams of the
+            # block; only those that hold a codeword are ever read.
+            table.update(
+                filterfalse(codewords.isdisjoint, zip(*(tokens[i:] for i in range(n))))
             )
-        )
-    return NGramModel(counts, corpus, around)
+    return NGramModel(counts, codewords, frozenset(known))
+
+
+def count_grams(
+    corpus: Corpus, grams: Iterable[tuple[str, ...]]
+) -> dict[int, dict[tuple[str, ...], int]]:
+    """Exact corpus counts of the requested grams, orders 1..MAX_N.
+
+    Returns tables[n] for every order, holding each requested gram of that
+    order, those that never occur at 0, and no other gram. Raises
+    ValueError for a gram of another order or one that holds the separator.
+    """
+    tables = {n: Counter() for n in range(1, MAX_N + 1)}
+    for gram in grams:
+        if len(gram) not in tables or _SEPARATOR in gram:
+            raise ValueError(f"cannot count the gram {gram!r}")
+        tables[len(gram)][gram] = 0
+    lines = corpus.lines
+    joiner = f" {_SEPARATOR} "
+    for start in range(0, len(lines), _BLOCK_LINES):
+        tokens = joiner.join(lines[start : start + _BLOCK_LINES]).split()
+        for n, table in tables.items():
+            table.update(
+                filter(table.__contains__, zip(*(tokens[i:] for i in range(n))))
+            )
+    return {n: dict(table) for n, table in tables.items()}
+
+
+def message_grams(tokens: Sequence[str]) -> list[tuple[str, ...]]:
+    """Every gram of orders 1..MAX_N in one message, order by order."""
+    toks = tuple(tokens)
+    return [
+        toks[i : i + n] for n in range(1, MAX_N + 1) for i in range(len(toks) - n + 1)
+    ]
+
+
+def plausibility_score(
+    counts: dict[int, dict[tuple[str, ...], int]], tokens: Sequence[str]
+) -> float:
+    """Mean log(1 + count) over every gram of orders 1..MAX_N of the tokens.
+
+    Higher means the sequence is built from patterns the corpus actually
+    uses. Normalizing by the gram count keeps sequences of different
+    lengths comparable; log(1 + count) keeps unseen grams finite. `counts`
+    comes from count_grams and must hold every gram of the tokens; a gram
+    it lacks raises ValueError.
+    """
+    grams = message_grams(tokens)
+    if not grams:
+        raise ValueError("cannot score an empty token sequence")
+    total = 0.0
+    for gram in grams:
+        try:
+            total += math.log1p(counts[len(gram)][gram])
+        except KeyError:
+            raise ValueError(f"the gram {gram!r} was not counted") from None
+    return total / len(grams)

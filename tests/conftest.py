@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from wordsteg import Codebook, Corpus, build_model
+from wordsteg import Codebook, Corpus
 
 from synthcorpus import synth_lines
 
@@ -16,11 +16,6 @@ TOY_LINES = ["the cat sat", "the cat ran", "a cat sat"]
 @pytest.fixture()
 def toy_corpus():
     return Corpus.from_lines(TOY_LINES)
-
-
-@pytest.fixture()
-def toy_model(toy_corpus):
-    return build_model(toy_corpus)
 
 
 @pytest.fixture()
@@ -40,18 +35,8 @@ def desk_corpus():
 
 
 @pytest.fixture(scope="session")
-def desk_model(desk_corpus):
-    return build_model(desk_corpus)
-
-
-@pytest.fixture(scope="session")
 def small_corpus():
     return Corpus.from_lines(synth_lines(n_messages=400, seed=3, vocab_size=500))
-
-
-@pytest.fixture(scope="session")
-def small_model(small_corpus):
-    return build_model(small_corpus)
 
 
 @pytest.fixture(scope="session")

@@ -52,7 +52,7 @@ def test_golden_message_decodes_exactly():
     check("golden-decode", decoded == "21", f"decoded={decoded!r}")
 
 
-def test_thousand_seeded_round_trips(desk_corpus, desk_model):
+def test_thousand_seeded_round_trips(desk_corpus):
     started = time.monotonic()
     trials_per_band = 250
     bad = 0
@@ -67,7 +67,6 @@ def test_thousand_seeded_round_trips(desk_corpus, desk_model):
             result = steganize(
                 secret,
                 codebook,
-                desk_model,
                 desk_corpus,
                 seed=derive_seed(606, "roundtrip", band_index, trial),
             )
@@ -181,17 +180,17 @@ def test_divergence_axioms():
     )
 
 
-def test_distinguisher_blind_then_sighted(desk_corpus, desk_model):
+def test_distinguisher_blind_then_sighted(desk_corpus):
     sampler = random.Random(derive_seed(77, "cc-sample"))
     sampled = sampler.sample(desk_corpus.lines, 1000)
     identical = [(m, m) for m in map(str.split, sampled)]
-    blind = distinguisher_accuracy(desk_model, identical, seed=5)
+    blind = distinguisher_accuracy(desk_corpus, identical, seed=5)
     margin = 3 * math.sqrt(0.25 / 1000)
     blind_ok = abs(blind - 0.5) <= margin
 
     rare = select_codebook(desk_corpus.vocabulary, (4, 6), DIGITS, seed=41)
-    pairs = build_pairs(desk_corpus, desk_model, rare, 200, seed=5)
-    sighted = distinguisher_accuracy(desk_model, pairs, seed=6)
+    pairs = build_pairs(desk_corpus, rare, 200, seed=5)
+    sighted = distinguisher_accuracy(desk_corpus, pairs, seed=6)
     correct = round(sighted * len(pairs))
     # Exact one-sided binomial tail against blind guessing.
     p_value = sum(math.comb(200, k) for k in range(correct, 201)) / 2.0**200

@@ -23,22 +23,44 @@ from wordsteg import (
 from wordsteg.codec import MAX_ATTEMPTS, draw_cover
 
 from synthcorpus import synth_lines
+from test_ngram import window_count
 
 GOLDEN_COVER = "poor cast off to the trash heap when no longer usefull"
 GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
 
 
-def oracle_insertion_score(model, tokens, position, word):
-    """Independent oracle: enumerate every gram of the modified sequence and
-    keep the ones whose window covers the inserted index."""
+def oracle_insertion_score(corpus, tokens, position, word):
+    """Independent oracle: enumerate every gram of orders 2 and 3 of the
+    modified sequence, keep the ones whose window covers the inserted index,
+    and count each by a literal window scan of the corpus."""
+    token_lists = [line.split() for line in corpus.lines]
     trial = list(tokens)
     trial.insert(position, word)
     score = 0.0
-    for n, table in model.counts.items():
+    for n in (2, 3):
         for i in range(len(trial) - n + 1):
             if i <= position <= i + n - 1:
-                score += math.log1p(table.get(tuple(trial[i : i + n]), 0))
+                score += math.log1p(window_count(token_lists, trial[i : i + n]))
     return score
+
+
+def oracle_insert(corpus, tokens, words):
+    """Independent oracle for insert_codewords: each word into its
+    best-scoring slot right of the previous one, ties to the left."""
+    out, positions, first = list(tokens), [], 1
+    for word in words:
+        scores = [
+            (oracle_insertion_score(corpus, out, p, word), -p) for p in range(first, len(out))
+        ]
+        best = -max(scores)[1]
+        out.insert(best, word)
+        positions.append(best)
+        first = best + 1
+    return tuple(out), tuple(positions)
+
+
+def toy_insert(toy_corpus, tokens, words):
+    return insert_codewords(build_model(toy_corpus, words, [tokens]), tokens, words)
 
 
 def test_decode_extracts_symbols_in_order(two_word_codebook):
@@ -65,84 +87,90 @@ def test_contains_codeword_empty_codebook():
         Codebook(alphabet=(), forward={}, band=(1, None), seed=0)
 
 
-def test_insertion_score_matches_hand_computation(toy_model):
-    score = insertion_score(toy_model, ("the", "sat"), 1, "cat")
+def test_insertion_score_matches_hand_computation(toy_corpus):
+    model = build_model(toy_corpus, {"cat"}, [("the", "sat")])
+    score = insertion_score(model, ("the", "sat"), 1, "cat")
     assert score == pytest.approx(2 * math.log(3) + math.log(2))
     assert score == pytest.approx(2.890, abs=5e-4)
 
 
-def test_insertion_score_matches_oracle_everywhere(toy_model):
+def test_insertion_score_matches_oracle_everywhere(toy_corpus):
     tokens = ("the", "cat", "sat", "ran")
-    for word in ("cat", "a", "zzz"):
+    words = ("cat", "a", "zzz")
+    model = build_model(toy_corpus, words, [tokens])
+    for word in words:
         for position in range(1, len(tokens)):
-            assert insertion_score(toy_model, tokens, position, word) == pytest.approx(
-                oracle_insertion_score(toy_model, tokens, position, word)
+            assert insertion_score(model, tokens, position, word) == pytest.approx(
+                oracle_insertion_score(toy_corpus, tokens, position, word)
             )
 
 
-def test_insertion_score_matches_oracle_on_trigram_model(small_model, small_corpus):
+def test_insertion_score_matches_oracle_on_trigram_model(small_corpus):
     tokens = tuple(small_corpus.lines[0].split())
     word = next(iter(small_corpus.vocabulary))
+    model = build_model(small_corpus, [word], [tokens])
     for position in range(1, len(tokens)):
-        assert insertion_score(small_model, tokens, position, word) == pytest.approx(
-            oracle_insertion_score(small_model, tokens, position, word)
+        assert insertion_score(model, tokens, position, word) == pytest.approx(
+            oracle_insertion_score(small_corpus, tokens, position, word)
         )
 
 
-def test_insertion_score_rejects_edge_positions(toy_model):
+def test_insertion_score_rejects_edge_positions(toy_corpus):
+    model = build_model(toy_corpus, {"sat"}, [("the", "cat")])
     with pytest.raises(ValueError):
-        insertion_score(toy_model, ("the", "cat"), 0, "sat")
+        insertion_score(model, ("the", "cat"), 0, "sat")
     with pytest.raises(ValueError):
-        insertion_score(toy_model, ("the", "cat"), 2, "sat")
+        insertion_score(model, ("the", "cat"), 2, "sat")
 
 
 def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corpus):
-    model = build_model(toy_corpus, around={"cat"})
+    model = build_model(toy_corpus, {"cat"}, [("the", "sat")])
     assert insertion_score(model, ("the", "sat"), 1, "cat") == pytest.approx(
         2 * math.log(3) + math.log(2)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="codeword"):
         insertion_score(model, ("the", "sat"), 1, "ran")
+    # A neighbour the model was not counted for: "ran" is no cover word.
+    with pytest.raises(ValueError, match="words"):
+        insertion_score(model, ("the", "ran"), 1, "cat")
 
 
-# "z" never occurs in a message, and a set holding only "z" matches none.
+# "z" never occurs in a message; "d" occurs, but is never a codeword, so the
+# model counts it as a placeholder wherever no cover holds it.
 @given(
     messages=st.lists(
-        st.lists(st.sampled_from("abc"), min_size=1, max_size=6), min_size=1, max_size=8
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), min_size=1, max_size=8
     ),
-    around=st.sets(st.sampled_from("abcz"), max_size=3),
+    codewords=st.sets(st.sampled_from("abcz"), min_size=1, max_size=3),
     data=st.data(),
 )
 @settings(deadline=None)
-def test_insert_codewords_same_under_model_counted_around(messages, around, data):
+def test_insert_codewords_same_under_model_counted_around(messages, codewords, data):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
-    full = build_model(corpus)
-    partial = build_model(corpus, around=around)
-    words = data.draw(st.lists(st.sampled_from(sorted(around)), max_size=4)) if around else []
-    for message in map(str.split, corpus.lines):
-        if len(message) >= 2:
-            assert insert_codewords(partial, message, words) == insert_codewords(
-                full, message, words
-            )
+    covers = [m for m in map(str.split, corpus.lines) if len(m) >= 2]
+    model = build_model(corpus, codewords, covers)
+    words = data.draw(st.lists(st.sampled_from(sorted(codewords)), max_size=4))
+    for cover in covers:
+        assert insert_codewords(model, cover, words) == oracle_insert(corpus, cover, words)
 
 
-def test_best_position_prefers_frequent_context(toy_model):
-    assert insert_codewords(toy_model, ("the", "sat", "ran"), ["cat"])[1] == (1,)
+def test_best_position_prefers_frequent_context(toy_corpus):
+    assert toy_insert(toy_corpus, ("the", "sat", "ran"), ["cat"])[1] == (1,)
 
 
-def test_best_position_breaks_ties_leftward(toy_model):
+def test_best_position_breaks_ties_leftward(toy_corpus):
     # Unknown words score zero everywhere, so the tie covers all slots: the
     # first "q" takes slot 1 and the second the first slot to its right.
-    assert insert_codewords(toy_model, ("x", "y", "z"), ["q", "q"])[1] == (1, 2)
+    assert toy_insert(toy_corpus, ("x", "y", "z"), ["q", "q"])[1] == (1, 2)
 
 
-def test_best_position_without_slots_raises(toy_model):
+def test_best_position_without_slots_raises(toy_corpus):
     with pytest.raises(ValueError, match="no insertion slot"):
-        insert_codewords(toy_model, ("the",), ["sat"])
+        toy_insert(toy_corpus, ("the",), ["sat"])
 
 
-def test_insert_codewords_keeps_cover_order(toy_model):
-    stego, positions = insert_codewords(toy_model, ("x", "y", "z"), ["p", "q"])
+def test_insert_codewords_keeps_cover_order(toy_corpus):
+    stego, positions = toy_insert(toy_corpus, ("x", "y", "z"), ["p", "q"])
     assert list(positions) == sorted(positions)
     assert len(set(positions)) == len(positions)
     remaining = [t for i, t in enumerate(stego) if i not in set(positions)]
@@ -150,10 +178,10 @@ def test_insert_codewords_keeps_cover_order(toy_model):
     assert [stego[i] for i in positions] == ["p", "q"]
 
 
-def test_steganize_round_trip(small_corpus, small_model):
+def test_steganize_round_trip(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     secret = ("3", "1", "4")
-    result = steganize(secret, codebook, small_model, small_corpus, seed=99)
+    result = steganize(secret, codebook, small_corpus, seed=99)
     assert decode(result.stego, codebook) == secret
     kept = [
         t
@@ -168,68 +196,65 @@ def test_steganize_round_trip(small_corpus, small_model):
 
 
 def test_encode_path_never_counts_the_vocabulary(small_corpus):
-    # What encode does: a model counted around the codewords, then steganize,
-    # on a corpus of its own that nothing else has read.
+    # What encode does: steganize, which counts the model for its cover, on a
+    # corpus of its own that nothing else has read.
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     corpus = Corpus.from_lines(synth_lines(n_messages=400, seed=3, vocab_size=500))
-    model = build_model(corpus, around=codebook.inverse)
-    result = steganize("314", codebook, model, corpus, seed=99)
+    result = steganize("314", codebook, corpus, seed=99)
     assert decode(result.stego, codebook) == ("3", "1", "4")
     assert "vocabulary" not in corpus.__dict__
     assert "total_tokens" not in corpus.__dict__
 
 
-def test_steganize_accepts_plain_string_secret(small_corpus, small_model):
+def test_steganize_accepts_plain_string_secret(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    result = steganize("271", codebook, small_model, small_corpus, seed=4)
+    result = steganize("271", codebook, small_corpus, seed=4)
     assert "".join(decode(result.stego, codebook)) == "271"
 
 
-def test_steganize_empty_secret_returns_cover(small_corpus, small_model):
+def test_steganize_empty_secret_returns_cover(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    result = steganize((), codebook, small_model, small_corpus, seed=5)
+    result = steganize((), codebook, small_corpus, seed=5)
     assert result.stego == result.cover
     assert decode(result.stego, codebook) == ()
     assert result.inserted_positions == ()
     assert result.density == 0.0
 
 
-def test_steganize_is_deterministic(small_corpus, small_model):
+def test_steganize_is_deterministic(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    first = steganize("42", codebook, small_model, small_corpus, seed=123)
-    again = steganize("42", codebook, small_model, small_corpus, seed=123)
+    first = steganize("42", codebook, small_corpus, seed=123)
+    again = steganize("42", codebook, small_corpus, seed=123)
     assert first == again
 
 
-def test_steganize_rejects_unknown_symbols(small_corpus, small_model):
+def test_steganize_rejects_unknown_symbols(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     with pytest.raises(ValueError):
-        steganize("2x", codebook, small_model, small_corpus, seed=0)
+        steganize("2x", codebook, small_corpus, seed=0)
 
 
 def test_steganize_avoids_covers_that_already_hold_codewords():
     corpus = Corpus.from_lines(["x y z", "q x y", "x z y"])
-    model = build_model(corpus)
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     for seed in range(10):
-        result = steganize(("0",), codebook, model, corpus, seed=seed)
+        result = steganize(("0",), codebook, corpus, seed=seed)
         assert not contains_codeword(result.cover, codebook)
         assert decode(result.stego, codebook) == ("0",)
 
 
 def test_steganize_fails_when_every_cover_holds_a_codeword():
     corpus = Corpus.from_lines(["q a b", "b q a"])
-    model = build_model(corpus)
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     with pytest.raises(SteganizeError) as excinfo:
-        steganize(("0",), codebook, model, corpus, seed=0)
+        steganize(("0",), codebook, corpus, seed=0)
     assert excinfo.value.attempts == MAX_ATTEMPTS
     assert str(excinfo.value) == (
         f"every drawn cover contained a codeword after {MAX_ATTEMPTS} attempts"
     )
 
 
-def test_steganize_raises_when_round_trip_fails(small_corpus, small_model, monkeypatch):
+def test_steganize_raises_when_round_trip_fails(small_corpus, monkeypatch):
     # An insertion that loses a codeword must surface on the first cover, not
     # be hidden by drawing covers until the attempt budget runs out.
     def drop_last(model, tokens, words):
@@ -238,22 +263,20 @@ def test_steganize_raises_when_round_trip_fails(small_corpus, small_model, monke
     monkeypatch.setattr("wordsteg.codec.insert_codewords", drop_last)
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     with pytest.raises(SteganizeError, match="stego text does not decode") as excinfo:
-        steganize("42", codebook, small_model, small_corpus, seed=0)
+        steganize("42", codebook, small_corpus, seed=0)
     attempt, _ = draw_cover(small_corpus, codebook, random.Random(0))
     assert excinfo.value.attempts == attempt < MAX_ATTEMPTS
 
 
 def test_steganize_needs_covers_with_three_tokens():
     corpus = Corpus.from_lines(["a b", "c d"])
-    model = build_model(corpus)
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     with pytest.raises(SteganizeError) as excinfo:
-        steganize(("0",), codebook, model, corpus, seed=0)
+        steganize(("0",), codebook, corpus, seed=0)
     assert excinfo.value.attempts == 0
 
 
 _codec_corpus = Corpus.from_lines(synth_lines(n_messages=150, seed=5, vocab_size=300))
-_codec_model = build_model(_codec_corpus)
 _codec_codebook = select_codebook(_codec_corpus.vocabulary, (2, None), DIGITS, seed=8)
 
 
@@ -264,7 +287,7 @@ _codec_codebook = select_codebook(_codec_corpus.vocabulary, (2, None), DIGITS, s
 @settings(deadline=None, max_examples=60)
 def test_round_trip_property(secret, seed):
     result = steganize(
-        tuple(secret), _codec_codebook, _codec_model, _codec_corpus, seed=seed
+        tuple(secret), _codec_codebook, _codec_corpus, seed=seed
     )
     assert decode(result.stego, _codec_codebook) == tuple(secret)
     kept = [
@@ -282,7 +305,6 @@ _raw_corpus = Corpus.from_lines(
     " ".join(f"«{word.replace('w', 'Ŵ')}»," for word in line.split())
     for line in synth_lines(n_messages=150, seed=5, vocab_size=300)
 )
-_raw_model = build_model(_raw_corpus)
 
 
 @given(
@@ -301,14 +323,14 @@ def test_printed_stego_decodes_after_scrubbing(alphabet, codebook_seed, seed, da
         _raw_corpus.vocabulary, (2, 20), tuple(alphabet), seed=codebook_seed
     )
     secret = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=4)))
-    result = steganize(secret, codebook, _raw_model, _raw_corpus, seed=seed)
+    result = steganize(secret, codebook, _raw_corpus, seed=seed)
     printed = " ".join(result.stego)
     assert decode(scrub_message(printed).split(), codebook) == secret
 
 
-def test_stego_result_serializes_to_plain_doc(small_corpus, small_model):
+def test_stego_result_serializes_to_plain_doc(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    result = steganize("90", codebook, small_model, small_corpus, seed=77)
+    result = steganize("90", codebook, small_corpus, seed=77)
     doc = result.to_doc()
     assert doc["stego"] == " ".join(result.stego)
     assert doc["cover"] == " ".join(result.cover)

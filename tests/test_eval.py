@@ -35,9 +35,9 @@ def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(1, "a", 0) != derive_seed(1, "a", 1)
 
 
-def test_density_matches_inserted_fraction(small_corpus, small_model):
+def test_density_matches_inserted_fraction(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    result = steganize("123", codebook, small_model, small_corpus, seed=6)
+    result = steganize("123", codebook, small_corpus, seed=6)
     expected = 3 / len(result.stego)
     assert result.density == pytest.approx(expected)
 
@@ -120,13 +120,20 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
         codebook = select_codebook(
             small_corpus.vocabulary, band, DIGITS, seed=derive_seed(seed, "band", index)
         )
-        model = build_model(small_corpus, around=codebook.inverse)
         secret_rng = random.Random(derive_seed(seed, "band", index, "secrets"))
+        secrets = [
+            tuple(secret_rng.choice(codebook.alphabet) for _ in range(secret_len))
+            for _ in range(row.trials)
+        ]
+        covers = [
+            draw_cover(
+                small_corpus, None, random.Random(derive_seed(seed, "band", index, "trial", trial))
+            )[1]
+            for trial in range(row.trials)
+        ]
+        model = build_model(small_corpus, codebook.inverse, covers)
         mismatches = 0
-        for trial in range(row.trials):
-            secret = tuple(secret_rng.choice(codebook.alphabet) for _ in range(secret_len))
-            rng = random.Random(derive_seed(seed, "band", index, "trial", trial))
-            _, cover = draw_cover(small_corpus, None, rng)
+        for secret, cover in zip(secrets, covers):
             words = [codebook.forward[s] for s in secret]
             stego, _ = insert_codewords(model, cover, words)
             mismatches += decode(stego, codebook) != secret
@@ -171,8 +178,8 @@ def test_density_experiment_tracks_targets(small_corpus):
 @pytest.mark.parametrize("band", [(4, 8), (14, None), None])
 def test_density_equals_explicit_embed(small_corpus, band):
     # Reference: replay every point by inserting each secret into its cover
-    # under the model counted around the codebook, on the same cover draw
-    # and secrets, and score the stego messages themselves. band None is a
+    # under the model counted for the codebook and those covers, on the same
+    # cover draw and secrets, and score the stego messages themselves. band None is a
     # codebook of words absent from the corpus, whose points above 0.0 score
     # over a vocabulary wider than the corpus's.
     if band is None:
@@ -181,9 +188,9 @@ def test_density_equals_explicit_embed(small_corpus, band):
         codebook = select_codebook(small_corpus.vocabulary, band, DIGITS, seed=2)
     densities, trials, seed = [0.0, 0.05, 0.2, 0.5], 40, 9
     points = run_density_experiment(small_corpus, codebook, densities, trials=trials, seed=seed)
-    model = build_model(small_corpus, around=codebook.inverse)
     cover_rng = random.Random(derive_seed(seed, "covers"))
     covers = [draw_cover(small_corpus, codebook, cover_rng)[1] for _ in range(trials)]
+    model = build_model(small_corpus, codebook.inverse, covers)
     expected = []
     for index, target in enumerate(densities):
         secret_rng = random.Random(derive_seed(seed, "density", index))
@@ -222,39 +229,39 @@ def test_density_experiment_rejects_bad_targets(small_corpus):
         run_density_experiment(small_corpus, codebook, [-0.1], trials=5)
 
 
-def test_build_pairs_identical_when_secret_len_zero(small_corpus, small_model):
+def test_build_pairs_identical_when_secret_len_zero(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    pairs = build_pairs(small_corpus, small_model, codebook, 12, seed=0, secret_len=0)
+    pairs = build_pairs(small_corpus, codebook, 12, seed=0, secret_len=0)
     assert len(pairs) == 12
     assert all(cover == stego for cover, stego in pairs)
 
 
-def test_negative_secret_len_is_rejected(small_corpus, small_model):
+def test_negative_secret_len_is_rejected(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     with pytest.raises(ValueError, match="secret_len"):
-        build_pairs(small_corpus, small_model, codebook, 5, secret_len=-3)
+        build_pairs(small_corpus, codebook, 5, secret_len=-3)
 
 
-def test_distinguisher_is_blind_on_identical_pairs(small_corpus, small_model):
+def test_distinguisher_is_blind_on_identical_pairs(small_corpus):
     pairs = [(m, m) for m in map(str.split, small_corpus.lines)]
-    accuracy = distinguisher_accuracy(small_model, pairs, seed=5)
+    accuracy = distinguisher_accuracy(small_corpus, pairs, seed=5)
     assert 0.35 <= accuracy <= 0.65
 
 
-def test_distinguisher_spots_rare_word_insertions(small_corpus, small_model):
+def test_distinguisher_spots_rare_word_insertions(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 6), DIGITS, seed=1)
-    pairs = build_pairs(small_corpus, small_model, codebook, 60, seed=0)
-    accuracy = distinguisher_accuracy(small_model, pairs, seed=1)
+    pairs = build_pairs(small_corpus, codebook, 60, seed=0)
+    accuracy = distinguisher_accuracy(small_corpus, pairs, seed=1)
     assert accuracy > 0.7
 
 
-def test_distinguisher_rejects_empty_input(small_model):
+def test_distinguisher_rejects_empty_input(small_corpus):
     with pytest.raises(ValueError):
-        distinguisher_accuracy(small_model, [], seed=0)
+        distinguisher_accuracy(small_corpus, [], seed=0)
 
 
-def test_distinguisher_is_deterministic(small_corpus, small_model):
+def test_distinguisher_is_deterministic(small_corpus):
     pairs = [(m, m) for m in map(str.split, small_corpus.lines[:50])]
-    first = distinguisher_accuracy(small_model, pairs, seed=9)
-    again = distinguisher_accuracy(small_model, pairs, seed=9)
+    first = distinguisher_accuracy(small_corpus, pairs, seed=9)
+    again = distinguisher_accuracy(small_corpus, pairs, seed=9)
     assert first == again

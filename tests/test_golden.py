@@ -16,7 +16,8 @@ from wordsteg import (
     Codebook,
     Corpus,
     SteganizeError,
-    build_model,
+    load_codebook,
+    load_corpus,
     build_pairs,
     run_density_experiment,
     save_codebook,
@@ -55,6 +56,20 @@ GOLDEN_DISTINGUISH = (
     "120,106,0.8833333333333333,0.7666666666666666\r\n"
 )
 
+# A codebook from band 50+ holds the corpus's most frequent word, so most
+# messages hold a codeword: the insertion count scans nearly every message,
+# and most of the words in them are neither codewords nor cover words.
+GEN_CODEBOOK_COMMON = ["gen-codebook", "--corpus", "CORPUS", "--band", "50+", "--seed", "3",
+                       "--out", "COMMON"]
+GOLDEN_ENCODE_COMMON = (
+    "w0381 w0005 w0008 w0223 w0314 w0014 w0001 w0051 w0053 w0001 w0005 w0036 "
+    "w0001 w0004 w0018 w0011 w0018 w0003\n"
+)
+GOLDEN_DISTINGUISH_COMMON = (
+    "pairs,correct,accuracy,advantage\r\n"
+    "120,72,0.6,0.19999999999999996\r\n"
+)
+
 EMPTY_POOL_REASON = "no covers with >= 3 tokens after 0 attempts"
 
 
@@ -70,8 +85,10 @@ def golden_files(small_corpus_path, tmp_path_factory):
         "CORPUS": str(small_corpus_path),
         "CODEBOOK": str(workdir / "cb14.json"),
         "ABSENT": str(workdir / "absent.json"),
+        "COMMON": str(workdir / "common.json"),
     }
     assert main(_argv(files, GEN_CODEBOOK)) == 0
+    assert main(_argv(files, GEN_CODEBOOK_COMMON)) == 0
     absent = {s: f"zz{s}" for s in DIGITS}
     save_codebook(Codebook(DIGITS, absent, (1, None), 0), files["ABSENT"])
     return files
@@ -104,6 +121,11 @@ FILES = ["--corpus", "CORPUS"]
             GOLDEN_ENCODE_ABSENT,
         ),
         (
+            ["encode", "--secret", "3141", "--codebook", "COMMON", *FILES,
+             "--seed", "13"],
+            GOLDEN_ENCODE_COMMON,
+        ),
+        (
             ["eval", "band", *FILES, "--bands", "4-6,6-8,14+", "--trials", "40",
              "--seed", "5", "--format", "csv"],
             GOLDEN_BAND,
@@ -119,9 +141,14 @@ FILES = ["--corpus", "CORPUS"]
              "--trials", "120", "--secret-len", "1", "--seed", "5", "--format", "csv"],
             GOLDEN_DISTINGUISH,
         ),
+        (
+            ["eval", "distinguish", *FILES, "--codebook", "COMMON",
+             "--trials", "120", "--secret-len", "2", "--seed", "5", "--format", "csv"],
+            GOLDEN_DISTINGUISH_COMMON,
+        ),
     ],
-    ids=["encode", "encode-absent-codewords", "eval-band", "eval-density",
-         "eval-distinguish"],
+    ids=["encode", "encode-absent-codewords", "encode-common-codewords", "eval-band",
+         "eval-density", "eval-distinguish", "eval-distinguish-common-codewords"],
 )
 def test_cli_stdout_matches_golden(golden_files, capsys, argv, expected):
     capsys.readouterr()
@@ -129,19 +156,19 @@ def test_cli_stdout_matches_golden(golden_files, capsys, argv, expected):
     assert capsys.readouterr().out == expected
 
 
-def _steganize_reason(corpus, model, codebook):
+def _steganize_reason(corpus, codebook):
     with pytest.raises(SteganizeError) as excinfo:
-        steganize(("0",), codebook, model, corpus, seed=0)
+        steganize(("0",), codebook, corpus, seed=0)
     return str(excinfo.value)
 
 
-def _pairs_reason(corpus, model, codebook):
+def _pairs_reason(corpus, codebook):
     with pytest.raises(SteganizeError) as excinfo:
-        build_pairs(corpus, model, codebook, 3, seed=0)
+        build_pairs(corpus, codebook, 3, seed=0)
     return str(excinfo.value)
 
 
-def _density_reason(corpus, model, codebook):
+def _density_reason(corpus, codebook):
     points = run_density_experiment(corpus, codebook, [0.0, 0.2], trials=5)
     assert all(p.skipped and p.trials == 0 for p in points)
     (reason,) = {p.reason for p in points}
@@ -154,6 +181,11 @@ def _density_reason(corpus, model, codebook):
 )
 def test_empty_cover_pool_reports_one_reason(measure):
     corpus = Corpus.from_lines(["a b", "c d", "e"])
-    model = build_model(corpus)
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
-    assert measure(corpus, model, codebook) == EMPTY_POOL_REASON
+    assert measure(corpus, codebook) == EMPTY_POOL_REASON
+
+
+def test_common_codebook_holds_the_most_frequent_word(golden_files, small_corpus_path):
+    vocabulary = load_corpus(small_corpus_path).vocabulary
+    (top, _), = vocabulary.most_common(1)
+    assert top in load_codebook(golden_files["COMMON"]).inverse

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg import Corpus, build_model, smoothed_distribution
+from wordsteg import (
+    Corpus,
+    build_model,
+    count_grams,
+    insertion_score,
+    plausibility_score,
+    smoothed_distribution,
+)
+from wordsteg.ngram import MAX_N, message_grams
 
 
 def window_count(token_lists, gram):
@@ -20,106 +28,202 @@ def window_count(token_lists, gram):
     return hits
 
 
-def test_toy_unigram_counts(toy_corpus, toy_model):
+def observe(corpus, tokens):
+    """What the observer does for one message: count its grams, then score it."""
+    return plausibility_score(count_grams(corpus, message_grams(tokens)), tokens)
+
+
+def test_toy_unigram_counts(toy_corpus):
     expected = {"the": 2, "cat": 3, "sat": 2, "ran": 1, "a": 1}
-    assert toy_model.vocabulary is toy_corpus.vocabulary
-    assert dict(toy_model.vocabulary) == expected
+    assert dict(toy_corpus.vocabulary) == expected
     assert toy_corpus.total_tokens == 9
-    assert set(toy_model.counts) == {2, 3}
+    counts = count_grams(toy_corpus, [(word,) for word in expected])
+    assert counts[1] == {(word,): count for word, count in expected.items()}
+    assert set(counts) == {1, 2, 3}
 
 
-def test_toy_bigram_counts(toy_model):
+def test_toy_bigram_counts(toy_corpus):
     expected = {
         ("the", "cat"): 2,
         ("cat", "sat"): 2,
         ("cat", "ran"): 1,
         ("a", "cat"): 1,
     }
-    assert toy_model.counts[2] == expected
-    assert toy_model.counts[2].total() == 6
+    assert count_grams(toy_corpus, [*expected, ("cat", "the")])[2] == {
+        **expected,
+        ("cat", "the"): 0,
+    }
+    model = build_model(toy_corpus, {"cat"}, [("the", "sat", "ran", "a")])
+    assert model.counts[2] == expected
 
 
 def test_grams_do_not_span_messages():
     corpus = Corpus.from_lines(["a b", "c d"])
-    model = build_model(corpus)
-    assert ("b", "c") not in model.counts[2]
-    assert model.counts[2].total() == 2
+    assert count_grams(corpus, [("a", "b"), ("b", "c")])[2] == {("a", "b"): 1, ("b", "c"): 0}
+    model = build_model(corpus, {"b", "c"}, [("a", "b", "c")])
+    assert model.counts[2].get(("b", "c"), 0) == 0
+    assert model.counts[2][("a", "b")] == 1
 
 
-def test_unigrams_match_an_independent_recount(desk_corpus, desk_model):
+def test_unigrams_match_an_independent_recount(desk_corpus):
     recount = {}
     for message in map(str.split, desk_corpus.lines):
         for word in message:
             recount[word] = recount.get(word, 0) + 1
     assert list(desk_corpus.vocabulary.items()) == list(recount.items())
     assert desk_corpus.total_tokens == sum(recount.values())
-    assert desk_model.vocabulary is desk_corpus.vocabulary
-    assert 1 not in desk_model.counts
+    sample = [(word,) for word in list(recount)[::50]]
+    assert count_grams(desk_corpus, sample)[1] == {g: recount[g[0]] for g in sample}
 
 
 def test_model_counted_around_refuses_what_it_cannot_answer(toy_corpus):
-    model = build_model(toy_corpus, around={"ran"})
-    assert model.around == frozenset({"ran"})
-    assert model.vocabulary is toy_corpus.vocabulary
-    # Only "the cat ran" holds "ran", so its grams alone are counted.
-    assert model.counts[2] == {("the", "cat"): 1, ("cat", "ran"): 1}
-    assert model.counts[3] == {("the", "cat", "ran"): 1}
-    with pytest.raises(ValueError):
-        model.plausibility_score(("the", "cat", "ran"))
+    model = build_model(toy_corpus, {"ran"}, [("the", "cat")])
+    assert model.codewords == frozenset({"ran"})
+    assert model.words == frozenset({"ran", "the", "cat"})
+    # Only "the cat ran" holds "ran", so only its grams that hold "ran" are
+    # counted; the None after it ends the message.
+    assert model.counts[2] == {("cat", "ran"): 1, ("ran", None): 1}
+    assert model.counts[3] == {("the", "cat", "ran"): 1, ("cat", "ran", None): 1}
+    assert insertion_score(model, ("the", "cat", "the"), 2, "ran") == pytest.approx(
+        2 * math.log(2)
+    )
+    with pytest.raises(ValueError, match="codeword"):
+        insertion_score(model, ("the", "cat"), 1, "cat")
+    with pytest.raises(ValueError, match="words"):
+        insertion_score(model, ("the", "sat"), 1, "ran")
+    counts = count_grams(toy_corpus, message_grams(("the", "cat")))
+    with pytest.raises(ValueError, match="not counted"):
+        plausibility_score(counts, ("the", "cat", "ran"))
+
+
+def test_count_refuses_grams_it_cannot_count(toy_corpus):
+    for gram in [(), ("a", "b", "c", "d"), ("a", "."), (".",)]:
+        with pytest.raises(ValueError, match="cannot count"):
+            count_grams(toy_corpus, [gram])
 
 
 token = st.sampled_from(["a", "b", "c"])
 message_lists = st.lists(
     st.lists(token, min_size=1, max_size=6), min_size=1, max_size=8
 )
+# "z" never occurs in a message.
+ALL_GRAMS = [g for n in range(1, MAX_N + 1) for g in product("abcz", repeat=n)]
 
 
 @given(messages=message_lists)
 @settings(deadline=None)
 def test_counts_match_window_scan(messages):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
-    model = build_model(corpus)
+    counts = count_grams(corpus, ALL_GRAMS)
     token_lists = [line.split() for line in corpus.lines]
-    for word, count in model.vocabulary.items():
-        assert count == window_count(token_lists, (word,))
-    for n in (2, 3):
-        assert model.counts[n].total() == sum(
-            max(0, len(t) - n + 1) for t in token_lists
-        )
-        for gram, count in model.counts[n].items():
+    for n in range(1, MAX_N + 1):
+        assert sum(counts[n].values()) == sum(max(0, len(t) - n + 1) for t in token_lists)
+        assert len(counts[n]) == 4**n
+        for gram, count in counts[n].items():
             assert count == window_count(token_lists, gram)
 
 
-# "z" never occurs in a message, and an empty set matches none.
-around_sets = st.sets(st.sampled_from(["a", "b", "c", "z"]), max_size=3)
-
-
-@given(messages=message_lists, around=around_sets)
+@given(messages=message_lists, requested=st.sets(st.sampled_from(ALL_GRAMS)))
 @settings(deadline=None)
-def test_model_counted_around_is_exact_where_it_answers(messages, around):
+def test_observer_count_holds_exactly_the_requested_grams(messages, requested):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
-    full = build_model(corpus)
-    partial = build_model(corpus, around=around)
-    assert partial.vocabulary is full.vocabulary
-    for n in (2, 3):
-        for gram in product("abcz", repeat=n):
-            if set(gram) & around:
-                assert partial.counts[n].get(gram, 0) == full.counts[n].get(gram, 0)
+    counts = count_grams(corpus, requested)
+    token_lists = [line.split() for line in corpus.lines]
+    assert {g for table in counts.values() for g in table} == requested
+    for n, table in counts.items():
+        for gram, count in table.items():
+            assert len(gram) == n
+            assert count == window_count(token_lists, gram)
+
+
+# Messages over five words, so that "d" and "e" lie outside the counted
+# words unless a cover holds them; "z" never occurs in a message, and a set
+# holding only "z" matches none.
+wide_messages = st.lists(
+    st.lists(st.sampled_from("abcde"), min_size=1, max_size=6), min_size=1, max_size=8
+)
+codeword_sets = st.sets(st.sampled_from("abcz"), max_size=3)
+cover_lists = st.lists(st.lists(st.sampled_from("abcde"), max_size=4), max_size=3)
+
+
+@given(messages=wide_messages, codewords=codeword_sets, covers=cover_lists)
+@settings(deadline=None)
+def test_model_counted_around_is_exact_where_it_answers(messages, codewords, covers):
+    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    model = build_model(corpus, codewords, covers)
+    token_lists = [line.split() for line in corpus.lines]
+    words = codewords | {w for cover in covers for w in cover}
+    assert model.words == words
+    assert set(model.counts) == set(range(2, MAX_N + 1))
+    for n, table in model.counts.items():
+        assert all(w is None or w in words for gram in table for w in gram)
+        assert all(set(gram) & codewords for gram in table)
+        for gram in product(sorted(words), repeat=n):
+            if set(gram) & codewords:
+                assert table.get(gram, 0) == window_count(token_lists, gram)
+
+
+@given(
+    messages=wide_messages,
+    codewords=codeword_sets,
+    cover=st.lists(st.sampled_from("abcdez"), min_size=2, max_size=6),
+    counted=st.sets(st.sampled_from("abcdez")),
+    word=st.sampled_from("abcdez"),
+    data=st.data(),
+)
+@settings(deadline=None)
+def test_scoring_outside_either_domain_raises(
+    messages, codewords, cover, counted, word, data
+):
+    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    model = build_model(corpus, codewords, [sorted(counted)])
+    position = data.draw(st.integers(1, len(cover) - 1))
+    neighbours = cover[max(0, position - MAX_N + 1) : position + MAX_N - 1]
+    answers = word in codewords and set(neighbours) <= codewords | counted
+    if answers:
+        insertion_score(model, cover, position, word)
+    else:
+        with pytest.raises(ValueError):
+            insertion_score(model, cover, position, word)
+
+    scored = data.draw(st.lists(st.sampled_from("abcdez"), min_size=1, max_size=6))
+    requested = set(data.draw(st.lists(st.sampled_from(message_grams(scored)))))
+    counts = count_grams(corpus, requested)
+    if requested >= set(message_grams(scored)):
+        plausibility_score(counts, scored)
+    else:
+        with pytest.raises(ValueError, match="not counted"):
+            plausibility_score(counts, scored)
+
+
+def _distinct_word_corpus(n_messages):
+    """Every message holds the codeword "cw"; every other word occurs once."""
+    return Corpus.from_lines(f"a{i} b{i} cw c{i} d{i}" for i in range(n_messages))
+
+
+def test_insertion_tables_do_not_grow_with_the_corpus():
+    cover = ("a0", "b0", "c0", "d0")
+    small = build_model(_distinct_word_corpus(200), {"cw"}, [cover])
+    large = build_model(_distinct_word_corpus(400), {"cw"}, [cover])
+    assert {n: len(t) for n, t in small.counts.items()} == {
+        n: len(t) for n, t in large.counts.items()
+    }
+    for n, table in large.counts.items():
+        assert len(table) <= (len(large.words) + 1) ** n
 
 
 @given(messages=message_lists)
 @settings(deadline=None)
 def test_longer_grams_never_outnumber_their_parts(messages):
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
-    model = build_model(corpus)
+    grams = {g for line in corpus.lines for g in message_grams(line.split())}
+    counts = count_grams(corpus, grams)
 
     def count(gram):
-        if len(gram) == 1:
-            return model.vocabulary[gram[0]]
-        return model.counts[len(gram)][gram]
+        return counts[len(gram)][gram]
 
-    for n in (2, 3):
-        for gram in model.counts[n]:
+    for n in range(2, MAX_N + 1):
+        for gram in counts[n]:
             assert count(gram) <= count(gram[:-1])
             assert count(gram) <= count(gram[1:])
 
@@ -144,24 +248,23 @@ def test_smoothed_distribution_over_no_words_raises():
         smoothed_distribution({}, 0, [])
 
 
-def test_plausibility_matches_hand_formula(toy_model):
+def test_plausibility_matches_hand_formula(toy_corpus):
     expected = (math.log(3) + math.log(4) + math.log(3)) / 3
-    score = toy_model.plausibility_score(("the", "cat"))
+    score = observe(toy_corpus, ("the", "cat"))
     assert score == pytest.approx(expected)
     assert score == pytest.approx(1.1945, abs=1e-4)
 
 
-def test_plausibility_of_unseen_text_is_zero(toy_model):
-    assert toy_model.plausibility_score(("x", "y", "z")) == 0.0
+def test_plausibility_of_unseen_text_is_zero(toy_corpus):
+    assert observe(toy_corpus, ("x", "y", "z")) == 0.0
 
 
-def test_plausibility_rejects_empty_sequence(toy_model):
+def test_plausibility_rejects_empty_sequence(toy_corpus):
     with pytest.raises(ValueError):
-        toy_model.plausibility_score(())
+        observe(toy_corpus, ())
 
 
-def test_plausibility_prefers_attested_word_order(toy_model):
-    natural = toy_model.plausibility_score(("the", "cat"))
-    scrambled = toy_model.plausibility_score(("cat", "the"))
+def test_plausibility_prefers_attested_word_order(toy_corpus):
+    natural = observe(toy_corpus, ("the", "cat"))
+    scrambled = observe(toy_corpus, ("cat", "the"))
     assert natural > scrambled
-
