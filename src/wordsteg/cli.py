@@ -3,14 +3,14 @@
 One binary, four verbs: gen-codebook, encode, decode, and eval (with band,
 density, and distinguish subcommands). It runs as the installed wordsteg
 script or as python -m wordsteg.cli. Every verb that needs word or n-gram
-counts takes --corpus and counts them itself; there is no model file. Each
-counts only what it reads: gen-codebook, eval band and eval density read the
-corpus vocabulary and count nothing more; encode and eval distinguish count
-the longer grams of the messages that hold a codeword, for the covers they
-drew, and eval distinguish then counts the grams of the messages its
-observer scores. Every verb reads the whole corpus it is given. eval density
-scores each point with a KL divergence that is always add-one (Laplace)
-smoothed, and eval distinguish sizes each secret by --secret-len.
+counts takes --corpus and counts them itself. Each counts only what it
+reads: gen-codebook, eval band and eval density read the corpus vocabulary
+and count nothing more; encode and eval distinguish count the longer grams
+of the messages that hold a codeword, for the covers they drew, and eval
+distinguish then counts the grams of the messages its observer scores.
+Every verb reads the whole corpus it is given. eval density scores each
+point with a KL divergence that is always add-one (Laplace) smoothed, and
+eval distinguish sizes each secret by --secret-len.
 Exit codes: 0 success, 2 usage or I/O problems, 3 insufficient band
 occupancy, 4 steganization failure. A verb parses its list flags (--bands,
 --densities) before it reads any file, so a typo in one is reported at once,

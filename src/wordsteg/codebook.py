@@ -10,9 +10,9 @@ secret; it travels out of band, never on the cover channel.
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 from .atomic import atomic_open
 from .corpus import scrub_message

@@ -22,8 +22,8 @@ counts, adds the codewords to the cover counts instead of inserting them.
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .codebook import Codebook
 from .corpus import MIN_COVER_TOKENS, Corpus

@@ -19,9 +19,9 @@ counts are computed on first access, so a verb that never reads them
 
 import re
 from collections import Counter
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable
 import unicodedata
 
 from .errors import EmptyCorpusError
@@ -68,10 +68,10 @@ _DROP_STARTS = tuple(
 _URL_TAIL = re.compile(r"://\S*")
 _URL_HEAD = re.compile(r"//:\S*")
 
-# Lines scrubbed per block by Corpus.from_lines. Large enough that the
-# per-call overhead vanishes, small enough that the block's copies of the
-# text stay a small share of the corpus's memory.
-_CHUNK_LINES = 1024
+# Lines per block, for the scrub here and for both counts in ngram. Large
+# enough that the per-call overhead vanishes, small enough that a block's
+# copies of its text stay a small share of the corpus's memory.
+BLOCK_LINES = 1024
 
 
 def _scrub_text(text: str) -> str:
@@ -143,19 +143,20 @@ class Corpus:
         """Scrub raw lines, skipping any that scrub to nothing.
 
         Each line is scrubbed as scrub_message would scrub it, so a line
-        break inside one counts as a space. Lines are read _CHUNK_LINES at a
+        break inside one counts as a space. Lines are read BLOCK_LINES at a
         time.
         """
         kept: list[str] = []
         lines = iter(lines)
-        while chunk := list(islice(lines, _CHUNK_LINES)):
-            text = _scrub_text("\n".join(line.replace("\n", " ") for line in chunk))
+        while block := list(islice(lines, BLOCK_LINES)):
+            text = _scrub_text("\n".join(line.replace("\n", " ") for line in block))
             # str.isspace and str.split agree on what whitespace is.
             kept.extend(line for line in text.split("\n") if line and not line.isspace())
         return cls(kept)
 
 
 def load_corpus(path) -> Corpus:
-    """Read a line-delimited text file into a Corpus. I/O errors propagate."""
-    with open(path, encoding="utf-8") as handle:
+    """Read a line-delimited UTF-8 file, minus any leading byte-order mark,
+    into a Corpus. I/O errors propagate."""
+    with open(path, encoding="utf-8-sig") as handle:
         return Corpus.from_lines(handle)

@@ -12,9 +12,9 @@ import hashlib
 import math
 import random
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
 from .codec import contains_codeword, draw_cover, insert_codewords

@@ -22,22 +22,21 @@ n-grams at all.
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from itertools import chain, filterfalse
-from typing import Iterable, Sequence
 
-from .corpus import Corpus
+from .corpus import BLOCK_LINES, Corpus
 
 # Orders above 3 are almost all singletons at the corpus sizes this tool
 # targets (~1e5 short messages) and add nothing but memory.
 MAX_N = 3
 
-# Both counts read the corpus in blocks of lines, so that one zip per order
-# serves a whole block. count_grams joins the lines of a block with this
-# token: the scrub deletes every punctuation character, so it is never a
+# Both counts read the corpus BLOCK_LINES lines at a time, so that one zip
+# per order serves a whole block. count_grams joins the lines of a block with
+# this token: the scrub deletes every punctuation character, so it is never a
 # word, and any gram that spans two messages holds it; count_grams refuses a
 # requested gram that holds it.
 _SEPARATOR = "."
-_BLOCK_LINES = 1024
 
 
 class NGramModel:
@@ -66,7 +65,7 @@ def build_model(
     """Count orders 2..MAX_N for inserting `codewords` into `covers`.
 
     Only the messages that hold a codeword are scanned, since every gram
-    that holds one lies inside such a message; they are read _BLOCK_LINES
+    that holds one lies inside such a message; they are read BLOCK_LINES
     lines at a time. Within them, each word that is neither a codeword nor
     a word of `covers` becomes None, and only the grams that hold a
     codeword are kept, so the tables hold at most (len(words) + 1) ** n
@@ -77,10 +76,10 @@ def build_model(
     known = {word: word for word in chain(codewords, chain.from_iterable(covers))}
     counts = {n: Counter() for n in range(2, MAX_N + 1)}
     lines = corpus.lines
-    for start in range(0, len(lines), _BLOCK_LINES):
+    for start in range(0, len(lines), BLOCK_LINES):
         messages = [
             m
-            for m in map(str.split, lines[start : start + _BLOCK_LINES])
+            for m in map(str.split, lines[start : start + BLOCK_LINES])
             if not codewords.isdisjoint(m)
         ]
         # A None after each message: no gram that spans two messages is read.
@@ -112,8 +111,8 @@ def count_grams(
         tables[len(gram)][gram] = 0
     lines = corpus.lines
     joiner = f" {_SEPARATOR} "
-    for start in range(0, len(lines), _BLOCK_LINES):
-        tokens = joiner.join(lines[start : start + _BLOCK_LINES]).split()
+    for start in range(0, len(lines), BLOCK_LINES):
+        tokens = joiner.join(lines[start : start + BLOCK_LINES]).split()
         for n, table in tables.items():
             table.update(
                 filter(table.__contains__, zip(*(tokens[i:] for i in range(n))))

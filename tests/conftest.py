@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from wordsteg import Codebook, Corpus
+from wordsteg.codebook import Codebook
+from wordsteg.corpus import Corpus
 
 from synthcorpus import synth_lines
 

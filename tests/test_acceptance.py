@@ -14,20 +14,17 @@ import os
 import random
 import time
 
-from wordsteg import (
-    Codebook,
-    DIGITS,
+from wordsteg.cli import main
+from wordsteg.codebook import DIGITS, Codebook, select_codebook
+from wordsteg.codec import decode, steganize
+from wordsteg.evaluate import (
     build_pairs,
-    decode,
     derive_seed,
     distinguisher_accuracy,
     kl_divergence,
     run_band_experiment,
     run_density_experiment,
-    select_codebook,
-    steganize,
 )
-from wordsteg.cli import main
 
 GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
 

@@ -465,24 +465,44 @@ def test_version_flag_exits_cleanly(capsys):
     assert "wordsteg" in capsys.readouterr().out
 
 
-def _run_module(*argv, cwd):
-    """Run python -m wordsteg.cli in a child process on the package under test."""
+def _run_python(*argv, cwd):
+    """Run python with argv in a child process on the package under test."""
     paths = [str(Path(wordsteg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
-        [sys.executable, "-m", "wordsteg.cli", *argv],
+        [sys.executable, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
     )
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    missing = _run_module(
-        "gen-codebook", "--corpus", "nope.txt", "--band", "14+", "--out", "x.json",
-        cwd=tmp_path,
+    missing = _run_python(
+        "-m", "wordsteg.cli", "gen-codebook", "--corpus", "nope.txt", "--band", "14+",
+        "--out", "x.json", cwd=tmp_path,
     )
     assert missing.returncode == 2
     assert "error:" in missing.stderr
     assert not (tmp_path / "x.json").exists()
-    version = _run_module("--version", cwd=tmp_path)
+    version = _run_python("-m", "wordsteg.cli", "--version", cwd=tmp_path)
     assert version.returncode == 0
     assert version.stdout == f"wordsteg {wordsteg.__version__}\n"
+
+
+def test_imports_load_only_the_modules_they_need(tmp_path):
+    # -S skips site, which on some installs imports typing by itself.
+    probe = (
+        "import json, sys\n"
+        "def ours(): return sorted(n for n in sys.modules if n.split('.')[0] == 'wordsteg')\n"
+        "import wordsteg\n"
+        "package = ours()\n"
+        "import wordsteg.corpus\n"
+        "corpus = ours()\n"
+        "import wordsteg.cli\n"
+        "print(json.dumps([package, corpus, 'typing' in sys.modules]))\n"
+    )
+    child = _run_python("-S", "-c", probe, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    package, corpus, typing_loaded = json.loads(child.stdout)
+    assert package == ["wordsteg"]
+    assert corpus == ["wordsteg", "wordsteg.corpus", "wordsteg.errors"]
+    assert not typing_loaded

@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg import (
-    Codebook,
-    CodebookValidationError,
+from wordsteg.codebook import (
     DIGITS,
-    FormatError,
-    InsufficientBandError,
+    Codebook,
     band_words,
     format_band,
     load_codebook,
     parse_band,
     save_codebook,
-    scrub_message,
     select_codebook,
 )
+from wordsteg.corpus import scrub_message
+from wordsteg.errors import CodebookValidationError, FormatError, InsufficientBandError
 
 
 @pytest.mark.parametrize(

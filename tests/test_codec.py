@@ -5,22 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg import (
-    Codebook,
-    CodebookValidationError,
-    Corpus,
-    DIGITS,
-    SteganizeError,
-    build_model,
+from wordsteg.codebook import DIGITS, Codebook, select_codebook
+from wordsteg.codec import (
+    MAX_ATTEMPTS,
     contains_codeword,
     decode,
+    draw_cover,
     insert_codewords,
     insertion_score,
-    scrub_message,
-    select_codebook,
     steganize,
 )
-from wordsteg.codec import MAX_ATTEMPTS, draw_cover
+from wordsteg.corpus import Corpus, scrub_message
+from wordsteg.errors import CodebookValidationError, SteganizeError
+from wordsteg.ngram import build_model
 
 from synthcorpus import synth_lines
 from test_ngram import window_count

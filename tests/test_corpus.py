@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg import Corpus, EmptyCorpusError, load_corpus, scrub_message
 from wordsteg import corpus as corpus_module
+from wordsteg.corpus import Corpus, load_corpus, scrub_message
+from wordsteg.errors import EmptyCorpusError
 
 from synthcorpus import synth_lines
 
@@ -93,6 +94,15 @@ def test_load_corpus_counts_vocabulary(tmp_path):
     assert corpus.vocabulary == {"the": 2, "cat": 3, "sat": 2, "ran": 1, "a": 1}
 
 
+def test_load_corpus_skips_a_byte_order_mark(tmp_path):
+    text = "hello there friend\nhello again\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_corpus(marked).lines == load_corpus(plain).lines
+
+
 def test_load_corpus_skips_lines_that_scrub_to_nothing(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("@alice #topic\nthe cat sat\n\n", encoding="utf-8")
@@ -176,23 +186,24 @@ def _universal_lines(text):
 
 
 # Small blocks make hypothesis's short inputs cross block boundaries.
-@pytest.mark.parametrize("chunk_lines", [1, 2, 3, corpus_module._CHUNK_LINES])
+@pytest.mark.parametrize("block_lines", [1, 2, 3, corpus_module.BLOCK_LINES])
 @given(text=_hazard_text(st.characters(exclude_categories=("Cs",))))
 @settings(deadline=None)
-def test_load_corpus_matches_per_line_reference(tmp_path_factory, chunk_lines, text):
+def test_load_corpus_matches_per_line_reference(tmp_path_factory, block_lines, text):
     path = tmp_path_factory.mktemp("whole") / "corpus.txt"
     # Bytes on disk, so "\r" and "\r\n" reach the reader untranslated.
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(corpus_module, "_CHUNK_LINES", chunk_lines):
+    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
         built = _messages_or_none(lambda: load_corpus(path))
-    assert built == _reference_messages(_universal_lines(text))
+    # The reader skips one byte-order mark at the start of the file.
+    assert built == _reference_messages(_universal_lines(text.removeprefix("\ufeff")))
 
 
-@pytest.mark.parametrize("chunk_lines", [1, 2, 3, corpus_module._CHUNK_LINES])
+@pytest.mark.parametrize("block_lines", [1, 2, 3, corpus_module.BLOCK_LINES])
 @given(lines=st.lists(_hazard_text(st.characters(exclude_categories=()))))
-def test_from_lines_matches_per_line_reference(chunk_lines, lines):
+def test_from_lines_matches_per_line_reference(block_lines, lines):
     # Any code point, surrogates too; an element holding "\n" is one message.
-    with mock.patch.object(corpus_module, "_CHUNK_LINES", chunk_lines):
+    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
         built = _messages_or_none(lambda: Corpus.from_lines(lines))
     assert built == _reference_messages(lines)
 
@@ -210,10 +221,10 @@ def test_scrub_of_marker_dense_text_matches_reference(raw):
     assert scrub_message(raw) == _scrub_reference(raw)
 
 
-@pytest.mark.parametrize("chunk_lines", [1, 2, 3, corpus_module._CHUNK_LINES])
+@pytest.mark.parametrize("block_lines", [1, 2, 3, corpus_module.BLOCK_LINES])
 @given(lines=st.lists(marker_text))
-def test_from_lines_of_marker_dense_text_matches_reference(chunk_lines, lines):
-    with mock.patch.object(corpus_module, "_CHUNK_LINES", chunk_lines):
+def test_from_lines_of_marker_dense_text_matches_reference(block_lines, lines):
+    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
         built = _messages_or_none(lambda: Corpus.from_lines(lines))
     assert built == _reference_messages(lines)
 

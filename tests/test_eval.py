@@ -6,26 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg import (
-    DIGITS,
-    Codebook,
-    Corpus,
+from wordsteg.codebook import DIGITS, Codebook, select_codebook
+from wordsteg.codec import decode, draw_cover, insert_codewords, steganize
+from wordsteg.corpus import Corpus
+from wordsteg.evaluate import (
     DensityPoint,
-    build_model,
+    _insert_count,
     build_pairs,
-    decode,
     derive_seed,
     distinguisher_accuracy,
-    insert_codewords,
     kl_divergence,
+    random_secret,
     run_band_experiment,
     run_density_experiment,
-    select_codebook,
     smoothed_distribution,
-    steganize,
 )
-from wordsteg.codec import draw_cover
-from wordsteg.evaluate import _insert_count, random_secret
+from wordsteg.ngram import build_model
 
 
 def test_derive_seed_is_stable_and_label_sensitive():

@@ -11,19 +11,12 @@ import hashlib
 
 import pytest
 
-from wordsteg import (
-    DIGITS,
-    Codebook,
-    Corpus,
-    SteganizeError,
-    load_codebook,
-    load_corpus,
-    build_pairs,
-    run_density_experiment,
-    save_codebook,
-    steganize,
-)
 from wordsteg.cli import main
+from wordsteg.codebook import DIGITS, Codebook, load_codebook, save_codebook
+from wordsteg.codec import steganize
+from wordsteg.corpus import Corpus, load_corpus
+from wordsteg.errors import SteganizeError
+from wordsteg.evaluate import build_pairs, run_density_experiment
 
 GEN_CODEBOOK = ["gen-codebook", "--corpus", "CORPUS", "--band", "14+", "--seed", "3",
                 "--out", "CODEBOOK"]

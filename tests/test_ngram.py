@@ -1,19 +1,22 @@
 import math
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg import (
-    Corpus,
+from wordsteg import ngram as ngram_module
+from wordsteg.codec import insertion_score
+from wordsteg.corpus import Corpus
+from wordsteg.evaluate import smoothed_distribution
+from wordsteg.ngram import (
+    MAX_N,
     build_model,
     count_grams,
-    insertion_score,
+    message_grams,
     plausibility_score,
-    smoothed_distribution,
 )
-from wordsteg.ngram import MAX_N, message_grams
 
 
 def window_count(token_lists, gram):
@@ -161,6 +164,24 @@ def test_model_counted_around_is_exact_where_it_answers(messages, codewords, cov
         for gram in product(sorted(words), repeat=n):
             if set(gram) & codewords:
                 assert table.get(gram, 0) == window_count(token_lists, gram)
+
+
+# Blocks of 1 to 3 lines, so that hypothesis's short corpora cross block
+# edges; every word of the messages is a cover word.
+@pytest.mark.parametrize("block_lines", [1, 2, 3])
+@given(messages=wide_messages, codewords=codeword_sets)
+@settings(deadline=None)
+def test_both_counts_are_exact_across_block_edges(block_lines, messages, codewords):
+    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    token_lists = [line.split() for line in corpus.lines]
+    grams = [g for n in range(1, MAX_N + 1) for g in product("abcdez", repeat=n)]
+    with mock.patch.object(ngram_module, "BLOCK_LINES", block_lines):
+        counts = count_grams(corpus, grams)
+        model = build_model(corpus, codewords, [tuple("abcde")])
+    for gram in grams:
+        assert counts[len(gram)][gram] == window_count(token_lists, gram)
+        if len(gram) > 1 and set(gram) & codewords:
+            assert model.counts[len(gram)].get(gram, 0) == window_count(token_lists, gram)
 
 
 @given(
