@@ -158,13 +158,9 @@ def cmd_eval_band(args) -> int:
     bands = [parse_band(b) for b in args.bands.split(",")]
     corpus = load_corpus(args.corpus)
     rows = run_band_experiment(
-        corpus,
-        bands,
-        alphabet=tuple(args.alphabet),
-        trials=args.trials,
-        seed=args.seed,
+        corpus, bands, alphabet=tuple(args.alphabet), trials=args.trials, seed=args.seed
     )
-    _report(args, [row.to_doc() for row in rows])
+    _report(args, rows)
     return 0
 
 
@@ -180,14 +176,10 @@ def cmd_eval_density(args) -> int:
     densities = [_parse_density(d) for d in args.densities.split(",")]
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
-    points = run_density_experiment(
-        corpus,
-        codebook,
-        densities,
-        trials=args.trials,
-        seed=args.seed,
+    rows = run_density_experiment(
+        corpus, codebook, densities, trials=args.trials, seed=args.seed
     )
-    _report(args, [point.to_doc() for point in points])
+    _report(args, rows)
     return 0
 
 

@@ -11,8 +11,6 @@ import json
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import cached_property
 
 from .atomic import atomic_open
 from .corpus import scrub_message
@@ -54,38 +52,38 @@ def format_band(band: Band) -> str:
     return f"{lo}+" if hi is None else f"{lo}-{hi}"
 
 
-@dataclass(frozen=True)
 class Codebook:
     """Bijective symbol-to-codeword map plus the provenance of its draw."""
 
-    alphabet: tuple[str, ...]
-    forward: dict[str, str]
-    band: Band
-    seed: int
-
-    def __post_init__(self):
-        if not _band_in_order(*self.band):
-            raise CodebookValidationError(f"invalid band {format_band(self.band)}")
-        if not self.alphabet:
+    def __init__(
+        self, alphabet: tuple[str, ...], forward: dict[str, str], band: Band, seed: int
+    ):
+        if not _band_in_order(*band):
+            raise CodebookValidationError(f"invalid band {format_band(band)}")
+        if not alphabet:
             raise CodebookValidationError("alphabet is empty")
-        if set(self.forward) != set(self.alphabet):
+        if set(forward) != set(alphabet):
             raise CodebookValidationError("mapped symbols do not match the alphabet")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise CodebookValidationError("alphabet contains duplicate symbols")
-        words = list(self.forward.values())
-        if len(set(words)) != len(words):
+        self.inverse = {word: symbol for symbol, word in forward.items()}
+        if len(self.inverse) != len(forward):
             raise CodebookValidationError("codewords are not distinct")
-        for word in words:
+        for word in self.inverse:
             if not word or word.split() != [word]:
                 raise CodebookValidationError(f"codeword {word!r} is not a single token")
             if scrub_message(word) != word:
                 raise CodebookValidationError(
                     f"codeword {word!r} is not in scrubbed form, so decode never sees it"
                 )
+        self.alphabet, self.forward, self.band, self.seed = alphabet, forward, band, seed
 
-    @cached_property
-    def inverse(self) -> dict[str, str]:
-        return {word: symbol for symbol, word in self.forward.items()}
+    def __eq__(self, other):
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return (self.alphabet, self.forward, self.band, self.seed) == (
+            other.alphabet, other.forward, other.band, other.seed
+        )
 
 
 def band_words(counts: Mapping[str, int], band: Band) -> list[str]:
@@ -152,7 +150,9 @@ def load_codebook(path) -> Codebook:
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and over-long integers;
+            # RecursionError, nesting too deep to parse.
             raise FormatError(f"codebook file is not valid UTF-8 JSON: {exc}") from exc
     # Only the JSON types save_codebook writes. Integers are checked with
     # type(x) is int: true and 1.0 compare equal to 1, and bool passes

@@ -22,8 +22,8 @@ counts, adds the codewords to the cover counts instead of inserting them.
 
 import math
 import random
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .codebook import Codebook
 from .corpus import MIN_COVER_TOKENS, Corpus
@@ -36,8 +36,9 @@ from .ngram import MAX_N, NGramModel, build_model
 MAX_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True)
-class StegoResult:
+class StegoResult(
+    namedtuple("StegoResult", "stego cover inserted_positions attempts density")
+):
     """One successful embedding.
 
     stego and cover are token tuples; inserted_positions are indexes into
@@ -45,11 +46,7 @@ class StegoResult:
     accepted one; density is inserted codewords over total stego tokens.
     """
 
-    stego: tuple[str, ...]
-    cover: tuple[str, ...]
-    inserted_positions: tuple[int, ...]
-    attempts: int
-    density: float
+    __slots__ = ()
 
     def to_doc(self) -> dict:
         return {

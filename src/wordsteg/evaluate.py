@@ -13,7 +13,6 @@ import math
 import random
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import asdict, dataclass
 from itertools import chain
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
@@ -64,22 +63,18 @@ def smoothed_distribution(
     return {w: (counts.get(w, 0) + 1) / denominator for w in vocab}
 
 
-@dataclass(frozen=True)
-class BandExperimentRow:
-    """Raw decode-error tally for one codeword frequency band.
-
-    Fields are in the order of the CLI's table and CSV columns.
-    """
-
-    band: Band
-    trials: int
-    errors: int
-    failures: int = 0
-    skipped: bool = False
-    reason: str | None = None
-
-    def to_doc(self) -> dict:
-        return {**asdict(self), "band": format_band(self.band)}
+def _band_row(
+    band: Band, trials: int, errors: int, failures: int = 0, reason: str | None = None
+) -> dict:
+    """One band's raw decode-error tally, keyed in table and CSV column order."""
+    return {
+        "band": format_band(band),
+        "trials": trials,
+        "errors": errors,
+        "failures": failures,
+        "skipped": reason is not None,
+        "reason": reason,
+    }
 
 
 def run_band_experiment(
@@ -88,7 +83,7 @@ def run_band_experiment(
     alphabet: tuple[str, ...] = DIGITS,
     trials: int = 2000,
     seed: int = 0,
-) -> list[BandExperimentRow]:
+) -> list[dict]:
     """Measure raw decode errors as codeword frequency rises.
 
     Each band gets its own codebook, drawn from corpus.vocabulary, and
@@ -98,7 +93,7 @@ def run_band_experiment(
     order, so no other error occurs, whatever the secret. Errors therefore
     count the drawn covers that hold a codeword; failures count draws from
     an empty cover pool, separately. Bands too thin to fill a codebook are
-    reported as skipped, not raised.
+    reported as skipped, not raised. Returns one _band_row per band.
     """
     if not bands:
         raise ValueError("need at least one band")
@@ -111,9 +106,7 @@ def run_band_experiment(
                 corpus.vocabulary, band, alphabet, seed=derive_seed(seed, "band", index)
             )
         except InsufficientBandError as exc:
-            rows.append(
-                BandExperimentRow(band, trials=0, errors=0, skipped=True, reason=str(exc))
-            )
+            rows.append(_band_row(band, trials=0, errors=0, reason=str(exc)))
             continue
         errors = 0
         failures = 0
@@ -125,26 +118,26 @@ def run_band_experiment(
                 failures += 1
                 continue
             errors += contains_codeword(cover, codebook)
-        rows.append(BandExperimentRow(band, trials=trials, errors=errors, failures=failures))
+        rows.append(_band_row(band, trials, errors, failures))
     return rows
 
 
-@dataclass(frozen=True)
-class DensityPoint:
-    """Distribution shift measured at one target codeword density.
-
-    Fields are in the order of the CLI's table and CSV columns.
-    """
-
-    target_density: float
-    realized_density: float | None
-    trials: int
-    kl_nats: float | None
-    skipped: bool = False
-    reason: str | None = None
-
-    def to_doc(self) -> dict:
-        return asdict(self)
+def _density_row(
+    target_density: float,
+    realized_density: float | None,
+    trials: int,
+    kl_nats: float | None,
+    reason: str | None = None,
+) -> dict:
+    """One density point's distribution shift, keyed in table and CSV column order."""
+    return {
+        "target_density": target_density,
+        "realized_density": realized_density,
+        "trials": trials,
+        "kl_nats": kl_nats,
+        "skipped": reason is not None,
+        "reason": reason,
+    }
 
 
 def _insert_count(cover_len: int, target_density: float) -> int:
@@ -161,7 +154,7 @@ def run_density_experiment(
     densities: Sequence[float],
     trials: int = 500,
     seed: int = 0,
-) -> list[DensityPoint]:
+) -> list[dict]:
     """Trace distribution shift against codeword density.
 
     One cover sample of `trials` messages is drawn up front and reused for
@@ -188,15 +181,12 @@ def run_density_experiment(
     # is p built again over the union.
     corpus_vocabulary = sorted(corpus.vocabulary)
     corpus_p = smoothed_distribution(corpus.vocabulary, corpus.total_tokens, corpus_vocabulary)
-    points = []
+    rows = []
     try:
         cover_rng = random.Random(derive_seed(seed, "covers"))
         covers = [draw_cover(corpus, codebook, cover_rng)[1] for _ in range(trials)]
     except SteganizeError as exc:
-        return [
-            DensityPoint(target, None, trials=0, kl_nats=None, skipped=True, reason=str(exc))
-            for target in densities
-        ]
+        return [_density_row(target, None, 0, None, str(exc)) for target in densities]
     cover_counts = Counter(chain.from_iterable(covers))
     cover_total = cover_counts.total()
     for index, target in enumerate(densities):
@@ -215,15 +205,8 @@ def run_density_experiment(
             vocabulary = sorted(corpus.vocabulary.keys() | stego_counts.keys())
             p = smoothed_distribution(corpus.vocabulary, corpus.total_tokens, vocabulary)
         q = smoothed_distribution(stego_counts, token_total, vocabulary)
-        points.append(
-            DensityPoint(
-                target_density=target,
-                realized_density=inserted / token_total,
-                trials=trials,
-                kl_nats=kl_divergence(p, q),
-            )
-        )
-    return points
+        rows.append(_density_row(target, inserted / token_total, trials, kl_divergence(p, q)))
+    return rows
 
 
 def build_pairs(

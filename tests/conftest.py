@@ -6,9 +6,9 @@ from wordsteg.corpus import Corpus
 
 from synthcorpus import synth_lines
 
-# A deeper search for CI's separate run of the scrub properties
+# A deeper search for CI's separate run of the scrub and codebook properties
 # (pytest --hypothesis-profile=ci); tier-1 keeps hypothesis's default profile.
-# No deadline: on a shared runner a slow example is no scrub failure.
+# No deadline: on a shared runner a slow example is no property failure.
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 TOY_LINES = ["the cat sat", "the cat ran", "a cat sat"]

@@ -101,9 +101,9 @@ def test_decode_errors_grow_with_codeword_frequency(desk_corpus):
         seed=0,
     )
     elapsed = time.monotonic() - started
-    errors = [row.errors for row in rows]
+    errors = [row["errors"] for row in rows]
     ok = (
-        not any(row.skipped for row in rows)
+        not any(row["skipped"] for row in rows)
         and all(errors[i] <= errors[i + 1] for i in range(len(errors) - 1))
         and errors[-1] >= 2 * errors[0]
         and elapsed < 300
@@ -122,15 +122,15 @@ def test_distribution_shift_grows_with_density(desk_corpus):
         seed=0,
     )
     elapsed = time.monotonic() - started
-    control = points[0].kl_nats
-    series = [p.kl_nats for p in points[1:]]
+    control = points[0]["kl_nats"]
+    series = [p["kl_nats"] for p in points[1:]]
     inversions = [
         series[i] - series[i + 1]
         for i in range(len(series) - 1)
         if series[i + 1] < series[i]
     ]
     ok = (
-        all(p.kl_nats >= 0 for p in points)
+        all(p["kl_nats"] >= 0 for p in points)
         and len(inversions) <= 1
         and all(gap < 2 * control for gap in inversions)
         and elapsed < 300

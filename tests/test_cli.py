@@ -149,6 +149,14 @@ def test_decode_missing_codebook_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_decode_codebook_nested_too_deeply_exits_2(tmp_path, capsys):
+    cb_path = tmp_path / "deep.json"
+    cb_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code = main(["decode", "--codebook", str(cb_path), "text"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_encode_unknown_symbol_exits_2(cli_files, capsys):
     code = main(
         ["encode", "--secret", "2x", "--codebook", cli_files["cb_common"],
@@ -498,11 +506,12 @@ def test_imports_load_only_the_modules_they_need(tmp_path):
         "import wordsteg.corpus\n"
         "corpus = ours()\n"
         "import wordsteg.cli\n"
-        "print(json.dumps([package, corpus, 'typing' in sys.modules]))\n"
+        "heavy = [n for n in ('typing', 'dataclasses', 'inspect') if n in sys.modules]\n"
+        "print(json.dumps([package, corpus, heavy]))\n"
     )
     child = _run_python("-S", "-c", probe, cwd=tmp_path)
     assert child.returncode == 0, child.stderr
-    package, corpus, typing_loaded = json.loads(child.stdout)
+    package, corpus, heavy = json.loads(child.stdout)
     assert package == ["wordsteg"]
     assert corpus == ["wordsteg", "wordsteg.corpus", "wordsteg.errors"]
-    assert not typing_loaded
+    assert heavy == []

@@ -111,6 +111,30 @@ def test_forward_and_unmap_word(two_word_codebook):
     assert two_word_codebook.inverse.get("trash") is None
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {},
+        {"alphabet": ("2", "1")},
+        {"forward": {"2": "really", "1": "good"}},
+        {"band": (1, 9)},
+        {"seed": 1},
+    ],
+    ids=["equal", "alphabet", "forward", "band", "seed"],
+)
+def test_codebook_equality_compares_the_four_fields(two_word_codebook, change):
+    fields = {
+        "alphabet": ("1", "2"),
+        "forward": {"2": "good", "1": "really"},
+        "band": (1, None),
+        "seed": 0,
+    }
+    other = Codebook(**{**fields, **change})
+    assert (other == two_word_codebook) is (not change)
+    assert (other != two_word_codebook) is bool(change)
+    assert other != (other.alphabet, other.forward, other.band, other.seed)
+
+
 def test_codebook_round_trips_every_symbol(desk_corpus):
     codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=0)
     for symbol in codebook.alphabet:
@@ -170,7 +194,8 @@ def test_save_load_preserves_open_band(tmp_path, desk_corpus):
 
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "codebook.json"
-    for raw in [b"]", b'{"version": 1, "seed": "\xff"}']:
+    # json.load raises RecursionError, not ValueError, on the nested file.
+    for raw in [b"]", b'{"version": 1, "seed": "\xff"}', b"[" * 100_000 + b"]" * 100_000]:
         path.write_bytes(raw)
         with pytest.raises(FormatError):
             load_codebook(path)

@@ -10,7 +10,6 @@ from wordsteg.codebook import DIGITS, Codebook, select_codebook
 from wordsteg.codec import decode, draw_cover, insert_codewords, steganize
 from wordsteg.corpus import Corpus
 from wordsteg.evaluate import (
-    DensityPoint,
     _insert_count,
     build_pairs,
     derive_seed,
@@ -86,10 +85,10 @@ def test_kl_is_nonnegative(weights):
 def test_band_experiment_reports_each_band(small_corpus):
     bands = [(2, 4), (30, None)]
     rows = run_band_experiment(small_corpus, bands, DIGITS, trials=150, seed=0)
-    assert [row.band for row in rows] == bands
-    assert all(row.trials == 150 and not row.skipped for row in rows)
-    assert rows[0].errors <= rows[1].errors
-    assert rows[1].errors > 0
+    assert [row["band"] for row in rows] == ["2-4", "30+"]
+    assert all(row["trials"] == 150 and not row["skipped"] for row in rows)
+    assert rows[0]["errors"] <= rows[1]["errors"]
+    assert rows[1]["errors"] > 0
 
 
 def test_band_experiment_skips_impossible_bands(small_corpus):
@@ -100,9 +99,9 @@ def test_band_experiment_skips_impossible_bands(small_corpus):
         trials=20,
         seed=0,
     )
-    assert rows[0].skipped and rows[0].reason
-    assert rows[0].trials == 0 and rows[0].errors == 0
-    assert not rows[1].skipped
+    assert rows[0]["skipped"] and rows[0]["reason"]
+    assert rows[0]["trials"] == 0 and rows[0]["errors"] == 0
+    assert not rows[1]["skipped"]
 
 
 @pytest.mark.parametrize("secret_len", [0, 1, 2, 4])
@@ -119,13 +118,13 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
         secret_rng = random.Random(derive_seed(seed, "band", index, "secrets"))
         secrets = [
             tuple(secret_rng.choice(codebook.alphabet) for _ in range(secret_len))
-            for _ in range(row.trials)
+            for _ in range(row["trials"])
         ]
         covers = [
             draw_cover(
                 small_corpus, None, random.Random(derive_seed(seed, "band", index, "trial", trial))
             )[1]
-            for trial in range(row.trials)
+            for trial in range(row["trials"])
         ]
         model = build_model(small_corpus, codebook.inverse, covers)
         mismatches = 0
@@ -133,16 +132,16 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
             words = [codebook.forward[s] for s in secret]
             stego, _ = insert_codewords(model, cover, words)
             mismatches += decode(stego, codebook) != secret
-        assert (row.trials, row.failures, row.skipped) == (120, 0, False)
-        assert row.errors == mismatches, band
-    assert any(row.errors for row in rows)
+        assert (row["trials"], row["failures"], row["skipped"]) == (120, 0, False)
+        assert row["errors"] == mismatches, band
+    assert any(row["errors"] for row in rows)
 
 
 def test_empty_cover_pool_fails_every_band_trial():
     corpus = Corpus.from_lines(["a b", "c d", "e"])
     assert corpus.cover_pool == ()
     (row,) = run_band_experiment(corpus, [(1, None)], ("0",), trials=25, seed=0)
-    assert (row.trials, row.failures, row.errors, row.skipped) == (25, 25, 0, False)
+    assert (row["trials"], row["failures"], row["errors"], row["skipped"]) == (25, 25, 0, False)
 
 
 def test_band_experiment_is_deterministic(small_corpus):
@@ -163,12 +162,12 @@ def test_density_experiment_tracks_targets(small_corpus):
         trials=60,
         seed=0,
     )
-    assert [p.target_density for p in points] == [0.0, 0.1, 0.3]
-    assert points[0].realized_density == 0.0
-    assert all(p.kl_nats >= 0.0 for p in points)
+    assert [p["target_density"] for p in points] == [0.0, 0.1, 0.3]
+    assert points[0]["realized_density"] == 0.0
+    assert all(p["kl_nats"] >= 0.0 for p in points)
     for point, target in zip(points[1:], (0.1, 0.3)):
-        assert point.realized_density == pytest.approx(target, abs=0.05)
-    assert points[2].kl_nats > points[0].kl_nats
+        assert point["realized_density"] == pytest.approx(target, abs=0.05)
+    assert points[2]["kl_nats"] > points[0]["kl_nats"]
 
 
 @pytest.mark.parametrize("band", [(4, 8), (14, None), None])
@@ -204,9 +203,18 @@ def test_density_equals_explicit_embed(small_corpus, band):
         vocabulary = sorted(small_corpus.vocabulary.keys() | stego_counts.keys())
         p = smoothed_distribution(small_corpus.vocabulary, small_corpus.total_tokens, vocabulary)
         q = smoothed_distribution(stego_counts, total, vocabulary)
-        expected.append(DensityPoint(target, inserted / total, trials, kl_divergence(p, q)))
+        expected.append(
+            {
+                "target_density": target,
+                "realized_density": inserted / total,
+                "trials": trials,
+                "kl_nats": kl_divergence(p, q),
+                "skipped": False,
+                "reason": None,
+            }
+        )
     assert points == expected
-    assert points[-1].realized_density > 0.4
+    assert points[-1]["realized_density"] > 0.4
 
 
 def test_density_experiment_is_deterministic(small_corpus):

@@ -163,8 +163,8 @@ def _pairs_reason(corpus, codebook):
 
 def _density_reason(corpus, codebook):
     points = run_density_experiment(corpus, codebook, [0.0, 0.2], trials=5)
-    assert all(p.skipped and p.trials == 0 for p in points)
-    (reason,) = {p.reason for p in points}
+    assert all(p["skipped"] and p["trials"] == 0 for p in points)
+    (reason,) = {p["reason"] for p in points}
     return reason
 
 
