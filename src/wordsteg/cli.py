@@ -7,7 +7,8 @@ counts takes --corpus and counts them itself. Each counts only what it
 reads: gen-codebook, eval band and eval density read the corpus vocabulary
 and count nothing more; encode and eval distinguish count the longer grams
 of the messages that hold a codeword, for the covers they drew, and eval
-distinguish then counts the grams of the messages its observer scores.
+distinguish then reads the vocabulary and counts the bigrams and trigrams
+of the messages its observer scores.
 Every verb reads the whole corpus it is given. eval density scores each
 point with a KL divergence that is always add-one (Laplace) smoothed, and
 eval distinguish sizes each secret by --secret-len.
@@ -82,10 +83,8 @@ _NOT_CONFIG = frozenset({"func", "command", "experiment", "seed", "out", "format
 
 def _report(args, docs: list[dict]) -> None:
     """Print an eval verb's rows in --format; with --out, first write
-    <out>.json and <out>.csv atomically.
-
-    The CSV is moved into place first and the JSON last; if either write
-    fails, the run leaves neither new file behind.
+    <out>.csv and then <out>.json, each atomically; if either write fails,
+    the run leaves neither new file behind.
 
     The artifact's config is every parsed flag outside _NOT_CONFIG, so each
     eval flag reaches its artifact without a second list of flags. encode
@@ -94,16 +93,13 @@ def _report(args, docs: list[dict]) -> None:
     """
     if args.out is not None:
         config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-        csv_path, csv_placed = f"{args.out}.csv", False
+        with atomic_open(f"{args.out}.csv", newline="") as handle:
+            _write_csv(handle, docs)
         try:
-            with atomic_open(f"{args.out}.json") as json_handle:
-                _write_json(json_handle, _artifact(args.seed, config, docs))
-                with atomic_open(csv_path, newline="") as csv_handle:
-                    _write_csv(csv_handle, docs)
-                csv_placed = True
+            with atomic_open(f"{args.out}.json") as handle:
+                _write_json(handle, _artifact(args.seed, config, docs))
         except BaseException:
-            if csv_placed:
-                os.unlink(csv_path)
+            os.unlink(f"{args.out}.csv")
             raise
     if args.format == "json":
         _write_json(sys.stdout, docs)

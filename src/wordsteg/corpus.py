@@ -103,8 +103,8 @@ class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
     lines holds each message as one scrubbed line with at least one token;
-    line.split() gives its tokens. vocabulary, total_tokens and cover_pool
-    are computed on first access and then kept.
+    line.split() gives its tokens. vocabulary and cover_pool are computed on
+    first access and then kept.
     """
 
     def __init__(self, lines: Iterable[str]):
@@ -117,13 +117,8 @@ class Corpus:
 
     @cached_property
     def vocabulary(self) -> Counter[str]:
-        """Count of every word, in order of first occurrence."""
+        """The one count of every word, in order of first occurrence."""
         return Counter(chain.from_iterable(map(str.split, self.lines)))
-
-    @cached_property
-    def total_tokens(self) -> int:
-        """Number of tokens over all messages; vocabulary's total."""
-        return self.vocabulary.total()
 
     @cached_property
     def cover_pool(self) -> tuple[str, ...]:

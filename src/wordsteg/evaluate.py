@@ -53,11 +53,11 @@ def kl_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
 
 
 def smoothed_distribution(
-    counts: Mapping[str, int], total: int, vocabulary: Iterable[str]
+    counts: Mapping[str, int], vocabulary: Iterable[str]
 ) -> dict[str, float]:
     """Add-one (Laplace) smoothed distribution of `counts` over `vocabulary`."""
     vocab = list(vocabulary)
-    denominator = total + len(vocab)
+    denominator = sum(counts.values()) + len(vocab)
     if denominator <= 0:
         raise ValueError("distribution has no probability mass")
     return {w: (counts.get(w, 0) + 1) / denominator for w in vocab}
@@ -180,7 +180,7 @@ def run_density_experiment(
     # the corpus's only when a codeword is absent from the corpus; only then
     # is p built again over the union.
     corpus_vocabulary = sorted(corpus.vocabulary)
-    corpus_p = smoothed_distribution(corpus.vocabulary, corpus.total_tokens, corpus_vocabulary)
+    corpus_p = smoothed_distribution(corpus.vocabulary, corpus_vocabulary)
     rows = []
     try:
         cover_rng = random.Random(derive_seed(seed, "covers"))
@@ -203,8 +203,8 @@ def run_density_experiment(
             vocabulary, p = corpus_vocabulary, corpus_p
         else:
             vocabulary = sorted(corpus.vocabulary.keys() | stego_counts.keys())
-            p = smoothed_distribution(corpus.vocabulary, corpus.total_tokens, vocabulary)
-        q = smoothed_distribution(stego_counts, token_total, vocabulary)
+            p = smoothed_distribution(corpus.vocabulary, vocabulary)
+        q = smoothed_distribution(stego_counts, vocabulary)
         rows.append(_density_row(target, inserted / token_total, trials, kl_divergence(p, q)))
     return rows
 
@@ -250,10 +250,10 @@ def distinguisher_accuracy(
     """Accuracy of a plausibility-threshold observer on (cover, stego) pairs.
 
     Each pair is shown in seeded random order and the member with the lower
-    plausibility score is classified as the stego. The observer counts only
-    the grams of the messages in `pairs` (count_grams). 0.5 means the
-    observer is blind; the scheme's detectability is the advantage above
-    0.5.
+    plausibility score is classified as the stego. The observer reads the
+    words in corpus.vocabulary and counts only the longer grams of the
+    messages in `pairs` (count_grams). 0.5 means the observer is blind; the
+    scheme's detectability is the advantage above 0.5.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -262,11 +262,8 @@ def distinguisher_accuracy(
     )
     rng = random.Random(seed)
     correct = 0
-    for cover_tokens, stego_tokens in pairs:
-        stego_first = rng.random() < 0.5
-        first, second = (
-            (stego_tokens, cover_tokens) if stego_first else (cover_tokens, stego_tokens)
-        )
-        guess_first = plausibility_score(counts, first) < plausibility_score(counts, second)
-        correct += guess_first == stego_first
+    for pair in pairs:
+        cover, stego = (plausibility_score(corpus.vocabulary, counts, m) for m in pair)
+        # rng shows the stego first or second; a tie names the one shown second.
+        correct += stego < cover if rng.random() < 0.5 else stego <= cover
     return correct / len(pairs)

@@ -1,10 +1,11 @@
 """N-gram counts over a corpus, for exactly the grams a scorer reads.
 
-Grams have orders 1 to 3 and never span two messages. No count covers every
-gram of the corpus: each scorer knows before the scan which grams it will
-read, and each count is exact on that domain and bounded by it, not by the
-corpus. All logarithms are natural. Counts are never stored: every CLI verb
-that needs them counts them afresh from the corpus it loads.
+Grams have orders 2 and 3 and never span two messages; the one word count is
+Corpus.vocabulary. No count covers every gram of the corpus: each scorer
+knows before the scan which grams it will read, and each count is exact on
+that domain and bounded by it, not by the corpus. All logarithms are
+natural. Counts are never stored: every CLI verb that needs them counts
+them afresh from the corpus it loads.
 
 Insertion (build_model) scores a slot only by the grams of orders 2 and 3
 that hold the inserted codeword; insertion only puts codewords between
@@ -15,14 +16,14 @@ grams that hold a codeword. Its tables are bounded by the covers'
 vocabulary, and insertion_score refuses a word or neighbour outside it.
 
 The observer (count_grams, plausibility_score) scores only the messages it is
-shown, so it asks for exactly their grams and counts nothing else; looking up
-any other gram raises ValueError. eval band and eval density count no
-n-grams at all.
+shown: it reads their words in Corpus.vocabulary and asks for exactly their
+bigrams and trigrams, counting nothing else; looking up any other gram raises
+ValueError. eval band and eval density count no n-grams at all.
 """
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, filterfalse
 
 from .corpus import BLOCK_LINES, Corpus
@@ -98,13 +99,14 @@ def build_model(
 def count_grams(
     corpus: Corpus, grams: Iterable[tuple[str, ...]]
 ) -> dict[int, dict[tuple[str, ...], int]]:
-    """Exact corpus counts of the requested grams, orders 1..MAX_N.
+    """Exact corpus counts of the requested grams, orders 2..MAX_N.
 
     Returns tables[n] for every order, holding each requested gram of that
     order, those that never occur at 0, and no other gram. Raises
-    ValueError for a gram of another order or one that holds the separator.
+    ValueError for a gram of another order (Corpus.vocabulary counts the
+    words) or one that holds the separator.
     """
-    tables = {n: Counter() for n in range(1, MAX_N + 1)}
+    tables = {n: Counter() for n in range(2, MAX_N + 1)}
     for gram in grams:
         if len(gram) not in tables or _SEPARATOR in gram:
             raise ValueError(f"cannot count the gram {gram!r}")
@@ -121,31 +123,38 @@ def count_grams(
 
 
 def message_grams(tokens: Sequence[str]) -> list[tuple[str, ...]]:
-    """Every gram of orders 1..MAX_N in one message, order by order."""
+    """Every gram of orders 2..MAX_N in one message, order by order."""
     toks = tuple(tokens)
     return [
-        toks[i : i + n] for n in range(1, MAX_N + 1) for i in range(len(toks) - n + 1)
+        toks[i : i + n] for n in range(2, MAX_N + 1) for i in range(len(toks) - n + 1)
     ]
 
 
 def plausibility_score(
-    counts: dict[int, dict[tuple[str, ...], int]], tokens: Sequence[str]
+    vocabulary: Mapping[str, int],
+    counts: dict[int, dict[tuple[str, ...], int]],
+    tokens: Sequence[str],
 ) -> float:
-    """Mean log(1 + count) over every gram of orders 1..MAX_N of the tokens.
+    """Mean log(1 + count) over the words and the longer grams of the tokens.
 
     Higher means the sequence is built from patterns the corpus actually
-    uses. Normalizing by the gram count keeps sequences of different
-    lengths comparable; log(1 + count) keeps unseen grams finite. `counts`
-    comes from count_grams and must hold every gram of the tokens; a gram
-    it lacks raises ValueError.
+    uses. Normalizing by the number of terms keeps sequences of different
+    lengths comparable; log(1 + count) keeps unseen grams finite. Words are
+    read in `vocabulary`, the complete word count, so a word it lacks counts
+    0. `counts` comes from count_grams and must hold every longer gram of
+    the tokens; a gram it lacks raises ValueError.
     """
-    grams = message_grams(tokens)
-    if not grams:
+    if not tokens:
         raise ValueError("cannot score an empty token sequence")
+    grams = message_grams(tokens)
+    # += in this order, not sum(): since Python 3.12 sum() rounds floats
+    # differently, and one changed bit could flip a near-tie of two scores.
     total = 0.0
+    for word in tokens:
+        total += math.log1p(vocabulary.get(word, 0))
     for gram in grams:
         try:
             total += math.log1p(counts[len(gram)][gram])
         except KeyError:
             raise ValueError(f"the gram {gram!r} was not counted") from None
-    return total / len(grams)
+    return total / (len(tokens) + len(grams))

@@ -200,7 +200,6 @@ def test_encode_path_never_counts_the_vocabulary(small_corpus):
     result = steganize("314", codebook, corpus, seed=99)
     assert decode(result.stego, codebook) == ("3", "1", "4")
     assert "vocabulary" not in corpus.__dict__
-    assert "total_tokens" not in corpus.__dict__
 
 
 def test_steganize_accepts_plain_string_secret(small_corpus):

@@ -201,8 +201,8 @@ def test_density_equals_explicit_embed(small_corpus, band):
             inserted += len(positions)
         total = stego_counts.total()
         vocabulary = sorted(small_corpus.vocabulary.keys() | stego_counts.keys())
-        p = smoothed_distribution(small_corpus.vocabulary, small_corpus.total_tokens, vocabulary)
-        q = smoothed_distribution(stego_counts, total, vocabulary)
+        p = smoothed_distribution(small_corpus.vocabulary, vocabulary)
+        q = smoothed_distribution(stego_counts, vocabulary)
         expected.append(
             {
                 "target_density": target,
