@@ -15,13 +15,20 @@ behind), and never holds a token object of its own: each reader splits
 only the lines it reads, and str.split discards that whitespace. The word
 counts are computed on first access, so a verb that never reads them
 (encode) never pays for them.
+
+The lines that may hold a given word are found by str.find over each block
+of lines, one hit per line, and what was found for each word is kept on the
+corpus: a word is searched for at most once per corpus, however many calls
+ask for it.
 """
 
 import re
+from array import array
+from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, islice
 import unicodedata
 
 from .errors import EmptyCorpusError
@@ -68,9 +75,9 @@ _DROP_STARTS = tuple(
 _URL_TAIL = re.compile(r"://\S*")
 _URL_HEAD = re.compile(r"//:\S*")
 
-# Lines per block, for the scrub here and for both counts in ngram. Large
-# enough that the per-call overhead vanishes, small enough that a block's
-# copies of its text stay a small share of the corpus's memory.
+# Lines per block, for the scrub and the word search here and for both counts
+# in ngram. Large enough that the per-call overhead vanishes, small enough
+# that a block's copies of its text stay a small share of the corpus's memory.
 BLOCK_LINES = 1024
 
 
@@ -99,18 +106,71 @@ def scrub_message(raw: str) -> str:
     return " ".join(_scrub_text(raw).split())
 
 
+def _find_lines(
+    lines: tuple[str, ...], words: Iterable[str]
+) -> dict[str, tuple[array, int]]:
+    """Where each word occurs as a substring: word -> (indexes, tail).
+
+    Every line from index tail on is taken; indexes are the lines before it
+    that hold the word. tail is the start of the first block of BLOCK_LINES
+    lines in which more than half the lines hold the word, or len(lines)
+    when there is none. A line taken that does not hold the word costs its
+    reader about one split, about what a hit costs the search, so past such
+    a block taking every line is the cheaper guess.
+
+    Each block is concatenated and searched with str.find. A hit that runs
+    past the end of its line spans two lines and is skipped; after a hit
+    inside a line the search resumes at the start of the next line, so the
+    Python work per word is bounded by the lines that hold it, not by its
+    occurrences. Raises ValueError for the empty word.
+    """
+    found = {}
+    for word in words:
+        if not word:
+            raise ValueError("cannot search the lines for the empty word")
+        found[word] = (array("I"), len(lines))
+    for first in range(0, len(lines), BLOCK_LINES):
+        searched = [word for word, (_, tail) in found.items() if tail > first]
+        if not searched:
+            break
+        block = lines[first : first + BLOCK_LINES]
+        text = "".join(block)
+        # ends[i] is where line i of the block ends in text.
+        ends = list(accumulate(map(len, block)))
+        for word in searched:
+            hits = found[word][0]
+            before = len(hits)
+            half = before + len(block) // 2
+            at = text.find(word)
+            while at >= 0:
+                i = bisect_right(ends, at)
+                if at + len(word) > ends[i]:
+                    at = text.find(word, at + 1)
+                    continue
+                hits.append(first + i)
+                if len(hits) > half:
+                    del hits[before:]
+                    found[word] = (hits, first)
+                    break
+                at = text.find(word, ends[i])
+    return found
+
+
 class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
     lines holds each message as one scrubbed line with at least one token;
     line.split() gives its tokens. vocabulary and cover_pool are computed on
-    first access and then kept.
+    first access and then kept, and so are the lines that containing finds
+    for each word.
     """
 
     def __init__(self, lines: Iterable[str]):
         self.lines: tuple[str, ...] = tuple(lines)
         if not self.lines:
             raise EmptyCorpusError("corpus contains no usable messages")
+        # word -> where it may occur, as _find_lines gives it.
+        self._holding: dict[str, tuple[array, int]] = {}
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -132,6 +192,28 @@ class Corpus:
             for line in self.lines
             if len(line.split(None, MIN_COVER_TOKENS - 1)) == MIN_COVER_TOKENS
         )
+
+    def containing(self, words: Iterable[str]) -> Iterator[str]:
+        """The lines in which any of `words` may occur, in corpus order.
+
+        For each word these are the lines in which it occurs as a substring,
+        so every line that holds it as a token, up to the first block in
+        which more than half the lines hold it; from that block on, every
+        line (_find_lines). A word is searched for only on its first
+        request; what was found is kept, so a repeated request reads no line
+        but to yield the result. The lines are yielded from self.lines, not
+        copied. Raises ValueError for the empty word.
+        """
+        words = set(words)
+        if new := words.difference(self._holding):
+            self._holding.update(_find_lines(self.lines, new))
+        mask = bytearray(len(self.lines))
+        for word in words:
+            indexes, tail = self._holding[word]
+            mask[tail:] = b"\x01" * (len(mask) - tail)
+            for i in indexes:
+                mask[i] = 1
+        return compress(self.lines, mask)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Corpus":

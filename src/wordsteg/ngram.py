@@ -14,6 +14,10 @@ codeword. The model therefore scans only the messages that hold a codeword,
 counts every other word in them as one placeholder, None, and keeps only the
 grams that hold a codeword. Its tables are bounded by the covers'
 vocabulary, and insertion_score refuses a word or neighbour outside it.
+Corpus.containing finds those messages: it searches the corpus text for each
+codeword once per Corpus and keeps what it found, so a loop of models over
+one corpus searches it once per distinct codeword, and only the lines it
+returns are split.
 
 The observer (count_grams, plausibility_score) scores only the messages it is
 shown: it reads their words in Corpus.vocabulary and asks for exactly their
@@ -24,7 +28,7 @@ ValueError. eval band and eval density count no n-grams at all.
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, islice
 
 from .corpus import BLOCK_LINES, Corpus
 
@@ -66,23 +70,21 @@ def build_model(
     """Count orders 2..MAX_N for inserting `codewords` into `covers`.
 
     Only the messages that hold a codeword are scanned, since every gram
-    that holds one lies inside such a message; they are read BLOCK_LINES
-    lines at a time. Within them, each word that is neither a codeword nor
-    a word of `covers` becomes None, and only the grams that hold a
-    codeword are kept, so the tables hold at most (len(words) + 1) ** n
-    keys of order n.
+    that holds one lies inside such a message: corpus.containing gives the
+    lines that may hold one, and each is split once and kept only when a
+    codeword is one of its tokens. They are read BLOCK_LINES lines at a
+    time. Within them, each word that is neither a codeword nor a word of
+    `covers` becomes None, and only the grams that hold a codeword are
+    kept, so the tables hold at most (len(words) + 1) ** n keys of order n.
     """
     codewords = frozenset(codewords)
     # word -> the same string, so the table keys share one string per word.
     known = {word: word for word in chain(codewords, chain.from_iterable(covers))}
     counts = {n: Counter() for n in range(2, MAX_N + 1)}
-    lines = corpus.lines
-    for start in range(0, len(lines), BLOCK_LINES):
-        messages = [
-            m
-            for m in map(str.split, lines[start : start + BLOCK_LINES])
-            if not codewords.isdisjoint(m)
-        ]
+    # A line that holds a codeword as a token holds it as a substring too.
+    lines = corpus.containing(codewords)
+    while block := list(islice(lines, BLOCK_LINES)):
+        messages = [m for m in map(str.split, block) if not codewords.isdisjoint(m)]
         # A None after each message: no gram that spans two messages is read.
         for m in messages:
             m.append(None)

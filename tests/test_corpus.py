@@ -3,7 +3,7 @@ import unicodedata
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordsteg import corpus as corpus_module
@@ -289,3 +289,62 @@ def test_loaded_corpus_holds_no_per_token_objects(tmp_path):
         tracemalloc.stop()
     assert len(corpus) == 20_000
     assert retained <= 3 * path.stat().st_size
+
+
+def _containing_reference(lines, words, block_lines):
+    """Brute force: for each word, the lines it occurs in, up to the first
+    block more than half of whose lines hold it, and every line from there."""
+    held = [False] * len(lines)
+    for word in words:
+        tail = len(lines)
+        for first in range(0, len(lines), block_lines):
+            block = lines[first : first + block_lines]
+            if 2 * sum(word in line for line in block) > len(block):
+                tail = first
+                break
+        held = [h or i >= tail or word in line for i, (h, line) in enumerate(zip(held, lines))]
+    return tuple(line for line, h in zip(lines, held) if h)
+
+
+# Short tokens over two letters, so that a word is often a substring of a
+# longer token, repeats within a line, or runs from one line into the next;
+# "c" occurs in no line.
+_short_text = st.text("ab", min_size=1, max_size=3)
+_containing_lines = st.lists(
+    st.lists(_short_text, min_size=1, max_size=4).map(" ".join), min_size=1, max_size=12
+)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3, corpus_module.BLOCK_LINES])
+@given(
+    lines=_containing_lines,
+    words=st.sets(st.one_of(_short_text, st.just("c"), st.just("b a")), max_size=3),
+)
+# In blocks of 2, "a" is in one line of each of the first two blocks, then in
+# both lines of the third, so every line from there on is taken.
+@example(lines=["ab", "xx", "aa b", "b", "a", "ba", "c b", "xx"], words={"a"})
+# "ba" and "yz" occur only across the end of a line.
+@example(lines=["x b", "a y", "z"], words={"ba", "yz", "a y"})
+@settings(deadline=None)
+def test_containing_matches_brute_force_and_searches_each_word_once(block_lines, lines, words):
+    corpus = Corpus(lines)
+    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines), mock.patch.object(
+        corpus_module, "_find_lines", wraps=corpus_module._find_lines
+    ) as scan:
+        held = tuple(corpus.containing(words))
+        assert held == _containing_reference(lines, words, block_lines)
+        # Every line that holds a word as a token, and possibly more.
+        tokens = [line for line in lines if not words.isdisjoint(line.split())]
+        assert set(tokens) <= set(held)
+        # A repeated request, alone or with words seen before, reads what was kept.
+        assert tuple(corpus.containing(words)) == held
+        for word in words:
+            assert tuple(corpus.containing([word])) == _containing_reference(
+                lines, [word], block_lines
+            )
+    assert [set(call.args[1]) for call in scan.call_args_list] == ([words] if words else [])
+
+
+def test_containing_refuses_the_empty_word():
+    with pytest.raises(ValueError, match="empty word"):
+        Corpus(["a"]).containing([""])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordsteg import corpus as corpus_module
 from wordsteg import ngram as ngram_module
 from wordsteg.codec import insertion_score
 from wordsteg.corpus import Corpus
@@ -168,7 +169,8 @@ def test_model_counted_around_is_exact_where_it_answers(messages, codewords, cov
 
 
 # Blocks of 1 to 3 lines, so that hypothesis's short corpora cross block
-# edges; every word of the messages is a cover word.
+# edges, both in the counts and in the search for the lines that hold a
+# codeword; every word of the messages is a cover word.
 @pytest.mark.parametrize("block_lines", [1, 2, 3])
 @given(messages=wide_messages, codewords=codeword_sets)
 @settings(deadline=None)
@@ -176,7 +178,9 @@ def test_both_counts_are_exact_across_block_edges(block_lines, messages, codewor
     corpus = Corpus.from_lines(" ".join(m) for m in messages)
     token_lists = [line.split() for line in corpus.lines]
     grams = [g for n in range(2, MAX_N + 1) for g in product("abcdez", repeat=n)]
-    with mock.patch.object(ngram_module, "BLOCK_LINES", block_lines):
+    with mock.patch.object(ngram_module, "BLOCK_LINES", block_lines), mock.patch.object(
+        corpus_module, "BLOCK_LINES", block_lines
+    ):
         counts = count_grams(corpus, grams)
         model = build_model(corpus, codewords, [tuple("abcde")])
     for gram in grams:
