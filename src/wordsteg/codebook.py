@@ -52,20 +52,26 @@ def format_band(band: Band) -> str:
     return f"{lo}+" if hi is None else f"{lo}-{hi}"
 
 
+def _check_band_and_alphabet(band: Band, alphabet: tuple[str, ...]) -> None:
+    """The invariants a codebook and its draw share; select_codebook checks
+    them before it draws, so a bad alphabet is named before a thin band."""
+    if not _band_in_order(*band):
+        raise CodebookValidationError(f"invalid band {format_band(band)}")
+    if not alphabet:
+        raise CodebookValidationError("alphabet is empty")
+    if len(set(alphabet)) != len(alphabet):
+        raise CodebookValidationError("alphabet contains duplicate symbols")
+
+
 class Codebook:
     """Bijective symbol-to-codeword map plus the provenance of its draw."""
 
     def __init__(
         self, alphabet: tuple[str, ...], forward: dict[str, str], band: Band, seed: int
     ):
-        if not _band_in_order(*band):
-            raise CodebookValidationError(f"invalid band {format_band(band)}")
-        if not alphabet:
-            raise CodebookValidationError("alphabet is empty")
+        _check_band_and_alphabet(band, alphabet)
         if set(forward) != set(alphabet):
             raise CodebookValidationError("mapped symbols do not match the alphabet")
-        if len(set(alphabet)) != len(alphabet):
-            raise CodebookValidationError("alphabet contains duplicate symbols")
         self.inverse = {word: symbol for symbol, word in forward.items()}
         if len(self.inverse) != len(forward):
             raise CodebookValidationError("codewords are not distinct")
@@ -102,16 +108,12 @@ def select_codebook(
     """Sample one codeword per symbol, uniformly without replacement.
 
     The draw is deterministic in (counts, band, alphabet, seed); the CLI
-    passes Corpus.vocabulary as counts. Raises InsufficientBandError when the
-    band holds fewer words than the alphabet has symbols.
+    passes Corpus.vocabulary as counts. Raises CodebookValidationError for a
+    bad band or alphabet, InsufficientBandError when the band holds fewer
+    words than the alphabet has symbols.
     """
     alphabet = tuple(alphabet)
-    if not alphabet:
-        raise ValueError("alphabet must contain at least one symbol")
-    if len(set(alphabet)) != len(alphabet):
-        raise ValueError("alphabet contains duplicate symbols")
-    if not _band_in_order(*band):
-        raise ValueError(f"invalid band {format_band(band)}")
+    _check_band_and_alphabet(band, alphabet)
     candidates = band_words(counts, band)
     if len(candidates) < len(alphabet):
         raise InsufficientBandError(

@@ -13,8 +13,8 @@ class FormatError(WordstegError):
     """A codebook file is not UTF-8 JSON, or a version or field is missing or mistyped."""
 
 
-class CodebookValidationError(WordstegError):
-    """A codebook parses but breaks an invariant, e.g. duplicate codewords."""
+class CodebookValidationError(WordstegError, ValueError):
+    """A codebook, or the band and alphabet of its draw, break an invariant."""
 
 
 class InsufficientBandError(WordstegError):

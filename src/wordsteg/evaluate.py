@@ -163,7 +163,10 @@ def run_density_experiment(
     codewords to approximate the target density (0.0 means none: the control
     point, whose divergence is pure sampling noise). The score per point is
     kl_divergence(corpus distribution, stego-set distribution), both
-    add-one smoothed over the union vocabulary.
+    add-one smoothed over one support fixed per run: the corpus's words plus
+    the codebook's codewords, which holds every word any stego set can
+    contain. So the control point is scored over the same support as every
+    other point and is comparable with them.
 
     Both outputs read only token counts, so nothing is inserted. Every cover
     has at least MIN_COVER_TOKENS tokens, so insert_codewords would place
@@ -176,11 +179,8 @@ def run_density_experiment(
     for target in densities:
         if not 0.0 <= target < 1.0:
             raise ValueError(f"target density {target} outside [0, 1)")
-    # Every cover word is a corpus word, so the union vocabulary differs from
-    # the corpus's only when a codeword is absent from the corpus; only then
-    # is p built again over the union.
-    corpus_vocabulary = sorted(corpus.vocabulary)
-    corpus_p = smoothed_distribution(corpus.vocabulary, corpus_vocabulary)
+    support = sorted(corpus.vocabulary.keys() | codebook.inverse.keys())
+    p = smoothed_distribution(corpus.vocabulary, support)
     rows = []
     try:
         cover_rng = random.Random(derive_seed(seed, "covers"))
@@ -199,12 +199,7 @@ def run_density_experiment(
             stego_counts.update(codebook.forward[s] for s in secret)
             inserted += wanted
         token_total = cover_total + inserted
-        if stego_counts.keys() <= corpus.vocabulary.keys():
-            vocabulary, p = corpus_vocabulary, corpus_p
-        else:
-            vocabulary = sorted(corpus.vocabulary.keys() | stego_counts.keys())
-            p = smoothed_distribution(corpus.vocabulary, vocabulary)
-        q = smoothed_distribution(stego_counts, vocabulary)
+        q = smoothed_distribution(stego_counts, support)
         rows.append(_density_row(target, inserted / token_total, trials, kl_divergence(p, q)))
     return rows
 

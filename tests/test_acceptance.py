@@ -2,10 +2,11 @@
 
 Each test prints one ACCEPTANCE line (PASS or FAIL) and covers one promise
 the package makes: exact decoding of the documented example, perfect seeded
-round trips at scale, decode errors that grow with codeword frequency,
-distribution shift that grows with codeword density, the divergence axioms,
-a blind-then-sighted distinguisher, and byte-identical reruns. Run with
-`pytest tests/test_acceptance.py -v -s` to see every line.
+round trips at scale, decode errors that grow with codeword frequency and
+agree with their exact expected value, distribution shift that grows with
+codeword density, the divergence axioms, a blind-then-sighted distinguisher,
+and byte-identical reruns. Run with `pytest tests/test_acceptance.py -v -s`
+to see every line.
 """
 
 import json
@@ -109,6 +110,39 @@ def test_decode_errors_grow_with_codeword_frequency(desk_corpus):
         and elapsed < 300
     )
     check("band-errors", ok, f"errors={errors} elapsed={elapsed:.1f}s")
+
+
+def test_band_errors_agree_with_exact_collision_rate(desk_corpus):
+    # Each band trial draws one cover uniformly from cover_pool and counts an
+    # error when it holds a codeword, so a row's errors are
+    # Binomial(trials, q), with q the share of cover_pool lines that hold
+    # one. The expectation trials * q must rise over the bands, and each row
+    # must lie within four standard deviations of it (plus one for the
+    # integer count).
+    trials = 2000
+    pool = desk_corpus.cover_pool
+    ok = True
+    details = []
+    for seed in (0, 1, 2):
+        rows = run_band_experiment(desk_corpus, ACCEPTANCE_BANDS, DIGITS, trials=trials, seed=seed)
+        expected = []
+        for index, (band, row) in enumerate(zip(ACCEPTANCE_BANDS, rows)):
+            codebook = select_codebook(
+                desk_corpus.vocabulary, band, DIGITS, seed=derive_seed(seed, "band", index)
+            )
+            held = sum(any(t in codebook.inverse for t in line.split()) for line in pool)
+            q = held / len(pool)
+            mean = trials * q
+            bound = 4 * math.sqrt(trials * q * (1 - q)) + 1
+            ok = ok and (row["trials"], row["failures"], row["skipped"]) == (trials, 0, False)
+            ok = ok and abs(row["errors"] - mean) <= bound
+            expected.append(mean)
+        ok = ok and all(a < b for a, b in zip(expected, expected[1:]))
+        details.append(
+            f"seed {seed}: errors={[row['errors'] for row in rows]} "
+            f"expected={[round(m, 1) for m in expected]}"
+        )
+    check("band-exact", ok, "; ".join(details))
 
 
 def test_distribution_shift_grows_with_density(desk_corpus):

@@ -381,6 +381,25 @@ def test_eval_empty_alphabet_codebook_exits_2(cli_files, tmp_path, capsys, exper
 
 
 @pytest.mark.parametrize(
+    "alphabet, message",
+    [("", "alphabet is empty"), ("00", "alphabet contains duplicate symbols")],
+)
+@pytest.mark.parametrize("verb", [["gen-codebook", "--band"], ["eval", "band", "--bands"]])
+def test_bad_alphabet_exits_2_before_a_thin_band(
+    cli_files, tmp_path, capsys, verb, alphabet, message
+):
+    # No corpus word occurs 5000 times, so the band is thin too; the error
+    # still names the alphabet, with the message a loaded codebook gives.
+    code = main(
+        [*verb, "5000+", "--corpus", cli_files["corpus"], "--alphabet", alphabet,
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "densities, item", [("", "''"), ("0.1,", "''"), ("0.1,abc", "'abc'")]
 )
 def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, item):

@@ -99,6 +99,17 @@ def test_select_codebook_rejects_duplicate_symbols(toy_corpus):
         select_codebook(toy_corpus.vocabulary, (1, 3), ("0", "0"), seed=0)
 
 
+@pytest.mark.parametrize(
+    "alphabet, message",
+    [((), "alphabet is empty"), (("0", "0"), "alphabet contains duplicate symbols")],
+)
+def test_select_codebook_checks_the_alphabet_as_codebook_does(toy_corpus, alphabet, message):
+    # The band is thin as well; the alphabet is checked first.
+    with pytest.raises(CodebookValidationError, match=f"^{message}$"):
+        select_codebook(toy_corpus.vocabulary, (5, None), alphabet, seed=0)
+    assert issubclass(CodebookValidationError, ValueError)
+
+
 def test_select_codebook_rejects_inverted_band(toy_corpus):
     with pytest.raises(ValueError):
         select_codebook(toy_corpus.vocabulary, (6, 4), ("0",), seed=0)

@@ -174,9 +174,10 @@ def test_density_experiment_tracks_targets(small_corpus):
 def test_density_equals_explicit_embed(small_corpus, band):
     # Reference: replay every point by inserting each secret into its cover
     # under the model counted for the codebook and those covers, on the same
-    # cover draw and secrets, and score the stego messages themselves. band None is a
-    # codebook of words absent from the corpus, whose points above 0.0 score
-    # over a vocabulary wider than the corpus's.
+    # cover draw and secrets, and score the stego messages themselves, over
+    # the corpus's words plus the codebook's codewords. band None is a
+    # codebook of words absent from the corpus, so every point, the 0.0
+    # control included, scores over a support wider than the corpus's words.
     if band is None:
         codebook = Codebook(DIGITS, {s: f"zz{s}" for s in DIGITS}, (1, None), 0)
     else:
@@ -186,6 +187,8 @@ def test_density_equals_explicit_embed(small_corpus, band):
     cover_rng = random.Random(derive_seed(seed, "covers"))
     covers = [draw_cover(small_corpus, codebook, cover_rng)[1] for _ in range(trials)]
     model = build_model(small_corpus, codebook.inverse, covers)
+    support = sorted(set(small_corpus.vocabulary) | set(codebook.forward.values()))
+    p = smoothed_distribution(small_corpus.vocabulary, support)
     expected = []
     for index, target in enumerate(densities):
         secret_rng = random.Random(derive_seed(seed, "density", index))
@@ -200,9 +203,7 @@ def test_density_equals_explicit_embed(small_corpus, band):
             stego_counts.update(stego)
             inserted += len(positions)
         total = stego_counts.total()
-        vocabulary = sorted(small_corpus.vocabulary.keys() | stego_counts.keys())
-        p = smoothed_distribution(small_corpus.vocabulary, vocabulary)
-        q = smoothed_distribution(stego_counts, vocabulary)
+        q = smoothed_distribution(stego_counts, support)
         expected.append(
             {
                 "target_density": target,
