@@ -130,7 +130,7 @@ def cmd_encode(args) -> int:
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
     result = steganize(args.secret, codebook, corpus, seed=args.seed)
-    if args.out:
+    if args.out is not None:
         config = {
             "codebook": args.codebook,
             "corpus": args.corpus,
@@ -274,19 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per handled error; every other handled error exits 2.
+_EXIT_CODES = {InsufficientBandError: 3, SteganizeError: 4}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InsufficientBandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SteganizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (WordstegError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 def console_main() -> None:

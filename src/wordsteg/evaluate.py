@@ -91,9 +91,11 @@ def run_band_experiment(
     cover decodes wrongly exactly when that cover already holds a codeword:
     insertion always finds a slot and the inserted codewords decode in
     order, so no other error occurs, whatever the secret. Errors therefore
-    count the drawn covers that hold a codeword; failures count draws from
-    an empty cover pool, separately. Bands too thin to fill a codebook are
-    reported as skipped, not raised. Returns one _band_row per band.
+    count the drawn covers that hold a codeword. Bands too thin to fill a
+    codebook are reported as skipped, not raised. When no message has
+    MIN_COVER_TOKENS or more tokens, the cover pool is empty and nothing can
+    be drawn: failures then equals trials for every band not skipped, and
+    errors is 0; otherwise failures is 0. Returns one _band_row per band.
     """
     if not bands:
         raise ValueError("need at least one band")
@@ -108,17 +110,14 @@ def run_band_experiment(
         except InsufficientBandError as exc:
             rows.append(_band_row(band, trials=0, errors=0, reason=str(exc)))
             continue
+        if not corpus.cover_pool:
+            rows.append(_band_row(band, trials, errors=0, failures=trials))
+            continue
         errors = 0
-        failures = 0
         for trial in range(trials):
             rng = random.Random(derive_seed(seed, "band", index, "trial", trial))
-            try:
-                _, cover = draw_cover(corpus, None, rng)
-            except SteganizeError:
-                failures += 1
-                continue
-            errors += contains_codeword(cover, codebook)
-        rows.append(_band_row(band, trials, errors, failures))
+            errors += contains_codeword(draw_cover(corpus, None, rng)[1], codebook)
+        rows.append(_band_row(band, trials, errors))
     return rows
 
 

@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import wordsteg
+from wordsteg import cli
 from wordsteg.cli import main
+from wordsteg.errors import (
+    CodebookValidationError,
+    EmptyCorpusError,
+    FormatError,
+    InsufficientBandError,
+    SteganizeError,
+)
 
 from synthcorpus import raw_lines, synth_lines
 
@@ -207,6 +215,53 @@ def test_encode_exhaustion_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: every drawn cover contained a codeword after 1000 attempts\n"
     )
+
+
+def test_encode_empty_out_exits_2_and_prints_no_stego(cli_files, capsys):
+    # A given --out is a path even when empty, as it is for gen-codebook.
+    code = main(
+        ["encode", "--secret", "21", "--codebook", cli_files["cb_common"],
+         "--corpus", cli_files["corpus"], "--out", ""]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (InsufficientBandError("thin band"), 3),
+        (SteganizeError(7, "no cover"), 4),
+        (FormatError("bad file"), 2),
+        (CodebookValidationError("bad codebook"), 2),
+        (EmptyCorpusError("no messages"), 2),
+        (OSError("disk gone"), 2),
+        (ValueError("bad value"), 2),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_each_handled_error_prints_once_and_exits_with_its_code(
+    monkeypatch, capsys, exc, code
+):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_decode", fail)
+    assert main(["decode", "--codebook", "CB", "text"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exc}\n"
+
+
+def test_unhandled_error_propagates(monkeypatch):
+    def fail(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_decode", fail)
+    with pytest.raises(KeyError):
+        main(["decode", "--codebook", "CB", "text"])
 
 
 @pytest.mark.parametrize(
