@@ -5,15 +5,17 @@ removes the token classes that cannot occur in spoken language, then strips
 punctuation from whatever remains. Misspellings and other quirks are kept
 as-is; they are part of the cover signal.
 
-A corpus is scrubbed in blocks of about a thousand lines: each block is one
-string that is lowercased, cleared of dropped tokens by regex passes that
-each begin with a literal, stripped of punctuation by one translate, then
-split back into lines. The rule is the one scrub_message applies to a
-single line. A corpus keeps each usable line as one string, with the
-whitespace the scrub leaves in it (a dropped @mention leaves its spaces
-behind), and never holds a token object of its own: each reader splits
-only the lines it reads, and str.split discards that whitespace. The word
-counts are computed on first access, so a verb that never reads them
+A corpus file is read and scrubbed about 64K characters at a time, each
+read cut at its last line break, with no Python code run per line;
+Corpus.from_lines scrubs its lines in blocks of about a thousand. Each read
+or block is one string that is lowercased, cleared of dropped tokens by
+regex passes that each begin with a literal, stripped of punctuation by one
+translate, then split back into lines. The rule is the one scrub_message
+applies to a single line. A corpus keeps each usable line as one string,
+with the whitespace the scrub leaves in it (a dropped @mention leaves its
+spaces behind), and never holds a token object of its own: each reader
+splits only the lines it reads, and str.split discards that whitespace. The
+word counts are computed on first access, so a verb that never reads them
 (encode) never pays for them.
 
 The lines that may hold a given word are found by str.find over each block
@@ -79,6 +81,10 @@ _URL_HEAD = re.compile(r"//:\S*")
 # in ngram. Large enough that the per-call overhead vanishes, small enough
 # that a block's copies of its text stay a small share of the corpus's memory.
 BLOCK_LINES = 1024
+
+# Characters per read of a corpus file: about one block of typical messages,
+# for the same reasons. Larger reads raise the peak memory of a load.
+READ_CHARS = 1 << 16
 
 
 def _scrub_text(text: str) -> str:
@@ -219,21 +225,46 @@ class Corpus:
     def from_lines(cls, lines: Iterable[str]) -> "Corpus":
         """Scrub raw lines, skipping any that scrub to nothing.
 
-        Each line is scrubbed as scrub_message would scrub it, so a line
-        break inside one counts as a space. Lines are read BLOCK_LINES at a
-        time.
+        Each element is one message, scrubbed as scrub_message would scrub
+        it, so a line break inside one counts as a space. Elements are
+        scrubbed BLOCK_LINES at a time.
         """
         kept: list[str] = []
         lines = iter(lines)
         while block := list(islice(lines, BLOCK_LINES)):
-            text = _scrub_text("\n".join(line.replace("\n", " ") for line in block))
-            # str.isspace and str.split agree on what whitespace is.
-            kept.extend(line for line in text.split("\n") if line and not line.isspace())
+            kept.extend(_usable_lines("\n".join(line.replace("\n", " ") for line in block)))
         return cls(kept)
+
+
+def _usable_lines(text: str) -> Iterator[str]:
+    """Scrub text and yield its lines that hold a token.
+
+    str.strip and str.split agree on what whitespace is, so a line that
+    strips to nothing is one that splits into nothing.
+    """
+    return filter(str.strip, _scrub_text(text).split("\n"))
 
 
 def load_corpus(path) -> Corpus:
     """Read a line-delimited UTF-8 file, minus any leading byte-order mark,
-    into a Corpus. I/O errors propagate."""
+    into a Corpus. I/O errors propagate.
+
+    The file is read READ_CHARS characters at a time, with universal
+    newlines. Each read is cut at its last line break; the lines before
+    the cut are scrubbed as one text, and the rest of the read is kept, in
+    pieces, until a line break ends it, so a line longer than many reads is
+    joined once.
+    """
+    kept: list[str] = []
+    pending: list[str] = []
     with open(path, encoding="utf-8-sig") as handle:
-        return Corpus.from_lines(handle)
+        while chunk := handle.read(READ_CHARS):
+            cut = chunk.rfind("\n")
+            if cut < 0:
+                pending.append(chunk)
+                continue
+            pending.append(chunk[:cut])
+            kept.extend(_usable_lines("".join(pending)))
+            pending = [chunk[cut + 1 :]]
+    kept.extend(_usable_lines("".join(pending)))
+    return Corpus(kept)

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import wordsteg
 from wordsteg import cli
+from wordsteg import corpus as corpus_module
 from wordsteg.cli import main
 from wordsteg.errors import (
     CodebookValidationError,
@@ -71,6 +73,28 @@ def test_gen_codebook_missing_corpus_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["gen-codebook", "encode"])
+def test_bad_bytes_past_the_first_read_exit_2_and_write_nothing(cli_files, tmp_path, capsys, verb):
+    # The bad byte lies past the first 8 KB of the file, and the reader has
+    # scrubbed many small reads before it reaches it.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(("the cat sat on the mat\n" * 500).encode("utf-8") + b"bad \xff byte\n")
+    out = tmp_path / "out.json"
+    argv = {
+        "gen-codebook": ["gen-codebook", "--band", "1+"],
+        "encode": ["encode", "--secret", "1", "--codebook", cli_files["cb_common"]],
+    }[verb]
+    with mock.patch.object(corpus_module, "READ_CHARS", 64):
+        code = main(argv + ["--corpus", str(corpus), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "can't decode byte 0xff" in captured.err
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

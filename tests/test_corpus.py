@@ -177,15 +177,17 @@ def _universal_lines(text):
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-# Small blocks make hypothesis's short inputs cross block boundaries.
-@pytest.mark.parametrize("block_lines", [1, 2, 3, corpus_module.BLOCK_LINES])
+# Small reads make hypothesis's short inputs cross read boundaries: inside a
+# line, between "\r" and "\n", and right after the byte-order mark.
+@pytest.mark.parametrize("read_chars", [1, 2, 3, 5, 8, corpus_module.READ_CHARS])
 @given(text=_hazard_text(st.characters(exclude_categories=("Cs",))))
+@example(text="\ufeffΑΣ\r\n€ @x\r\r\nΣ end\rlast")
 @settings(deadline=None)
-def test_load_corpus_matches_per_line_reference(tmp_path_factory, block_lines, text):
+def test_load_corpus_matches_per_line_reference(tmp_path_factory, read_chars, text):
     path = tmp_path_factory.mktemp("whole") / "corpus.txt"
     # Bytes on disk, so "\r" and "\r\n" reach the reader untranslated.
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
+    with mock.patch.object(corpus_module, "READ_CHARS", read_chars):
         built = _messages_or_none(lambda: load_corpus(path))
     # The reader skips one byte-order mark at the start of the file.
     assert built == _reference_messages(_universal_lines(text.removeprefix("\ufeff")))
@@ -280,15 +282,35 @@ def test_loaded_corpus_holds_no_per_token_objects(tmp_path):
     # the file size, where the lines alone hold under 2x.
     path = tmp_path / "corpus.txt"
     path.write_text("\n".join(synth_lines(20_000, 3)) + "\n", encoding="utf-8")
+    size = path.stat().st_size
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         corpus = load_corpus(path)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (traced - before for traced in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert len(corpus) == 20_000
-    assert retained <= 3 * path.stat().st_size
+    assert retained <= 3 * size
+    # The copies a load makes of its text on the way are bounded by the read
+    # size, not by the file: default reads stay near a fifth of this file
+    # (1.4 MB), where 256K-character reads pass 3/4 of it and reading the
+    # whole file at once passes 12 times it.
+    assert peak - retained <= size // 2
+
+
+def test_a_line_longer_than_many_reads_is_scrubbed_once(tmp_path):
+    long_line = "Wörd! @drop " * 833 + "Wörd"
+    assert len(long_line) == 10_000
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(f"first line\r\n{long_line}\r\nlast".encode("utf-8"))
+    with mock.patch.object(corpus_module, "READ_CHARS", 4), mock.patch.object(
+        corpus_module, "_usable_lines", wraps=corpus_module._usable_lines
+    ) as scrub:
+        corpus = load_corpus(path)
+    assert _tokens(corpus) == (("first", "line"), ("wörd",) * 834, ("last",))
+    # Its pieces are joined once, when the read that ends it arrives.
+    assert scrub.call_args_list.count(mock.call(long_line)) == 1
 
 
 def _containing_reference(lines, words, block_lines):
