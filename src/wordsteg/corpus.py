@@ -9,10 +9,13 @@ A corpus file is read and scrubbed about 64K characters at a time, each
 read cut at its last line break, with no Python code run per line;
 Corpus.from_lines scrubs its lines in blocks of about a thousand. Each read
 or block is one string that is lowercased, cleared of dropped tokens by
-regex passes that each begin with a literal, stripped of punctuation by one
-translate, then split back into lines. The rule is the one scrub_message
-applies to a single line. A corpus keeps each usable line as one string,
-with the whitespace the scrub leaves in it (a dropped @mention leaves its
+regex passes that each begin with a literal, stripped of punctuation, then
+split back into lines. ASCII text loses its punctuation in one str.translate;
+other text, which would send translate through a mapping lookup per
+character, loses its few distinct marks by passes over its UTF-8 bytes and
+str.replace (_delete_punctuation). The rule is the one scrub_message applies
+to a single line. A corpus keeps each usable line as one string, with the
+whitespace the scrub leaves in it (a dropped @mention leaves its
 spaces behind), and never holds a token object of its own: each reader
 splits only the lines it reads, and str.split discards that whitespace. The
 word counts are computed on first access, so a verb that never reads them
@@ -40,11 +43,14 @@ MIN_COVER_TOKENS = 3
 
 
 class _PunctuationTable(dict):
-    """str.translate table that deletes Unicode punctuation (category P*).
+    """Which code points are Unicode punctuation (category P*): code -> None
+    for a mark, code -> code for any other character.
 
-    Filled one code point at a time, on first sight, so no call pays for a
-    table over all of Unicode; it holds one entry per distinct code point
-    the process has scrubbed.
+    It is the str.translate table for ASCII text and for text with too many
+    distinct marks to delete one at a time, and the lookup that picks out the
+    marks of any other text. Filled one code point at a time, on first sight,
+    so no call pays for a table over all of Unicode; it holds one entry per
+    distinct code point the process has scrubbed.
     """
 
     def __missing__(self, code: int) -> int | None:
@@ -54,6 +60,18 @@ class _PunctuationTable(dict):
 
 
 _PUNCTUATION = _PunctuationTable()
+
+# The ASCII characters of category P*, written out so that importing the
+# module looks up no character's category; a test derives them again.
+_ASCII_MARKS = b'!"#%&\'()*,-./:;?@[\\]_{}'
+_ASCII = bytes(range(128))
+
+# Most distinct non-ASCII marks one text may hold and still have each deleted
+# by a str.replace pass of its own; a text with more goes through translate.
+# On a 64K-character read with a mark after every word, translate took
+# 5-6 ms whatever the marks, and the replace passes about 0.12 ms each, so
+# they stopped paying at about 40 marks.
+MAX_REPLACED_MARKS = 32
 
 # Each drop pattern begins with a literal, so re skips from one occurrence of
 # it to the next in C instead of trying a match at every character of the
@@ -98,7 +116,32 @@ def _scrub_text(text: str) -> str:
         text = pattern.sub("", text)
     if "://" in text:
         text = _URL_HEAD.sub("", _URL_TAIL.sub("://", text)[::-1])[::-1]
-    return text.translate(_PUNCTUATION)
+    return _delete_punctuation(text)
+
+
+def _delete_punctuation(text: str) -> str:
+    """text without its Unicode punctuation (category P*).
+
+    str.translate has a fast path for ASCII text only; one non-ASCII
+    character sends every character of the text through a Python mapping
+    lookup. So other text is encoded to UTF-8, where every byte of a
+    non-ASCII character is at least 0x80: deleting the ASCII bytes leaves
+    exactly the non-ASCII characters, whose distinct marks are each looked
+    up once. The ASCII marks go in one bytes.translate and each non-ASCII
+    mark in one str.replace. Lone surrogates pass through "surrogatepass"
+    unchanged.
+    """
+    if text.isascii():
+        return text.translate(_PUNCTUATION)
+    data = text.encode("utf-8", "surrogatepass")
+    wide = set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
+    marks = [char for char in wide if _PUNCTUATION[ord(char)] is None]
+    if len(marks) > MAX_REPLACED_MARKS:
+        return text.translate(_PUNCTUATION)
+    text = data.translate(None, _ASCII_MARKS).decode("utf-8", "surrogatepass")
+    for mark in marks:
+        text = text.replace(mark, "")
+    return text
 
 
 def scrub_message(raw: str) -> str:

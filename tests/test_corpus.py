@@ -1,5 +1,6 @@
 import tracemalloc
 import unicodedata
+from itertools import compress
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from wordsteg import corpus as corpus_module
 from wordsteg.corpus import Corpus, load_corpus, scrub_message
 from wordsteg.errors import EmptyCorpusError
 
-from synthcorpus import synth_lines
+from synthcorpus import raw_lines, synth_lines
 
 
 def _tokens(corpus):
@@ -311,6 +312,65 @@ def test_a_line_longer_than_many_reads_is_scrubbed_once(tmp_path):
     assert _tokens(corpus) == (("first", "line"), ("wörd",) * 834, ("last",))
     # Its pieces are joined once, when the read that ends it arrives.
     assert scrub.call_args_list.count(mock.call(long_line)) == 1
+
+
+def _is_mark(char):
+    return unicodedata.category(char).startswith("P")
+
+
+def test_ascii_marks_are_the_ascii_punctuation():
+    assert corpus_module._ASCII_MARKS == bytes(c for c in range(128) if _is_mark(chr(c)))
+
+
+# A table of its own, so the entries for all of Unicode go with the test.
+@mock.patch.object(corpus_module, "_PUNCTUATION", corpus_module._PunctuationTable())
+def test_punctuation_deletion_matches_the_category_rule_at_every_code_point():
+    everything = "".join(map(chr, range(0x110000)))
+    kept = [not _is_mark(char) for char in everything]
+    # Fed as one text, every mark there is takes the translate fallback.
+    assert kept.count(False) > corpus_module.MAX_REPLACED_MARKS
+    assert corpus_module._delete_punctuation(everything) == "".join(compress(everything, kept))
+    # Fed in pieces of 16 code points, each with a non-ASCII letter so the
+    # ASCII pieces too are encoded, every piece deletes its marks by bytes and
+    # by replace. The pieces start 8 code points off a multiple of 16, so one
+    # holds the surrogate pair U+DBFF U+DC00.
+    assert corpus_module.MAX_REPLACED_MARKS >= 16
+    for start in range(-8, len(everything), 16):
+        cut = slice(max(start, 0), start + 16)
+        expected = "".join(compress(everything[cut], kept[cut])) + "é"
+        assert corpus_module._delete_punctuation(everything[cut] + "é") == expected, hex(cut.start)
+
+
+def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
+    """Each read is exactly one section of lines: ASCII only, a few marks, or
+    more distinct marks than replace passes are made for, in turn."""
+    read_chars = corpus_module.READ_CHARS
+    clean = synth_lines(4000, 11)
+    noisy = raw_lines(clean, 11)
+    many = [chr(c) for c in range(0x80, 0x3100) if _is_mark(chr(c))]
+    many = many[: 2 * corpus_module.MAX_REPLACED_MARKS]
+    sources = [iter(clean), iter(noisy), iter(f"{m} {line} {m}" for m, line in zip(many * 99, clean))]
+    raw = []
+    for turn in range(6):
+        size = 0
+        for line in sources[turn % 3]:
+            if size + len(line) + 1 > read_chars:
+                break
+            raw.append(line)
+            size += len(line) + 1
+        # Spaces pad the section to one read, cut at its final line break.
+        raw[-1] += " " * (read_chars - size)
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(raw) + "\n", encoding="utf-8")
+    with mock.patch.object(corpus_module, "_usable_lines", wraps=corpus_module._usable_lines) as scrub:
+        loaded = load_corpus(path)
+    texts = [call.args[0] for call in scrub.call_args_list]
+    assert [len(text) for text in texts[:6]] == [read_chars - 1] * 6
+    assert [text.isascii() for text in texts[:6]] == [True, False, False] * 2
+    wide_marks = [sum(not c.isascii() and _is_mark(c) for c in set(text)) for text in texts[1:3]]
+    assert 0 < wide_marks[0] <= corpus_module.MAX_REPLACED_MARKS < wide_marks[1]
+    assert loaded.lines == Corpus.from_lines(raw).lines
+    assert _tokens(loaded) == _reference_messages(raw)
 
 
 def _containing_reference(lines, words, block_lines):
