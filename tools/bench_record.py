@@ -8,7 +8,7 @@ interpreter, the CPU count, every run's correctness, output digest and report
 values, and per workload the median and quartiles of each report value.
 Exits 1, writing nothing, when any run is incorrect.
 
-    python tools/bench_record.py --pr 26 --seeds 1 2 3 --seconds 15
+    python tools/bench_record.py --pr N --seeds 1 2 3 --seconds 15
 
 A point is a set of single runs on a shared machine; a claimed gain is still
 decided on alternating parent/change pairs.
