@@ -25,11 +25,9 @@ settings by hand, with the secret's length and never the secret.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
-from datetime import datetime, timezone
 
 from . import __version__
 from .atomic import atomic_open
@@ -54,6 +52,10 @@ from .evaluate import (
 
 
 def _artifact(seed: int | None, config: dict, results) -> dict:
+    # Imported here, as csv is in _write_csv, so that a verb that writes no
+    # artifact (decode, encode without --out) never loads it.
+    from datetime import datetime, timezone
+
     return {
         "tool": "wordsteg",
         "tool_version": __version__,
@@ -71,6 +73,8 @@ def _write_json(handle, doc: dict) -> None:
 
 def _write_csv(handle, rows: list[dict]) -> None:
     """Header plus rows; the columns are the keys of the first row, in order."""
+    import csv
+
     writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)

@@ -10,11 +10,17 @@ read cut at its last line break, with no Python code run per line;
 Corpus.from_lines scrubs its lines in blocks of about a thousand. Each read
 or block is one string that is lowercased, cleared of dropped tokens by
 regex passes that each begin with a literal, stripped of punctuation, then
-split back into lines. ASCII text loses its punctuation in one str.translate;
-other text, which would send translate through a mapping lookup per
-character, loses its few distinct marks by passes over its UTF-8 bytes and
-str.replace (_delete_punctuation). The rule is the one scrub_message applies
-to a single line. A corpus keeps each usable line as one string, with the
+split back into lines. ASCII text does all of this as str and loses its
+punctuation in one str.translate. str.lower, str.replace and str.translate
+are slow on other text, so it is encoded to UTF-8 once; when no non-ASCII
+character of it is whitespace or changes case, and it holds none of the
+ASCII separators \x1c-\x1f, the whole scrub runs on the bytes, with the
+same patterns compiled as bytes, and when all its non-ASCII characters are
+marks one bytes.translate deletes them with the ASCII marks. Other non-ASCII
+text is lowercased and cleared as str (_scrub_text); either way its few
+distinct marks leave by passes over its UTF-8 bytes and str.replace
+(_delete_marks). The rule is the one scrub_message applies to a single
+line. A corpus keeps each usable line as one string, with the
 whitespace the scrub leaves in it (a dropped @mention leaves its
 spaces behind), and never holds a token object of its own: each reader
 splits only the lines it reads, and str.split discards that whitespace. The
@@ -65,6 +71,12 @@ _PUNCTUATION = _PunctuationTable()
 # module looks up no character's category; a test derives them again.
 _ASCII_MARKS = b'!"#%&\'()*,-./:;?@[\\]_{}'
 _ASCII = bytes(range(128))
+# What one bytes.translate deletes from UTF-8 text whose non-ASCII characters
+# are all marks: the ASCII marks and every byte of a non-ASCII character.
+_ASCII_MARKS_AND_WIDE = _ASCII_MARKS + bytes(range(128, 256))
+# The ASCII characters that str.split and re's str \s take for whitespace
+# and bytes.split and re's bytes \s do not.
+_STR_ONLY_SPACES = b"\x1c\x1d\x1e\x1f"
 
 # Most distinct non-ASCII marks one text may hold and still have each deleted
 # by a str.replace pass of its own; a text with more goes through translate.
@@ -73,27 +85,29 @@ _ASCII = bytes(range(128))
 # they stopped paying at about 40 marks.
 MAX_REPLACED_MARKS = 32
 
-# Each drop pattern begins with a literal, so re skips from one occurrence of
-# it to the next in C instead of trying a match at every character of the
-# text; the lookbehind placed after the literal then checks that the literal
-# starts a whitespace-delimited token, and \S* takes the rest of the token.
-# re's \s and str.split agree on what whitespace is.
-_DROP_STARTS = tuple(
-    re.compile(pattern)
-    for pattern in (r"@(?<!\S@)\S*", r"#(?<!\S#)\S*", r"www\.(?<!\Swww\.)\S*")
+# The drop rules, each compiled twice below: for str text and for its UTF-8
+# bytes. The first three drop a whole token that starts with "@", "#" or
+# "www.". Each begins with a literal, so re skips from one occurrence of it
+# to the next in C instead of trying a match at every character of the text;
+# the lookbehind placed after the literal then checks that the literal starts
+# a whitespace-delimited token, and \S* takes the rest of the token. re's \s
+# and str.split agree on what whitespace is, and so do re's bytes \s and
+# bytes.split.
+#
+# The last two drop a token that contains "://" anywhere, since no pattern
+# that begins with "://" can reach back to the token's start. The URL tail
+# cuts each such token after its first "://", which stays behind as a
+# sentinel: it is now the last three characters of exactly the tokens to
+# drop. On the reversed text each sentinel reads "//:" at the start of its
+# token, so the URL head deletes the token through to its original start,
+# and a second reversal restores the order. A token without "://" holds no
+# "//:" once reversed, so the head pass touches nothing else. Text without
+# "://" skips both passes and both reversals.
+_DROP_RULES = (
+    r"@(?<!\S@)\S*", r"#(?<!\S#)\S*", r"www\.(?<!\Swww\.)\S*", r"://\S*", r"//:\S*"
 )
-
-# A token that contains "://" anywhere is dropped in two passes, since no
-# pattern that begins with "://" can reach back to the token's start.
-# _URL_TAIL cuts each such token after its first "://", which stays behind
-# as a sentinel: it is now the last three characters of exactly the tokens
-# to drop. On the reversed text each sentinel reads "//:" at the start of its
-# token, so _URL_HEAD deletes the token through to its original start, and a
-# second reversal restores the order. A token without "://" holds no "//:"
-# once reversed, so the head pass touches nothing else. Text without "://"
-# skips both passes and both reversals.
-_URL_TAIL = re.compile(r"://\S*")
-_URL_HEAD = re.compile(r"//:\S*")
+_STR_DROPS = tuple(re.compile(rule) for rule in _DROP_RULES)
+_BYTE_DROPS = tuple(re.compile(rule.encode()) for rule in _DROP_RULES)
 
 # Lines per block, for the scrub and the word search here and for both counts
 # in ngram. Large enough that the per-call overhead vanishes, small enough
@@ -110,35 +124,85 @@ def _scrub_text(text: str) -> str:
 
     Whitespace, line breaks included, passes through untouched, so the
     result splits into the same lines as `text`.
-    """
-    text = text.lower()
-    for pattern in _DROP_STARTS:
-        text = pattern.sub("", text)
-    if "://" in text:
-        text = _URL_HEAD.sub("", _URL_TAIL.sub("://", text)[::-1])[::-1]
-    return _delete_punctuation(text)
 
-
-def _delete_punctuation(text: str) -> str:
-    """text without its Unicode punctuation (category P*).
-
-    str.translate has a fast path for ASCII text only; one non-ASCII
-    character sends every character of the text through a Python mapping
-    lookup. So other text is encoded to UTF-8, where every byte of a
-    non-ASCII character is at least 0x80: deleting the ASCII bytes leaves
-    exactly the non-ASCII characters, whose distinct marks are each looked
-    up once. The ASCII marks go in one bytes.translate and each non-ASCII
-    mark in one str.replace. Lone surrogates pass through "surrogatepass"
-    unchanged.
+    ASCII text is scrubbed as str and loses its punctuation in one
+    str.translate. str.lower, str.replace and str.translate take a slow path
+    on other text, so it is encoded to UTF-8 once and scrubbed as bytes when
+    that gives the same result (_scrubs_as_bytes): bytes.lower, the drop
+    patterns compiled as bytes, then _delete_marks. Any other text is
+    lowercased and cleared of dropped tokens as str, then encoded again for
+    _delete_marks.
     """
     if text.isascii():
-        return text.translate(_PUNCTUATION)
+        return _drop_tokens(text.lower(), _STR_DROPS).translate(_PUNCTUATION)
     data = text.encode("utf-8", "surrogatepass")
-    wide = set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
+    wide = _wide_chars(data)
+    if _scrubs_as_bytes(data, wide):
+        return _delete_marks(_drop_tokens(data.lower(), _BYTE_DROPS), wide)
+    text = _drop_tokens(text.lower(), _STR_DROPS)
+    # str.lower changes no mark and makes none, so wide still holds every mark
+    # of the lowercased text, and a character that is no mark if it holds one.
+    return _delete_marks(text.encode("utf-8", "surrogatepass"), wide)
+
+
+def _wide_chars(data: bytes) -> set[str]:
+    """The distinct non-ASCII characters of UTF-8 `data`.
+
+    Every byte of a non-ASCII character is at least 0x80, so deleting the
+    ASCII bytes leaves exactly those characters. Lone surrogates pass
+    through "surrogatepass" unchanged.
+    """
+    return set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
+
+
+def _scrubs_as_bytes(data: bytes, wide: set[str]) -> bool:
+    """Whether the UTF-8 `data`, whose non-ASCII characters are `wide`,
+    scrubs as bytes to what its text scrubs to as str.
+
+    bytes.lower changes only ASCII letters, and the bytes patterns split
+    tokens only at ASCII whitespace other than \x1c-\x1f. So no non-ASCII
+    character may change under str.lower (a capital letter, a final sigma)
+    or be whitespace, and data may hold none of \x1c-\x1f. A character
+    that is not ASCII whitespace is all non-whitespace bytes, so the bytes
+    patterns then start, end and delete tokens where the str patterns do.
+    """
+    joined = "".join(wide)
+    return (
+        joined.lower() == joined
+        and not any(map(str.isspace, wide))
+        and not any(space in data for space in _STR_ONLY_SPACES)
+    )
+
+
+def _drop_tokens(text, drops):
+    """text without its dropped tokens: str text with _STR_DROPS, or UTF-8
+    bytes with _BYTE_DROPS."""
+    *starts, url_tail, url_head = drops
+    empty, sentinel = text[:0], url_tail.pattern[:3]
+    for pattern in starts:
+        text = pattern.sub(empty, text)
+    if sentinel in text:
+        text = url_head.sub(empty, url_tail.sub(sentinel, text)[::-1])[::-1]
+    return text
+
+
+def _delete_marks(data: bytes, wide: set[str]) -> str:
+    """The UTF-8 `data` decoded, without its Unicode punctuation (category P*).
+
+    wide holds every non-ASCII mark of data and, if data holds a non-ASCII
+    character that is no mark, at least one character that is no mark; it
+    may hold more. Only its marks are looked up, each once. When all of wide
+    are marks, one bytes.translate deletes them with the ASCII marks and
+    leaves ASCII. Otherwise the ASCII marks go in one bytes.translate and
+    each non-ASCII mark in one str.replace, or all of them in one
+    str.translate when there are more than MAX_REPLACED_MARKS.
+    """
     marks = [char for char in wide if _PUNCTUATION[ord(char)] is None]
+    if len(marks) == len(wide):
+        return data.translate(None, _ASCII_MARKS_AND_WIDE).decode("ascii")
+    text = data.translate(None, _ASCII_MARKS).decode("utf-8", "surrogatepass")
     if len(marks) > MAX_REPLACED_MARKS:
         return text.translate(_PUNCTUATION)
-    text = data.translate(None, _ASCII_MARKS).decode("utf-8", "surrogatepass")
     for mark in marks:
         text = text.replace(mark, "")
     return text

@@ -8,12 +8,11 @@ master seed, so reruns with the same inputs reproduce results exactly, in
 any execution order.
 """
 
-import hashlib
 import math
 import random
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, count, islice
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
 from .codec import contains_codeword, draw_cover, insert_codewords
@@ -24,9 +23,30 @@ from .ngram import build_model, count_grams, message_grams, plausibility_score
 
 def derive_seed(master: int, *labels) -> int:
     """Stable child seed for a labeled subtask of a master-seeded run."""
+    # Imported here, not with the module: hashlib loads OpenSSL, and the
+    # verbs that import this module without running an experiment never
+    # derive a seed.
+    import hashlib
+
     material = ":".join([str(master), *map(str, labels)])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def derive_seeds(master: int, *labels) -> Iterator[int]:
+    """derive_seed(master, *labels, i) for i = 0, 1, 2, ...
+
+    The material the seeds share is hashed once; each seed hashes only its
+    index, into a copy of that hash.
+    """
+    import hashlib
+
+    material = ":".join([str(master), *map(str, labels), ""])
+    shared = hashlib.sha256(material.encode("utf-8"))
+    for index in count():
+        hashed = shared.copy()
+        hashed.update(str(index).encode("utf-8"))
+        yield int.from_bytes(hashed.digest()[:8], "big")
 
 
 def random_secret(rng: random.Random, alphabet: Sequence[str], length: int) -> tuple:
@@ -114,8 +134,8 @@ def run_band_experiment(
             rows.append(_band_row(band, trials, errors=0, failures=trials))
             continue
         errors = 0
-        for trial in range(trials):
-            rng = random.Random(derive_seed(seed, "band", index, "trial", trial))
+        for trial_seed in islice(derive_seeds(seed, "band", index, "trial"), trials):
+            rng = random.Random(trial_seed)
             errors += contains_codeword(draw_cover(corpus, None, rng)[1], codebook)
         rows.append(_band_row(band, trials, errors))
     return rows
@@ -223,8 +243,8 @@ def build_pairs(
     if secret_len < 0:
         raise ValueError("secret_len must be >= 0")
     draws = []
-    for index in range(trials):
-        rng = random.Random(derive_seed(seed, "pair", index))
+    for pair_seed in islice(derive_seeds(seed, "pair"), trials):
+        rng = random.Random(pair_seed)
         _, cover = draw_cover(corpus, codebook, rng)
         secret = random_secret(rng, codebook.alphabet, secret_len)
         draws.append((cover, [codebook.forward[s] for s in secret]))

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,36 @@ def test_an_incorrect_run_is_refused():
     docs = [_doc("a", 1, 1.0), _doc("a", 2, 1.0, correct=False)]
     with pytest.raises(ValueError, match="a seed 2 is incorrect.*wrong secret"):
         bench_record.summarize(docs)
+
+
+def _git(status):
+    """A stand-in for subprocess.run that answers the recorder's git calls."""
+    def run(argv, **kwargs):
+        assert argv[0] == "git"
+        stdout = status if argv[1] == "status" else "c0ffee\n"
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+    return run
+
+
+def test_uncommitted_measured_code_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record.subprocess, "run", _git(" M src/wordsteg/corpus.py\n"))
+    monkeypatch.setattr(bench_record, "run_one", lambda *args: pytest.fail("a run started"))
+    argv = ["--pr", "7", "--seeds", "1", "--seconds", "1", "--root", str(tmp_path)]
+    assert bench_record.main(argv) == 1
+    assert "src/wordsteg/corpus.py" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_clean_checkout_is_recorded(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record.subprocess, "run", _git(""))
+    monkeypatch.setattr(bench_record, "run_one", lambda root, command, w, seed, s: _doc(w, seed, 1.0))
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"command": ["python3", "run.py"], "workloads": [{"name": "a"}]}), encoding="utf-8"
+    )
+    argv = ["--pr", "7", "--seeds", "1", "2", "--seconds", "1", "--root", str(tmp_path)]
+    assert bench_record.main(argv) == 0
+    point = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
+    assert point["commit"] == "c0ffee"
+    assert [(row["workload"], row["seed"]) for row in point["runs"]] == [("a", 1), ("a", 2)]

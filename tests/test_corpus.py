@@ -1,3 +1,4 @@
+import string
 import tracemalloc
 import unicodedata
 from itertools import compress
@@ -236,6 +237,59 @@ def test_edge_tokens_match_reference(token):
         assert _tokens(Corpus.from_lines(lines)) == _reference_messages(lines)
 
 
+def _scrub_and_routes(raw):
+    """scrub_message(raw), and whether its tokens were dropped as str or as bytes."""
+    with mock.patch.object(corpus_module, "_drop_tokens", wraps=corpus_module._drop_tokens) as drop:
+        scrubbed = scrub_message(raw)
+    return scrubbed, [type(call.args[0]) for call in drop.call_args_list]
+
+
+# Text whose non-ASCII characters neither change under str.lower nor are
+# whitespace, and which holds none of \x1c-\x1f: a lone surrogate, marks
+# («, —, …) and letters (é, 日). Every such text is scrubbed as bytes.
+BYTE_ROUTE_FRAGMENTS = [
+    f for f in MARKER_FRAGMENTS if f not in ("Σ", "\x85", "\u3000", "\u2028")
+] + ["é", "日", "«", "—", "…", "\udc80"]
+byte_route_text = st.lists(
+    st.sampled_from(BYTE_ROUTE_FRAGMENTS) | st.sampled_from(string.ascii_letters + string.digits)
+).map("".join)
+
+
+@given(byte_route_text)
+@example("Keep «@drop» —#x… é@x 日www.y a://b —… ")
+def test_caseless_non_ascii_text_is_scrubbed_as_bytes(raw):
+    scrubbed, routes = _scrub_and_routes(raw)
+    assert scrubbed == _scrub_reference(raw)
+    assert routes == [str if raw.isascii() else bytes]
+
+
+@pytest.mark.parametrize("before", ["é", "日", "«", "…", "\udc80"])
+@pytest.mark.parametrize("marker", ["@x", "#x", "www.x", "://x"])
+def test_a_multibyte_character_before_a_marker_keeps_the_token(before, marker):
+    for raw in (f"{before}{marker}", f"Keep {before}{marker} @drop end", f"@a{before}{marker} b"):
+        scrubbed, routes = _scrub_and_routes(raw)
+        assert scrubbed == _scrub_reference(raw)
+        assert routes == [bytes]
+
+
+# Each of these makes a scrub of the bytes part from the scrub of the text:
+# bytes.lower leaves É and Σ (final or not) as they are, and the bytes
+# patterns take \x1c, \xa0, \u2028 and \x85 for part of a token.
+@pytest.mark.parametrize("char", ["É", "Σ", "\x1c", "\xa0", "\u2028", "\x85"])
+def test_text_whose_bytes_scrub_differently_is_scrubbed_as_str(char):
+    raw = f"Keep @drop{char}kept #x{char}y www.x{char}y a://b{char}z é!{char}end{char}"
+    expected = _scrub_reference(raw)
+    scrubbed, routes = _scrub_and_routes(raw)
+    assert scrubbed == expected
+    assert routes == [str]
+    data = raw.encode("utf-8")
+    as_bytes = corpus_module._delete_marks(
+        corpus_module._drop_tokens(data.lower(), corpus_module._BYTE_DROPS),
+        corpus_module._wide_chars(data),
+    )
+    assert " ".join(as_bytes.split()) != expected
+
+
 @pytest.mark.parametrize(
     "space", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
 )
@@ -322,6 +376,12 @@ def test_ascii_marks_are_the_ascii_punctuation():
     assert corpus_module._ASCII_MARKS == bytes(c for c in range(128) if _is_mark(chr(c)))
 
 
+def _delete_marks(text):
+    """corpus._delete_marks of text's UTF-8 bytes and its non-ASCII characters."""
+    data = text.encode("utf-8", "surrogatepass")
+    return corpus_module._delete_marks(data, corpus_module._wide_chars(data))
+
+
 # A table of its own, so the entries for all of Unicode go with the test.
 @mock.patch.object(corpus_module, "_PUNCTUATION", corpus_module._PunctuationTable())
 def test_punctuation_deletion_matches_the_category_rule_at_every_code_point():
@@ -329,31 +389,41 @@ def test_punctuation_deletion_matches_the_category_rule_at_every_code_point():
     kept = [not _is_mark(char) for char in everything]
     # Fed as one text, every mark there is takes the translate fallback.
     assert kept.count(False) > corpus_module.MAX_REPLACED_MARKS
-    assert corpus_module._delete_punctuation(everything) == "".join(compress(everything, kept))
-    # Fed in pieces of 16 code points, each with a non-ASCII letter so the
-    # ASCII pieces too are encoded, every piece deletes its marks by bytes and
-    # by replace. The pieces start 8 code points off a multiple of 16, so one
-    # holds the surrogate pair U+DBFF U+DC00.
+    assert _delete_marks(everything) == "".join(compress(everything, kept))
+    # Fed in pieces of 16 code points, each deletes its marks by bytes and by
+    # replace when a non-ASCII letter is added to it, and alone by one
+    # bytes.translate when its non-ASCII characters are all marks. The
+    # pieces start 8 code points off a multiple of 16, so one holds the
+    # surrogate pair U+DBFF U+DC00.
     assert corpus_module.MAX_REPLACED_MARKS >= 16
     for start in range(-8, len(everything), 16):
         cut = slice(max(start, 0), start + 16)
-        expected = "".join(compress(everything[cut], kept[cut])) + "é"
-        assert corpus_module._delete_punctuation(everything[cut] + "é") == expected, hex(cut.start)
+        expected = "".join(compress(everything[cut], kept[cut]))
+        assert _delete_marks(everything[cut] + "é") == expected + "é", hex(cut.start)
+        assert _delete_marks(everything[cut]) == expected, hex(cut.start)
 
 
 def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
-    """Each read is exactly one section of lines: ASCII only, a few marks, or
-    more distinct marks than replace passes are made for, in turn."""
+    """Each read is exactly one section of lines, in turn: ASCII only; raw
+    chatter, whose ideographic spaces send it down the str route; lines with
+    more distinct marks than replace passes are made for and the letter é,
+    scrubbed as bytes and then translated; and the same lines without é,
+    whose non-ASCII bytes all go in one bytes.translate."""
     read_chars = corpus_module.READ_CHARS
     clean = synth_lines(4000, 11)
     noisy = raw_lines(clean, 11)
     many = [chr(c) for c in range(0x80, 0x3100) if _is_mark(chr(c))]
     many = many[: 2 * corpus_module.MAX_REPLACED_MARKS]
-    sources = [iter(clean), iter(noisy), iter(f"{m} {line} {m}" for m, line in zip(many * 99, clean))]
+    sources = [
+        iter(clean),
+        iter(noisy),
+        iter(f"{m} {line} é{m}" for m, line in zip(many * 99, clean)),
+        iter(f"{m} {line} {m}" for m, line in zip(many * 99, clean)),
+    ]
     raw = []
-    for turn in range(6):
+    for turn in range(8):
         size = 0
-        for line in sources[turn % 3]:
+        for line in sources[turn % 4]:
             if size + len(line) + 1 > read_chars:
                 break
             raw.append(line)
@@ -362,13 +432,22 @@ def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
         raw[-1] += " " * (read_chars - size)
     path = tmp_path / "corpus.txt"
     path.write_text("\n".join(raw) + "\n", encoding="utf-8")
-    with mock.patch.object(corpus_module, "_usable_lines", wraps=corpus_module._usable_lines) as scrub:
+    with mock.patch.object(
+        corpus_module, "_usable_lines", wraps=corpus_module._usable_lines
+    ) as scrub, mock.patch.object(
+        corpus_module, "_drop_tokens", wraps=corpus_module._drop_tokens
+    ) as drop:
         loaded = load_corpus(path)
     texts = [call.args[0] for call in scrub.call_args_list]
-    assert [len(text) for text in texts[:6]] == [read_chars - 1] * 6
-    assert [text.isascii() for text in texts[:6]] == [True, False, False] * 2
-    wide_marks = [sum(not c.isascii() and _is_mark(c) for c in set(text)) for text in texts[1:3]]
-    assert 0 < wide_marks[0] <= corpus_module.MAX_REPLACED_MARKS < wide_marks[1]
+    assert [len(text) for text in texts[:8]] == [read_chars - 1] * 8
+    assert [text.isascii() for text in texts[:8]] == [True, False, False, False] * 2
+    routes = [type(call.args[0]) for call in drop.call_args_list]
+    assert routes[:8] == [str, str, bytes, bytes] * 2
+    wide = [{c for c in set(text) if not c.isascii()} for text in texts[1:4]]
+    wide_marks = [sum(map(_is_mark, chars)) for chars in wide]
+    assert 0 < wide_marks[0] <= corpus_module.MAX_REPLACED_MARKS < wide_marks[1] == wide_marks[2]
+    # Chatter holds "\u3000", and the third section "é": neither is a mark.
+    assert [marks == len(chars) for marks, chars in zip(wide_marks, wide)] == [False, False, True]
     assert loaded.lines == Corpus.from_lines(raw).lines
     assert _tokens(loaded) == _reference_messages(raw)
 

@@ -6,7 +6,10 @@ measured (this one, or --root), reads the results document the child names
 on its "results" line, and writes to this checkout the commit, the
 interpreter, the CPU count, every run's correctness, output digest and report
 values, and per workload the median and quartiles of each report value.
-Exits 1, writing nothing, when any run is incorrect.
+Exits 1, writing nothing, when any run is incorrect, or, before any run,
+when the measured checkout has uncommitted changes under the paths the
+benchmark builds from (MEASURED): the point would then name a commit that is
+not the code it measured.
 
     python tools/bench_record.py --pr N --seeds 1 2 3 --seconds 15
 
@@ -24,6 +27,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# What a run builds from and runs, relative to the measured checkout.
+MEASURED = ("src", "perfbench", "BENCHMARK.json")
 
 
 def summarize(docs: list[dict]) -> dict:
@@ -86,6 +91,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
+    changed = subprocess.run(["git", "status", "--porcelain", "--", *MEASURED], cwd=root,
+                             check=True, capture_output=True, text=True).stdout
+    if changed:
+        print(f"error: uncommitted changes in {root}:\n{changed}", end="", file=sys.stderr)
+        return 1
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     docs = []
     try:
