@@ -11,8 +11,8 @@ any execution order.
 import math
 import random
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import chain, count, islice
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
 from .codec import contains_codeword, draw_cover, insert_codewords
@@ -31,22 +31,6 @@ def derive_seed(master: int, *labels) -> int:
     material = ":".join([str(master), *map(str, labels)])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def derive_seeds(master: int, *labels) -> Iterator[int]:
-    """derive_seed(master, *labels, i) for i = 0, 1, 2, ...
-
-    The material the seeds share is hashed once; each seed hashes only its
-    index, into a copy of that hash.
-    """
-    import hashlib
-
-    material = ":".join([str(master), *map(str, labels), ""])
-    shared = hashlib.sha256(material.encode("utf-8"))
-    for index in count():
-        hashed = shared.copy()
-        hashed.update(str(index).encode("utf-8"))
-        yield int.from_bytes(hashed.digest()[:8], "big")
 
 
 def random_secret(rng: random.Random, alphabet: Sequence[str], length: int) -> tuple:
@@ -134,8 +118,8 @@ def run_band_experiment(
             rows.append(_band_row(band, trials, errors=0, failures=trials))
             continue
         errors = 0
-        for trial_seed in islice(derive_seeds(seed, "band", index, "trial"), trials):
-            rng = random.Random(trial_seed)
+        for trial in range(trials):
+            rng = random.Random(derive_seed(seed, "band", index, "trial", trial))
             errors += contains_codeword(draw_cover(corpus, None, rng)[1], codebook)
         rows.append(_band_row(band, trials, errors))
     return rows
@@ -243,8 +227,8 @@ def build_pairs(
     if secret_len < 0:
         raise ValueError("secret_len must be >= 0")
     draws = []
-    for pair_seed in islice(derive_seeds(seed, "pair"), trials):
-        rng = random.Random(pair_seed)
+    for index in range(trials):
+        rng = random.Random(derive_seed(seed, "pair", index))
         _, cover = draw_cover(corpus, codebook, rng)
         secret = random_secret(rng, codebook.alphabet, secret_len)
         draws.append((cover, [codebook.forward[s] for s in secret]))

@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,6 @@ from wordsteg.evaluate import (
     _insert_count,
     build_pairs,
     derive_seed,
-    derive_seeds,
     distinguisher_accuracy,
     kl_divergence,
     random_secret,
@@ -30,14 +28,6 @@ def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(1, "a") != derive_seed(1, "b")
     assert derive_seed(1, "a") != derive_seed(2, "a")
     assert derive_seed(1, "a", 0) != derive_seed(1, "a", 1)
-
-
-# The default trial count, so the indexes run from one digit to four.
-@pytest.mark.parametrize("seed", [0, 1, 29, -3, 2**70])
-@pytest.mark.parametrize("labels", [("band", 0, "trial"), ("band", 3, "trial"), ("pair",)])
-def test_seed_stream_equals_derive_seed_per_index(seed, labels):
-    streamed = list(islice(derive_seeds(seed, *labels), 2000))
-    assert streamed == [derive_seed(seed, *labels, index) for index in range(2000)]
 
 
 def test_density_matches_inserted_fraction(small_corpus):
