@@ -84,13 +84,6 @@ class Codebook:
                 )
         self.alphabet, self.forward, self.band, self.seed = alphabet, forward, band, seed
 
-    def __eq__(self, other):
-        if not isinstance(other, Codebook):
-            return NotImplemented
-        return (self.alphabet, self.forward, self.band, self.seed) == (
-            other.alphabet, other.forward, other.band, other.seed
-        )
-
 
 def band_words(counts: Mapping[str, int], band: Band) -> list[str]:
     """Words whose count (e.g. in Corpus.vocabulary) lies inside the band, sorted."""

@@ -5,27 +5,40 @@ removes the token classes that cannot occur in spoken language, then strips
 punctuation from whatever remains. Misspellings and other quirks are kept
 as-is; they are part of the cover signal.
 
-A corpus file is read and scrubbed about 64K characters at a time, each
-read cut at its last line break, with no Python code run per line;
-Corpus.from_lines scrubs its lines in blocks of about a thousand. Each read
-or block is one string that is lowercased, cleared of dropped tokens by
+load_corpus is the one reader of raw text; Corpus(lines) takes lines that
+are already scrubbed. A corpus file is read about 64K characters at a time,
+each read cut at its last line break, with no Python code run per line.
+Each read is one string that is lowercased, cleared of dropped tokens by
 regex passes that each begin with a literal, stripped of punctuation, then
-split back into lines. ASCII text does all of this as str and loses its
-punctuation in one str.translate. str.lower, str.replace and str.translate
-are slow on other text, so it is encoded to UTF-8 once; when no non-ASCII
-character of it is whitespace or changes case, and it holds none of the
-ASCII separators \x1c-\x1f, the whole scrub runs on the bytes, with the
-same patterns compiled as bytes, and when all its non-ASCII characters are
-marks one bytes.translate deletes them with the ASCII marks. Other non-ASCII
-text is lowercased and cleared as str (_scrub_text); either way its few
-distinct marks leave by passes over its UTF-8 bytes and str.replace
-(_delete_marks). The rule is the one scrub_message applies to a single
-line. A corpus keeps each usable line as one string, with the
-whitespace the scrub leaves in it (a dropped @mention leaves its
-spaces behind), and never holds a token object of its own: each reader
-splits only the lines it reads, and str.split discards that whitespace. The
-word counts are computed on first access, so a verb that never reads them
-(encode) never pays for them.
+split back into lines, by one of three routes that give the same text:
+
+- ASCII text is scrubbed as str and loses its punctuation in one
+  str.translate.
+- str.lower, str.replace and str.translate are slow on other text: one
+  curly quote or dash sends every character of a read down a slow path.
+  So other text is encoded to UTF-8 once, whose bytes below 0x80 are
+  exactly its ASCII characters, and its distinct non-ASCII characters are
+  looked up once each. When none of them is whitespace or changes case,
+  and the text holds none of the ASCII separators \x1c-\x1f (which
+  str.split splits on and bytes.split does not), the whole scrub runs on
+  the bytes, with the same patterns compiled as bytes.
+- Any other non-ASCII text is lowercased and cleared of dropped tokens as
+  str (_scrub_text).
+
+On either non-ASCII route the marks then leave the UTF-8 bytes
+(_delete_marks): when every non-ASCII character is a mark, one
+bytes.translate deletes them with the ASCII marks; otherwise the ASCII
+marks go in one bytes.translate and each distinct non-ASCII mark in one
+str.replace, or all of them in one str.translate when there are more than
+MAX_REPLACED_MARKS. The rule is the one scrub_message applies to a single
+line, so each message is what scrub_message makes of its line.
+
+A corpus keeps each usable line as one string, with the whitespace the
+scrub leaves in it (a dropped @mention leaves its spaces behind), and never
+holds a token object of its own: each reader splits only the lines it
+reads, and str.split discards that whitespace. The word counts are computed
+on first access, so a verb that never reads them (encode) never pays for
+them.
 
 The lines that may hold a given word are found by str.find over each block
 of lines, one hit per line, and what was found for each word is kept on the
@@ -39,7 +52,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress
 import unicodedata
 
 from .errors import EmptyCorpusError
@@ -109,9 +122,9 @@ _DROP_RULES = (
 _STR_DROPS = tuple(re.compile(rule) for rule in _DROP_RULES)
 _BYTE_DROPS = tuple(re.compile(rule.encode()) for rule in _DROP_RULES)
 
-# Lines per block, for the scrub and the word search here and for both counts
-# in ngram. Large enough that the per-call overhead vanishes, small enough
-# that a block's copies of its text stay a small share of the corpus's memory.
+# Lines per block, for the word search here and for both counts in ngram.
+# Large enough that the per-call overhead vanishes, small enough that a
+# block's copies of its text stay a small share of the corpus's memory.
 BLOCK_LINES = 1024
 
 # Characters per read of a corpus file: about one block of typical messages,
@@ -123,15 +136,9 @@ def _scrub_text(text: str) -> str:
     """Lowercase, delete dropped tokens, then delete punctuation.
 
     Whitespace, line breaks included, passes through untouched, so the
-    result splits into the same lines as `text`.
-
-    ASCII text is scrubbed as str and loses its punctuation in one
-    str.translate. str.lower, str.replace and str.translate take a slow path
-    on other text, so it is encoded to UTF-8 once and scrubbed as bytes when
-    that gives the same result (_scrubs_as_bytes): bytes.lower, the drop
-    patterns compiled as bytes, then _delete_marks. Any other text is
-    lowercased and cleared of dropped tokens as str, then encoded again for
-    _delete_marks.
+    result splits into the same lines as `text`. It takes one of the three
+    routes the module docstring describes; _scrubs_as_bytes picks between
+    the two for non-ASCII text.
     """
     if text.isascii():
         return _drop_tokens(text.lower(), _STR_DROPS).translate(_PUNCTUATION)
@@ -327,20 +334,6 @@ class Corpus:
             for i in indexes:
                 mask[i] = 1
         return compress(self.lines, mask)
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "Corpus":
-        """Scrub raw lines, skipping any that scrub to nothing.
-
-        Each element is one message, scrubbed as scrub_message would scrub
-        it, so a line break inside one counts as a space. Elements are
-        scrubbed BLOCK_LINES at a time.
-        """
-        kept: list[str] = []
-        lines = iter(lines)
-        while block := list(islice(lines, BLOCK_LINES)):
-            kept.extend(_usable_lines("\n".join(line.replace("\n", " ") for line in block)))
-        return cls(kept)
 
 
 def _usable_lines(text: str) -> Iterator[str]:

@@ -3,9 +3,12 @@
 Decodability: how often an embed that skipped cover rejection would decode
 to the wrong secret. Density: what fraction of stego tokens are codewords.
 Detectability: how well a statistical observer separates stego messages
-from covers. Every experiment is driven by per-trial seeds derived from one
-master seed, so reruns with the same inputs reproduce results exactly, in
-any execution order.
+from covers. Every experiment derives its seeds from one master seed, so
+reruns with the same inputs reproduce results exactly. Each band trial and
+each distinguisher pair draws from a seed of its own, so it comes out the
+same in any execution order. run_density_experiment does not: it draws all
+its covers in turn from one "covers" stream, and each point's secrets in
+turn from one stream per point, so each draw depends on the draws before it.
 """
 
 import math

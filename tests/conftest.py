@@ -17,7 +17,7 @@ TOY_LINES = ["the cat sat", "the cat ran", "a cat sat"]
 
 @pytest.fixture()
 def toy_corpus():
-    return Corpus.from_lines(TOY_LINES)
+    return Corpus(TOY_LINES)
 
 
 @pytest.fixture()
@@ -33,12 +33,12 @@ def two_word_codebook():
 
 @pytest.fixture(scope="session")
 def desk_corpus():
-    return Corpus.from_lines(synth_lines())
+    return Corpus(synth_lines())
 
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    return Corpus.from_lines(synth_lines(n_messages=400, seed=3, vocab_size=500))
+    return Corpus(synth_lines(n_messages=400, seed=3, vocab_size=500))
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,11 @@ from wordsteg.corpus import scrub_message
 from wordsteg.errors import CodebookValidationError, FormatError, InsufficientBandError
 
 
+def _fields(codebook):
+    """What a saved codebook records, to compare two codebooks by."""
+    return codebook.alphabet, codebook.forward, codebook.band, codebook.seed
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [
@@ -58,7 +63,7 @@ def test_band_words_inclusive_and_sorted(toy_corpus):
 def test_select_codebook_is_deterministic(desk_corpus):
     first = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=11)
     again = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=11)
-    assert first == again
+    assert _fields(first) == _fields(again)
 
 
 def test_select_codebook_draws_from_the_band(desk_corpus):
@@ -122,30 +127,6 @@ def test_forward_and_unmap_word(two_word_codebook):
     assert two_word_codebook.inverse.get("trash") is None
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        {},
-        {"alphabet": ("2", "1")},
-        {"forward": {"2": "really", "1": "good"}},
-        {"band": (1, 9)},
-        {"seed": 1},
-    ],
-    ids=["equal", "alphabet", "forward", "band", "seed"],
-)
-def test_codebook_equality_compares_the_four_fields(two_word_codebook, change):
-    fields = {
-        "alphabet": ("1", "2"),
-        "forward": {"2": "good", "1": "really"},
-        "band": (1, None),
-        "seed": 0,
-    }
-    other = Codebook(**{**fields, **change})
-    assert (other == two_word_codebook) is (not change)
-    assert (other != two_word_codebook) is bool(change)
-    assert other != (other.alphabet, other.forward, other.band, other.seed)
-
-
 def test_codebook_round_trips_every_symbol(desk_corpus):
     codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=0)
     for symbol in codebook.alphabet:
@@ -193,7 +174,7 @@ def test_save_load_round_trip(tmp_path, desk_corpus):
     codebook = select_codebook(desk_corpus.vocabulary, (4, 6), DIGITS, seed=9)
     path = tmp_path / "codebook.json"
     save_codebook(codebook, path)
-    assert load_codebook(path) == codebook
+    assert _fields(load_codebook(path)) == _fields(codebook)
 
 
 def test_save_load_preserves_open_band(tmp_path, desk_corpus):
@@ -319,7 +300,7 @@ def codebook_file(tmp_path_factory):
 @settings(deadline=None)
 def test_save_load_round_trip_property(codebook_file, codebook):
     save_codebook(codebook, codebook_file)
-    assert load_codebook(codebook_file) == codebook
+    assert _fields(load_codebook(codebook_file)) == _fields(codebook)
 
 
 @given(codebook=codebooks(), data=st.data())
@@ -332,7 +313,7 @@ def test_truncated_codebook_never_loads_a_different_one(codebook_file, codebook,
         loaded = load_codebook(codebook_file)
     except (FormatError, CodebookValidationError):
         return
-    assert loaded == codebook  # only the trailing newline was cut
+    assert _fields(loaded) == _fields(codebook)  # only the trailing newline was cut
 
 
 @given(codebook=codebooks(), data=st.data())

@@ -17,7 +17,7 @@ from wordsteg.codec import (
     insertion_score,
     steganize,
 )
-from wordsteg.corpus import Corpus, scrub_message
+from wordsteg.corpus import Corpus, load_corpus, scrub_message
 from wordsteg.errors import CodebookValidationError, SteganizeError
 from wordsteg.ngram import build_model
 
@@ -145,7 +145,7 @@ def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corp
 )
 @settings(deadline=None)
 def test_insert_codewords_same_under_model_counted_around(messages, codewords, data):
-    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    corpus = Corpus(" ".join(m) for m in messages)
     covers = [m for m in map(str.split, corpus.lines) if len(m) >= 2]
     model = build_model(corpus, codewords, covers)
     words = data.draw(st.lists(st.sampled_from(sorted(codewords)), max_size=4))
@@ -198,7 +198,7 @@ def test_encode_path_never_counts_the_vocabulary(small_corpus):
     # What encode does: steganize, which counts the model for its cover, on a
     # corpus of its own that nothing else has read.
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    corpus = Corpus.from_lines(synth_lines(n_messages=400, seed=3, vocab_size=500))
+    corpus = Corpus(synth_lines(n_messages=400, seed=3, vocab_size=500))
     result = steganize("314", codebook, corpus, seed=99)
     assert decode(result.stego, codebook) == ("3", "1", "4")
     assert "vocabulary" not in corpus.__dict__
@@ -248,7 +248,7 @@ def test_steganize_rejects_unknown_symbols(small_corpus):
 
 
 def test_steganize_avoids_covers_that_already_hold_codewords():
-    corpus = Corpus.from_lines(["x y z", "q x y", "x z y"])
+    corpus = Corpus(["x y z", "q x y", "x z y"])
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     for seed in range(10):
         result = steganize(("0",), codebook, corpus, seed=seed)
@@ -257,7 +257,7 @@ def test_steganize_avoids_covers_that_already_hold_codewords():
 
 
 def test_steganize_fails_when_every_cover_holds_a_codeword():
-    corpus = Corpus.from_lines(["q a b", "b q a"])
+    corpus = Corpus(["q a b", "b q a"])
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     with pytest.raises(SteganizeError) as excinfo:
         steganize(("0",), codebook, corpus, seed=0)
@@ -282,14 +282,14 @@ def test_steganize_raises_when_round_trip_fails(small_corpus, monkeypatch):
 
 
 def test_steganize_needs_covers_with_three_tokens():
-    corpus = Corpus.from_lines(["a b", "c d"])
+    corpus = Corpus(["a b", "c d"])
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     with pytest.raises(SteganizeError) as excinfo:
         steganize(("0",), codebook, corpus, seed=0)
     assert excinfo.value.attempts == 0
 
 
-_codec_corpus = Corpus.from_lines(synth_lines(n_messages=150, seed=5, vocab_size=300))
+_codec_corpus = Corpus(synth_lines(n_messages=150, seed=5, vocab_size=300))
 _codec_codebook = select_codebook(_codec_corpus.vocabulary, (2, None), DIGITS, seed=8)
 
 
@@ -312,12 +312,15 @@ def test_round_trip_property(secret, seed):
     assert list(result.inserted_positions) == sorted(result.inserted_positions)
 
 
-# Raw lines that scrub to non-ASCII words ("«Ŵ0001»," -> "ŵ0001"), so the
-# codewords and the covers come out of real scrubbing.
-_raw_corpus = Corpus.from_lines(
-    " ".join(f"«{word.replace('w', 'Ŵ')}»," for word in line.split())
-    for line in synth_lines(n_messages=150, seed=5, vocab_size=300)
-)
+@pytest.fixture(scope="module")
+def raw_corpus(tmp_path_factory):
+    """Raw lines that scrub to non-ASCII words ("«Ŵ0001»," -> "ŵ0001"), read
+    from a file, so the codewords and the covers come out of real scrubbing."""
+    path = tmp_path_factory.mktemp("raw") / "corpus.txt"
+    with path.open("w", encoding="utf-8") as handle:
+        for line in synth_lines(n_messages=150, seed=5, vocab_size=300):
+            print(*(f"«{word.replace('w', 'Ŵ')}»," for word in line.split()), file=handle)
+    return load_corpus(path)
 
 
 @given(
@@ -331,12 +334,14 @@ _raw_corpus = Corpus.from_lines(
     data=st.data(),
 )
 @settings(deadline=None, max_examples=60)
-def test_printed_stego_decodes_after_scrubbing(alphabet, codebook_seed, seed, data):
+def test_printed_stego_decodes_after_scrubbing(
+    raw_corpus, alphabet, codebook_seed, seed, data
+):
     codebook = select_codebook(
-        _raw_corpus.vocabulary, (2, 20), tuple(alphabet), seed=codebook_seed
+        raw_corpus.vocabulary, (2, 20), tuple(alphabet), seed=codebook_seed
     )
     secret = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=4)))
-    result = steganize(secret, codebook, _raw_corpus, seed=seed)
+    result = steganize(secret, codebook, raw_corpus, seed=seed)
     printed = " ".join(result.stego)
     assert decode(scrub_message(printed).split(), codebook) == secret
 

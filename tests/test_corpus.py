@@ -140,15 +140,6 @@ def test_messages_are_immutable(toy_corpus):
         toy_corpus.lines[0] = "x"
 
 
-def test_from_lines_matches_load_corpus(tmp_path):
-    lines = ["Ana & Bo!", "@x y", "plain words here"]
-    path = tmp_path / "corpus.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    from_file = load_corpus(path)
-    from_lines = Corpus.from_lines(lines)
-    assert _tokens(from_file) == _tokens(from_lines)
-
-
 # Fragments where a whole-text scrub could part from a per-line one: line
 # breaks (universal newlines turn "\r" and "\r\n" into "\n"), whitespace
 # that str.split splits on (str.splitlines breaks lines at most of it), a
@@ -162,9 +153,18 @@ def _hazard_text(chars):
     return st.lists(chars | st.sampled_from(LINE_HAZARDS)).map("".join)
 
 
-def _messages_or_none(build):
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    """One file for the properties, each example of which rewrites it."""
+    return tmp_path_factory.mktemp("corpus") / "corpus.txt"
+
+
+def _loaded_messages(path, text):
+    """The messages load_corpus reads from text written to path, or None."""
+    # Bytes on disk, so "\r" and "\r\n" reach the reader untranslated.
+    path.write_bytes(text.encode("utf-8"))
     try:
-        return _tokens(build())
+        return _tokens(load_corpus(path))
     except EmptyCorpusError:
         return None
 
@@ -185,23 +185,11 @@ def _universal_lines(text):
 @given(text=_hazard_text(st.characters(exclude_categories=("Cs",))))
 @example(text="\ufeffΑΣ\r\n€ @x\r\r\nΣ end\rlast")
 @settings(deadline=None)
-def test_load_corpus_matches_per_line_reference(tmp_path_factory, read_chars, text):
-    path = tmp_path_factory.mktemp("whole") / "corpus.txt"
-    # Bytes on disk, so "\r" and "\r\n" reach the reader untranslated.
-    path.write_bytes(text.encode("utf-8"))
+def test_load_corpus_matches_per_line_reference(corpus_file, read_chars, text):
     with mock.patch.object(corpus_module, "READ_CHARS", read_chars):
-        built = _messages_or_none(lambda: load_corpus(path))
+        built = _loaded_messages(corpus_file, text)
     # The reader skips one byte-order mark at the start of the file.
     assert built == _reference_messages(_universal_lines(text.removeprefix("\ufeff")))
-
-
-@pytest.mark.parametrize("block_lines", [1, 2, 3, corpus_module.BLOCK_LINES])
-@given(lines=st.lists(_hazard_text(st.characters(exclude_categories=()))))
-def test_from_lines_matches_per_line_reference(block_lines, lines):
-    # Any code point, surrogates too; an element holding "\n" is one message.
-    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
-        built = _messages_or_none(lambda: Corpus.from_lines(lines))
-    assert built == _reference_messages(lines)
 
 
 # Markers of dropped tokens and pieces of them, so one token often holds
@@ -217,12 +205,13 @@ def test_scrub_of_marker_dense_text_matches_reference(raw):
     assert scrub_message(raw) == _scrub_reference(raw)
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 3, corpus_module.BLOCK_LINES])
-@given(lines=st.lists(marker_text))
-def test_from_lines_of_marker_dense_text_matches_reference(block_lines, lines):
-    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
-        built = _messages_or_none(lambda: Corpus.from_lines(lines))
-    assert built == _reference_messages(lines)
+@pytest.mark.parametrize("read_chars", [1, 2, 3, 5, 8, corpus_module.READ_CHARS])
+@given(text=marker_text)
+@settings(deadline=None)
+def test_load_corpus_of_marker_dense_text_matches_reference(corpus_file, read_chars, text):
+    with mock.patch.object(corpus_module, "READ_CHARS", read_chars):
+        built = _loaded_messages(corpus_file, text)
+    assert built == _reference_messages(text.split("\n"))
 
 
 @pytest.mark.parametrize(
@@ -230,11 +219,13 @@ def test_from_lines_of_marker_dense_text_matches_reference(block_lines, lines):
     ["a:://b", "x://", "://", "a://b://c", ":///", "//:x", "www.", "wwww.x", "xwww.y",
      "a@b", "@", "#", "\u3000@x", "\x85www.x"],
 )
-def test_edge_tokens_match_reference(token):
+def test_edge_tokens_match_reference(tmp_path, token):
     for raw in (token, f"keep {token} end", f"{token}\t{token}\n{token}"):
         assert scrub_message(raw) == _scrub_reference(raw)
-        lines = [raw, f"first {raw}", "last"]
-        assert _tokens(Corpus.from_lines(lines)) == _reference_messages(lines)
+        text = f"{raw}\nfirst {raw}\nlast"
+        assert _loaded_messages(tmp_path / "corpus.txt", text) == _reference_messages(
+            text.split("\n")
+        )
 
 
 def _scrub_and_routes(raw):
@@ -299,7 +290,6 @@ def test_whitespace_that_is_no_line_break_stays_inside_the_line(tmp_path, space)
     path.write_bytes(f"first line\r\n{line}\rlast".encode("utf-8"))
     expected = (("first", "line"), ("keep", "ας", "end"), ("last",))
     assert _tokens(load_corpus(path)) == expected
-    assert _tokens(Corpus.from_lines(["first\nline", line, "last"])) == expected
     assert _reference_messages(["first line", line, "last"]) == expected
 
 
@@ -309,9 +299,11 @@ def test_final_sigma_at_each_line_end_without_trailing_newline(tmp_path):
     assert _tokens(load_corpus(path)) == (("φας",),) * 4
 
 
-def test_lines_keep_the_scrubs_whitespace_and_readers_split_it():
+def test_lines_keep_the_scrubs_whitespace_and_readers_split_it(tmp_path):
     # The dropped @mention and the lone punctuation leave their spaces behind.
-    corpus = Corpus.from_lines(["one @two\tthree !! four", "a  b", "five"])
+    path = tmp_path / "corpus.txt"
+    path.write_text("one @two\tthree !! four\na  b\nfive\n", encoding="utf-8")
+    corpus = load_corpus(path)
     assert corpus.lines == ("one \tthree  four", "a  b", "five")
     assert list(corpus.vocabulary.items()) == [
         ("one", 1), ("three", 1), ("four", 1), ("a", 1), ("b", 1), ("five", 1)
@@ -320,10 +312,12 @@ def test_lines_keep_the_scrubs_whitespace_and_readers_split_it():
     assert corpus.cover_pool == ("one \tthree  four",)
 
 
-@given(lines=st.lists(_hazard_text(st.sampled_from("ab \t\u3000@"))))
-def test_cover_pool_holds_the_lines_with_enough_tokens(lines):
+@given(text=_hazard_text(st.sampled_from("ab \t\u3000@")))
+@settings(deadline=None)
+def test_cover_pool_holds_the_lines_with_enough_tokens(corpus_file, text):
+    corpus_file.write_bytes(text.encode("utf-8"))
     try:
-        corpus = Corpus.from_lines(lines)
+        corpus = load_corpus(corpus_file)
     except EmptyCorpusError:
         return
     expected = tuple(
@@ -448,7 +442,6 @@ def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
     assert 0 < wide_marks[0] <= corpus_module.MAX_REPLACED_MARKS < wide_marks[1] == wide_marks[2]
     # Chatter holds "\u3000", and the third section "é": neither is a mark.
     assert [marks == len(chars) for marks, chars in zip(wide_marks, wide)] == [False, False, True]
-    assert loaded.lines == Corpus.from_lines(raw).lines
     assert _tokens(loaded) == _reference_messages(raw)
 
 

@@ -138,7 +138,7 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
 
 
 def test_empty_cover_pool_fails_every_band_trial():
-    corpus = Corpus.from_lines(["a b", "c d", "e"])
+    corpus = Corpus(["a b", "c d", "e"])
     assert corpus.cover_pool == ()
     # A thin band is skipped before the empty pool fails the next band's trials.
     thin, row = run_band_experiment(corpus, [(2, None), (1, None)], ("0",), trials=25, seed=0)

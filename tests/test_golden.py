@@ -173,7 +173,7 @@ def _density_reason(corpus, codebook):
     ids=["steganize", "build_pairs", "run_density_experiment"],
 )
 def test_empty_cover_pool_reports_one_reason(measure):
-    corpus = Corpus.from_lines(["a b", "c d", "e"])
+    corpus = Corpus(["a b", "c d", "e"])
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     assert measure(corpus, codebook) == EMPTY_POOL_REASON
 

@@ -62,7 +62,7 @@ def test_toy_bigram_counts(toy_corpus):
 
 
 def test_grams_do_not_span_messages():
-    corpus = Corpus.from_lines(["a b", "c d"])
+    corpus = Corpus(["a b", "c d"])
     assert count_grams(corpus, [("a", "b"), ("b", "c")])[2] == {("a", "b"): 1, ("b", "c"): 0}
     model = build_model(corpus, {"b", "c"}, [("a", "b", "c")])
     assert model.counts[2].get(("b", "c"), 0) == 0
@@ -115,7 +115,7 @@ ALL_GRAMS = [g for n in range(2, MAX_N + 1) for g in product("abcz", repeat=n)]
 @given(messages=message_lists)
 @settings(deadline=None)
 def test_counts_match_window_scan(messages):
-    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    corpus = Corpus(" ".join(m) for m in messages)
     counts = count_grams(corpus, ALL_GRAMS)
     token_lists = [line.split() for line in corpus.lines]
     assert corpus.vocabulary.total() == sum(map(len, token_lists))
@@ -131,7 +131,7 @@ def test_counts_match_window_scan(messages):
 @given(messages=message_lists, requested=st.sets(st.sampled_from(ALL_GRAMS)))
 @settings(deadline=None)
 def test_observer_count_holds_exactly_the_requested_grams(messages, requested):
-    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    corpus = Corpus(" ".join(m) for m in messages)
     counts = count_grams(corpus, requested)
     token_lists = [line.split() for line in corpus.lines]
     assert {g for table in counts.values() for g in table} == requested
@@ -154,7 +154,7 @@ cover_lists = st.lists(st.lists(st.sampled_from("abcde"), max_size=4), max_size=
 @given(messages=wide_messages, codewords=codeword_sets, covers=cover_lists)
 @settings(deadline=None)
 def test_model_counted_around_is_exact_where_it_answers(messages, codewords, covers):
-    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    corpus = Corpus(" ".join(m) for m in messages)
     model = build_model(corpus, codewords, covers)
     token_lists = [line.split() for line in corpus.lines]
     words = codewords | {w for cover in covers for w in cover}
@@ -175,7 +175,7 @@ def test_model_counted_around_is_exact_where_it_answers(messages, codewords, cov
 @given(messages=wide_messages, codewords=codeword_sets)
 @settings(deadline=None)
 def test_both_counts_are_exact_across_block_edges(block_lines, messages, codewords):
-    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    corpus = Corpus(" ".join(m) for m in messages)
     token_lists = [line.split() for line in corpus.lines]
     grams = [g for n in range(2, MAX_N + 1) for g in product("abcdez", repeat=n)]
     with mock.patch.object(ngram_module, "BLOCK_LINES", block_lines), mock.patch.object(
@@ -201,7 +201,7 @@ def test_both_counts_are_exact_across_block_edges(block_lines, messages, codewor
 def test_scoring_outside_either_domain_raises(
     messages, codewords, cover, counted, word, data
 ):
-    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    corpus = Corpus(" ".join(m) for m in messages)
     model = build_model(corpus, codewords, [sorted(counted)])
     position = data.draw(st.integers(1, len(cover) - 1))
     neighbours = cover[max(0, position - MAX_N + 1) : position + MAX_N - 1]
@@ -226,7 +226,7 @@ def test_scoring_outside_either_domain_raises(
 
 def _distinct_word_corpus(n_messages):
     """Every message holds the codeword "cw"; every other word occurs once."""
-    return Corpus.from_lines(f"a{i} b{i} cw c{i} d{i}" for i in range(n_messages))
+    return Corpus(f"a{i} b{i} cw c{i} d{i}" for i in range(n_messages))
 
 
 def test_insertion_tables_do_not_grow_with_the_corpus():
@@ -243,7 +243,7 @@ def test_insertion_tables_do_not_grow_with_the_corpus():
 @given(messages=message_lists)
 @settings(deadline=None)
 def test_longer_grams_never_outnumber_their_parts(messages):
-    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    corpus = Corpus(" ".join(m) for m in messages)
     grams = {g for line in corpus.lines for g in message_grams(line.split())}
     counts = count_grams(corpus, grams)
 
@@ -302,7 +302,7 @@ many_words = st.sampled_from([f"w{i}" for i in range(12)])
 )
 @settings(deadline=None)
 def test_score_is_the_mean_over_orders_one_to_three_in_order(messages, scored):
-    corpus = Corpus.from_lines(" ".join(m) for m in messages)
+    corpus = Corpus(" ".join(m) for m in messages)
     token_lists = [line.split() for line in corpus.lines]
     assert observe(corpus, scored) == reference_score(token_lists, scored)
 
