@@ -1,3 +1,4 @@
+import re
 import string
 import tracemalloc
 import unicodedata
@@ -279,6 +280,83 @@ def test_text_whose_bytes_scrub_differently_is_scrubbed_as_str(char):
         corpus_module._wide_chars(data),
     )
     assert " ".join(as_bytes.split()) != expected
+
+
+class _RecordedRule:
+    """A compiled drop rule that logs its str rule each time its sub runs."""
+
+    def __init__(self, compiled, log):
+        self.pattern, self._compiled, self._log = compiled.pattern, compiled, log
+
+    def sub(self, repl, text):
+        pattern = self.pattern
+        self._log.append(pattern.decode() if isinstance(pattern, bytes) else pattern)
+        return self._compiled.sub(repl, text)
+
+
+def _passes_run(run):
+    """run()'s result, and the drop rules whose passes it ran, in order."""
+    log = []
+
+    def recorded(drops):
+        return tuple((trigger, _RecordedRule(compiled, log)) for trigger, compiled in drops)
+
+    with mock.patch.object(
+        corpus_module, "_STR_DROPS", recorded(corpus_module._STR_DROPS)
+    ), mock.patch.object(corpus_module, "_BYTE_DROPS", recorded(corpus_module._BYTE_DROPS)):
+        result = run()
+    return result, log
+
+
+AT, HASH, WWW, URL_TAIL, URL_HEAD = (rule for _, rule in corpus_module._DROP_RULES)
+
+
+@pytest.mark.parametrize(
+    "raw, route, passes",
+    [
+        ("Clean text, with marks! But no trigger", str, []),
+        ("«Caseless» — non-ASCII … marks", bytes, []),
+        ("Only a #tag here", str, [HASH]),
+        ("«Only» a #tag — here", bytes, [HASH]),
+        ("Ten: 10:30, a:/b and :/ /:", str, []),
+        ("Stops. And colons: 10:30", str, [WWW]),
+        ("«Stops.» and — colons: a:/b", bytes, [WWW]),
+        ("Drop @a #b www.c d://e", str, [AT, HASH, WWW, URL_TAIL, URL_HEAD]),
+        ("«Drop» @a #b www.c d://e", bytes, [AT, HASH, WWW, URL_TAIL, URL_HEAD]),
+    ],
+)
+def test_a_drop_pass_runs_only_on_text_that_holds_its_trigger(raw, route, passes):
+    (scrubbed, routes), ran = _passes_run(lambda: _scrub_and_routes(raw))
+    assert scrubbed == _scrub_reference(raw)
+    assert routes == [route]
+    assert ran == passes
+
+
+def test_load_corpus_of_clean_text_runs_no_drop_pass(tmp_path):
+    clean = synth_lines(4000, 11)
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(clean) + "\n", encoding="utf-8")
+    assert path.stat().st_size > 2 * corpus_module.READ_CHARS
+    loaded, ran = _passes_run(lambda: load_corpus(path))
+    assert ran == []
+    assert loaded.lines == tuple(clean)
+
+
+def test_each_drop_trigger_is_a_mark_of_the_literal_its_rule_begins_with():
+    """Every match of a rule begins with its literal, so a text without a
+    character of that literal has no match; an ASCII mark is one that
+    scrubbed text never holds. Both URL passes run behind the tail's check."""
+    for trigger, rule in corpus_module._DROP_RULES:
+        # Escaped and plain characters up to the first group, class or repeat.
+        head = re.match(r"(?:\\\W|[^\\()\[\]?*+{}.|^$])*", rule)[0]
+        literal = re.sub(r"\\(.)", r"\1", head)
+        assert re.match(rule, literal), rule
+        assert trigger in literal and trigger.encode() in corpus_module._ASCII_MARKS, rule
+    assert corpus_module._DROP_RULES[-2][0] == corpus_module._DROP_RULES[-1][0]
+    for drops, encode in ((corpus_module._STR_DROPS, str), (corpus_module._BYTE_DROPS, str.encode)):
+        assert [(trigger, compiled.pattern) for trigger, compiled in drops] == [
+            (encode(trigger), encode(rule)) for trigger, rule in corpus_module._DROP_RULES
+        ]
 
 
 @pytest.mark.parametrize(
