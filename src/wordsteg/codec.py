@@ -3,16 +3,19 @@
 The encoder hides a secret by inserting one codeword per symbol into a cover
 message drawn from the corpus. Each codeword goes into the inter-word slot
 whose newly created n-grams are most frequent in the corpus, scanning left
-to right so the receiver recovers symbol order with a single pass. Every
-gram it scores holds the inserted codeword, and its other words are cover
-words or codewords, so steganize draws the cover first and then counts the
-model for that cover and the secret's codewords alone
-(build_model(corpus, codewords, [cover])); the counts are exact for every
-gram it scores. The count reads only the messages that hold one of those
-codewords, which the Corpus finds once per codeword and keeps, so a loop of
-calls on one Corpus searches its text once per distinct codeword, not once
-per call. Decoding is a plain scan: every token that is a codeword
-contributes its symbol.
+to right so the receiver recovers symbol order with a single pass.
+insert_codewords scores all of a codeword's slots in one scan of the
+message: it looks up the (at most) five grams of orders 2 and 3 around each
+slot in the model's tables, and checks the codeword and the words around the
+slots once per codeword, not once per slot. Every gram it scores holds the
+inserted codeword, and its other words are cover words or codewords, so
+steganize draws the cover first and then counts the model for that cover
+and the secret's codewords alone (build_model(corpus, codewords, [cover]));
+the counts are exact for every gram it scores. The count reads only the
+messages that hold one of those codewords, which the Corpus finds once per
+codeword and keeps, so a loop of calls on one Corpus searches its text once
+per distinct codeword, not once per call. Decoding is a plain scan: every
+token that is a codeword contributes its symbol.
 
 Correct decoding therefore requires that the cover itself contains no
 codewords, so draw_cover rejects such covers, which makes the round trip
@@ -27,6 +30,7 @@ import math
 import random
 from collections import namedtuple
 from collections.abc import Sequence
+from math import log1p
 
 from .codebook import Codebook
 from .corpus import MIN_COVER_TOKENS, Corpus
@@ -86,61 +90,52 @@ def draw_cover(
     raise SteganizeError(MAX_ATTEMPTS, "every drawn cover contained a codeword")
 
 
-def insertion_score(
-    model: NGramModel, tokens: Sequence[str], position: int, word: str
-) -> float:
-    """How well `word` fits between tokens[position-1] and tokens[position].
-
-    Sums log(1 + count) over every n-gram of the modified sequence that
-    covers the inserted word, for each order in model.counts (2 and up, in
-    ascending order). Unigrams are skipped: they score the word, not the
-    position. The model answers exactly for a word among its codewords
-    whose neighbours lie among its words; anything else raises ValueError.
-    """
-    if word not in model.codewords:
-        raise ValueError(f"model was not counted for the codeword {word!r}")
-    if not 1 <= position <= len(tokens) - 1:
-        raise ValueError(
-            f"position {position} outside 1..{len(tokens) - 1}: "
-            "insertions go between existing words"
-        )
-    # The grams that cover the slot read at most MAX_N - 1 words each side.
-    neighbours = tokens[max(0, position - MAX_N + 1) : position + MAX_N - 1]
-    if not model.words.issuperset(neighbours):
-        raise ValueError(f"model was not counted for the words {list(neighbours)!r}")
-    trial = list(tokens)
-    trial.insert(position, word)
-    score = 0.0
-    for n, table in model.counts.items():
-        first = max(0, position - n + 1)
-        last = min(position, len(trial) - n)
-        for i in range(first, last + 1):
-            score += math.log1p(table.get(tuple(trial[i : i + n]), 0))
-    return score
-
-
 def insert_codewords(
     model: NGramModel, tokens: Sequence[str], words: Sequence[str]
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Insert words left to right, each strictly after the previous one.
 
-    Each word goes into the highest-scoring slot (insertion_score) to the
+    Each word goes into the slot with the highest insertion score to the
     right of the previous insertion; ties break toward the smallest index.
+    A slot's insertion score is log(1 + count) summed over every gram of
+    orders 2 and 3 that holds the inserted word, order 2 first, each order
+    by window start; unigrams are skipped, as they score the word, not the
+    slot. All of a word's slots are scored in one scan of the tokens.
     Returns the modified token tuple and the final index of every inserted
     word. Indexes stay valid because later insertions always land to the
     right of earlier ones. Each insertion leaves a slot to its right, so
     ValueError ("no insertion slot") is raised only when `words` is not
-    empty and `tokens` has fewer than 2 tokens.
+    empty and `tokens` has fewer than 2 tokens. The model answers exactly
+    for a word among its codewords whose neighbours lie among its words;
+    anything else raises ValueError.
     """
+    bigrams, trigrams = model.counts[2], model.counts[3]
     out = list(tokens)
     positions = []
     first = 1
     for word in words:
-        if first >= len(out):
+        last = len(out) - 1
+        if first > last:
             raise ValueError(f"no insertion slot at or after position {first}")
+        if word not in model.codewords:
+            raise ValueError(f"model was not counted for the codeword {word!r}")
+        # The grams of a slot read at most MAX_N - 1 words each side of it.
+        neighbours = out[max(0, first - MAX_N + 1) :]
+        if not model.words.issuperset(neighbours):
+            raise ValueError(f"model was not counted for the words {neighbours!r}")
         best, best_score = first, -math.inf
-        for position in range(first, len(out)):
-            score = insertion_score(model, out, position, word)
+        for position in range(first, last + 1):
+            left, right = out[position - 1], out[position]
+            # += in one fixed order, order 2 then order 3, each by window
+            # start: a near-tie of two slots must break the same way on
+            # every run and Python version.
+            score = log1p(bigrams.get((left, word), 0))
+            score += log1p(bigrams.get((word, right), 0))
+            if position > 1:
+                score += log1p(trigrams.get((out[position - 2], left, word), 0))
+            score += log1p(trigrams.get((left, word, right), 0))
+            if position < last:
+                score += log1p(trigrams.get((word, right, out[position + 1]), 0))
             if score > best_score:
                 best, best_score = position, score
         out.insert(best, word)

@@ -54,7 +54,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 import unicodedata
 
 from .errors import EmptyCorpusError
@@ -138,9 +138,10 @@ _BYTE_DROPS = tuple(
     (trigger.encode(), re.compile(rule.encode())) for trigger, rule in _DROP_RULES
 )
 
-# Lines per block, for the word search here and for both counts in ngram.
-# Large enough that the per-call overhead vanishes, small enough that a
-# block's copies of its text stay a small share of the corpus's memory.
+# Lines per block, for the word search and the word count here and for both
+# counts in ngram. Large enough that the per-call overhead vanishes, small
+# enough that a block's copies of its text stay a small share of the
+# corpus's memory.
 BLOCK_LINES = 1024
 
 # Characters per read of a corpus file: about one block of typical messages,
@@ -314,8 +315,17 @@ class Corpus:
 
     @cached_property
     def vocabulary(self) -> Counter[str]:
-        """The one count of every word, in order of first occurrence."""
-        return Counter(chain.from_iterable(map(str.split, self.lines)))
+        """The one count of every word, in order of first occurrence.
+
+        Each block of BLOCK_LINES lines is joined with a space and split
+        once: a space ends the last word of a line, so the words, and the
+        order they come in, are those of the lines split one by one.
+        """
+        counts: Counter[str] = Counter()
+        lines = self.lines
+        for start in range(0, len(lines), BLOCK_LINES):
+            counts.update(" ".join(lines[start : start + BLOCK_LINES]).split())
+        return counts
 
     @cached_property
     def cover_pool(self) -> tuple[str, ...]:

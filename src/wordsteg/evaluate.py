@@ -46,7 +46,7 @@ def kl_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     Requires identical supports and q > 0 wherever p > 0; zero-probability
     p entries contribute nothing.
     """
-    if set(p) != set(q):
+    if p.keys() != q.keys():
         raise ValueError("p and q must share the same support")
     total = 0.0
     for word, p_w in p.items():
@@ -121,8 +121,10 @@ def run_band_experiment(
             rows.append(_band_row(band, trials, errors=0, failures=trials))
             continue
         errors = 0
+        rng = random.Random()
         for trial in range(trials):
-            rng = random.Random(derive_seed(seed, "band", index, "trial", trial))
+            # Seeding in place gives the state random.Random(s) starts in.
+            rng.seed(derive_seed(seed, "band", index, "trial", trial))
             errors += contains_codeword(draw_cover(corpus, None, rng)[1], codebook)
         rows.append(_band_row(band, trials, errors))
     return rows
@@ -196,14 +198,13 @@ def run_density_experiment(
     cover_counts = Counter(chain.from_iterable(covers))
     cover_total = cover_counts.total()
     for index, target in enumerate(densities):
+        inserted = sum(_insert_count(len(cover), target) for cover in covers)
+        # One draw of every cover's symbols in turn: the stream that one draw
+        # per cover would read, in the same order.
         secret_rng = random.Random(derive_seed(seed, "density", index))
+        secret = random_secret(secret_rng, codebook.alphabet, inserted)
         stego_counts = cover_counts.copy()
-        inserted = 0
-        for cover in covers:
-            wanted = _insert_count(len(cover), target)
-            secret = random_secret(secret_rng, codebook.alphabet, wanted)
-            stego_counts.update(codebook.forward[s] for s in secret)
-            inserted += wanted
+        stego_counts.update(map(codebook.forward.__getitem__, secret))
         token_total = cover_total + inserted
         q = smoothed_distribution(stego_counts, support)
         rows.append(_density_row(target, inserted / token_total, trials, kl_divergence(p, q)))

@@ -13,11 +13,11 @@ cover words, so every other word of such a gram is a cover word or a
 codeword. The model therefore scans only the messages that hold a codeword,
 counts every other word in them as one placeholder, None, and keeps only the
 grams that hold a codeword. Its tables are bounded by the covers'
-vocabulary, and insertion_score refuses a word or neighbour outside it.
-Corpus.containing finds those messages: it searches the corpus text for each
-codeword once per Corpus and keeps what it found, so a loop of models over
-one corpus searches it once per distinct codeword, and only the lines it
-returns are split.
+vocabulary, and codec.insert_codewords refuses a word or neighbour outside
+it. Corpus.containing finds those messages: it searches the corpus text for
+each codeword once per Corpus and keeps what it found, so a loop of models
+over one corpus searches it once per distinct codeword, and only the lines
+it returns are split.
 
 The observer (count_grams, plausibility_score) scores only the messages it is
 shown: it reads their words in Corpus.vocabulary and asks for exactly their
@@ -113,13 +113,14 @@ def count_grams(
         if len(gram) not in tables or _SEPARATOR in gram:
             raise ValueError(f"cannot count the gram {gram!r}")
         tables[len(gram)][gram] = 0
+    wanted = {n: frozenset(table) for n, table in tables.items()}
     lines = corpus.lines
     joiner = f" {_SEPARATOR} "
     for start in range(0, len(lines), BLOCK_LINES):
         tokens = joiner.join(lines[start : start + BLOCK_LINES]).split()
         for n, table in tables.items():
             table.update(
-                filter(table.__contains__, zip(*(tokens[i:] for i in range(n))))
+                filter(wanted[n].__contains__, zip(*(tokens[i:] for i in range(n))))
             )
     return {n: dict(table) for n, table in tables.items()}
 

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice, product
 from unittest import mock
 
 import pytest
@@ -14,7 +15,6 @@ from wordsteg.codec import (
     decode,
     draw_cover,
     insert_codewords,
-    insertion_score,
     steganize,
 )
 from wordsteg.corpus import Corpus, load_corpus, scrub_message
@@ -87,51 +87,66 @@ def test_contains_codeword_empty_codebook():
 
 
 def test_insertion_score_matches_hand_computation(toy_corpus):
-    model = build_model(toy_corpus, {"cat"}, [("the", "sat")])
-    score = insertion_score(model, ("the", "sat"), 1, "cat")
-    assert score == pytest.approx(2 * math.log(3) + math.log(2))
-    assert score == pytest.approx(2.890, abs=5e-4)
+    # Slot 1 of "the _ sat q" for "cat" reads (the cat) 2, (cat sat) 2,
+    # (the cat sat) 1 and (cat sat q) 0: log 3 + log 3 + log 2 = log 18,
+    # about 2.890. Slot 2 reads only (cat q), set here: at 16 it scores
+    # log 17 and loses, at 18 log 19 and wins. Every score is the log of a
+    # whole number, so slot 1 scores exactly log 18.
+    cover = ("the", "sat", "q")
+    model = build_model(toy_corpus, {"cat"}, [cover])
+    for count, slot in [(16, 1), (18, 2)]:
+        model.counts[2][("cat", "q")] = count
+        assert insert_codewords(model, cover, ["cat"])[1] == (slot,)
 
 
 def test_insertion_score_matches_oracle_everywhere(toy_corpus):
     tokens = ("the", "cat", "sat", "ran")
     words = ("cat", "a", "zzz")
     model = build_model(toy_corpus, words, [tokens])
-    for word in words:
-        for position in range(1, len(tokens)):
-            assert insertion_score(model, tokens, position, word) == pytest.approx(
-                oracle_insertion_score(toy_corpus, tokens, position, word)
+    # Each word after the first is scored only over the slots right of the
+    # one before it, so the sequences score every word over several runs of
+    # slots.
+    for length in (1, 2, 3):
+        for sequence in product(words, repeat=length):
+            assert insert_codewords(model, tokens, sequence) == oracle_insert(
+                toy_corpus, tokens, sequence
             )
 
 
 def test_insertion_score_matches_oracle_on_trigram_model(small_corpus):
     tokens = tuple(small_corpus.lines[0].split())
-    word = next(iter(small_corpus.vocabulary))
-    model = build_model(small_corpus, [word], [tokens])
-    for position in range(1, len(tokens)):
-        assert insertion_score(model, tokens, position, word) == pytest.approx(
-            oracle_insertion_score(small_corpus, tokens, position, word)
-        )
+    words = list(islice(small_corpus.vocabulary, 3))
+    model = build_model(small_corpus, words, [tokens])
+    for word in words:
+        for length in (1, 2, 3):
+            assert insert_codewords(model, tokens, [word] * length) == oracle_insert(
+                small_corpus, tokens, [word] * length
+            )
 
 
 def test_insertion_score_rejects_edge_positions(toy_corpus):
+    # "the cat sat" favours the slot after "cat" for "sat", and "a cat sat"
+    # the slot before "cat" for "a", but insertion goes only between words.
     model = build_model(toy_corpus, {"sat"}, [("the", "cat")])
-    with pytest.raises(ValueError):
-        insertion_score(model, ("the", "cat"), 0, "sat")
-    with pytest.raises(ValueError):
-        insertion_score(model, ("the", "cat"), 2, "sat")
+    assert insert_codewords(model, ("the", "cat"), ["sat"]) == (("the", "sat", "cat"), (1,))
+    assert insert_codewords(model, ("the", "cat"), ["sat", "sat"]) == (
+        ("the", "sat", "sat", "cat"),
+        (1, 2),
+    )
+    model = build_model(toy_corpus, {"a"}, [("cat", "sat")])
+    assert insert_codewords(model, ("cat", "sat"), ["a"]) == (("cat", "a", "sat"), (1,))
 
 
 def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corpus):
     model = build_model(toy_corpus, {"cat"}, [("the", "sat")])
-    assert insertion_score(model, ("the", "sat"), 1, "cat") == pytest.approx(
-        2 * math.log(3) + math.log(2)
-    )
+    assert insert_codewords(model, ("the", "sat"), ["cat"]) == (("the", "cat", "sat"), (1,))
     with pytest.raises(ValueError, match="codeword"):
-        insertion_score(model, ("the", "sat"), 1, "ran")
-    # A neighbour the model was not counted for: "ran" is no cover word.
-    with pytest.raises(ValueError, match="words"):
-        insertion_score(model, ("the", "ran"), 1, "cat")
+        insert_codewords(model, ("the", "sat"), ["ran"])
+    # A neighbour the model was not counted for, on either side of the one
+    # slot: "ran" is no cover word.
+    for cover in [("the", "ran"), ("ran", "sat")]:
+        with pytest.raises(ValueError, match="words"):
+            insert_codewords(model, cover, ["cat"])
 
 
 # "z" never occurs in a message; "d" occurs, but is never a codeword, so the
@@ -147,6 +162,9 @@ def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corp
 def test_insert_codewords_same_under_model_counted_around(messages, codewords, data):
     corpus = Corpus(" ".join(m) for m in messages)
     covers = [m for m in map(str.split, corpus.lines) if len(m) >= 2]
+    # Every two words of a message as a cover too: one slot, whose grams are
+    # cut short by both edges.
+    covers += [m[i : i + 2] for m in covers for i in range(len(m) - 1)]
     model = build_model(corpus, codewords, covers)
     words = data.draw(st.lists(st.sampled_from(sorted(codewords)), max_size=4))
     for cover in covers:

@@ -2,7 +2,8 @@ import re
 import string
 import tracemalloc
 import unicodedata
-from itertools import compress
+from collections import Counter
+from itertools import chain, compress
 from unittest import mock
 
 import pytest
@@ -388,6 +389,20 @@ def test_lines_keep_the_scrubs_whitespace_and_readers_split_it(tmp_path):
     ]
     assert corpus.vocabulary.total() == 6
     assert corpus.cover_pool == ("one \tthree  four",)
+
+
+def test_vocabulary_is_the_count_of_every_lines_words_in_order(tmp_path):
+    # Raw chatter over more than two blocks: its dropped tokens and runs of
+    # tabs and spaces leave whitespace inside and around the loaded lines.
+    block = corpus_module.BLOCK_LINES
+    clean = synth_lines(n_messages=2 * block + 300, seed=5, vocab_size=800)
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(raw_lines(clean, seed=5)) + "\n", encoding="utf-8")
+    corpus = load_corpus(path)
+    assert len(corpus) == len(clean) > 2 * block
+    assert sum(line != " ".join(line.split()) for line in corpus.lines) > block
+    expected = Counter(chain.from_iterable(map(str.split, corpus.lines)))
+    assert list(corpus.vocabulary.items()) == list(expected.items())
 
 
 @given(text=_hazard_text(st.sampled_from("ab \t\u3000@")))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wordsteg import corpus as corpus_module
 from wordsteg import ngram as ngram_module
-from wordsteg.codec import insertion_score
+from wordsteg.codec import insert_codewords
 from wordsteg.corpus import Corpus
 from wordsteg.evaluate import smoothed_distribution
 from wordsteg.ngram import (
@@ -86,13 +86,19 @@ def test_model_counted_around_refuses_what_it_cannot_answer(toy_corpus):
     # counted; the None after it ends the message.
     assert model.counts[2] == {("cat", "ran"): 1, ("ran", None): 1}
     assert model.counts[3] == {("the", "cat", "ran"): 1, ("cat", "ran", None): 1}
-    assert insertion_score(model, ("the", "cat", "the"), 2, "ran") == pytest.approx(
-        2 * math.log(2)
-    )
+    # Slot 2 of "the cat the" reads (cat ran) and (the cat ran), 1 each, so
+    # it scores log 2 + log 2 = log 4. Slot 1 reads only (the ran), unseen;
+    # at a count of 2 it scores log 3 and loses, at 4 log 5 and wins. Every
+    # score is the log of a whole number, so slot 2 scores exactly log 4.
+    cover = ("the", "cat", "the")
+    assert insert_codewords(model, cover, ["ran"]) == (("the", "cat", "ran", "the"), (2,))
+    for count, slot in [(2, 2), (4, 1)]:
+        model.counts[2][("the", "ran")] = count
+        assert insert_codewords(model, cover, ["ran"])[1] == (slot,)
     with pytest.raises(ValueError, match="codeword"):
-        insertion_score(model, ("the", "cat"), 1, "cat")
+        insert_codewords(model, ("the", "cat"), ["cat"])
     with pytest.raises(ValueError, match="words"):
-        insertion_score(model, ("the", "sat"), 1, "ran")
+        insert_codewords(model, ("the", "sat"), ["ran"])
     counts = count_grams(toy_corpus, message_grams(("the", "cat")))
     with pytest.raises(ValueError, match="not counted"):
         plausibility_score(toy_corpus.vocabulary, counts, ("the", "cat", "ran"))
@@ -203,14 +209,13 @@ def test_scoring_outside_either_domain_raises(
 ):
     corpus = Corpus(" ".join(m) for m in messages)
     model = build_model(corpus, codewords, [sorted(counted)])
-    position = data.draw(st.integers(1, len(cover) - 1))
-    neighbours = cover[max(0, position - MAX_N + 1) : position + MAX_N - 1]
-    answers = word in codewords and set(neighbours) <= codewords | counted
+    # One word is scored in every slot, so every cover word is a neighbour.
+    answers = word in codewords and set(cover) <= codewords | counted
     if answers:
-        insertion_score(model, cover, position, word)
+        insert_codewords(model, cover, [word])
     else:
         with pytest.raises(ValueError):
-            insertion_score(model, cover, position, word)
+            insert_codewords(model, cover, [word])
 
     scored = data.draw(st.lists(st.sampled_from("abcdez"), min_size=1, max_size=6))
     # A one-word message has no longer grams: only the vocabulary scores it.
