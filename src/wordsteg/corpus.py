@@ -12,28 +12,30 @@ Each read is one string that is lowercased, cleared of dropped tokens by
 regex passes that each begin with a literal and run only on a read that
 holds their trigger character (clean text holds none, and a one-character
 `in` is a memchr where the literal scan is not), stripped of punctuation,
-then split back into lines, by one of three routes that give the same text:
+then split back into lines, by one of two routes that give the same text:
 
 - ASCII text is scrubbed as str and loses its punctuation in one
   str.translate.
 - str.lower, str.replace and str.translate are slow on other text: one
   curly quote or dash sends every character of a read down a slow path.
   So other text is encoded to UTF-8 once, whose bytes below 0x80 are
-  exactly its ASCII characters, and its distinct non-ASCII characters are
-  looked up once each. When none of them is whitespace or changes case,
-  and the text holds none of the ASCII separators \x1c-\x1f (which
-  str.split splits on and bytes.split does not), the whole scrub runs on
-  the bytes, with the same patterns compiled as bytes.
-- Any other non-ASCII text is lowercased and cleared of dropped tokens as
-  str (_scrub_text).
+  exactly its ASCII characters, its distinct non-ASCII characters are
+  looked up once each, and the scrub runs on the bytes, with the same
+  patterns compiled as bytes. bytes.lower changes only ASCII letters, so
+  a read with a non-ASCII character that changes case is lowercased as
+  str first (str.lower may make ASCII of it, and lowers a final sigma
+  in context). The bytes patterns and bytes.split take neither non-ASCII
+  whitespace nor the ASCII separators \x1c-\x1f for whitespace, so each
+  of those becomes a space first. A line of such a read keeps a space
+  where its raw text held one of them.
 
-On either non-ASCII route the marks then leave the UTF-8 bytes
-(_delete_marks): when every non-ASCII character is a mark, one
-bytes.translate deletes them with the ASCII marks; otherwise the ASCII
-marks go in one bytes.translate and each distinct non-ASCII mark in one
-str.replace, or all of them in one str.translate when there are more than
-MAX_REPLACED_MARKS. The rule is the one scrub_message applies to a single
-line, so each message is what scrub_message makes of its line.
+The marks then leave the UTF-8 bytes (_delete_marks): when every
+non-ASCII character is a mark, one bytes.translate deletes them with the
+ASCII marks; otherwise the ASCII marks go in one bytes.translate and each
+distinct non-ASCII mark in one str.replace, or all of them in one
+str.translate when there are more than MAX_REPLACED_MARKS. The rule is the
+one scrub_message applies to a single line, so each message is what
+scrub_message makes of its line.
 
 A corpus keeps each usable line as one string, with the whitespace the
 scrub leaves in it (a dropped @mention leaves its spaces behind), and never
@@ -91,7 +93,7 @@ _ASCII = bytes(range(128))
 _ASCII_MARKS_AND_WIDE = _ASCII_MARKS + bytes(range(128, 256))
 # The ASCII characters that str.split and re's str \s take for whitespace
 # and bytes.split and re's bytes \s do not.
-_STR_ONLY_SPACES = b"\x1c\x1d\x1e\x1f"
+_STR_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 # Most distinct non-ASCII marks one text may hold and still have each deleted
 # by a str.replace pass of its own; a text with more goes through translate.
@@ -152,21 +154,30 @@ READ_CHARS = 1 << 16
 def _scrub_text(text: str) -> str:
     """Lowercase, delete dropped tokens, then delete punctuation.
 
-    Whitespace, line breaks included, passes through untouched, so the
-    result splits into the same lines as `text`. It takes one of the three
-    routes the module docstring describes; _scrubs_as_bytes picks between
-    the two for non-ASCII text.
+    Line breaks pass through untouched, so the result splits into the same
+    lines as `text`. ASCII text keeps all its whitespace. Other text is
+    scrubbed as UTF-8 bytes, the second route the module docstring
+    describes, and its whitespace that bytes.split does not split on
+    becomes a space.
     """
     if text.isascii():
         return _drop_tokens(text.lower(), _STR_DROPS).translate(_PUNCTUATION)
     data = text.encode("utf-8", "surrogatepass")
     wide = _wide_chars(data)
-    if _scrubs_as_bytes(data, wide):
-        return _delete_marks(_drop_tokens(data.lower(), _BYTE_DROPS), wide)
-    text = _drop_tokens(text.lower(), _STR_DROPS)
-    # str.lower changes no mark and makes none, so wide still holds every mark
-    # of the lowercased text, and a character that is no mark if it holds one.
-    return _delete_marks(text.encode("utf-8", "surrogatepass"), wide)
+    joined = "".join(wide)
+    # str.lower changes no mark, makes none and changes no whitespace, so
+    # wide still holds every mark and space of the lowercased text.
+    if joined.lower() != joined:
+        data = text.lower().encode("utf-8", "surrogatepass")
+    else:
+        data = data.lower()
+    for space in _STR_ONLY_SPACES:
+        data = data.replace(space, b" ")
+    if spaces := set(filter(str.isspace, wide)):
+        wide -= spaces
+        for space in spaces:
+            data = data.replace(space.encode(), b" ")
+    return _delete_marks(_drop_tokens(data, _BYTE_DROPS), wide)
 
 
 def _wide_chars(data: bytes) -> set[str]:
@@ -177,25 +188,6 @@ def _wide_chars(data: bytes) -> set[str]:
     through "surrogatepass" unchanged.
     """
     return set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
-
-
-def _scrubs_as_bytes(data: bytes, wide: set[str]) -> bool:
-    """Whether the UTF-8 `data`, whose non-ASCII characters are `wide`,
-    scrubs as bytes to what its text scrubs to as str.
-
-    bytes.lower changes only ASCII letters, and the bytes patterns split
-    tokens only at ASCII whitespace other than \x1c-\x1f. So no non-ASCII
-    character may change under str.lower (a capital letter, a final sigma)
-    or be whitespace, and data may hold none of \x1c-\x1f. A character
-    that is not ASCII whitespace is all non-whitespace bytes, so the bytes
-    patterns then start, end and delete tokens where the str patterns do.
-    """
-    joined = "".join(wide)
-    return (
-        joined.lower() == joined
-        and not any(map(str.isspace, wide))
-        and not any(space in data for space in _STR_ONLY_SPACES)
-    )
 
 
 def _drop_tokens(text, drops):
@@ -216,7 +208,9 @@ def _delete_marks(data: bytes, wide: set[str]) -> str:
 
     wide holds every non-ASCII mark of data and, if data holds a non-ASCII
     character that is no mark, at least one character that is no mark; it
-    may hold more. Only its marks are looked up, each once. When all of wide
+    may hold more, such as a capital that data holds lowercased, but no
+    whitespace once _scrub_text has made that whitespace spaces. Only its
+    marks are looked up, each once. When all of wide
     are marks, one bytes.translate deletes them with the ASCII marks and
     leaves ASCII. Otherwise the ASCII marks go in one bytes.translate and
     each non-ASCII mark in one str.replace, or all of them in one
@@ -298,7 +292,9 @@ class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
     lines holds each message as one scrubbed line with at least one token;
-    line.split() gives its tokens. vocabulary and cover_pool are computed on
+    line.split() gives its tokens. A line keeps the whitespace the scrub
+    leaves in it, which is a space where a non-ASCII read held non-ASCII
+    whitespace or one of \x1c-\x1f. vocabulary and cover_pool are computed on
     first access and then kept, and so are the lines that containing finds
     for each word.
     """

@@ -237,12 +237,13 @@ def _scrub_and_routes(raw):
     return scrubbed, [type(call.args[0]) for call in drop.call_args_list]
 
 
-# Text whose non-ASCII characters neither change under str.lower nor are
-# whitespace, and which holds none of \x1c-\x1f: a lone surrogate, marks
-# («, —, …) and letters (é, 日). Every such text is scrubbed as bytes.
+# Every non-ASCII text is scrubbed as bytes, whatever its non-ASCII
+# characters: a lone surrogate, marks («, —, …), letters (é, 日), capitals
+# and a final sigma (É, Σ), non-ASCII whitespace (\u3000, \x85, \xa0) and
+# the ASCII separator \x1c.
 BYTE_ROUTE_FRAGMENTS = [
     f for f in MARKER_FRAGMENTS if f not in ("Σ", "\x85", "\u3000", "\u2028")
-] + ["é", "日", "«", "—", "…", "\udc80"]
+] + ["é", "日", "«", "—", "…", "\udc80", "Σ", "É", "\u3000", "\x85", "\xa0", "\x1c"]
 byte_route_text = st.lists(
     st.sampled_from(BYTE_ROUTE_FRAGMENTS) | st.sampled_from(string.ascii_letters + string.digits)
 ).map("".join)
@@ -250,6 +251,7 @@ byte_route_text = st.lists(
 
 @given(byte_route_text)
 @example("Keep «@drop» —#x… é@x 日www.y a://b —… ")
+@example("ΑΣ\u3000@Drop\x1cWWW.x\xa0Σ#É É://x\x85kept")
 def test_caseless_non_ascii_text_is_scrubbed_as_bytes(raw):
     scrubbed, routes = _scrub_and_routes(raw)
     assert scrubbed == _scrub_reference(raw)
@@ -265,16 +267,19 @@ def test_a_multibyte_character_before_a_marker_keeps_the_token(before, marker):
         assert routes == [bytes]
 
 
-# Each of these makes a scrub of the bytes part from the scrub of the text:
-# bytes.lower leaves É and Σ (final or not) as they are, and the bytes
-# patterns take \x1c, \xa0, \u2028 and \x85 for part of a token.
-@pytest.mark.parametrize("char", ["É", "Σ", "\x1c", "\xa0", "\u2028", "\x85"])
+# Each of these makes a plain bytes scrub differ from the scrub of the text:
+# bytes.lower leaves É, Σ (final or not), the Kelvin sign and İ as they
+# are, where str.lower makes k and i plus a combining dot of the last two,
+# and the bytes patterns take \x1c, \xa0, \u2028 and \x85 for part of a
+# token. So the scrub lowers such text as str and makes such whitespace
+# spaces before it scrubs the bytes.
+@pytest.mark.parametrize("char", ["É", "Σ", "\x1c", "\xa0", "\u2028", "\x85", "\u212a", "İ"])
 def test_text_whose_bytes_scrub_differently_is_scrubbed_as_str(char):
     raw = f"Keep @drop{char}kept #x{char}y www.x{char}y a://b{char}z é!{char}end{char}"
     expected = _scrub_reference(raw)
     scrubbed, routes = _scrub_and_routes(raw)
     assert scrubbed == expected
-    assert routes == [str]
+    assert routes == [bytes]
     data = raw.encode("utf-8")
     as_bytes = corpus_module._delete_marks(
         corpus_module._drop_tokens(data.lower(), corpus_module._BYTE_DROPS),
@@ -380,14 +385,18 @@ def test_final_sigma_at_each_line_end_without_trailing_newline(tmp_path):
 
 def test_lines_keep_the_scrubs_whitespace_and_readers_split_it(tmp_path):
     # The dropped @mention and the lone punctuation leave their spaces behind.
+    # A read that is not ASCII is scrubbed as bytes, which makes its
+    # non-ASCII whitespace and \x1c-\x1f spaces and keeps its tabs.
+    raw = "one @two\tthree !! four\na  b\nfive\nÜno\u3000@x\x1cthree\n"
     path = tmp_path / "corpus.txt"
-    path.write_text("one @two\tthree !! four\na  b\nfive\n", encoding="utf-8")
+    path.write_text(raw, encoding="utf-8")
     corpus = load_corpus(path)
-    assert corpus.lines == ("one \tthree  four", "a  b", "five")
+    assert corpus.lines == ("one \tthree  four", "a  b", "five", "üno  three")
+    assert _tokens(corpus) == _reference_messages(raw.split("\n"))
     assert list(corpus.vocabulary.items()) == [
-        ("one", 1), ("three", 1), ("four", 1), ("a", 1), ("b", 1), ("five", 1)
+        ("one", 1), ("three", 2), ("four", 1), ("a", 1), ("b", 1), ("five", 1), ("üno", 1)
     ]
-    assert corpus.vocabulary.total() == 6
+    assert corpus.vocabulary.total() == 8
     assert corpus.cover_pool == ("one \tthree  four",)
 
 
@@ -492,13 +501,15 @@ def test_punctuation_deletion_matches_the_category_rule_at_every_code_point():
 
 def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
     """Each read is exactly one section of lines, in turn: ASCII only; raw
-    chatter, whose ideographic spaces send it down the str route; lines with
-    more distinct marks than replace passes are made for and the letter é,
-    scrubbed as bytes and then translated; and the same lines without é,
-    whose non-ASCII bytes all go in one bytes.translate."""
+    chatter, whose ideographic spaces become spaces, with a dropped #café
+    token on some lines, so that its few distinct marks go one str.replace
+    each; lines with more distinct marks than replace passes are made for
+    and the letter é, translated; and the same lines without é, whose
+    non-ASCII bytes all go in one bytes.translate. Every non-ASCII read is
+    scrubbed as bytes."""
     read_chars = corpus_module.READ_CHARS
     clean = synth_lines(4000, 11)
-    noisy = raw_lines(clean, 11)
+    noisy = [line + " #café" * (i % 50 == 0) for i, line in enumerate(raw_lines(clean, 11))]
     many = [chr(c) for c in range(0x80, 0x3100) if _is_mark(chr(c))]
     many = many[: 2 * corpus_module.MAX_REPLACED_MARKS]
     sources = [
@@ -529,11 +540,14 @@ def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
     assert [len(text) for text in texts[:8]] == [read_chars - 1] * 8
     assert [text.isascii() for text in texts[:8]] == [True, False, False, False] * 2
     routes = [type(call.args[0]) for call in drop.call_args_list]
-    assert routes[:8] == [str, str, bytes, bytes] * 2
-    wide = [{c for c in set(text) if not c.isascii()} for text in texts[1:4]]
+    assert routes[:8] == [str, bytes, bytes, bytes] * 2
+    # The non-ASCII characters of each marked section, but for its spaces.
+    wide = [{c for c in text if not c.isascii() and not c.isspace()} for text in texts[1:4]]
     wide_marks = [sum(map(_is_mark, chars)) for chars in wide]
     assert 0 < wide_marks[0] <= corpus_module.MAX_REPLACED_MARKS < wide_marks[1] == wide_marks[2]
-    # Chatter holds "\u3000", and the third section "é": neither is a mark.
+    # Chatter holds "\u3000", which is whitespace, and "é", which is no mark;
+    # so does the second section.
+    assert "\u3000" in texts[1] and "é" in wide[0] and "é" in wide[1]
     assert [marks == len(chars) for marks, chars in zip(wide_marks, wide)] == [False, False, True]
     assert _tokens(loaded) == _reference_messages(raw)
 
