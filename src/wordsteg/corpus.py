@@ -208,13 +208,13 @@ def _delete_marks(data: bytes, wide: set[str]) -> str:
 
     wide holds every non-ASCII mark of data and, if data holds a non-ASCII
     character that is no mark, at least one character that is no mark; it
-    may hold more, such as a capital that data holds lowercased, but no
-    whitespace once _scrub_text has made that whitespace spaces. Only its
-    marks are looked up, each once. When all of wide
-    are marks, one bytes.translate deletes them with the ASCII marks and
-    leaves ASCII. Otherwise the ASCII marks go in one bytes.translate and
-    each non-ASCII mark in one str.replace, or all of them in one
-    str.translate when there are more than MAX_REPLACED_MARKS.
+    may hold more, such as a capital that data holds lowercased. Only its
+    marks are looked up, each once. When all of wide are marks, one
+    bytes.translate deletes them with the ASCII marks and leaves ASCII, so
+    _scrub_text leaves out of wide the whitespace it made spaces. Otherwise
+    the ASCII marks go in one bytes.translate and each non-ASCII mark in
+    one str.replace, or all of them in one str.translate when there are
+    more than MAX_REPLACED_MARKS.
     """
     marks = [char for char in wide if _PUNCTUATION[ord(char)] is None]
     if len(marks) == len(wide):
