@@ -14,14 +14,15 @@ point with a KL divergence that is always add-one (Laplace) smoothed, and
 eval distinguish sizes each secret by --secret-len.
 Exit codes: 0 success, 2 usage or I/O problems, 3 insufficient band
 occupancy, 4 steganization failure. A verb parses its list flags (--bands,
---densities) before it reads any file, so a typo in one is reported at once,
-not after a full corpus load. Every artifact written by --out embeds the
-seed, the settings, and the tool version, and is written atomically before
-anything is printed; rerunning a command with the same inputs rewrites the
-same bytes except for the created_utc stamp. The three eval verbs print and
-write their rows through one function, _report, and their settings are every
-flag they parse except --seed, --out and --format; encode records its
-settings by hand, with the secret's length and never the secret.
+--densities) and checks --trials and --secret-len before it reads any file,
+so a bad value is reported at once, not after a full corpus load. Every
+artifact written by --out embeds the seed, the settings, and the tool
+version, and is written atomically before anything is printed; rerunning a
+command with the same inputs rewrites the same bytes except for the
+created_utc stamp. The three eval verbs print and write their rows through
+one function, _report, and their settings are every flag they parse except
+--seed, --out and --format; encode records its settings by hand, with the
+secret's length and never the secret.
 """
 
 import argparse
@@ -154,8 +155,18 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _check_sizes(args) -> None:
+    """An eval verb's --trials and, where it has one, --secret-len, checked
+    as its experiment checks them but before any file is read."""
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if getattr(args, "secret_len", 0) < 0:
+        raise ValueError("secret_len must be >= 0")
+
+
 def cmd_eval_band(args) -> int:
     bands = [parse_band(b) for b in args.bands.split(",")]
+    _check_sizes(args)
     corpus = load_corpus(args.corpus)
     rows = run_band_experiment(
         corpus, bands, alphabet=tuple(args.alphabet), trials=args.trials, seed=args.seed
@@ -174,6 +185,7 @@ def _parse_density(text: str) -> float:
 
 def cmd_eval_density(args) -> int:
     densities = [_parse_density(d) for d in args.densities.split(",")]
+    _check_sizes(args)
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
     rows = run_density_experiment(
@@ -184,6 +196,7 @@ def cmd_eval_density(args) -> int:
 
 
 def cmd_eval_distinguish(args) -> int:
+    _check_sizes(args)
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
     pairs = build_pairs(

@@ -4,11 +4,12 @@ Decodability: how often an embed that skipped cover rejection would decode
 to the wrong secret. Density: what fraction of stego tokens are codewords.
 Detectability: how well a statistical observer separates stego messages
 from covers. Every experiment derives its seeds from one master seed, so
-reruns with the same inputs reproduce results exactly. Each band trial and
-each distinguisher pair draws from a seed of its own, so it comes out the
-same in any execution order. run_density_experiment does not: it draws all
-its covers in turn from one "covers" stream, and each point's secrets in
-turn from one stream per point, so each draw depends on the draws before it.
+reruns with the same inputs reproduce results exactly. Each distinguisher
+pair draws from a seed of its own, so it comes out the same in any execution
+order. The other draws come in turn from streams, so each depends on the
+draws before it in its stream: each band draws its trials' covers from one
+"trials" stream of its own, and run_density_experiment draws all its covers
+from one "covers" stream and each point's secrets from one stream per point.
 """
 
 import math
@@ -94,7 +95,9 @@ def run_band_experiment(
     """Measure raw decode errors as codeword frequency rises.
 
     Each band gets its own codebook, drawn from corpus.vocabulary, and
-    `trials` seeded cover draws without rejection. A raw embed into a drawn
+    `trials` cover draws without rejection, taken in turn from one stream
+    seeded by the band's index. So a band's row does not depend on the
+    other bands or on the order they run in. A raw embed into a drawn
     cover decodes wrongly exactly when that cover already holds a codeword:
     insertion always finds a slot and the inserted codewords decode in
     order, so no other error occurs, whatever the secret. Errors therefore
@@ -121,10 +124,8 @@ def run_band_experiment(
             rows.append(_band_row(band, trials, errors=0, failures=trials))
             continue
         errors = 0
-        rng = random.Random()
-        for trial in range(trials):
-            # Seeding in place gives the state random.Random(s) starts in.
-            rng.seed(derive_seed(seed, "band", index, "trial", trial))
+        rng = random.Random(derive_seed(seed, "band", index, "trials"))
+        for _ in range(trials):
             errors += contains_codeword(draw_cover(corpus, None, rng)[1], codebook)
         rows.append(_band_row(band, trials, errors))
     return rows

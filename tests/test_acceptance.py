@@ -109,7 +109,17 @@ def test_decode_errors_grow_with_codeword_frequency(desk_corpus):
         and errors[-1] >= 2 * errors[0]
         and elapsed < 300
     )
-    check("band-errors", ok, f"errors={errors} elapsed={elapsed:.1f}s")
+    # One Monte Carlo row can break the order by sampling luck alone; trials * q,
+    # the exact mean of each row, shows how close this seed came to it.
+    pool = desk_corpus.cover_pool
+    means = []
+    for index, band in enumerate(ACCEPTANCE_BANDS):
+        codebook = select_codebook(
+            desk_corpus.vocabulary, band, DIGITS, seed=derive_seed(0, "band", index)
+        )
+        held = sum(any(t in codebook.inverse for t in line.split()) for line in pool)
+        means.append(round(2000 * held / len(pool), 1))
+    check("band-errors", ok, f"errors={errors} trials*q={means} elapsed={elapsed:.1f}s")
 
 
 def test_band_errors_agree_with_exact_collision_rate(desk_corpus):

@@ -107,7 +107,8 @@ def test_band_experiment_skips_impossible_bands(small_corpus):
 @pytest.mark.parametrize("secret_len", [0, 1, 2, 4])
 def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
     # Reference: replay every trial as an embed without cover rejection,
-    # on the same cover draw, and count the secrets that decode wrongly.
+    # on the same cover draw from the band's one stream, and count the
+    # secrets that decode wrongly.
     bands = [(2, 4), (8, 12), (30, None)]
     seed = 11
     rows = run_band_experiment(small_corpus, bands, DIGITS, trials=120, seed=seed)
@@ -120,12 +121,8 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
             tuple(secret_rng.choice(codebook.alphabet) for _ in range(secret_len))
             for _ in range(row["trials"])
         ]
-        covers = [
-            draw_cover(
-                small_corpus, None, random.Random(derive_seed(seed, "band", index, "trial", trial))
-            )[1]
-            for trial in range(row["trials"])
-        ]
+        cover_rng = random.Random(derive_seed(seed, "band", index, "trials"))
+        covers = [draw_cover(small_corpus, None, cover_rng)[1] for _ in range(row["trials"])]
         model = build_model(small_corpus, codebook.inverse, covers)
         mismatches = 0
         for secret, cover in zip(secrets, covers):
@@ -135,6 +132,19 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
         assert (row["trials"], row["failures"], row["skipped"]) == (120, 0, False)
         assert row["errors"] == mismatches, band
     assert any(row["errors"] for row in rows)
+
+
+def test_band_row_does_not_depend_on_other_bands(small_corpus):
+    def run(bands):
+        return run_band_experiment(small_corpus, bands, DIGITS, trials=150, seed=3)
+
+    rows = run([(2, 4), (30, None)])
+    # A skipped first band draws no covers, so a stream shared across bands
+    # would shift the second band's draws.
+    skipped, second = run([(10_000, None), (30, None)])
+    assert skipped["skipped"] and second == rows[1]
+    first, _ = run([(2, 4), (8, 12)])
+    assert first == rows[0]
 
 
 def test_empty_cover_pool_fails_every_band_trial():

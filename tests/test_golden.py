@@ -35,8 +35,8 @@ GOLDEN_ENCODE_ABSENT = (
 GOLDEN_BAND = (
     "band,trials,errors,failures,skipped,reason\r\n"
     "4-6,40,1,0,False,\r\n"
-    "6-8,40,6,0,False,\r\n"
-    "14+,40,33,0,False,\r\n"
+    "6-8,40,2,0,False,\r\n"
+    "14+,40,30,0,False,\r\n"
 )
 GOLDEN_DENSITY = (
     "target_density,realized_density,trials,kl_nats,skipped,reason\r\n"
