@@ -46,7 +46,6 @@ from .corpus import load_corpus, scrub_message
 from .errors import InsufficientBandError, SteganizeError, WordstegError
 from .evaluate import (
     build_pairs,
-    check_sizes,
     distinguisher_accuracy,
     run_band_experiment,
     run_density_experiment,
@@ -156,9 +155,18 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _check_sizes(trials: int, secret_len: int = 0) -> None:
+    """--trials and --secret-len, checked as the experiments check them but
+    before any file is read."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if secret_len < 0:
+        raise ValueError("secret_len must be >= 0")
+
+
 def cmd_eval_band(args) -> int:
     bands = [parse_band(b) for b in args.bands.split(",")]
-    check_sizes(args.trials)
+    _check_sizes(args.trials)
     corpus = load_corpus(args.corpus)
     rows = run_band_experiment(
         corpus, bands, alphabet=tuple(args.alphabet), trials=args.trials, seed=args.seed
@@ -177,7 +185,7 @@ def _parse_density(text: str) -> float:
 
 def cmd_eval_density(args) -> int:
     densities = [_parse_density(d) for d in args.densities.split(",")]
-    check_sizes(args.trials)
+    _check_sizes(args.trials)
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
     rows = run_density_experiment(
@@ -188,7 +196,7 @@ def cmd_eval_density(args) -> int:
 
 
 def cmd_eval_distinguish(args) -> int:
-    check_sizes(args.trials, args.secret_len)
+    _check_sizes(args.trials, args.secret_len)
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
     pairs = build_pairs(

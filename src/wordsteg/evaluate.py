@@ -37,14 +37,6 @@ def derive_seed(master: int, *labels) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def check_sizes(trials: int, secret_len: int = 0) -> None:
-    """Raise ValueError unless trials >= 1 and secret_len >= 0."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if secret_len < 0:
-        raise ValueError("secret_len must be >= 0")
-
-
 def random_secret(rng: random.Random, alphabet: Sequence[str], length: int) -> tuple:
     return tuple(rng.choice(alphabet) for _ in range(length))
 
@@ -117,7 +109,8 @@ def run_band_experiment(
     """
     if not bands:
         raise ValueError("need at least one band")
-    check_sizes(trials)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rows = []
     for index, band in enumerate(bands):
         try:
@@ -190,7 +183,8 @@ def run_density_experiment(
     multiset nor its length: each point's stego counts are the cover counts
     plus that point's codewords.
     """
-    check_sizes(trials)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     for target in densities:
         if not 0.0 <= target < 1.0:
             raise ValueError(f"target density {target} outside [0, 1)")
@@ -233,7 +227,10 @@ def build_pairs(
     then one model is counted for all the covers and the drawn codewords,
     and the codewords are inserted.
     """
-    check_sizes(trials, secret_len)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if secret_len < 0:
+        raise ValueError("secret_len must be >= 0")
     draws = []
     for index in range(trials):
         rng = random.Random(derive_seed(seed, "pair", index))
