@@ -176,11 +176,15 @@ def cmd_eval_band(args) -> int:
 
 
 def _parse_density(text: str) -> float:
-    """One item of --densities; a bad item is named with the flag."""
+    """One item of --densities; an item that is no number is named with the
+    flag, and one outside [0, 1) as run_density_experiment names it."""
     try:
-        return float(text)
+        target = float(text)
     except ValueError:
         raise ValueError(f"--densities items must be numbers, got {text!r}") from None
+    if not 0.0 <= target < 1.0:
+        raise ValueError(f"target density {target} outside [0, 1)")
+    return target
 
 
 def cmd_eval_density(args) -> int:

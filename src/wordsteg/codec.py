@@ -12,9 +12,8 @@ inserted codeword, and its other words are cover words or codewords, so
 steganize draws the cover first and then counts the model for that cover
 and the secret's codewords alone (build_model(corpus, codewords, [cover]));
 the counts are exact for every gram it scores. The count reads only the
-messages that hold one of those codewords, which the Corpus finds once per
-codeword and keeps, so a loop of calls on one Corpus searches its text once
-per distinct codeword, not once per call. Decoding is a plain scan: every
+messages that hold one of those codewords, which the Corpus searches for
+again on every call and does not keep. Decoding is a plain scan: every
 token that is a codeword contributes its symbol.
 
 Correct decoding therefore requires that the cover itself contains no

@@ -44,14 +44,13 @@ reads, and str.split discards that whitespace. The word counts are computed
 on first access, so a verb that never reads them (encode) never pays for
 them.
 
-The lines that may hold a given word are found by str.find over each block
-of lines, one hit per line, and what was found for each word is kept on the
-corpus: a word is searched for at most once per corpus, however many calls
-ask for it.
+The lines that may hold one of some words are found by str.find over each
+block of lines, one hit per line; the search stops at the first block in
+which more than half the lines hold one word, and takes every line from
+there on. Each call searches again and keeps nothing on the corpus.
 """
 
 import re
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -238,56 +237,6 @@ def scrub_message(raw: str) -> str:
     return " ".join(_scrub_text(raw).split())
 
 
-def _find_lines(
-    lines: tuple[str, ...], words: Iterable[str]
-) -> dict[str, tuple[array, int]]:
-    """Where each word occurs as a substring: word -> (indexes, tail).
-
-    Every line from index tail on is taken; indexes are the lines before it
-    that hold the word. tail is the start of the first block of BLOCK_LINES
-    lines in which more than half the lines hold the word, or len(lines)
-    when there is none. A line taken that does not hold the word costs its
-    reader about one split, about what a hit costs the search, so past such
-    a block taking every line is the cheaper guess.
-
-    Each block is concatenated and searched with str.find. A hit that runs
-    past the end of its line spans two lines and is skipped; after a hit
-    inside a line the search resumes at the start of the next line, so the
-    Python work per word is bounded by the lines that hold it, not by its
-    occurrences. Raises ValueError for the empty word.
-    """
-    found = {}
-    for word in words:
-        if not word:
-            raise ValueError("cannot search the lines for the empty word")
-        found[word] = (array("I"), len(lines))
-    for first in range(0, len(lines), BLOCK_LINES):
-        searched = [word for word, (_, tail) in found.items() if tail > first]
-        if not searched:
-            break
-        block = lines[first : first + BLOCK_LINES]
-        text = "".join(block)
-        # ends[i] is where line i of the block ends in text.
-        ends = list(accumulate(map(len, block)))
-        for word in searched:
-            hits = found[word][0]
-            before = len(hits)
-            half = before + len(block) // 2
-            at = text.find(word)
-            while at >= 0:
-                i = bisect_right(ends, at)
-                if at + len(word) > ends[i]:
-                    at = text.find(word, at + 1)
-                    continue
-                hits.append(first + i)
-                if len(hits) > half:
-                    del hits[before:]
-                    found[word] = (hits, first)
-                    break
-                at = text.find(word, ends[i])
-    return found
-
-
 class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
@@ -295,16 +244,14 @@ class Corpus:
     line.split() gives its tokens. A line keeps the whitespace the scrub
     leaves in it, which is a space where a non-ASCII read held non-ASCII
     whitespace or one of \x1c-\x1f. vocabulary and cover_pool are computed on
-    first access and then kept, and so are the lines that containing finds
-    for each word.
+    first access and then kept; containing searches the lines again on every
+    call and keeps nothing.
     """
 
     def __init__(self, lines: Iterable[str]):
         self.lines: tuple[str, ...] = tuple(lines)
         if not self.lines:
             raise EmptyCorpusError("corpus contains no usable messages")
-        # word -> where it may occur, as _find_lines gives it.
-        self._holding: dict[str, tuple[array, int]] = {}
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -339,24 +286,49 @@ class Corpus:
     def containing(self, words: Iterable[str]) -> Iterator[str]:
         """The lines in which any of `words` may occur, in corpus order.
 
-        For each word these are the lines in which it occurs as a substring,
-        so every line that holds it as a token, up to the first block in
-        which more than half the lines hold it; from that block on, every
-        line (_find_lines). A word is searched for only on its first
-        request; what was found is kept, so a repeated request reads no line
-        but to yield the result. The lines are yielded from self.lines, not
-        copied. Raises ValueError for the empty word.
+        These are the lines in which a word occurs as a substring, so every
+        line that holds one as a token, up to the first block of BLOCK_LINES
+        lines in which more than half the lines hold one word; from that
+        block on, every line. A line taken that holds no word costs its
+        reader about one split, about what a hit costs the search, so past
+        such a block taking every line is the cheaper guess, and the search
+        stops there.
+
+        Each block is concatenated and searched with str.find, word by word.
+        A hit that runs past the end of its line spans two lines and is
+        skipped; after a hit inside a line the search resumes at the start
+        of the next line, so the Python work per word is bounded by the
+        lines that hold it, not by its occurrences. Every call searches the
+        lines again and keeps nothing. The lines are yielded from
+        self.lines, not copied. Raises ValueError for the empty word.
         """
         words = set(words)
-        if new := words.difference(self._holding):
-            self._holding.update(_find_lines(self.lines, new))
-        mask = bytearray(len(self.lines))
-        for word in words:
-            indexes, tail = self._holding[word]
-            mask[tail:] = b"\x01" * (len(mask) - tail)
-            for i in indexes:
-                mask[i] = 1
-        return compress(self.lines, mask)
+        if "" in words:
+            raise ValueError("cannot search the lines for the empty word")
+        lines = self.lines
+        mask = bytearray(len(lines))
+        # With no word, no block is joined.
+        for first in range(0, len(lines) if words else 0, BLOCK_LINES):
+            block = lines[first : first + BLOCK_LINES]
+            text = "".join(block)
+            # ends[i] is where line i of the block ends in text.
+            ends = list(accumulate(map(len, block)))
+            half = len(block) // 2
+            for word in words:
+                held = 0
+                at = text.find(word)
+                while at >= 0:
+                    i = bisect_right(ends, at)
+                    if at + len(word) > ends[i]:
+                        at = text.find(word, at + 1)
+                        continue
+                    mask[first + i] = 1
+                    held += 1
+                    if held > half:
+                        mask[first:] = b"\x01" * (len(mask) - first)
+                        return compress(lines, mask)
+                    at = text.find(word, ends[i])
+        return compress(lines, mask)
 
 
 def _usable_lines(text: str) -> Iterator[str]:

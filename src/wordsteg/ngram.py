@@ -15,9 +15,8 @@ counts every other word in them as one placeholder, None, and keeps only the
 grams that hold a codeword. Its tables are bounded by the covers'
 vocabulary, and codec.insert_codewords refuses a word or neighbour outside
 it. Corpus.containing finds those messages: it searches the corpus text for
-each codeword once per Corpus and keeps what it found, so a loop of models
-over one corpus searches it once per distinct codeword, and only the lines
-it returns are split.
+the codewords on every call and keeps nothing, and only the lines it returns
+are split.
 
 The observer (count_grams, plausibility_score) scores only the messages it is
 shown: it reads their words in Corpus.vocabulary and asks for exactly their

@@ -499,6 +499,10 @@ def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, i
         (["eval", "band", "--bands", "4-x"], "band must look like 'lo-hi' or 'lo+', got '4-x'"),
         (["eval", "density", "--codebook", "nope.json", "--densities", "0.1,x"],
          "--densities items must be numbers, got 'x'"),
+        (["eval", "density", "--codebook", "nope.json", "--densities", "0.1,1.5"],
+         "target density 1.5 outside [0, 1)"),
+        (["eval", "density", "--codebook", "nope.json", "--densities", "nan"],
+         "target density nan outside [0, 1)"),
         (["eval", "band", "--trials", "0"], "trials must be >= 1"),
         (["eval", "density", "--codebook", "nope.json", "--trials", "0"], "trials must be >= 1"),
         (["eval", "distinguish", "--codebook", "nope.json", "--trials", "0"],
@@ -506,8 +510,8 @@ def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, i
         (["eval", "distinguish", "--codebook", "nope.json", "--secret-len", "-3"],
          "secret_len must be >= 0"),
     ],
-    ids=["band", "density", "band-trials", "density-trials", "distinguish-trials",
-         "distinguish-secret-len"],
+    ids=["band", "density", "density-range", "density-nan", "band-trials", "density-trials",
+         "distinguish-trials", "distinguish-secret-len"],
 )
 def test_bad_list_flag_is_reported_before_any_file_is_read(tmp_path, capsys, argv, message):
     code = main([*argv, "--corpus", str(tmp_path / "nope.txt")])

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg import corpus as corpus_module
 from wordsteg.codebook import DIGITS, Codebook, select_codebook
 from wordsteg.codec import (
     MAX_ATTEMPTS,
@@ -222,19 +221,21 @@ def test_encode_path_never_counts_the_vocabulary(small_corpus):
     assert "vocabulary" not in corpus.__dict__
 
 
-def test_a_loop_of_calls_searches_the_lines_once_per_codeword(desk_corpus):
-    # A library loop on one Corpus: each call counts its own model, but the
-    # lines that hold a codeword are searched for once per distinct codeword.
+def test_a_loop_of_calls_searches_each_call_for_its_own_codewords(desk_corpus):
+    # A library loop on one Corpus: each call counts its own model, and asks
+    # for the lines that hold exactly its secret's distinct codewords.
     corpus = Corpus(desk_corpus.lines)
     codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=41)
     rng = random.Random(606)
-    with mock.patch.object(corpus_module, "_find_lines", wraps=corpus_module._find_lines) as scan:
+    secrets = []
+    with mock.patch.object(corpus, "containing", wraps=corpus.containing) as search:
         for seed in range(1000):
             secret = [rng.choice(DIGITS) for _ in range(seed % 4 + 1)]
+            secrets.append(secret)
             steganize(secret, codebook, corpus, seed=seed)
-    searched = [word for call in scan.call_args_list for word in call.args[1]]
-    assert len(searched) == len(set(searched))
-    assert set(searched) <= set(codebook.inverse)
+    assert [set(call.args[0]) for call in search.call_args_list] == [
+        {codebook.forward[symbol] for symbol in secret} for secret in secrets
+    ]
 
 
 def test_steganize_accepts_plain_string_secret(small_corpus):
