@@ -52,15 +52,22 @@ def format_band(band: Band) -> str:
     return f"{lo}+" if hi is None else f"{lo}-{hi}"
 
 
+def check_alphabet(alphabet: tuple[str, ...]) -> None:
+    """Raise CodebookValidationError unless the alphabet holds at least one
+    symbol and none twice; the CLI checks --alphabet with it before it reads
+    a corpus."""
+    if not alphabet:
+        raise CodebookValidationError("alphabet is empty")
+    if len(set(alphabet)) != len(alphabet):
+        raise CodebookValidationError("alphabet contains duplicate symbols")
+
+
 def _check_band_and_alphabet(band: Band, alphabet: tuple[str, ...]) -> None:
     """The invariants a codebook and its draw share; select_codebook checks
     them before it draws, so a bad alphabet is named before a thin band."""
     if not _band_in_order(*band):
         raise CodebookValidationError(f"invalid band {format_band(band)}")
-    if not alphabet:
-        raise CodebookValidationError("alphabet is empty")
-    if len(set(alphabet)) != len(alphabet):
-        raise CodebookValidationError("alphabet contains duplicate symbols")
+    check_alphabet(alphabet)
 
 
 class Codebook:

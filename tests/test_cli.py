@@ -509,9 +509,13 @@ def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, i
          "trials must be >= 1"),
         (["eval", "distinguish", "--codebook", "nope.json", "--secret-len", "-3"],
          "secret_len must be >= 0"),
+        (["gen-codebook", "--band", "14+", "--alphabet", "", "--out", "nope.json"],
+         "alphabet is empty"),
+        (["eval", "band", "--alphabet", "00"], "alphabet contains duplicate symbols"),
     ],
     ids=["band", "density", "density-range", "density-nan", "band-trials", "density-trials",
-         "distinguish-trials", "distinguish-secret-len"],
+         "distinguish-trials", "distinguish-secret-len", "gen-codebook-alphabet",
+         "band-alphabet"],
 )
 def test_bad_list_flag_is_reported_before_any_file_is_read(tmp_path, capsys, argv, message):
     code = main([*argv, "--corpus", str(tmp_path / "nope.txt")])
@@ -583,13 +587,20 @@ def test_version_flag_exits_cleanly(capsys):
     assert "wordsteg" in capsys.readouterr().out
 
 
-def _run_python(*argv, cwd):
-    """Run python with argv in a child process on the package under test."""
+def _run_python(*argv, cwd, launcher=(), **options):
+    """Run python with argv in a child process on the package under test.
+
+    launcher goes before python on the command line and options go to
+    subprocess.run; stdout and stderr are captured unless options say
+    otherwise. The child's stdout is block-buffered whatever
+    PYTHONUNBUFFERED says here, so only its final flush delivers its output.
+    """
     paths = [str(Path(wordsteg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.pop("PYTHONUNBUFFERED", None)
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **options}
     return subprocess.run(
-        [sys.executable, *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        [*launcher, sys.executable, *argv], cwd=cwd, env=env, text=True, timeout=60, **options
     )
 
 
@@ -604,6 +615,89 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     version = _run_python("-m", "wordsteg.cli", "--version", cwd=tmp_path)
     assert version.returncode == 0
     assert version.stdout == f"wordsteg {wordsteg.__version__}\n"
+
+
+def _exhausted_encode(directory):
+    """An encode whose every cover holds a codeword (exit 4), as in
+    test_encode_exhaustion_exits_4."""
+    corpus = directory / "tiny.txt"
+    corpus.write_text((" ".join(f"c{i}" for i in range(10)) + "\n") * 5, encoding="utf-8")
+    codebook = directory / "tiny.json"
+    assert main(["gen-codebook", "--corpus", str(corpus), "--band", "5-5",
+                 "--out", str(codebook)]) == 0
+    return ["encode", "--secret", "7", "--codebook", str(codebook), "--corpus", str(corpus)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["gen-codebook", "encode", "eval-band-json", "help", "missing-corpus", "usage",
+     "thin-band", "no-cover"],
+)
+def test_console_script_exits_as_main_returns(cli_files, tmp_path, capsys, monkeypatch, case):
+    # python -m wordsteg.cli ends through console_main, which flushes and
+    # skips interpreter teardown; every byte main() prints, its exit code and
+    # argparse's exits must still reach the parent.
+    monkeypatch.chdir(tmp_path)
+    corpus, codebook = cli_files["corpus"], cli_files["cb_common"]
+    argv = _exhausted_encode(tmp_path) if case == "no-cover" else {
+        "gen-codebook": ["gen-codebook", "--corpus", corpus, "--band", "14+", "--out", "cb.json"],
+        "encode": ["encode", "--secret", "3141", "--codebook", codebook, "--corpus", corpus,
+                   "--seed", "11"],
+        "eval-band-json": ["eval", "band", "--corpus", corpus, "--trials", "20",
+                           "--format", "json"],
+        "help": ["eval", "density", "--help"],
+        "missing-corpus": ["gen-codebook", "--corpus", "nope.txt", "--band", "14+",
+                           "--out", "x.json"],
+        "usage": ["decode"],
+        "thin-band": ["gen-codebook", "--corpus", corpus, "--band", "100000+",
+                      "--out", "x.json"],
+    }[case]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    expected = (code, *capsys.readouterr())
+    assert code == {"missing-corpus": 2, "usage": 2, "thin-band": 3, "no-cover": 4}.get(case, 0)
+    child = _run_python("-m", "wordsteg.cli", *argv, cwd=tmp_path)
+    assert (child.returncode, child.stdout, child.stderr) == expected
+
+
+def test_console_script_round_trip(cli_files, tmp_path):
+    encoded = _run_python(
+        "-m", "wordsteg.cli", "encode", "--secret", "3141", "--codebook", cli_files["cb_common"],
+        "--corpus", cli_files["corpus"], "--seed", "11", cwd=tmp_path,
+    )
+    assert (encoded.returncode, encoded.stderr) == (0, "")
+    decoded = _run_python(
+        "-m", "wordsteg.cli", "decode", "--codebook", cli_files["cb_common"],
+        cwd=tmp_path, input=encoded.stdout,
+    )
+    assert (decoded.returncode, decoded.stdout, decoded.stderr) == (0, "3141\n", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_console_script_reports_a_failed_final_flush(cli_files, tmp_path):
+    # Block-buffered, decode's one line first reaches /dev/full at the final
+    # flush; Python's shutdown reports that and exits 120.
+    with open("/dev/full", "w") as full:
+        child = _run_python(
+            "-m", "wordsteg.cli", "decode", "--codebook", cli_files["cb_common"], "w0003",
+            cwd=tmp_path, stdout=full,
+        )
+    assert child.returncode == 120
+    assert child.stderr.startswith("Exception ignored")
+    assert child.stderr.endswith("OSError: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+def test_console_script_with_stdout_closed_exits_0(cli_files, tmp_path):
+    # Python starts with sys.stdout None, so print() writes nothing.
+    child = _run_python(
+        "-m", "wordsteg.cli", "decode", "--codebook", cli_files["cb_common"], "w0003",
+        cwd=tmp_path, launcher=["/bin/sh", "-c", 'exec "$@" >&-', "sh"],
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
 
 
 def test_imports_load_only_the_modules_they_need(tmp_path):
