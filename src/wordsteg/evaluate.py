@@ -15,7 +15,7 @@ from one "covers" stream and each point's secrets from one stream per point.
 import math
 import random
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from itertools import chain
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
@@ -39,36 +39,6 @@ def derive_seed(master: int, *labels) -> int:
 
 def random_secret(rng: random.Random, alphabet: Sequence[str], length: int) -> tuple:
     return tuple(rng.choice(alphabet) for _ in range(length))
-
-
-def kl_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
-    """Kullback-Leibler divergence sum(p * ln(p/q)) in nats.
-
-    Requires identical supports and q > 0 wherever p > 0; zero-probability
-    p entries contribute nothing.
-    """
-    if p.keys() != q.keys():
-        raise ValueError("p and q must share the same support")
-    total = 0.0
-    for word, p_w in p.items():
-        if p_w == 0.0:
-            continue
-        q_w = q[word]
-        if q_w <= 0.0:
-            raise ValueError(f"q({word!r}) = 0 where p > 0: divergence is infinite")
-        total += p_w * math.log(p_w / q_w)
-    return total
-
-
-def smoothed_distribution(
-    counts: Mapping[str, int], vocabulary: Iterable[str]
-) -> dict[str, float]:
-    """Add-one (Laplace) smoothed distribution of `counts` over `vocabulary`."""
-    vocab = list(vocabulary)
-    denominator = sum(counts.values()) + len(vocab)
-    if denominator <= 0:
-        raise ValueError("distribution has no probability mass")
-    return {w: (counts.get(w, 0) + 1) / denominator for w in vocab}
 
 
 def _band_row(
@@ -171,11 +141,21 @@ def run_density_experiment(
     not from resampling. For each point, every cover gets enough random
     codewords to approximate the target density (0.0 means none: the control
     point, whose divergence is pure sampling noise). The score per point is
-    kl_divergence(corpus distribution, stego-set distribution), both
-    add-one smoothed over one support fixed per run: the corpus's words plus
-    the codebook's codewords, which holds every word any stego set can
-    contain. So the control point is scored over the same support as every
-    other point and is comparable with them.
+    the Kullback-Leibler divergence in nats of the stego set's unigram
+    distribution q from the corpus's p, both add-one smoothed over one
+    support fixed per run: the corpus's words plus the codebook's
+    codewords, which holds every word any stego set can contain. So the
+    control point is scored over the same support as every other point and
+    is comparable with them. With V words in the support, corpus counts c_w
+    over T corpus tokens and stego counts s_w over S stego tokens,
+
+        kl_nats = sum over w of p_w * ln(p_w / q_w),
+        p_w = (c_w + 1) / (T + V),  q_w = (s_w + 1) / (S + V).
+
+    p is computed once per run and each point walks the support once. The
+    sum runs with += over the support in sorted order, not with sum(),
+    which rounds differently from Python 3.12 on: so every Python version
+    prints the same digits.
 
     Both outputs read only token counts, so nothing is inserted. Every cover
     has at least MIN_COVER_TOKENS tokens, so insert_codewords would place
@@ -188,16 +168,18 @@ def run_density_experiment(
     for target in densities:
         if not 0.0 <= target < 1.0:
             raise ValueError(f"target density {target} outside [0, 1)")
-    support = sorted(corpus.vocabulary.keys() | codebook.inverse.keys())
-    p = smoothed_distribution(corpus.vocabulary, support)
-    rows = []
     try:
         cover_rng = random.Random(derive_seed(seed, "covers"))
         covers = [draw_cover(corpus, codebook, cover_rng)[1] for _ in range(trials)]
     except SteganizeError as exc:
         return [_density_row(target, None, 0, None, str(exc)) for target in densities]
+    vocabulary = corpus.vocabulary
+    support = sorted(vocabulary.keys() | codebook.inverse.keys())
+    corpus_denominator = vocabulary.total() + len(support)
+    corpus_p = [(word, (vocabulary.get(word, 0) + 1) / corpus_denominator) for word in support]
     cover_counts = Counter(chain.from_iterable(covers))
     cover_total = cover_counts.total()
+    rows = []
     for index, target in enumerate(densities):
         inserted = sum(_insert_count(len(cover), target) for cover in covers)
         # One draw of every cover's symbols in turn: the stream that one draw
@@ -207,8 +189,11 @@ def run_density_experiment(
         stego_counts = cover_counts.copy()
         stego_counts.update(map(codebook.forward.__getitem__, secret))
         token_total = cover_total + inserted
-        q = smoothed_distribution(stego_counts, support)
-        rows.append(_density_row(target, inserted / token_total, trials, kl_divergence(p, q)))
+        stego_denominator = token_total + len(support)
+        kl = 0.0
+        for word, p_w in corpus_p:
+            kl += p_w * math.log(p_w / ((stego_counts.get(word, 0) + 1) / stego_denominator))
+        rows.append(_density_row(target, inserted / token_total, trials, kl))
     return rows
 
 

@@ -4,9 +4,9 @@ Each test prints one ACCEPTANCE line (PASS or FAIL) and covers one promise
 the package makes: exact decoding of the documented example, perfect seeded
 round trips at scale, decode errors that grow with codeword frequency and
 agree with their exact expected value, distribution shift that grows with
-codeword density, the divergence axioms, a blind-then-sighted distinguisher,
-and byte-identical reruns. Run with `pytest tests/test_acceptance.py -v -s`
-to see every line.
+codeword density, the axioms of the reference divergence the density rows
+are checked against, a blind-then-sighted distinguisher, and byte-identical
+reruns. Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 """
 
 import json
@@ -22,10 +22,11 @@ from wordsteg.evaluate import (
     build_pairs,
     derive_seed,
     distinguisher_accuracy,
-    kl_divergence,
     run_band_experiment,
     run_density_experiment,
 )
+
+from kl_reference import kl_divergence
 
 GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
 
@@ -189,6 +190,8 @@ def test_distribution_shift_grows_with_density(desk_corpus):
 
 
 def test_divergence_axioms():
+    """The reference KL that test_eval replays every density row with is
+    zero on identical distributions, never negative and right by hand."""
     rng = random.Random(4242)
 
     def random_distribution(support):

@@ -14,13 +14,13 @@ from wordsteg.evaluate import (
     build_pairs,
     derive_seed,
     distinguisher_accuracy,
-    kl_divergence,
     random_secret,
     run_band_experiment,
     run_density_experiment,
-    smoothed_distribution,
 )
 from wordsteg.ngram import build_model
+
+from kl_reference import kl_divergence, smoothed_distribution
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -244,6 +244,20 @@ def test_density_experiment_rejects_bad_targets(small_corpus):
         run_density_experiment(small_corpus, codebook, [1.0], trials=5)
     with pytest.raises(ValueError):
         run_density_experiment(small_corpus, codebook, [-0.1], trials=5)
+
+
+@pytest.mark.parametrize("lines", [["a b", "c d"], ["a b c", "d a e f"]])
+def test_exhausted_density_call_does_not_count_the_vocabulary(lines):
+    # An empty cover pool, then a pool whose every cover holds the codeword:
+    # the draws fail before the support is built, so the call skips every
+    # point without counting the corpus's words.
+    corpus = Corpus(lines)
+    codebook = Codebook(("0",), {"0": "a"}, (1, None), 0)
+    rows = run_density_experiment(corpus, codebook, [0.0, 0.2], trials=5)
+    assert [(row["trials"], row["kl_nats"], row["skipped"]) for row in rows] == [
+        (0, None, True)
+    ] * 2
+    assert "vocabulary" not in corpus.__dict__
 
 
 def test_build_pairs_identical_when_secret_len_zero(small_corpus):

@@ -10,7 +10,6 @@ from wordsteg import corpus as corpus_module
 from wordsteg import ngram as ngram_module
 from wordsteg.codec import insert_codewords
 from wordsteg.corpus import Corpus
-from wordsteg.evaluate import smoothed_distribution
 from wordsteg.ngram import (
     MAX_N,
     build_model,
@@ -18,6 +17,8 @@ from wordsteg.ngram import (
     message_grams,
     plausibility_score,
 )
+
+from kl_reference import smoothed_distribution
 
 
 def window_count(token_lists, gram):
