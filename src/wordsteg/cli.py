@@ -19,15 +19,17 @@ so atexit handlers that other code registers do not run; a failed final
 flush still exits 120, as Python reports it. main() returns the code to
 library callers and ends no process; only argparse's SystemExit (usage
 errors, --help, --version) escapes it. A verb parses its list flags
-(--bands, --densities) and checks --alphabet, --trials and --secret-len
-before it reads any file, so a bad value is reported at once, not after a
-full corpus load. Every artifact written by --out embeds the seed, the
-settings, and the tool version, and is written atomically before anything
-is printed; rerunning a command with the same inputs rewrites the same
-bytes except for the created_utc stamp. The three eval verbs print and
-write their rows through one function, _report, and their settings are
-every flag they parse except --seed, --out and --format; encode records its
-settings by hand, with the secret's length and never the secret.
+(--bands, --densities) and checks --alphabet, and then --densities,
+--trials and --secret-len with evaluate.check_sizes, the one definition of
+the rules the experiments apply, before it reads any file; so a bad value
+is reported at once, not after a full corpus load. Every artifact written
+by --out embeds the seed, the settings, and the tool version, and is
+written atomically before anything is printed; rerunning a command with the
+same inputs rewrites the same bytes except for the created_utc stamp. The
+three eval verbs print and write their rows through one function, _report.
+Every artifact's settings follow one rule, in _artifact: every flag the
+verb parses except --seed, --out, --format and --secret; encode adds the
+secret's length, never the secret.
 """
 
 import argparse
@@ -52,22 +54,32 @@ from .corpus import load_corpus, scrub_message
 from .errors import InsufficientBandError, SteganizeError, WordstegError
 from .evaluate import (
     build_pairs,
+    check_sizes,
     distinguisher_accuracy,
     run_band_experiment,
     run_density_experiment,
 )
 
 
-def _artifact(seed: int | None, config: dict, results) -> dict:
+# Parsed attributes that are not settings: argparse's dispatch, the seed
+# (recorded at the artifact's top level), where output goes, and encode's
+# secret, which must never reach an artifact.
+_NOT_CONFIG = frozenset({"func", "command", "experiment", "seed", "out", "format", "secret"})
+
+
+def _artifact(args, results, **settings) -> dict:
+    """The --out document: its config is every parsed flag outside
+    _NOT_CONFIG plus `settings`, so no verb lists its flags a second time."""
     # Imported here, as csv is in _write_csv, so that a verb that writes no
     # artifact (decode, encode without --out) never loads it.
     from datetime import datetime, timezone
 
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     return {
         "tool": "wordsteg",
         "tool_version": __version__,
-        "seed": seed,
-        "config": config,
+        "seed": args.seed,
+        "config": config | settings,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "results": results,
     }
@@ -87,28 +99,17 @@ def _write_csv(handle, rows: list[dict]) -> None:
     writer.writerows(rows)
 
 
-# Parsed attributes that are not settings: argparse's dispatch, the seed
-# (recorded at the artifact's top level), and where output goes.
-_NOT_CONFIG = frozenset({"func", "command", "experiment", "seed", "out", "format"})
-
-
 def _report(args, docs: list[dict]) -> None:
     """Print an eval verb's rows in --format; with --out, first write
     <out>.csv and then <out>.json, each atomically; if either write fails,
     the run leaves neither new file behind.
-
-    The artifact's config is every parsed flag outside _NOT_CONFIG, so each
-    eval flag reaches its artifact without a second list of flags. encode
-    does not report through here: its config is written out by hand because
-    --secret must never reach an artifact.
     """
     if args.out is not None:
-        config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
         with atomic_open(f"{args.out}.csv", newline="") as handle:
             _write_csv(handle, docs)
         try:
             with atomic_open(f"{args.out}.json") as handle:
-                _write_json(handle, _artifact(args.seed, config, docs))
+                _write_json(handle, _artifact(args, docs))
         except BaseException:
             os.unlink(f"{args.out}.csv")
             raise
@@ -144,13 +145,8 @@ def cmd_encode(args) -> int:
     corpus = load_corpus(args.corpus)
     result = steganize(args.secret, codebook, corpus, seed=args.seed)
     if args.out is not None:
-        config = {
-            "codebook": args.codebook,
-            "corpus": args.corpus,
-            "secret_len": len(args.secret),
-        }
         with atomic_open(args.out) as handle:
-            _write_json(handle, _artifact(args.seed, config, result.to_doc()))
+            _write_json(handle, _artifact(args, result.to_doc(), secret_len=len(args.secret)))
     print(" ".join(result.stego))
     return 0
 
@@ -163,20 +159,11 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _check_sizes(trials: int, secret_len: int = 0) -> None:
-    """--trials and --secret-len, checked as the experiments check them but
-    before any file is read."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if secret_len < 0:
-        raise ValueError("secret_len must be >= 0")
-
-
 def cmd_eval_band(args) -> int:
     bands = [parse_band(b) for b in args.bands.split(",")]
     alphabet = tuple(args.alphabet)
     check_alphabet(alphabet)
-    _check_sizes(args.trials)
+    check_sizes(args.trials)
     corpus = load_corpus(args.corpus)
     rows = run_band_experiment(
         corpus, bands, alphabet=alphabet, trials=args.trials, seed=args.seed
@@ -186,20 +173,18 @@ def cmd_eval_band(args) -> int:
 
 
 def _parse_density(text: str) -> float:
-    """One item of --densities; an item that is no number is named with the
-    flag, and one outside [0, 1) as run_density_experiment names it."""
+    """One item of --densities as a float; an item that is no number is
+    named with the flag. Its range is check_sizes' rule, checked once every
+    item has parsed."""
     try:
-        target = float(text)
+        return float(text)
     except ValueError:
         raise ValueError(f"--densities items must be numbers, got {text!r}") from None
-    if not 0.0 <= target < 1.0:
-        raise ValueError(f"target density {target} outside [0, 1)")
-    return target
 
 
 def cmd_eval_density(args) -> int:
     densities = [_parse_density(d) for d in args.densities.split(",")]
-    _check_sizes(args.trials)
+    check_sizes(args.trials, densities=densities)
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
     rows = run_density_experiment(
@@ -210,7 +195,7 @@ def cmd_eval_density(args) -> int:
 
 
 def cmd_eval_distinguish(args) -> int:
-    _check_sizes(args.trials, args.secret_len)
+    check_sizes(args.trials, args.secret_len)
     codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
     pairs = build_pairs(

@@ -69,22 +69,23 @@ def contains_codeword(tokens: Sequence[str], codebook: Codebook) -> bool:
 
 
 def draw_cover(
-    covers: Corpus, codebook: Codebook | None, rng: random.Random
+    covers: Corpus, codebook: Codebook, rng: random.Random
 ) -> tuple[int, tuple[str, ...]]:
     """Seeded uniform draws from covers.cover_pool, one rng.randrange each.
 
     Each drawn line is split into its tokens. Returns (attempt, cover
-    tokens) for the first drawn cover that holds no codeword of `codebook`;
-    with codebook=None the first draw is returned.
+    tokens) for the first drawn cover that holds no codeword of `codebook`.
     Raises SteganizeError on an empty pool (after 0 attempts), or once
     MAX_ATTEMPTS covers have been drawn and every one held a codeword.
+    There is no mode without rejection: run_band_experiment, which counts
+    the covers that hold a codeword, draws from the pool itself.
     """
     pool = covers.cover_pool
     if not pool:
         raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
     for attempt in range(1, MAX_ATTEMPTS + 1):
         cover = tuple(pool[rng.randrange(len(pool))].split())
-        if codebook is None or not contains_codeword(cover, codebook):
+        if not contains_codeword(cover, codebook):
             return attempt, cover
     raise SteganizeError(MAX_ATTEMPTS, "every drawn cover contained a codeword")
 

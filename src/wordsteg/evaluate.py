@@ -37,6 +37,22 @@ def derive_seed(master: int, *labels) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_sizes(trials: int, secret_len: int = 0, densities: Sequence[float] = ()) -> None:
+    """The size rules of the experiments, in the one place they are written.
+
+    Raises ValueError for the first fault, checking each target density
+    (in [0, 1)) in order, then trials (>= 1), then secret_len (>= 0). Each
+    experiment calls it before it draws, and the CLI before it reads a file.
+    """
+    for target in densities:
+        if not 0.0 <= target < 1.0:
+            raise ValueError(f"target density {target} outside [0, 1)")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if secret_len < 0:
+        raise ValueError("secret_len must be >= 0")
+
+
 def random_secret(rng: random.Random, alphabet: Sequence[str], length: int) -> tuple:
     return tuple(rng.choice(alphabet) for _ in range(length))
 
@@ -65,22 +81,22 @@ def run_band_experiment(
     """Measure raw decode errors as codeword frequency rises.
 
     Each band gets its own codebook, drawn from corpus.vocabulary, and
-    `trials` cover draws without rejection, taken in turn from one stream
-    seeded by the band's index. So a band's row does not depend on the
-    other bands or on the order they run in. A raw embed into a drawn
-    cover decodes wrongly exactly when that cover already holds a codeword:
-    insertion always finds a slot and the inserted codewords decode in
-    order, so no other error occurs, whatever the secret. Errors therefore
-    count the drawn covers that hold a codeword. Bands too thin to fill a
-    codebook are reported as skipped, not raised. When no message has
-    MIN_COVER_TOKENS or more tokens, the cover pool is empty and nothing can
-    be drawn: failures then equals trials for every band not skipped, and
-    errors is 0; otherwise failures is 0. Returns one _band_row per band.
+    `trials` cover draws without rejection, so not through draw_cover: each
+    trial takes pool[rng.randrange(len(pool))] from corpus.cover_pool, in
+    turn from one rng seeded by the band's index. So a band's row does not depend on the other bands or on the order they
+    run in. A raw embed into a drawn cover decodes wrongly exactly when
+    that cover already holds a codeword: insertion always finds a slot and
+    the inserted codewords decode in order, so no other error occurs,
+    whatever the secret. Errors therefore count the drawn covers that hold
+    a codeword. Bands too thin to fill a codebook are reported as skipped,
+    not raised. When no message has MIN_COVER_TOKENS or more tokens, the
+    cover pool is empty and nothing can be drawn: failures then equals
+    trials for every band not skipped, and errors is 0; otherwise failures
+    is 0. Returns one _band_row per band.
     """
     if not bands:
         raise ValueError("need at least one band")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_sizes(trials)
     rows = []
     for index, band in enumerate(bands):
         try:
@@ -90,13 +106,14 @@ def run_band_experiment(
         except InsufficientBandError as exc:
             rows.append(_band_row(band, trials=0, errors=0, reason=str(exc)))
             continue
-        if not corpus.cover_pool:
+        pool = corpus.cover_pool
+        if not pool:
             rows.append(_band_row(band, trials, errors=0, failures=trials))
             continue
         errors = 0
         rng = random.Random(derive_seed(seed, "band", index, "trials"))
         for _ in range(trials):
-            errors += contains_codeword(draw_cover(corpus, None, rng)[1], codebook)
+            errors += contains_codeword(pool[rng.randrange(len(pool))].split(), codebook)
         rows.append(_band_row(band, trials, errors))
     return rows
 
@@ -163,11 +180,7 @@ def run_density_experiment(
     multiset nor its length: each point's stego counts are the cover counts
     plus that point's codewords.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    for target in densities:
-        if not 0.0 <= target < 1.0:
-            raise ValueError(f"target density {target} outside [0, 1)")
+    check_sizes(trials, densities=densities)
     try:
         cover_rng = random.Random(derive_seed(seed, "covers"))
         covers = [draw_cover(corpus, codebook, cover_rng)[1] for _ in range(trials)]
@@ -212,10 +225,7 @@ def build_pairs(
     then one model is counted for all the covers and the drawn codewords,
     and the codewords are inserted.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if secret_len < 0:
-        raise ValueError("secret_len must be >= 0")
+    check_sizes(trials, secret_len)
     draws = []
     for index in range(trials):
         rng = random.Random(derive_seed(seed, "pair", index))

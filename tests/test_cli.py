@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from wordsteg.errors import (
     InsufficientBandError,
     SteganizeError,
 )
+from wordsteg.evaluate import build_pairs, run_band_experiment, run_density_experiment
 
 from synthcorpus import raw_lines, synth_lines
 
@@ -480,7 +482,9 @@ def test_bad_alphabet_exits_2_before_a_thin_band(
 
 
 @pytest.mark.parametrize(
-    "densities, item", [("", "''"), ("0.1,", "''"), ("0.1,abc", "'abc'")]
+    "densities, item",
+    # Every item is parsed before any is range-checked, so 1.5 is not named.
+    [("", "''"), ("0.1,", "''"), ("0.1,abc", "'abc'"), ("0.1,1.5,x", "'x'")],
 )
 def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, item):
     code = main(
@@ -494,33 +498,49 @@ def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, i
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, library",
     [
-        (["eval", "band", "--bands", "4-x"], "band must look like 'lo-hi' or 'lo+', got '4-x'"),
+        (["eval", "band", "--bands", "4-x"], "band must look like 'lo-hi' or 'lo+', got '4-x'",
+         None),
         (["eval", "density", "--codebook", "nope.json", "--densities", "0.1,x"],
-         "--densities items must be numbers, got 'x'"),
+         "--densities items must be numbers, got 'x'", None),
         (["eval", "density", "--codebook", "nope.json", "--densities", "0.1,1.5"],
-         "target density 1.5 outside [0, 1)"),
+         "target density 1.5 outside [0, 1)",
+         lambda corpus, codebook: run_density_experiment(corpus, codebook, [0.1, 1.5])),
         (["eval", "density", "--codebook", "nope.json", "--densities", "nan"],
-         "target density nan outside [0, 1)"),
-        (["eval", "band", "--trials", "0"], "trials must be >= 1"),
-        (["eval", "density", "--codebook", "nope.json", "--trials", "0"], "trials must be >= 1"),
+         "target density nan outside [0, 1)",
+         lambda corpus, codebook: run_density_experiment(corpus, codebook, [math.nan])),
+        (["eval", "band", "--trials", "0"], "trials must be >= 1",
+         lambda corpus, codebook: run_band_experiment(corpus, [(1, None)], trials=0)),
+        (["eval", "density", "--codebook", "nope.json", "--trials", "0"], "trials must be >= 1",
+         lambda corpus, codebook: run_density_experiment(
+             corpus, codebook, [0.0, 0.05, 0.1, 0.2, 0.3], trials=0)),
         (["eval", "distinguish", "--codebook", "nope.json", "--trials", "0"],
-         "trials must be >= 1"),
+         "trials must be >= 1",
+         lambda corpus, codebook: build_pairs(corpus, codebook, trials=0)),
         (["eval", "distinguish", "--codebook", "nope.json", "--secret-len", "-3"],
-         "secret_len must be >= 0"),
+         "secret_len must be >= 0",
+         lambda corpus, codebook: build_pairs(corpus, codebook, trials=200, secret_len=-3)),
         (["gen-codebook", "--band", "14+", "--alphabet", "", "--out", "nope.json"],
-         "alphabet is empty"),
-        (["eval", "band", "--alphabet", "00"], "alphabet contains duplicate symbols"),
+         "alphabet is empty", None),
+        (["eval", "band", "--alphabet", "00"], "alphabet contains duplicate symbols", None),
     ],
     ids=["band", "density", "density-range", "density-nan", "band-trials", "density-trials",
          "distinguish-trials", "distinguish-secret-len", "gen-codebook-alphabet",
          "band-alphabet"],
 )
-def test_bad_list_flag_is_reported_before_any_file_is_read(tmp_path, capsys, argv, message):
+def test_bad_list_flag_is_reported_before_any_file_is_read(
+    tmp_path, capsys, toy_corpus, two_word_codebook, argv, message, library
+):
     code = main([*argv, "--corpus", str(tmp_path / "nope.txt")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    # A size rule has one definition: the experiment the flag feeds rejects
+    # the same value with the same text.
+    if library is not None:
+        with pytest.raises(ValueError) as excinfo:
+            library(toy_corpus, two_word_codebook)
+        assert str(excinfo.value) == message
 
 
 # Each verb's stdout, run in a directory of its own so relative paths print alike.

@@ -122,7 +122,10 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
             for _ in range(row["trials"])
         ]
         cover_rng = random.Random(derive_seed(seed, "band", index, "trials"))
-        covers = [draw_cover(small_corpus, None, cover_rng)[1] for _ in range(row["trials"])]
+        pool = small_corpus.cover_pool
+        covers = [
+            tuple(pool[cover_rng.randrange(len(pool))].split()) for _ in range(row["trials"])
+        ]
         model = build_model(small_corpus, codebook.inverse, covers)
         mismatches = 0
         for secret, cover in zip(secrets, covers):
@@ -244,6 +247,9 @@ def test_density_experiment_rejects_bad_targets(small_corpus):
         run_density_experiment(small_corpus, codebook, [1.0], trials=5)
     with pytest.raises(ValueError):
         run_density_experiment(small_corpus, codebook, [-0.1], trials=5)
+    # A bad target is named before a bad trials count.
+    with pytest.raises(ValueError, match=r"target density 1.5 outside"):
+        run_density_experiment(small_corpus, codebook, [1.5], trials=0)
 
 
 @pytest.mark.parametrize("lines", [["a b", "c d"], ["a b c", "d a e f"]])
