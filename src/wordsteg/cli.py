@@ -130,11 +130,11 @@ def cmd_gen_codebook(args) -> int:
     alphabet = tuple(args.alphabet)
     check_alphabet(alphabet)
     vocabulary = load_corpus(args.corpus).vocabulary
-    occupancy = len(band_words(vocabulary, band))
-    codebook = select_codebook(vocabulary, band, alphabet, seed=args.seed)
+    words = band_words(vocabulary, band)
+    codebook = select_codebook(vocabulary, band, alphabet, seed=args.seed, words=words)
     save_codebook(codebook, args.out)
     print(
-        f"band={format_band(band)} occupancy={occupancy} "
+        f"band={format_band(band)} occupancy={len(words)} "
         f"selected={len(codebook.alphabet)} out={args.out}"
     )
     return 0

@@ -10,7 +10,7 @@ secret; it travels out of band, never on the cover channel.
 import json
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from .atomic import atomic_open
 from .corpus import scrub_message
@@ -104,17 +104,21 @@ def select_codebook(
     band: Band,
     alphabet: tuple[str, ...] = DIGITS,
     seed: int = 0,
+    *,
+    words: Sequence[str] | None = None,
 ) -> Codebook:
     """Sample one codeword per symbol, uniformly without replacement.
 
     The draw is deterministic in (counts, band, alphabet, seed); the CLI
-    passes Corpus.vocabulary as counts. Raises CodebookValidationError for a
-    bad band or alphabet, InsufficientBandError when the band holds fewer
+    passes Corpus.vocabulary as counts. A caller that has already listed
+    the band's words, band_words(counts, band), passes that list as words,
+    and the band is not filtered again. Raises CodebookValidationError for
+    a bad band or alphabet, InsufficientBandError when the band holds fewer
     words than the alphabet has symbols.
     """
     alphabet = tuple(alphabet)
     _check_band_and_alphabet(band, alphabet)
-    candidates = band_words(counts, band)
+    candidates = band_words(counts, band) if words is None else words
     if len(candidates) < len(alphabet):
         raise InsufficientBandError(
             f"frequency band {format_band(band)} holds {len(candidates)} "

@@ -64,6 +64,10 @@ class StegoResult(
         }
 
 
+# Why no cover can be drawn from an empty pool, as every caller reports it.
+NO_COVERS = f"no covers with >= {MIN_COVER_TOKENS} tokens"
+
+
 def contains_codeword(tokens: Sequence[str], codebook: Codebook) -> bool:
     return not codebook.inverse.keys().isdisjoint(tokens)
 
@@ -82,7 +86,7 @@ def draw_cover(
     """
     pool = covers.cover_pool
     if not pool:
-        raise SteganizeError(0, f"no covers with >= {MIN_COVER_TOKENS} tokens")
+        raise SteganizeError(0, NO_COVERS)
     for attempt in range(1, MAX_ATTEMPTS + 1):
         cover = tuple(pool[rng.randrange(len(pool))].split())
         if not contains_codeword(cover, codebook):

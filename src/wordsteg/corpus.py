@@ -1,4 +1,4 @@
-"""Corpus ingestion: scrub raw messages, keep them as lines, count the words.
+"""Corpus ingestion: scrub raw messages, keep them as texts, count the words.
 
 Raw records are one message per line (UTF-8). Scrubbing lowercases and
 removes the token classes that cannot occur in spoken language, then strips
@@ -11,8 +11,8 @@ each read cut at its last line break, with no Python code run per line.
 Each read is one string that is lowercased, cleared of dropped tokens by
 regex passes that each begin with a literal and run only on a read that
 holds their trigger character (clean text holds none, and a one-character
-`in` is a memchr where the literal scan is not), stripped of punctuation,
-then split back into lines, by one of two routes that give the same text:
+`in` is a memchr where the literal scan is not) and stripped of
+punctuation, by one of two routes that give the same text:
 
 - ASCII text is scrubbed as str and loses its punctuation in one
   str.translate.
@@ -37,25 +37,33 @@ str.translate when there are more than MAX_REPLACED_MARKS. The rule is the
 one scrub_message applies to a single line, so each message is what
 scrub_message makes of its line.
 
-A corpus keeps each usable line as one string, with the whitespace the
-scrub leaves in it (a dropped @mention leaves its spaces behind), and never
-holds a token object of its own: each reader splits only the lines it
-reads, and str.split discards that whitespace. The word counts are computed
-on first access, so a verb that never reads them (encode) never pays for
-them.
+A corpus keeps each scrubbed read as it is, one text of whole lines joined
+by "\n", and holds no line, and no token, as a string of its own. A line
+keeps the whitespace the scrub leaves in it (a dropped @mention leaves its
+spaces behind), and a line that scrubs to nothing stays in its text as a
+blank line, which no reader takes for a message. The word count splits each
+text once, and str.split discards that whitespace and the line breaks. The
+word counts are computed on first access, so a verb that never reads them
+(encode) never pays for them.
+
+The cover pool is an index of the lines with at least MIN_COVER_TOKENS
+tokens: the text number and start of each, in two arrays, so no verb holds
+the corpus text twice. It is built on first use, by splitting each text
+into its lines once; a draw slices one line out of its text.
 
 The lines that may hold one of some words are found by str.find over each
-block of lines, one hit per line; the search stops at the first block in
-which more than half the lines hold one word, and takes every line from
-there on. Each call searches again and keeps nothing on the corpus.
+text, one hit per line, each hit's line bounded by the line breaks around
+it; the search stops at the first text in which more than half the lines
+hold one word, and takes every line from there on. Each call searches
+again and keeps nothing on the corpus.
 """
 
 import re
-from bisect import bisect_right
+from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, islice, repeat
 import unicodedata
 
 from .errors import EmptyCorpusError
@@ -139,14 +147,15 @@ _BYTE_DROPS = tuple(
     (trigger.encode(), re.compile(rule.encode())) for trigger, rule in _DROP_RULES
 )
 
-# Lines per block, for the word search and the word count here and for both
-# counts in ngram. Large enough that the per-call overhead vanishes, small
-# enough that a block's copies of its text stay a small share of the
-# corpus's memory.
+# Lines per text of a Corpus built from lines, and per block in which
+# ngram.build_model reads the lines it is given. Large enough that the
+# per-call overhead vanishes, small enough that a block's copies of its
+# text stay a small share of the corpus's memory.
 BLOCK_LINES = 1024
 
-# Characters per read of a corpus file: about one block of typical messages,
-# for the same reasons. Larger reads raise the peak memory of a load.
+# Characters per read of a corpus file, and so per text of a loaded Corpus:
+# about one block of typical messages, for the same reasons. Larger reads
+# raise the peak memory of a load.
 READ_CHARS = 1 << 16
 
 
@@ -237,107 +246,165 @@ def scrub_message(raw: str) -> str:
     return " ".join(_scrub_text(raw).split())
 
 
+class CoverPool(Sequence):
+    """The lines of a corpus's texts with at least MIN_COVER_TOKENS tokens,
+    in corpus order, held as an index and not as lines.
+
+    Two arrays hold the text number and the start of each such line, 12
+    bytes a line, so the pool keeps no second copy of the corpus text:
+    pool[k] slices line k out of its text, up to the next line break, a new
+    string on every call. Each line is tested with a split capped at
+    MIN_COVER_TOKENS parts, which counts just far enough.
+    """
+
+    def __init__(self, texts: Sequence[str]):
+        self._texts = texts
+        self._numbers = array("I")
+        self._starts = array("Q")
+        for number, text in enumerate(texts):
+            lines = text.split("\n")
+            keep = [
+                len(line.split(None, MIN_COVER_TOKENS - 1)) == MIN_COVER_TOKENS
+                for line in lines
+            ]
+            # Each line starts one past the end of the line before it.
+            starts = accumulate(map((1).__add__, map(len, lines)), initial=0)
+            self._starts.extend(compress(starts, keep))
+            self._numbers.extend(repeat(number, keep.count(True)))
+
+    def __len__(self) -> int:
+        return len(self._numbers)
+
+    def __getitem__(self, k: int) -> str:
+        text = self._texts[self._numbers[k]]
+        start = self._starts[k]
+        end = text.find("\n", start)
+        return text[start:end] if end >= 0 else text[start:]
+
+
 class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
-    lines holds each message as one scrubbed line with at least one token;
-    line.split() gives its tokens. A line keeps the whitespace the scrub
-    leaves in it, which is a space where a non-ASCII read held non-ASCII
-    whitespace or one of \x1c-\x1f. vocabulary and cover_pool are computed on
-    first access and then kept; containing searches the lines again on every
-    call and keeps nothing.
+    texts holds the messages as a few long strings, each of whole lines
+    joined by "\n", one message a line; no line is held as a string of its
+    own, and line.split() gives a line's tokens. A text may hold lines with
+    no token, which no reader takes for a message. A line keeps the
+    whitespace the scrub leaves in it, which is a space where a non-ASCII
+    read held non-ASCII whitespace or one of \x1c-\x1f. load_corpus keeps
+    each scrubbed read as one text; Corpus(lines) joins lines that are
+    already scrubbed, BLOCK_LINES to a text, and refuses a line that holds
+    a line break.
+
+    vocabulary and cover_pool are computed on first access and then kept;
+    len() and containing read the texts again on every call and keep
+    nothing.
     """
 
     def __init__(self, lines: Iterable[str]):
-        self.lines: tuple[str, ...] = tuple(lines)
-        if not self.lines:
+        lines = iter(lines)
+        texts = []
+        while block := list(islice(lines, BLOCK_LINES)):
+            text = "\n".join(block)
+            if text.count("\n") >= len(block):
+                raise ValueError("a corpus line cannot hold a line break")
+            texts.append(text)
+        self._keep(texts)
+
+    @classmethod
+    def _of_texts(cls, texts: Iterable[str]) -> "Corpus":
+        corpus = cls.__new__(cls)
+        corpus._keep(texts)
+        return corpus
+
+    def _keep(self, texts: Iterable[str]) -> None:
+        # str.isspace and str.split agree on what whitespace is, so a text
+        # that is empty or all whitespace splits into no token.
+        self.texts: tuple[str, ...] = tuple(
+            text for text in texts if text and not text.isspace()
+        )
+        if not self.texts:
             raise EmptyCorpusError("corpus contains no usable messages")
 
     def __len__(self) -> int:
-        return len(self.lines)
+        """The number of lines that hold a token, counted on every call."""
+        return sum(1 for text in self.texts for line in text.split("\n") if line.strip())
 
     @cached_property
     def vocabulary(self) -> Counter[str]:
         """The one count of every word, in order of first occurrence.
 
-        Each block of BLOCK_LINES lines is joined with a space and split
-        once: a space ends the last word of a line, so the words, and the
-        order they come in, are those of the lines split one by one.
+        Each text is split once: a line break ends the last word of a line,
+        so the words, and the order they come in, are those of the lines
+        split one by one.
         """
         counts: Counter[str] = Counter()
-        lines = self.lines
-        for start in range(0, len(lines), BLOCK_LINES):
-            counts.update(" ".join(lines[start : start + BLOCK_LINES]).split())
+        for text in self.texts:
+            counts.update(text.split())
         return counts
 
     @cached_property
-    def cover_pool(self) -> tuple[str, ...]:
-        """Lines long enough to serve as covers, computed on first use.
+    def cover_pool(self) -> CoverPool:
+        """The lines long enough to serve as covers, indexed on first use.
 
-        () when no line qualifies; codec.draw_cover raises on that. A split
-        capped at MIN_COVER_TOKENS parts counts just far enough.
+        Empty when no line qualifies; codec.draw_cover raises on that.
         """
-        return tuple(
-            line
-            for line in self.lines
-            if len(line.split(None, MIN_COVER_TOKENS - 1)) == MIN_COVER_TOKENS
-        )
+        return CoverPool(self.texts)
 
     def containing(self, words: Iterable[str]) -> Iterator[str]:
         """The lines in which any of `words` may occur, in corpus order.
 
         These are the lines in which a word occurs as a substring, so every
-        line that holds one as a token, up to the first block of BLOCK_LINES
-        lines in which more than half the lines hold one word; from that
-        block on, every line. A line taken that holds no word costs its
-        reader about one split, about what a hit costs the search, so past
-        such a block taking every line is the cheaper guess, and the search
-        stops there.
+        line that holds one as a token, up to the first text in which more
+        than half the lines hold one word; from that text on, every line
+        that holds a token. A line taken that holds no word costs its reader
+        about one split, about what a hit costs the search, so past such a
+        text taking every line is the cheaper guess, and the search stops
+        there.
 
-        Each block is concatenated and searched with str.find, word by word.
-        A hit that runs past the end of its line spans two lines and is
-        skipped; after a hit inside a line the search resumes at the start
-        of the next line, so the Python work per word is bounded by the
-        lines that hold it, not by its occurrences. Every call searches the
-        lines again and keeps nothing. The lines are yielded from
-        self.lines, not copied. Raises ValueError for the empty word.
+        Each text is searched with str.find, word by word. A word holds no
+        line break, so each hit lies inside one line, which rfind and find
+        of "\n" bound; the search resumes at the end of that line, so the
+        Python work per word is bounded by the lines that hold it, not by
+        its occurrences. The search runs when containing is called; the
+        lines are sliced out of the texts as they are yielded. Every call
+        searches again and keeps nothing. Raises ValueError for the empty
+        word and for a word that holds a line break.
         """
         words = set(words)
-        if "" in words:
-            raise ValueError("cannot search the lines for the empty word")
-        lines = self.lines
-        mask = bytearray(len(lines))
-        # With no word, no block is joined.
-        for first in range(0, len(lines) if words else 0, BLOCK_LINES):
-            block = lines[first : first + BLOCK_LINES]
-            text = "".join(block)
-            # ends[i] is where line i of the block ends in text.
-            ends = list(accumulate(map(len, block)))
-            half = len(block) // 2
-            for word in words:
-                held = 0
-                at = text.find(word)
-                while at >= 0:
-                    i = bisect_right(ends, at)
-                    if at + len(word) > ends[i]:
-                        at = text.find(word, at + 1)
-                        continue
-                    mask[first + i] = 1
-                    held += 1
-                    if held > half:
-                        mask[first:] = b"\x01" * (len(mask) - first)
-                        return compress(lines, mask)
-                    at = text.find(word, ends[i])
-        return compress(lines, mask)
+        if any(not word or "\n" in word for word in words):
+            raise ValueError("cannot search the lines for the empty word or a line break")
+        hits = []  # (text, the (start, end) of each line of it that holds a word)
+        tail = ()
+        # With no word, no text is searched.
+        for number, text in enumerate(self.texts if words else ()):
+            spans = _lines_holding(text, words)
+            if spans is None:
+                tail = chain.from_iterable(text.split("\n") for text in self.texts[number:])
+                break
+            hits.append((text, spans))
+        held = (text[start:end] for text, spans in hits for start, end in spans)
+        return filter(str.strip, chain(held, tail))
 
 
-def _usable_lines(text: str) -> Iterator[str]:
-    """Scrub text and yield its lines that hold a token.
-
-    str.strip and str.split agree on what whitespace is, so a line that
-    strips to nothing is one that splits into nothing.
-    """
-    return filter(str.strip, _scrub_text(text).split("\n"))
+def _lines_holding(text: str, words: set[str]) -> list[tuple[int, int]] | None:
+    """The (start, end) of each line of text in which one of words occurs,
+    in text order, or None once more than half its lines hold one word."""
+    ends = {}  # line start -> line end
+    half = (text.count("\n") + 1) // 2
+    for word in words:
+        held = 0
+        at = text.find(word)
+        while at >= 0:
+            start = text.rfind("\n", 0, at) + 1
+            end = text.find("\n", at + len(word))
+            if end < 0:
+                end = len(text)
+            ends[start] = end
+            held += 1
+            if held > half:
+                return None
+            at = text.find(word, end)
+    return sorted(ends.items())
 
 
 def load_corpus(path) -> Corpus:
@@ -346,11 +413,11 @@ def load_corpus(path) -> Corpus:
 
     The file is read READ_CHARS characters at a time, with universal
     newlines. Each read is cut at its last line break; the lines before
-    the cut are scrubbed as one text, and the rest of the read is kept, in
-    pieces, until a line break ends it, so a line longer than many reads is
-    joined once.
+    the cut are scrubbed as one text, which the Corpus keeps as it is, and
+    the rest of the read is kept, in pieces, until a line break ends it, so
+    a line longer than many reads is joined once.
     """
-    kept: list[str] = []
+    texts: list[str] = []
     pending: list[str] = []
     with open(path, encoding="utf-8-sig") as handle:
         while chunk := handle.read(READ_CHARS):
@@ -359,7 +426,7 @@ def load_corpus(path) -> Corpus:
                 pending.append(chunk)
                 continue
             pending.append(chunk[:cut])
-            kept.extend(_usable_lines("".join(pending)))
+            texts.append(_scrub_text("".join(pending)))
             pending = [chunk[cut + 1 :]]
-    kept.extend(_usable_lines("".join(pending)))
-    return Corpus(kept)
+    texts.append(_scrub_text("".join(pending)))
+    return Corpus._of_texts(texts)

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from itertools import chain
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
-from .codec import contains_codeword, draw_cover, insert_codewords
+from .codec import NO_COVERS, contains_codeword, draw_cover, insert_codewords
 from .corpus import Corpus
 from .errors import InsufficientBandError, SteganizeError
 from .ngram import build_model, count_grams, message_grams, plausibility_score
@@ -60,13 +60,16 @@ def random_secret(rng: random.Random, alphabet: Sequence[str], length: int) -> t
 def _band_row(
     band: Band, trials: int, errors: int, failures: int = 0, reason: str | None = None
 ) -> dict:
-    """One band's raw decode-error tally, keyed in table and CSV column order."""
+    """One band's raw decode-error tally, keyed in table and CSV column order.
+
+    A band that runs no trial, being too thin to fill a codebook, is skipped.
+    """
     return {
         "band": format_band(band),
         "trials": trials,
         "errors": errors,
         "failures": failures,
-        "skipped": reason is not None,
+        "skipped": trials == 0,
         "reason": reason,
     }
 
@@ -91,8 +94,9 @@ def run_band_experiment(
     a codeword. Bands too thin to fill a codebook are reported as skipped,
     not raised. When no message has MIN_COVER_TOKENS or more tokens, the
     cover pool is empty and nothing can be drawn: failures then equals
-    trials for every band not skipped, and errors is 0; otherwise failures
-    is 0. Returns one _band_row per band.
+    trials for every band not skipped, errors is 0, and the reason is the
+    one draw_cover gives, "no covers with >= 3 tokens after 0 attempts";
+    otherwise failures is 0. Returns one _band_row per band.
     """
     if not bands:
         raise ValueError("need at least one band")
@@ -108,7 +112,8 @@ def run_band_experiment(
             continue
         pool = corpus.cover_pool
         if not pool:
-            rows.append(_band_row(band, trials, errors=0, failures=trials))
+            reason = str(SteganizeError(0, NO_COVERS))
+            rows.append(_band_row(band, trials, errors=0, failures=trials, reason=reason))
             continue
         errors = 0
         rng = random.Random(derive_seed(seed, "band", index, "trials"))

@@ -35,9 +35,10 @@ from .corpus import BLOCK_LINES, Corpus
 # targets (~1e5 short messages) and add nothing but memory.
 MAX_N = 3
 
-# Both counts read the corpus BLOCK_LINES lines at a time, so that one zip
-# per order serves a whole block. count_grams joins the lines of a block with
-# this token: the scrub deletes every punctuation character, so it is never a
+# build_model reads its lines BLOCK_LINES at a time and count_grams reads the
+# corpus one text at a time, so that one zip per order serves a whole block
+# or text. count_grams puts this token in place of each line break of a
+# text: the scrub deletes every punctuation character, so it is never a
 # word, and any gram that spans two messages holds it; count_grams refuses a
 # requested gram that holds it.
 _SEPARATOR = "."
@@ -113,10 +114,9 @@ def count_grams(
             raise ValueError(f"cannot count the gram {gram!r}")
         tables[len(gram)][gram] = 0
     wanted = {n: frozenset(table) for n, table in tables.items()}
-    lines = corpus.lines
     joiner = f" {_SEPARATOR} "
-    for start in range(0, len(lines), BLOCK_LINES):
-        tokens = joiner.join(lines[start : start + BLOCK_LINES]).split()
+    for text in corpus.texts:
+        tokens = text.replace("\n", joiner).split()
         for n, table in tables.items():
             table.update(
                 filter(wanted[n].__contains__, zip(*(tokens[i:] for i in range(n))))

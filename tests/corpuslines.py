@@ -1,0 +1,10 @@
+"""The messages of a Corpus as lines, for the tests that read them one by one.
+
+A Corpus holds its messages as a few texts of lines joined by "\n" and keeps
+no line of its own; a line that holds no token is no message.
+"""
+
+
+def corpus_lines(corpus):
+    """Each line of corpus's texts that holds a token, in corpus order."""
+    return tuple(line for text in corpus.texts for line in text.split("\n") if line.strip())

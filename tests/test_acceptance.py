@@ -26,6 +26,7 @@ from wordsteg.evaluate import (
     run_density_experiment,
 )
 
+from corpuslines import corpus_lines
 from kl_reference import kl_divergence
 
 GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
@@ -226,7 +227,7 @@ def test_divergence_axioms():
 
 def test_distinguisher_blind_then_sighted(desk_corpus):
     sampler = random.Random(derive_seed(77, "cc-sample"))
-    sampled = sampler.sample(desk_corpus.lines, 1000)
+    sampled = sampler.sample(corpus_lines(desk_corpus), 1000)
     identical = [(m, m) for m in map(str.split, sampled)]
     blind = distinguisher_accuracy(desk_corpus, identical, seed=5)
     margin = 3 * math.sqrt(0.25 / 1000)

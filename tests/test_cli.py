@@ -12,6 +12,7 @@ import pytest
 
 import wordsteg
 from wordsteg import cli
+from wordsteg import codebook as codebook_module
 from wordsteg import corpus as corpus_module
 from wordsteg.cli import main
 from wordsteg.errors import (
@@ -111,6 +112,47 @@ def test_gen_codebook_prints_occupancy(cli_files, tmp_path, capsys):
     assert code == 0
     assert "occupancy=" in captured.out
     assert "band=8-12" in captured.out
+
+
+def test_gen_codebook_lists_its_band_once(cli_files, tmp_path, capsys):
+    # The printed occupancy and the draw read one list of the band's words.
+    listed = []
+    original = codebook_module.band_words
+
+    def band_words(counts, band):
+        listed.append(band)
+        return original(counts, band)
+
+    out = tmp_path / "cb.json"
+    argv = ["gen-codebook", "--corpus", cli_files["corpus"], "--band", "14+", "--seed", "3",
+            "--out", str(out)]
+    with mock.patch.object(cli, "band_words", band_words), mock.patch.object(
+        codebook_module, "band_words", band_words
+    ):
+        assert main(argv) == 0
+    assert listed == [(14, None)]
+    vocabulary = corpus_module.load_corpus(cli_files["corpus"]).vocabulary
+    occupancy = sum(count >= 14 for count in vocabulary.values())
+    assert f" occupancy={occupancy} " in capsys.readouterr().out
+    assert out.read_bytes() == Path(cli_files["cb_common"]).read_bytes()
+
+
+def test_eval_band_names_the_empty_pool(tmp_path, capsys):
+    # No message has 3 tokens, so every trial fails for the reason encode,
+    # eval density and eval distinguish give.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b\nc d\n", encoding="utf-8")
+    argv = ["eval", "band", "--corpus", str(corpus), "--bands", "1+", "--alphabet", "01",
+            "--trials", "5", "--format", "json"]
+    assert main(argv) == 0
+    row, = json.loads(capsys.readouterr().out)
+    assert row == {
+        "band": "1+", "trials": 5, "errors": 0, "failures": 5, "skipped": False,
+        "reason": "no covers with >= 3 tokens after 0 attempts",
+    }
+    assert main(argv[:-2]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[1].split() == "1+ 5 0 5 False no covers with >= 3 tokens after 0 attempts".split()
 
 
 def test_gen_codebook_insufficient_band_exits_3(cli_files, tmp_path, capsys):

@@ -20,6 +20,7 @@ from wordsteg.corpus import Corpus, load_corpus, scrub_message
 from wordsteg.errors import CodebookValidationError, SteganizeError
 from wordsteg.ngram import build_model
 
+from corpuslines import corpus_lines
 from synthcorpus import synth_lines
 from test_ngram import window_count
 
@@ -31,7 +32,7 @@ def oracle_insertion_score(corpus, tokens, position, word):
     """Independent oracle: enumerate every gram of orders 2 and 3 of the
     modified sequence, keep the ones whose window covers the inserted index,
     and count each by a literal window scan of the corpus."""
-    token_lists = [line.split() for line in corpus.lines]
+    token_lists = [line.split() for line in corpus_lines(corpus)]
     trial = list(tokens)
     trial.insert(position, word)
     score = 0.0
@@ -113,7 +114,7 @@ def test_insertion_score_matches_oracle_everywhere(toy_corpus):
 
 
 def test_insertion_score_matches_oracle_on_trigram_model(small_corpus):
-    tokens = tuple(small_corpus.lines[0].split())
+    tokens = tuple(corpus_lines(small_corpus)[0].split())
     words = list(islice(small_corpus.vocabulary, 3))
     model = build_model(small_corpus, words, [tokens])
     for word in words:
@@ -160,7 +161,7 @@ def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corp
 @settings(deadline=None)
 def test_insert_codewords_same_under_model_counted_around(messages, codewords, data):
     corpus = Corpus(" ".join(m) for m in messages)
-    covers = [m for m in map(str.split, corpus.lines) if len(m) >= 2]
+    covers = [m for m in map(str.split, corpus_lines(corpus)) if len(m) >= 2]
     # Every two words of a message as a cover too: one slot, whose grams are
     # cut short by both edges.
     covers += [m[i : i + 2] for m in covers for i in range(len(m) - 1)]
@@ -224,7 +225,7 @@ def test_encode_path_never_counts_the_vocabulary(small_corpus):
 def test_a_loop_of_calls_searches_each_call_for_its_own_codewords(desk_corpus):
     # A library loop on one Corpus: each call counts its own model, and asks
     # for the lines that hold exactly its secret's distinct codewords.
-    corpus = Corpus(desk_corpus.lines)
+    corpus = Corpus(corpus_lines(desk_corpus))
     codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=41)
     rng = random.Random(606)
     secrets = []

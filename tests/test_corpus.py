@@ -11,15 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordsteg import corpus as corpus_module
+from wordsteg.codebook import DIGITS, select_codebook
+from wordsteg.codec import decode, steganize
 from wordsteg.corpus import Corpus, load_corpus, scrub_message
 from wordsteg.errors import EmptyCorpusError
 
+from corpuslines import corpus_lines
 from synthcorpus import raw_lines, synth_lines
 
 
 def _tokens(corpus):
     """Each message of corpus as a tuple of its tokens."""
-    return tuple(tuple(line.split()) for line in corpus.lines)
+    return tuple(tuple(line.split()) for line in corpus_lines(corpus))
 
 
 def test_scrub_removes_usernames_hashtags_and_urls():
@@ -104,7 +107,7 @@ def test_load_corpus_skips_a_byte_order_mark(tmp_path):
     plain.write_text(text, encoding="utf-8")
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert load_corpus(marked).lines == load_corpus(plain).lines
+    assert corpus_lines(load_corpus(marked)) == corpus_lines(load_corpus(plain))
 
 
 def test_load_corpus_skips_lines_that_scrub_to_nothing(tmp_path):
@@ -135,11 +138,28 @@ def test_load_corpus_missing_file_raises_oserror(tmp_path):
 
 
 def test_messages_are_immutable(toy_corpus):
-    assert toy_corpus.lines[0] == "the cat sat"
+    assert toy_corpus.texts == ("the cat sat\nthe cat ran\na cat sat",)
     with pytest.raises(TypeError):
-        toy_corpus.lines[0][0] = "x"
+        toy_corpus.texts[0][0] = "x"
     with pytest.raises(TypeError):
-        toy_corpus.lines[0] = "x"
+        toy_corpus.texts[0] = "x"
+
+
+def test_corpus_refuses_a_line_holding_a_line_break():
+    for lines in (["a b", "c\nd"], ["a\n"], ["\n"]):
+        with pytest.raises(ValueError, match="line break"):
+            Corpus(lines)
+
+
+def test_corpus_of_lines_keeps_them_in_texts_of_block_lines(toy_corpus):
+    with mock.patch.object(corpus_module, "BLOCK_LINES", 2):
+        corpus = Corpus(["a b", "", " ", "\t", "\x1c", "d e f"])
+    # A text whose lines hold no token is no text; blank lines inside one stay.
+    assert corpus.texts == ("a b\n", "\x1c\nd e f")
+    assert corpus_lines(corpus) == ("a b", "d e f")
+    assert len(corpus) == 2
+    with pytest.raises(EmptyCorpusError):
+        Corpus(["", " \u3000", "\x1c"])
 
 
 # Fragments where a whole-text scrub could part from a per-line one: line
@@ -343,7 +363,7 @@ def test_load_corpus_of_clean_text_runs_no_drop_pass(tmp_path):
     assert path.stat().st_size > 2 * corpus_module.READ_CHARS
     loaded, ran = _passes_run(lambda: load_corpus(path))
     assert ran == []
-    assert loaded.lines == tuple(clean)
+    assert corpus_lines(loaded) == tuple(clean)
 
 
 def test_each_drop_trigger_is_a_mark_of_the_literal_its_rule_begins_with():
@@ -389,13 +409,13 @@ def test_lines_keep_the_scrubs_whitespace_and_readers_split_it(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text(raw, encoding="utf-8")
     corpus = load_corpus(path)
-    assert corpus.lines == ("one \tthree  four", "a  b", "five", "üno  three")
+    assert corpus_lines(corpus) == ("one \tthree  four", "a  b", "five", "üno  three")
     assert _tokens(corpus) == _reference_messages(raw.split("\n"))
     assert list(corpus.vocabulary.items()) == [
         ("one", 1), ("three", 2), ("four", 1), ("a", 1), ("b", 1), ("five", 1), ("üno", 1)
     ]
     assert corpus.vocabulary.total() == 8
-    assert corpus.cover_pool == ("one \tthree  four",)
+    assert tuple(corpus.cover_pool) == ("one \tthree  four",)
 
 
 def test_vocabulary_is_the_count_of_every_lines_words_in_order(tmp_path):
@@ -407,8 +427,8 @@ def test_vocabulary_is_the_count_of_every_lines_words_in_order(tmp_path):
     path.write_text("\n".join(raw_lines(clean, seed=5)) + "\n", encoding="utf-8")
     corpus = load_corpus(path)
     assert len(corpus) == len(clean) > 2 * block
-    assert sum(line != " ".join(line.split()) for line in corpus.lines) > block
-    expected = Counter(chain.from_iterable(map(str.split, corpus.lines)))
+    assert sum(line != " ".join(line.split()) for line in corpus_lines(corpus)) > block
+    expected = Counter(chain.from_iterable(map(str.split, corpus_lines(corpus))))
     assert list(corpus.vocabulary.items()) == list(expected.items())
 
 
@@ -421,14 +441,16 @@ def test_cover_pool_holds_the_lines_with_enough_tokens(corpus_file, text):
     except EmptyCorpusError:
         return
     expected = tuple(
-        line for line in corpus.lines if len(line.split()) >= corpus_module.MIN_COVER_TOKENS
+        line for line in corpus_lines(corpus) if len(line.split()) >= corpus_module.MIN_COVER_TOKENS
     )
-    assert corpus.cover_pool == expected
+    assert tuple(corpus.cover_pool) == expected
 
 
 def test_loaded_corpus_holds_no_per_token_objects(tmp_path):
-    # One string per line: a tuple of token strings per message held 11x
-    # the file size, where the lines alone hold under 2x.
+    # One text per read: a tuple of token strings per message held 11x the
+    # file size, a tuple of lines 1.8x, and the texts hold about 1.02x. The
+    # word counts and an index of the covers add under half as much again,
+    # where a tuple of cover lines, beside the lines, took it to 2.3x.
     path = tmp_path / "corpus.txt"
     path.write_text("\n".join(synth_lines(20_000, 3)) + "\n", encoding="utf-8")
     size = path.stat().st_size
@@ -437,14 +459,41 @@ def test_loaded_corpus_holds_no_per_token_objects(tmp_path):
         before = tracemalloc.get_traced_memory()[0]
         corpus = load_corpus(path)
         retained, peak = (traced - before for traced in tracemalloc.get_traced_memory())
+        corpus.vocabulary
+        assert len(corpus.cover_pool) > 19_000
+        counted = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(corpus) == 20_000
-    assert retained <= 3 * size
+    assert retained <= 1.25 * size
+    assert counted <= 1.9 * size
     # The copies a load makes of its text on the way are bounded by the read
     # size, not by the file: default reads stay near a fifth of this file
     # (1.4 MB), where 256K-character reads pass 3/4 of it and reading the
     # whole file at once passes 12 times it.
+    assert peak - retained <= size // 2
+
+
+def test_the_codebook_and_encode_paths_build_no_line_tuple(tmp_path):
+    # What gen-codebook and encode do: load, count the words, draw a
+    # codebook from them, and hide one secret. No step holds the lines, or
+    # the cover lines, in a tuple or list of their own, for good or on the
+    # way: one for all 20,000 lines would take about 1.6x the file size.
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(synth_lines(20_000, 3)) + "\n", encoding="utf-8")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = load_corpus(path)
+        codebook = select_codebook(corpus.vocabulary, (14, None), DIGITS, seed=3)
+        result = steganize("2718", codebook, corpus, seed=5)
+        retained, peak = (traced - before for traced in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert "".join(decode(result.stego, codebook)) == "2718"
+    held = [*vars(corpus).values(), *vars(corpus.cover_pool).values()]
+    assert max(len(value) for value in held if isinstance(value, (tuple, list))) < 100
     assert peak - retained <= size // 2
 
 
@@ -454,7 +503,7 @@ def test_a_line_longer_than_many_reads_is_scrubbed_once(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes(f"first line\r\n{long_line}\r\nlast".encode("utf-8"))
     with mock.patch.object(corpus_module, "READ_CHARS", 4), mock.patch.object(
-        corpus_module, "_usable_lines", wraps=corpus_module._usable_lines
+        corpus_module, "_scrub_text", wraps=corpus_module._scrub_text
     ) as scrub:
         corpus = load_corpus(path)
     assert _tokens(corpus) == (("first", "line"), ("wörd",) * 834, ("last",))
@@ -529,7 +578,7 @@ def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("\n".join(raw) + "\n", encoding="utf-8")
     with mock.patch.object(
-        corpus_module, "_usable_lines", wraps=corpus_module._usable_lines
+        corpus_module, "_scrub_text", wraps=corpus_module._scrub_text
     ) as scrub, mock.patch.object(
         corpus_module, "_drop_tokens", wraps=corpus_module._drop_tokens
     ) as drop:
@@ -593,8 +642,8 @@ _containing_lines = st.lists(
 @example(lines=["a", "x", "b", "b", "c", "x", "x c", "x"], words={"a", "b", "c"})
 @settings(deadline=None)
 def test_containing_matches_brute_force_and_searches_each_word_once(block_lines, lines, words):
-    corpus = Corpus(lines)
     with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
+        corpus = Corpus(lines)
         held = tuple(corpus.containing(words))
         assert held == _containing_reference(lines, words, block_lines)
         # Every line that holds a word as a token, and possibly more.
@@ -610,5 +659,6 @@ def test_containing_matches_brute_force_and_searches_each_word_once(block_lines,
 
 
 def test_containing_refuses_the_empty_word():
-    with pytest.raises(ValueError, match="empty word"):
-        Corpus(["a"]).containing([""])
+    for words in ([""], ["a", ""], ["\n"], ["a\nb"], ["a", "b\n"]):
+        with pytest.raises(ValueError, match="empty word or a line break"):
+            Corpus(["a", "b"]).containing(words)

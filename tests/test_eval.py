@@ -20,6 +20,7 @@ from wordsteg.evaluate import (
 )
 from wordsteg.ngram import build_model
 
+from corpuslines import corpus_lines
 from kl_reference import kl_divergence, smoothed_distribution
 
 
@@ -152,11 +153,13 @@ def test_band_row_does_not_depend_on_other_bands(small_corpus):
 
 def test_empty_cover_pool_fails_every_band_trial():
     corpus = Corpus(["a b", "c d", "e"])
-    assert corpus.cover_pool == ()
+    assert tuple(corpus.cover_pool) == ()
     # A thin band is skipped before the empty pool fails the next band's trials.
     thin, row = run_band_experiment(corpus, [(2, None), (1, None)], ("0",), trials=25, seed=0)
     assert (thin["trials"], thin["failures"], thin["skipped"]) == (0, 0, True)
     assert (row["trials"], row["failures"], row["errors"], row["skipped"]) == (25, 25, 0, False)
+    # The reason every draw_cover caller gives for an empty pool.
+    assert row["reason"] == "no covers with >= 3 tokens after 0 attempts"
 
 
 def test_band_experiment_is_deterministic(small_corpus):
@@ -280,7 +283,7 @@ def test_negative_secret_len_is_rejected(small_corpus):
 
 
 def test_distinguisher_is_blind_on_identical_pairs(small_corpus):
-    pairs = [(m, m) for m in map(str.split, small_corpus.lines)]
+    pairs = [(m, m) for m in map(str.split, corpus_lines(small_corpus))]
     accuracy = distinguisher_accuracy(small_corpus, pairs, seed=5)
     assert 0.35 <= accuracy <= 0.65
 
@@ -298,7 +301,7 @@ def test_distinguisher_rejects_empty_input(small_corpus):
 
 
 def test_distinguisher_is_deterministic(small_corpus):
-    pairs = [(m, m) for m in map(str.split, small_corpus.lines[:50])]
+    pairs = [(m, m) for m in map(str.split, corpus_lines(small_corpus)[:50])]
     first = distinguisher_accuracy(small_corpus, pairs, seed=9)
     again = distinguisher_accuracy(small_corpus, pairs, seed=9)
     assert first == again

@@ -18,6 +18,7 @@ from wordsteg.ngram import (
     plausibility_score,
 )
 
+from corpuslines import corpus_lines
 from kl_reference import smoothed_distribution
 
 
@@ -72,7 +73,7 @@ def test_grams_do_not_span_messages():
 
 def test_unigrams_match_an_independent_recount(desk_corpus):
     recount = {}
-    for message in map(str.split, desk_corpus.lines):
+    for message in map(str.split, corpus_lines(desk_corpus)):
         for word in message:
             recount[word] = recount.get(word, 0) + 1
     assert list(desk_corpus.vocabulary.items()) == list(recount.items())
@@ -124,7 +125,7 @@ ALL_GRAMS = [g for n in range(2, MAX_N + 1) for g in product("abcz", repeat=n)]
 def test_counts_match_window_scan(messages):
     corpus = Corpus(" ".join(m) for m in messages)
     counts = count_grams(corpus, ALL_GRAMS)
-    token_lists = [line.split() for line in corpus.lines]
+    token_lists = [line.split() for line in corpus_lines(corpus)]
     assert corpus.vocabulary.total() == sum(map(len, token_lists))
     for word, count in corpus.vocabulary.items():
         assert count == window_count(token_lists, (word,))
@@ -140,7 +141,7 @@ def test_counts_match_window_scan(messages):
 def test_observer_count_holds_exactly_the_requested_grams(messages, requested):
     corpus = Corpus(" ".join(m) for m in messages)
     counts = count_grams(corpus, requested)
-    token_lists = [line.split() for line in corpus.lines]
+    token_lists = [line.split() for line in corpus_lines(corpus)]
     assert {g for table in counts.values() for g in table} == requested
     for n, table in counts.items():
         for gram, count in table.items():
@@ -163,7 +164,7 @@ cover_lists = st.lists(st.lists(st.sampled_from("abcde"), max_size=4), max_size=
 def test_model_counted_around_is_exact_where_it_answers(messages, codewords, covers):
     corpus = Corpus(" ".join(m) for m in messages)
     model = build_model(corpus, codewords, covers)
-    token_lists = [line.split() for line in corpus.lines]
+    token_lists = [line.split() for line in corpus_lines(corpus)]
     words = codewords | {w for cover in covers for w in cover}
     assert model.words == words
     assert set(model.counts) == set(range(2, MAX_N + 1))
@@ -182,12 +183,13 @@ def test_model_counted_around_is_exact_where_it_answers(messages, codewords, cov
 @given(messages=wide_messages, codewords=codeword_sets)
 @settings(deadline=None)
 def test_both_counts_are_exact_across_block_edges(block_lines, messages, codewords):
-    corpus = Corpus(" ".join(m) for m in messages)
-    token_lists = [line.split() for line in corpus.lines]
     grams = [g for n in range(2, MAX_N + 1) for g in product("abcdez", repeat=n)]
     with mock.patch.object(ngram_module, "BLOCK_LINES", block_lines), mock.patch.object(
         corpus_module, "BLOCK_LINES", block_lines
     ):
+        # Built inside the patch, so its texts end at the block edges too.
+        corpus = Corpus(" ".join(m) for m in messages)
+        token_lists = [line.split() for line in corpus_lines(corpus)]
         counts = count_grams(corpus, grams)
         model = build_model(corpus, codewords, [tuple("abcde")])
     for gram in grams:
@@ -250,7 +252,7 @@ def test_insertion_tables_do_not_grow_with_the_corpus():
 @settings(deadline=None)
 def test_longer_grams_never_outnumber_their_parts(messages):
     corpus = Corpus(" ".join(m) for m in messages)
-    grams = {g for line in corpus.lines for g in message_grams(line.split())}
+    grams = {g for line in corpus_lines(corpus) for g in message_grams(line.split())}
     counts = count_grams(corpus, grams)
 
     def count(gram):
@@ -309,7 +311,7 @@ many_words = st.sampled_from([f"w{i}" for i in range(12)])
 @settings(deadline=None)
 def test_score_is_the_mean_over_orders_one_to_three_in_order(messages, scored):
     corpus = Corpus(" ".join(m) for m in messages)
-    token_lists = [line.split() for line in corpus.lines]
+    token_lists = [line.split() for line in corpus_lines(corpus)]
     assert observe(corpus, scored) == reference_score(token_lists, scored)
 
 
