@@ -75,20 +75,23 @@ def contains_codeword(tokens: Sequence[str], codebook: Codebook) -> bool:
 def draw_cover(
     covers: Corpus, codebook: Codebook, rng: random.Random
 ) -> tuple[int, tuple[str, ...]]:
-    """Seeded uniform draws from covers.cover_pool, one rng.randrange each.
+    """Seeded uniform draws from covers.cover_pool, one rng.randrange each,
+    over len(pool) read once per call.
 
-    Each drawn line is split into its tokens. Returns (attempt, cover
-    tokens) for the first drawn cover that holds no codeword of `codebook`.
-    Raises SteganizeError on an empty pool (after 0 attempts), or once
+    Each drawn line is split into its tokens; the first draw into a text of
+    the corpus indexes that text, so a call indexes at most one text per
+    attempt. Returns (attempt, cover tokens) for the first drawn cover that
+    holds no codeword of `codebook`. Raises SteganizeError on an empty pool (after 0 attempts), or once
     MAX_ATTEMPTS covers have been drawn and every one held a codeword.
     There is no mode without rejection: run_band_experiment, which counts
     the covers that hold a codeword, draws from the pool itself.
     """
     pool = covers.cover_pool
-    if not pool:
+    size = len(pool)
+    if not size:
         raise SteganizeError(0, NO_COVERS)
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        cover = tuple(pool[rng.randrange(len(pool))].split())
+        cover = tuple(pool[rng.randrange(size)].split())
         if not contains_codeword(cover, codebook):
             return attempt, cover
     raise SteganizeError(MAX_ATTEMPTS, "every drawn cover contained a codeword")

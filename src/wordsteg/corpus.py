@@ -47,9 +47,11 @@ word counts are computed on first access, so a verb that never reads them
 (encode) never pays for them.
 
 The cover pool is an index of the lines with at least MIN_COVER_TOKENS
-tokens: the text number and start of each, in two arrays, so no verb holds
-the corpus text twice. It is built on first use, by splitting each text
-into its lines once; a draw slices one line out of its text.
+tokens, so no verb holds the corpus text twice. Built on first use, it
+counts each text's covers with one regex pass that stops only at the lines
+with fewer tokens, and makes no string per line; the first draw into a
+text indexes the starts of that text's covers, and a draw slices one line
+out of its text.
 
 The lines that may hold one of some words are found by str.find over each
 text, one hit per line, each hit's line bounded by the line breaks around
@@ -63,13 +65,28 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, filterfalse, islice
 import unicodedata
 
 from .errors import EmptyCorpusError
 
 # A cover must offer at least two inter-word slots before any insertion.
 MIN_COVER_TOKENS = 3
+
+# The line break before each line with fewer than MIN_COVER_TOKENS tokens.
+# A line that holds that many fails the first lookahead, a fast path, when
+# its first tokens are one space apart, and the second whatever whitespace,
+# other than a line break, comes before and between them; re's str \s is
+# str.split's whitespace, so a line's tokens are those line.split() gives.
+# The pattern begins with a literal, so re skips from one line break to the
+# next in C, and over "\n" + text it matches before the first line too.
+# Each repeated class is followed by one it shares no character with, so a
+# failed match backtracks little without possessive quantifiers, which
+# Python 3.10 lacks.
+_SHORT_LINE = re.compile(
+    r"\n(?!%s\S)(?![^\S\n]*%s\S)"
+    % (r"\S+ " * (MIN_COVER_TOKENS - 1), r"\S+[^\S\n]+" * (MIN_COVER_TOKENS - 1))
+)
 
 
 class _PunctuationTable(dict):
@@ -248,38 +265,61 @@ def scrub_message(raw: str) -> str:
 
 class CoverPool(Sequence):
     """The lines of a corpus's texts with at least MIN_COVER_TOKENS tokens,
-    in corpus order, held as an index and not as lines.
+    in corpus order, held as counts and indexes and not as lines.
 
-    Two arrays hold the text number and the start of each such line, 12
-    bytes a line, so the pool keeps no second copy of the corpus text:
-    pool[k] slices line k out of its text, up to the next line break, a new
-    string on every call. Each line is tested with a split capped at
-    MIN_COVER_TOKENS parts, which counts just far enough.
+    At build, each text's covers are counted by one _SHORT_LINE pass, which
+    finds the start of each line with fewer tokens; only those starts are
+    kept, for the texts that have any, and an array holds the text number
+    of each cover, 4 bytes a cover. The first draw into a text indexes the
+    starts of that text's covers, 8 bytes a cover, and later draws reuse
+    the index, so a verb that draws a few covers indexes a few texts and no
+    verb holds the corpus text twice. pool[k] slices line k out of its
+    text, up to the next line break, a new string on every call.
     """
 
     def __init__(self, texts: Sequence[str]):
         self._texts = texts
         self._numbers = array("I")
-        self._starts = array("Q")
+        self._firsts = []  # the rank of each text's first cover
+        self._short = {}  # text number -> the starts of its short lines
+        self._indexes = [None] * len(texts)  # each text's cover starts, once drawn
         for number, text in enumerate(texts):
-            lines = text.split("\n")
-            keep = [
-                len(line.split(None, MIN_COVER_TOKENS - 1)) == MIN_COVER_TOKENS
-                for line in lines
-            ]
-            # Each line starts one past the end of the line before it.
-            starts = accumulate(map((1).__add__, map(len, lines)), initial=0)
-            self._starts.extend(compress(starts, keep))
-            self._numbers.extend(repeat(number, keep.count(True)))
+            # Each match is the line break before a short line of "\n" + text,
+            # so its start is that line's start in text.
+            short = array("Q", map(re.Match.start, _SHORT_LINE.finditer("\n" + text)))
+            if short:
+                self._short[number] = short
+            self._firsts.append(len(self._numbers))
+            self._numbers += array("I", [number]) * (text.count("\n") + 1 - len(short))
 
     def __len__(self) -> int:
         return len(self._numbers)
 
     def __getitem__(self, k: int) -> str:
-        text = self._texts[self._numbers[k]]
-        start = self._starts[k]
+        if k < 0:
+            k += len(self._numbers)
+            if k < 0:
+                raise IndexError("cover pool index out of range")
+        number = self._numbers[k]
+        starts = self._indexes[number]
+        if starts is None:
+            starts = self._indexes[number] = self._index(number)
+        start = starts[k - self._firsts[number]]
+        text = self._texts[number]
         end = text.find("\n", start)
         return text[start:end] if end >= 0 else text[start:]
+
+    def _index(self, number: int) -> array:
+        """The start of each cover of text `number`."""
+        # Each line starts one past the end of the line before it; the last
+        # value is one past the end of the text and starts no line.
+        starts = accumulate(
+            map((1).__add__, map(len, self._texts[number].split("\n"))), initial=0
+        )
+        short = self._short.get(number)
+        index = array("Q", filterfalse(set(short).__contains__, starts) if short else starts)
+        index.pop()
+        return index
 
 
 class Corpus:
@@ -296,8 +336,8 @@ class Corpus:
     a line break.
 
     vocabulary and cover_pool are computed on first access and then kept;
-    len() and containing read the texts again on every call and keep
-    nothing.
+    the pool indexes a text's covers when a draw first lands in it. len()
+    and containing read the texts again on every call and keep nothing.
     """
 
     def __init__(self, lines: Iterable[str]):
@@ -344,7 +384,8 @@ class Corpus:
 
     @cached_property
     def cover_pool(self) -> CoverPool:
-        """The lines long enough to serve as covers, indexed on first use.
+        """The lines long enough to serve as covers, counted on first use
+        and indexed text by text as draws land in them.
 
         Empty when no line qualifies; codec.draw_cover raises on that.
         """

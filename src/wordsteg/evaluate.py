@@ -85,18 +85,21 @@ def run_band_experiment(
 
     Each band gets its own codebook, drawn from corpus.vocabulary, and
     `trials` cover draws without rejection, so not through draw_cover: each
-    trial takes pool[rng.randrange(len(pool))] from corpus.cover_pool, in
-    turn from one rng seeded by the band's index. So a band's row does not depend on the other bands or on the order they
-    run in. A raw embed into a drawn cover decodes wrongly exactly when
-    that cover already holds a codeword: insertion always finds a slot and
-    the inserted codewords decode in order, so no other error occurs,
-    whatever the secret. Errors therefore count the drawn covers that hold
-    a codeword. Bands too thin to fill a codebook are reported as skipped,
-    not raised. When no message has MIN_COVER_TOKENS or more tokens, the
-    cover pool is empty and nothing can be drawn: failures then equals
-    trials for every band not skipped, errors is 0, and the reason is the
-    one draw_cover gives, "no covers with >= 3 tokens after 0 attempts";
-    otherwise failures is 0. Returns one _band_row per band.
+    trial takes pool[rng.randrange(size)] from pool = corpus.cover_pool,
+    with size = len(pool) read once per band, each draw in turn from one
+    rng seeded by the band's index; the first draw into a text of the
+    corpus indexes that text. So a band's row does not depend on the other
+    bands or on the order they run in. A raw embed into a drawn cover
+    decodes wrongly exactly when that cover already holds a codeword:
+    insertion always finds a slot and the inserted codewords decode in
+    order, so no other error occurs, whatever the secret. Errors therefore
+    count the drawn covers that hold a codeword. Bands too thin to fill a
+    codebook are reported as skipped, not raised. When no message has
+    MIN_COVER_TOKENS or more tokens, the cover pool is empty and nothing
+    can be drawn: failures then equals trials for every band not skipped,
+    errors is 0, and the reason is the one draw_cover gives, "no covers
+    with >= 3 tokens after 0 attempts"; otherwise failures is 0. Returns
+    one _band_row per band.
     """
     if not bands:
         raise ValueError("need at least one band")
@@ -111,14 +114,15 @@ def run_band_experiment(
             rows.append(_band_row(band, trials=0, errors=0, reason=str(exc)))
             continue
         pool = corpus.cover_pool
-        if not pool:
+        size = len(pool)
+        if not size:
             reason = str(SteganizeError(0, NO_COVERS))
             rows.append(_band_row(band, trials, errors=0, failures=trials, reason=reason))
             continue
         errors = 0
         rng = random.Random(derive_seed(seed, "band", index, "trials"))
         for _ in range(trials):
-            errors += contains_codeword(pool[rng.randrange(len(pool))].split(), codebook)
+            errors += contains_codeword(pool[rng.randrange(size)].split(), codebook)
         rows.append(_band_row(band, trials, errors))
     return rows
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordsteg import corpus as corpus_module
 from wordsteg.codebook import DIGITS, Codebook, select_codebook
 from wordsteg.codec import (
     MAX_ATTEMPTS,
@@ -16,7 +17,7 @@ from wordsteg.codec import (
     insert_codewords,
     steganize,
 )
-from wordsteg.corpus import Corpus, load_corpus, scrub_message
+from wordsteg.corpus import MIN_COVER_TOKENS, Corpus, load_corpus, scrub_message
 from wordsteg.errors import CodebookValidationError, SteganizeError
 from wordsteg.ngram import build_model
 
@@ -220,6 +221,30 @@ def test_encode_path_never_counts_the_vocabulary(small_corpus):
     result = steganize("314", codebook, corpus, seed=99)
     assert decode(result.stego, codebook) == ("3", "1", "4")
     assert "vocabulary" not in corpus.__dict__
+
+
+@pytest.mark.parametrize("seed", [2, 4, 9])
+def test_encode_path_indexes_only_the_texts_it_draws_from(small_corpus, seed):
+    # One steganize on a fresh corpus of 25 texts: each attempt draws one
+    # cover, and only the texts those covers lie in have their line starts
+    # indexed; the others are only counted.
+    codebook = select_codebook(small_corpus.vocabulary, (14, None), DIGITS, seed=1)
+    with mock.patch.object(corpus_module, "BLOCK_LINES", 16):
+        corpus = Corpus(synth_lines(n_messages=400, seed=3, vocab_size=500))
+    result = steganize("314", codebook, corpus, seed=seed)
+    assert result.attempts >= 3
+    # Brute force: the text of each cover a seeded draw lands on.
+    text_of = [
+        number
+        for number, text in enumerate(corpus.texts)
+        for line in text.split("\n")
+        if len(line.split()) >= MIN_COVER_TOKENS
+    ]
+    rng = random.Random(seed)
+    drawn = {text_of[rng.randrange(len(text_of))] for _ in range(result.attempts)}
+    indexes = vars(corpus.cover_pool)["_indexes"]
+    assert len(indexes) == len(corpus.texts) == 25
+    assert {number for number, index in enumerate(indexes) if index is not None} == drawn
 
 
 def test_a_loop_of_calls_searches_each_call_for_its_own_codewords(desk_corpus):

@@ -1,3 +1,4 @@
+import random
 import re
 import string
 import tracemalloc
@@ -11,10 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordsteg import corpus as corpus_module
-from wordsteg.codebook import DIGITS, select_codebook
-from wordsteg.codec import decode, steganize
+from wordsteg.codebook import DIGITS, Codebook, select_codebook
+from wordsteg.codec import (
+    MAX_ATTEMPTS,
+    NO_COVERS,
+    contains_codeword,
+    decode,
+    draw_cover,
+    steganize,
+)
 from wordsteg.corpus import Corpus, load_corpus, scrub_message
-from wordsteg.errors import EmptyCorpusError
+from wordsteg.errors import EmptyCorpusError, SteganizeError
 
 from corpuslines import corpus_lines
 from synthcorpus import raw_lines, synth_lines
@@ -432,18 +440,82 @@ def test_vocabulary_is_the_count_of_every_lines_words_in_order(tmp_path):
     assert list(corpus.vocabulary.items()) == list(expected.items())
 
 
+def _covers(lines):
+    """Brute force: the lines with at least MIN_COVER_TOKENS tokens."""
+    return tuple(line for line in lines if len(line.split()) >= corpus_module.MIN_COVER_TOKENS)
+
+
+@pytest.mark.parametrize("read_chars", [1, 2, 3, 5, 8, corpus_module.READ_CHARS])
 @given(text=_hazard_text(st.sampled_from("ab \t\u3000@")))
 @settings(deadline=None)
-def test_cover_pool_holds_the_lines_with_enough_tokens(corpus_file, text):
+def test_cover_pool_holds_the_lines_with_enough_tokens(corpus_file, read_chars, text):
     corpus_file.write_bytes(text.encode("utf-8"))
     try:
-        corpus = load_corpus(corpus_file)
+        with mock.patch.object(corpus_module, "READ_CHARS", read_chars):
+            corpus = load_corpus(corpus_file)
     except EmptyCorpusError:
         return
-    expected = tuple(
-        line for line in corpus_lines(corpus) if len(line.split()) >= corpus_module.MIN_COVER_TOKENS
-    )
-    assert tuple(corpus.cover_pool) == expected
+    assert tuple(corpus.cover_pool) == _covers(corpus_lines(corpus))
+
+
+# Whitespace that str.split splits on and no line break of a Corpus: ASCII
+# controls, the \x1c-\x1f separators, NEL, no-break, em and ideographic spaces.
+POOL_SPACES = ["\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", " ",
+               "\xa0", "\u2003", "\u3000"]
+_pool_line = st.lists(
+    st.lists(st.sampled_from(POOL_SPACES), max_size=2).map("".join)
+    | st.sampled_from(["a", "bc"]), max_size=7
+).map("".join)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3])
+@given(lines=st.lists(_pool_line, max_size=12), order=st.randoms(use_true_random=False))
+@settings(deadline=None)
+def test_cover_pool_of_lines_matches_brute_force_in_any_order(block_lines, lines, order):
+    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
+        try:
+            corpus = Corpus(lines)
+        except EmptyCorpusError:
+            return
+    expected = _covers(lines)
+    pool = corpus.cover_pool
+    assert len(pool) == len(expected)
+    ranks = list(range(len(expected)))
+    order.shuffle(ranks)
+    assert {k: pool[k] for k in ranks} == dict(enumerate(expected))
+    with pytest.raises(IndexError):
+        pool[len(expected)]
+    with pytest.raises(IndexError):
+        pool[-len(expected) - 1]
+    if expected:
+        assert pool[-1] == expected[-1]
+        assert pool[-len(expected)] == expected[0]
+    # A fresh corpus draws what a draw over the brute-force tuple draws.
+    codebook = Codebook(("0",), {"0": "a"}, (1, None), 0)
+    for seed in range(4):
+        with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
+            fresh = Corpus(lines)
+        assert _draw_outcome(draw_cover, fresh, codebook, seed) == _draw_outcome(
+            _reference_draw, expected, codebook, seed
+        )
+
+
+def _reference_draw(covers, codebook, rng):
+    """draw_cover over a tuple of cover lines."""
+    if not covers:
+        raise SteganizeError(0, NO_COVERS)
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        cover = tuple(covers[rng.randrange(len(covers))].split())
+        if not contains_codeword(cover, codebook):
+            return attempt, cover
+    raise SteganizeError(MAX_ATTEMPTS, "every drawn cover contained a codeword")
+
+
+def _draw_outcome(draw, covers, codebook, seed):
+    try:
+        return draw(covers, codebook, random.Random(seed))
+    except SteganizeError as exc:
+        return str(exc)
 
 
 def test_loaded_corpus_holds_no_per_token_objects(tmp_path):
@@ -484,17 +556,25 @@ def test_the_codebook_and_encode_paths_build_no_line_tuple(tmp_path):
     size = path.stat().st_size
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
         corpus = load_corpus(path)
         codebook = select_codebook(corpus.vocabulary, (14, None), DIGITS, seed=3)
+        held, peak = tracemalloc.get_traced_memory()
+        codebook_transient = peak - held
+        tracemalloc.reset_peak()
         result = steganize("2718", codebook, corpus, seed=5)
-        retained, peak = (traced - before for traced in tracemalloc.get_traced_memory())
+        held, peak = tracemalloc.get_traced_memory()
+        encode_transient = peak - held
     finally:
         tracemalloc.stop()
     assert "".join(decode(result.stego, codebook)) == "2718"
     held = [*vars(corpus).values(), *vars(corpus.cover_pool).values()]
     assert max(len(value) for value in held if isinstance(value, (tuple, list))) < 100
-    assert peak - retained <= size // 2
+    # What each step takes on the way and lets go of. The codebook path
+    # peaks while the word count splits one read-sized text, at about 0.53x
+    # this file; the encode stays under a sixth of it, where a tuple of the
+    # cover lines made on the way to one draw takes it to 1.8x.
+    assert codebook_transient <= size * 2 // 3
+    assert encode_transient <= size // 4
 
 
 def test_a_line_longer_than_many_reads_is_scrubbed_once(tmp_path):

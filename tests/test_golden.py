@@ -8,15 +8,20 @@ counts has to reproduce them exactly.
 """
 
 import hashlib
+import json
+from itertools import cycle
 
 import pytest
 
+from wordsteg import corpus as corpus_module
 from wordsteg.cli import main
 from wordsteg.codebook import DIGITS, Codebook, load_codebook, save_codebook
 from wordsteg.codec import steganize
 from wordsteg.corpus import Corpus, load_corpus
 from wordsteg.errors import SteganizeError
 from wordsteg.evaluate import build_pairs, run_density_experiment
+
+from synthcorpus import synth_lines
 
 GEN_CODEBOOK = ["gen-codebook", "--corpus", "CORPUS", "--band", "14+", "--seed", "3",
                 "--out", "CODEBOOK"]
@@ -61,6 +66,32 @@ GOLDEN_ENCODE_COMMON = (
 GOLDEN_DISTINGUISH_COMMON = (
     "pairs,correct,accuracy,advantage\r\n"
     "120,72,0.6,0.19999999999999996\r\n"
+)
+
+# The edge corpus (edge_lines): encode with --out, and eval band and eval
+# density at their default settings.
+GOLDEN_EDGE_ENCODE = "w0011 w0139 w0002 w0121 w0101 w0107 w0151 w0160 w0002 w0960\n"
+GOLDEN_EDGE_ENCODE_RESULTS = {
+    "attempts": 1,
+    "cover": "w0011 w0002 w0101 w0107 w0002 w0960",
+    "density": 0.4,
+    "inserted_positions": [1, 3, 6, 7],
+    "stego": "w0011 w0139 w0002 w0121 w0101 w0107 w0151 w0160 w0002 w0960",
+}
+GOLDEN_EDGE_BAND = (
+    "band,trials,errors,failures,skipped,reason\r\n"
+    "4-6,2000,27,0,False,\r\n"
+    "6-8,2000,46,0,False,\r\n"
+    "8-12,2000,47,0,False,\r\n"
+    "14+,2000,164,0,False,\r\n"
+)
+GOLDEN_EDGE_DENSITY = (
+    "target_density,realized_density,trials,kl_nats,skipped,reason\r\n"
+    "0.0,0.0,500,0.16854150685440136,False,\r\n"
+    "0.05,0.0799488327470419,500,0.1857640406327491,False,\r\n"
+    "0.1,0.10262008733624454,500,0.1998655169308185,False,\r\n"
+    "0.2,0.20038910505836577,500,0.2685062192260694,False,\r\n"
+    "0.3,0.30017027487229386,500,0.35499738634176725,False,\r\n"
 )
 
 EMPTY_POOL_REASON = "no covers with >= 3 tokens after 0 attempts"
@@ -182,3 +213,69 @@ def test_common_codebook_holds_the_most_frequent_word(golden_files, small_corpus
     vocabulary = load_corpus(small_corpus_path).vocabulary
     (top, _), = vocabulary.most_common(1)
     assert top in load_codebook(golden_files["COMMON"]).inverse
+
+
+# Line forms whose token count is easily got wrong: one token, none, two
+# (tab- or space-separated), and many separated by ideographic spaces, which
+# the scrub turns into spaces.
+EDGE_FORMS = (
+    lambda words: words[0],
+    lambda words: "",
+    lambda words: "\t".join(words[:2]),
+    "　".join,
+    lambda words: " ".join(words[:2]),
+)
+
+
+def edge_lines():
+    """Chatter over three read edges: every fifth line, and every line
+    within 300 characters before or 100 after a multiple of READ_CHARS, in
+    one of EDGE_FORMS, so the first and last lines of the loaded texts take
+    those forms."""
+    lines, size = [], 0
+    forms = cycle(EDGE_FORMS)
+    read = corpus_module.READ_CHARS
+    for number, line in enumerate(synth_lines(4000, 38)):
+        if number % 5 == 0 or read - size % read < 300 or size % read < 100:
+            line = next(forms)(line.split())
+        lines.append(line)
+        size += len(line) + 1
+    return lines
+
+
+@pytest.fixture(scope="module")
+def edge_files(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("edges")
+    files = {"CORPUS": str(workdir / "edges.txt"), "CODEBOOK": str(workdir / "cb14.json")}
+    (workdir / "edges.txt").write_text("\n".join(edge_lines()) + "\n", encoding="utf-8")
+    texts = load_corpus(files["CORPUS"]).texts
+    # Four reads, each text ending in a line too short to be a cover.
+    assert len(texts) == 4
+    assert all(len(text.rsplit("\n", 1)[-1].split()) < 3 for text in texts[:-1])
+    assert main(_argv(files, GEN_CODEBOOK)) == 0
+    return files
+
+
+def test_edge_corpus_encode_matches_golden(edge_files, tmp_path, capsys):
+    out = tmp_path / "encode.json"
+    argv = ["encode", "--secret", "2718", "--codebook", "CODEBOOK", *FILES, "--seed", "13",
+            "--out", str(out)]
+    capsys.readouterr()
+    assert main(_argv(edge_files, argv)) == 0
+    assert capsys.readouterr().out == GOLDEN_EDGE_ENCODE
+    assert json.loads(out.read_text(encoding="utf-8"))["results"] == GOLDEN_EDGE_ENCODE_RESULTS
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["eval", "band", *FILES, "--format", "csv"], GOLDEN_EDGE_BAND),
+        (["eval", "density", *FILES, "--codebook", "CODEBOOK", "--format", "csv"],
+         GOLDEN_EDGE_DENSITY),
+    ],
+    ids=["eval-band", "eval-density"],
+)
+def test_edge_corpus_eval_matches_golden(edge_files, capsys, argv, expected):
+    capsys.readouterr()
+    assert main(_argv(edge_files, argv)) == 0
+    assert capsys.readouterr().out == expected
