@@ -279,7 +279,7 @@ class CoverPool(Sequence):
 
     def __init__(self, texts: Sequence[str]):
         self._texts = texts
-        self._numbers = array("I")
+        self._numbers = array("I")  # the text number of each cover
         self._firsts = []  # the rank of each text's first cover
         self._short = {}  # text number -> the starts of its short lines
         self._indexes = [None] * len(texts)  # each text's cover starts, once drawn

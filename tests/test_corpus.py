@@ -470,6 +470,11 @@ _pool_line = st.lists(
 
 @pytest.mark.parametrize("block_lines", [1, 2, 3])
 @given(lines=st.lists(_pool_line, max_size=12), order=st.randoms(use_true_random=False))
+# Blank lines and lines of one and two tokens around covers of each spacing.
+@example(
+    lines=["", "a bc\ta", "bc", "\u3000a\x1cbc\x85a ", "a bc", " ", "bc\ra\xa0abc", "a\x0bbc"],
+    order=random.Random(0),
+)
 @settings(deadline=None)
 def test_cover_pool_of_lines_matches_brute_force_in_any_order(block_lines, lines, order):
     with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
@@ -490,8 +495,9 @@ def test_cover_pool_of_lines_matches_brute_force_in_any_order(block_lines, lines
     if expected:
         assert pool[-1] == expected[-1]
         assert pool[-len(expected)] == expected[0]
-    # A fresh corpus draws what a draw over the brute-force tuple draws.
-    codebook = Codebook(("0",), {"0": "a"}, (1, None), 0)
+    # A fresh corpus draws what a draw over the brute-force tuple draws, and
+    # rejects the same covers.
+    codebook = Codebook(("0",), {"0": "abc"}, (1, None), 0)
     for seed in range(4):
         with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
             fresh = Corpus(lines)
