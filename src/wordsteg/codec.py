@@ -12,7 +12,7 @@ inserted codeword, and its other words are cover words or codewords, so
 steganize draws the cover first and then counts the model for that cover
 and the secret's codewords alone (build_model(corpus, codewords, [cover]));
 the counts are exact for every gram it scores. The count reads only the
-messages that hold one of those codewords, which the Corpus searches for
+lines that may hold one of those codewords, which the Corpus searches for
 again on every call and does not keep. Decoding is a plain scan: every
 token that is a codeword contributes its symbol.
 
@@ -81,10 +81,11 @@ def draw_cover(
     Each drawn line is split into its tokens; the first draw into a text of
     the corpus indexes that text, so a call indexes at most one text per
     attempt. Returns (attempt, cover tokens) for the first drawn cover that
-    holds no codeword of `codebook`. Raises SteganizeError on an empty pool (after 0 attempts), or once
-    MAX_ATTEMPTS covers have been drawn and every one held a codeword.
-    There is no mode without rejection: run_band_experiment, which counts
-    the covers that hold a codeword, draws from the pool itself.
+    holds no codeword of `codebook`. Raises SteganizeError on an empty pool
+    (after 0 attempts), or once MAX_ATTEMPTS covers have been drawn and
+    every one held a codeword. There is no mode without rejection:
+    run_band_experiment, which counts the covers that hold a codeword,
+    draws from the pool itself.
     """
     pool = covers.cover_pool
     size = len(pool)

@@ -53,11 +53,12 @@ with fewer tokens, and makes no string per line; the first draw into a
 text indexes the starts of that text's covers, and a draw slices one line
 out of its text.
 
-The lines that may hold one of some words are found by str.find over each
+The texts that may hold one of some words are found by str.find over each
 text, one hit per line, each hit's line bounded by the line breaks around
-it; the search stops at the first text in which more than half the lines
-hold one word, and takes every line from there on. Each call searches
-again and keeps nothing on the corpus.
+it, and a text's hit lines are joined into one string; the search stops at
+the first text in which more than half the lines hold one word, and takes
+every text from there on as it is. Each call searches again and keeps
+nothing on the corpus.
 """
 
 import re
@@ -65,7 +66,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, chain, filterfalse, islice
+from itertools import accumulate, filterfalse, islice
 import unicodedata
 
 from .errors import EmptyCorpusError
@@ -164,10 +165,10 @@ _BYTE_DROPS = tuple(
     (trigger.encode(), re.compile(rule.encode())) for trigger, rule in _DROP_RULES
 )
 
-# Lines per text of a Corpus built from lines, and per block in which
-# ngram.build_model reads the lines it is given. Large enough that the
-# per-call overhead vanishes, small enough that a block's copies of its
-# text stay a small share of the corpus's memory.
+# Lines per text of a Corpus built from lines; only Corpus(lines) reads it.
+# Large enough that the per-text overhead of each reader vanishes, small
+# enough that a reader's copies of one text stay a small share of the
+# corpus's memory.
 BLOCK_LINES = 1024
 
 # Characters per read of a corpus file, and so per text of a loaded Corpus:
@@ -392,44 +393,43 @@ class Corpus:
         return CoverPool(self.texts)
 
     def containing(self, words: Iterable[str]) -> Iterator[str]:
-        """The lines in which any of `words` may occur, in corpus order.
+        """The texts in which any of `words` may occur, in corpus order.
 
-        These are the lines in which a word occurs as a substring, so every
-        line that holds one as a token, up to the first text in which more
-        than half the lines hold one word; from that text on, every line
-        that holds a token. A line taken that holds no word costs its reader
-        about one split, about what a hit costs the search, so past such a
-        text taking every line is the cheaper guess, and the search stops
-        there.
+        For each text up to the first in which more than half the lines hold
+        one word, one string of the lines of it in which a word occurs as a
+        substring, joined by "\n" in text order, so every line that holds
+        one as a token; a text with no such line gives nothing. From that
+        text on, every text as the corpus holds it, blank lines included. A
+        line taken that holds no word costs its reader about one split, about
+        what a hit costs the search, so past such a text taking every line
+        is the cheaper guess, and the search stops there.
 
         Each text is searched with str.find, word by word. A word holds no
         line break, so each hit lies inside one line, which rfind and find
         of "\n" bound; the search resumes at the end of that line, so the
         Python work per word is bounded by the lines that hold it, not by
-        its occurrences. The search runs when containing is called; the
-        lines are sliced out of the texts as they are yielded. Every call
-        searches again and keeps nothing. Raises ValueError for the empty
-        word and for a word that holds a line break.
+        its occurrences. The search runs when containing is called. Every
+        call searches again and keeps nothing. Raises ValueError for the
+        empty word and for a word that holds a line break.
         """
         words = set(words)
         if any(not word or "\n" in word for word in words):
             raise ValueError("cannot search the lines for the empty word or a line break")
-        hits = []  # (text, the (start, end) of each line of it that holds a word)
-        tail = ()
+        held = []
         # With no word, no text is searched.
         for number, text in enumerate(self.texts if words else ()):
-            spans = _lines_holding(text, words)
-            if spans is None:
-                tail = chain.from_iterable(text.split("\n") for text in self.texts[number:])
+            lines = _lines_holding(text, words)
+            if lines is None:
+                held += self.texts[number:]
                 break
-            hits.append((text, spans))
-        held = (text[start:end] for text, spans in hits for start, end in spans)
-        return filter(str.strip, chain(held, tail))
+            if lines:
+                held.append(lines)
+        return iter(held)
 
 
-def _lines_holding(text: str, words: set[str]) -> list[tuple[int, int]] | None:
-    """The (start, end) of each line of text in which one of words occurs,
-    in text order, or None once more than half its lines hold one word."""
+def _lines_holding(text: str, words: set[str]) -> str | None:
+    """The lines of text in which one of words occurs, joined by "\n" in
+    text order, or None once more than half its lines hold one word."""
     ends = {}  # line start -> line end
     half = (text.count("\n") + 1) // 2
     for word in words:
@@ -445,7 +445,7 @@ def _lines_holding(text: str, words: set[str]) -> list[tuple[int, int]] | None:
             if held > half:
                 return None
             at = text.find(word, end)
-    return sorted(ends.items())
+    return "\n".join(text[start:end] for start, end in sorted(ends.items()))
 
 
 def load_corpus(path) -> Corpus:

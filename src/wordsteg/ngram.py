@@ -10,38 +10,40 @@ them afresh from the corpus it loads.
 Insertion (build_model) scores a slot only by the grams of orders 2 and 3
 that hold the inserted codeword; insertion only puts codewords between
 cover words, so every other word of such a gram is a cover word or a
-codeword. The model therefore scans only the messages that hold a codeword,
-counts every other word in them as one placeholder, None, and keeps only the
-grams that hold a codeword. Its tables are bounded by the covers'
-vocabulary, and codec.insert_codewords refuses a word or neighbour outside
-it. Corpus.containing finds those messages: it searches the corpus text for
-the codewords on every call and keeps nothing, and only the lines it returns
-are split.
+codeword. The model therefore reads only the lines that may hold a
+codeword, counts every other word in them as one placeholder, None, and
+keeps only the grams that hold a codeword. Its tables are bounded by the
+covers' vocabulary, and codec.insert_codewords refuses a word or neighbour
+outside it. Corpus.containing finds those lines: it searches the corpus
+texts for the codewords on every call, keeps nothing, and gives texts of
+the lines it finds.
 
 The observer (count_grams, plausibility_score) scores only the messages it is
 shown: it reads their words in Corpus.vocabulary and asks for exactly their
 bigrams and trigrams, counting nothing else; looking up any other gram raises
 ValueError. eval band and eval density count no n-grams at all.
+
+Both counts read texts, whole lines joined by "\n", and split each text once
+with a separator token in place of each line break.
 """
 
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse
 
-from .corpus import BLOCK_LINES, Corpus
+from .corpus import Corpus
 
 # Orders above 3 are almost all singletons at the corpus sizes this tool
 # targets (~1e5 short messages) and add nothing but memory.
 MAX_N = 3
 
-# build_model reads its lines BLOCK_LINES at a time and count_grams reads the
-# corpus one text at a time, so that one zip per order serves a whole block
-# or text. count_grams puts this token in place of each line break of a
-# text: the scrub deletes every punctuation character, so it is never a
-# word, and any gram that spans two messages holds it; count_grams refuses a
-# requested gram that holds it.
+# Both counts put this token in place of each line break of a text: the
+# scrub deletes every punctuation character, so it is never a word, and any
+# gram that spans two messages holds it. count_grams refuses a requested
+# gram that holds it, and build_model counts it as None.
 _SEPARATOR = "."
+_JOINER = f" {_SEPARATOR} "
 
 
 class NGramModel:
@@ -69,12 +71,11 @@ def build_model(
 ) -> NGramModel:
     """Count orders 2..MAX_N for inserting `codewords` into `covers`.
 
-    Only the messages that hold a codeword are scanned, since every gram
-    that holds one lies inside such a message: corpus.containing gives the
-    lines that may hold one, and each is split once and kept only when a
-    codeword is one of its tokens. They are read BLOCK_LINES lines at a
-    time. Within them, each word that is neither a codeword nor a word of
-    `covers` becomes None, and only the grams that hold a codeword are
+    Only the lines that may hold a codeword are read, since every gram that
+    holds one lies inside a line that holds it: corpus.containing gives texts
+    of them, each split once with a separator after each line. Each word
+    that is neither a codeword nor a word of `covers`, the separator
+    included, becomes None, and only the grams that hold a codeword are
     kept, so the tables hold at most (len(words) + 1) ** n keys of order n.
     """
     codewords = frozenset(codewords)
@@ -82,16 +83,13 @@ def build_model(
     known = {word: word for word in chain(codewords, chain.from_iterable(covers))}
     counts = {n: Counter() for n in range(2, MAX_N + 1)}
     # A line that holds a codeword as a token holds it as a substring too.
-    lines = corpus.containing(codewords)
-    while block := list(islice(lines, BLOCK_LINES)):
-        messages = [m for m in map(str.split, block) if not codewords.isdisjoint(m)]
-        # A None after each message: no gram that spans two messages is read.
-        for m in messages:
-            m.append(None)
-        tokens = list(map(known.get, chain.from_iterable(messages)))
+    for text in corpus.containing(codewords):
+        words = text.replace("\n", _JOINER).split()
+        words.append(_SEPARATOR)
+        tokens = list(map(known.get, words))
         for n, table in counts.items():
             # zip over n staggered views yields exactly the n-grams of the
-            # block; only those that hold a codeword are ever read.
+            # text; only those that hold a codeword are ever read.
             table.update(
                 filterfalse(codewords.isdisjoint, zip(*(tokens[i:] for i in range(n))))
             )
@@ -114,9 +112,8 @@ def count_grams(
             raise ValueError(f"cannot count the gram {gram!r}")
         tables[len(gram)][gram] = 0
     wanted = {n: frozenset(table) for n, table in tables.items()}
-    joiner = f" {_SEPARATOR} "
     for text in corpus.texts:
-        tokens = text.replace("\n", joiner).split()
+        tokens = text.replace("\n", _JOINER).split()
         for n, table in tables.items():
             table.update(
                 filter(wanted[n].__contains__, zip(*(tokens[i:] for i in range(n))))

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 import string
@@ -24,7 +25,7 @@ from wordsteg.codec import (
 from wordsteg.corpus import Corpus, load_corpus, scrub_message
 from wordsteg.errors import EmptyCorpusError, SteganizeError
 
-from corpuslines import corpus_lines
+from corpuslines import corpus_lines, text_lines
 from synthcorpus import raw_lines, synth_lines
 
 
@@ -730,16 +731,31 @@ _containing_lines = st.lists(
 def test_containing_matches_brute_force_and_searches_each_word_once(block_lines, lines, words):
     with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
         corpus = Corpus(lines)
-        held = tuple(corpus.containing(words))
+        texts = tuple(corpus.containing(words))
+        held = text_lines(texts)
         assert held == _containing_reference(lines, words, block_lines)
         # Every line that holds a word as a token, and possibly more.
         tokens = [line for line in lines if not words.isdisjoint(line.split())]
         assert set(tokens) <= set(held)
+        # A text with no hit gives nothing; from the first text in which
+        # more than half the lines hold one word, the corpus's own texts.
+        stop = next(
+            (
+                number
+                for number, text in enumerate(corpus.texts)
+                for word in words
+                if 2 * sum(word in line for line in text.split("\n")) > text.count("\n") + 1
+            ),
+            len(corpus.texts),
+        )
+        tail = corpus.texts[stop:]
+        assert all(texts) and len(texts) >= len(tail)
+        assert all(map(operator.is_, texts[len(texts) - len(tail) :], tail))
         # A repeated request, alone or with words asked for before, gives
-        # the same lines.
-        assert tuple(corpus.containing(words)) == held
+        # the same texts.
+        assert tuple(corpus.containing(words)) == texts
         for word in words:
-            assert tuple(corpus.containing([word])) == _containing_reference(
+            assert text_lines(corpus.containing([word])) == _containing_reference(
                 lines, [word], block_lines
             )
 
