@@ -5,7 +5,7 @@ removes the token classes that cannot occur in spoken language, then strips
 punctuation from whatever remains. Misspellings and other quirks are kept
 as-is; they are part of the cover signal.
 
-load_corpus is the one reader of raw text; Corpus(lines) takes lines that
+load_corpus is the one reader of raw text; Corpus(texts) takes texts that
 are already scrubbed. A corpus file is read about 64K characters at a time,
 each read cut at its last line break, with no Python code run per line.
 Each read is one string that is lowercased, cleared of dropped tokens by
@@ -66,7 +66,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, filterfalse, islice
+from itertools import accumulate, filterfalse
 import unicodedata
 
 from .errors import EmptyCorpusError
@@ -165,15 +165,9 @@ _BYTE_DROPS = tuple(
     (trigger.encode(), re.compile(rule.encode())) for trigger, rule in _DROP_RULES
 )
 
-# Lines per text of a Corpus built from lines; only Corpus(lines) reads it.
-# Large enough that the per-text overhead of each reader vanishes, small
-# enough that a reader's copies of one text stay a small share of the
-# corpus's memory.
-BLOCK_LINES = 1024
-
 # Characters per read of a corpus file, and so per text of a loaded Corpus:
-# about one block of typical messages, for the same reasons. Larger reads
-# raise the peak memory of a load.
+# about a thousand typical messages, enough that each reader's cost per text
+# vanishes. Larger reads raise the peak memory of a load and of the readers.
 READ_CHARS = 1 << 16
 
 
@@ -326,38 +320,22 @@ class CoverPool(Sequence):
 class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
-    texts holds the messages as a few long strings, each of whole lines
-    joined by "\n", one message a line; no line is held as a string of its
-    own, and line.split() gives a line's tokens. A text may hold lines with
-    no token, which no reader takes for a message. A line keeps the
-    whitespace the scrub leaves in it, which is a space where a non-ASCII
-    read held non-ASCII whitespace or one of \x1c-\x1f. load_corpus keeps
-    each scrubbed read as one text; Corpus(lines) joins lines that are
-    already scrubbed, BLOCK_LINES to a text, and refuses a line that holds
-    a line break.
+    Corpus(texts) keeps the given texts, in order, but those that are empty
+    or all whitespace, and raises EmptyCorpusError when none is left. A text
+    is whole scrubbed lines joined by "\n", one message a line, and
+    line.split() gives a line's tokens; no line is a string of its own. A
+    line with no token is no message, and a line keeps the whitespace the
+    scrub leaves in it. load_corpus makes each scrubbed read one text. Where
+    the lines are cut into texts changes only which lines containing gives
+    beyond those that hold a word, and the cost of the search and the pool,
+    which work text by text.
 
     vocabulary and cover_pool are computed on first access and then kept;
     the pool indexes a text's covers when a draw first lands in it. len()
     and containing read the texts again on every call and keep nothing.
     """
 
-    def __init__(self, lines: Iterable[str]):
-        lines = iter(lines)
-        texts = []
-        while block := list(islice(lines, BLOCK_LINES)):
-            text = "\n".join(block)
-            if text.count("\n") >= len(block):
-                raise ValueError("a corpus line cannot hold a line break")
-            texts.append(text)
-        self._keep(texts)
-
-    @classmethod
-    def _of_texts(cls, texts: Iterable[str]) -> "Corpus":
-        corpus = cls.__new__(cls)
-        corpus._keep(texts)
-        return corpus
-
-    def _keep(self, texts: Iterable[str]) -> None:
+    def __init__(self, texts: Iterable[str]):
         # str.isspace and str.split agree on what whitespace is, so a text
         # that is empty or all whitespace splits into no token.
         self.texts: tuple[str, ...] = tuple(
@@ -470,4 +448,4 @@ def load_corpus(path) -> Corpus:
             texts.append(_scrub_text("".join(pending)))
             pending = [chunk[cut + 1 :]]
     texts.append(_scrub_text("".join(pending)))
-    return Corpus._of_texts(texts)
+    return Corpus(texts)

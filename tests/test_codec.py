@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg import corpus as corpus_module
 from wordsteg.codebook import DIGITS, Codebook, select_codebook
 from wordsteg.codec import (
     MAX_ATTEMPTS,
@@ -21,7 +20,7 @@ from wordsteg.corpus import MIN_COVER_TOKENS, Corpus, load_corpus, scrub_message
 from wordsteg.errors import CodebookValidationError, SteganizeError
 from wordsteg.ngram import build_model
 
-from corpuslines import corpus_lines
+from corpuslines import corpus_lines, texts_of
 from synthcorpus import synth_lines
 from test_ngram import window_count
 
@@ -217,7 +216,7 @@ def test_encode_path_never_counts_the_vocabulary(small_corpus):
     # What encode does: steganize, which counts the model for its cover, on a
     # corpus of its own that nothing else has read.
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    corpus = Corpus(synth_lines(n_messages=400, seed=3, vocab_size=500))
+    corpus = Corpus(texts_of(synth_lines(n_messages=400, seed=3, vocab_size=500)))
     result = steganize("314", codebook, corpus, seed=99)
     assert decode(result.stego, codebook) == ("3", "1", "4")
     assert "vocabulary" not in corpus.__dict__
@@ -229,8 +228,7 @@ def test_encode_path_indexes_only_the_texts_it_draws_from(small_corpus, seed):
     # cover, and only the texts those covers lie in have their line starts
     # indexed; the others are only counted.
     codebook = select_codebook(small_corpus.vocabulary, (14, None), DIGITS, seed=1)
-    with mock.patch.object(corpus_module, "BLOCK_LINES", 16):
-        corpus = Corpus(synth_lines(n_messages=400, seed=3, vocab_size=500))
+    corpus = Corpus(texts_of(synth_lines(n_messages=400, seed=3, vocab_size=500), 16))
     result = steganize("314", codebook, corpus, seed=seed)
     assert result.attempts >= 3
     # Brute force: the text of each cover a seeded draw lands on.
@@ -250,7 +248,7 @@ def test_encode_path_indexes_only_the_texts_it_draws_from(small_corpus, seed):
 def test_a_loop_of_calls_searches_each_call_for_its_own_codewords(desk_corpus):
     # A library loop on one Corpus: each call counts its own model, and asks
     # for the lines that hold exactly its secret's distinct codewords.
-    corpus = Corpus(corpus_lines(desk_corpus))
+    corpus = Corpus(desk_corpus.texts)
     codebook = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=41)
     rng = random.Random(606)
     secrets = []
@@ -334,7 +332,7 @@ def test_steganize_needs_covers_with_three_tokens():
     assert excinfo.value.attempts == 0
 
 
-_codec_corpus = Corpus(synth_lines(n_messages=150, seed=5, vocab_size=300))
+_codec_corpus = Corpus(texts_of(synth_lines(n_messages=150, seed=5, vocab_size=300)))
 _codec_codebook = select_codebook(_codec_corpus.vocabulary, (2, None), DIGITS, seed=8)
 
 

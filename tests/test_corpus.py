@@ -25,7 +25,7 @@ from wordsteg.codec import (
 from wordsteg.corpus import Corpus, load_corpus, scrub_message
 from wordsteg.errors import EmptyCorpusError, SteganizeError
 
-from corpuslines import corpus_lines, text_lines
+from corpuslines import TEXT_LINES, corpus_lines, text_lines, texts_of
 from synthcorpus import raw_lines, synth_lines
 
 
@@ -154,21 +154,15 @@ def test_messages_are_immutable(toy_corpus):
         toy_corpus.texts[0] = "x"
 
 
-def test_corpus_refuses_a_line_holding_a_line_break():
-    for lines in (["a b", "c\nd"], ["a\n"], ["\n"]):
-        with pytest.raises(ValueError, match="line break"):
-            Corpus(lines)
-
-
-def test_corpus_of_lines_keeps_them_in_texts_of_block_lines(toy_corpus):
-    with mock.patch.object(corpus_module, "BLOCK_LINES", 2):
-        corpus = Corpus(["a b", "", " ", "\t", "\x1c", "d e f"])
+def test_corpus_keeps_the_texts_that_hold_a_token():
+    corpus = Corpus(["a b\n", "", " \n\t", "\x1c", "\x1c\nd e f", "g"])
     # A text whose lines hold no token is no text; blank lines inside one stay.
-    assert corpus.texts == ("a b\n", "\x1c\nd e f")
-    assert corpus_lines(corpus) == ("a b", "d e f")
-    assert len(corpus) == 2
-    with pytest.raises(EmptyCorpusError):
-        Corpus(["", " \u3000", "\x1c"])
+    assert corpus.texts == ("a b\n", "\x1c\nd e f", "g")
+    assert corpus_lines(corpus) == ("a b", "d e f", "g")
+    assert len(corpus) == 3
+    for texts in ([], ["", " \u3000", "\x1c\n \n"]):
+        with pytest.raises(EmptyCorpusError):
+            Corpus(texts)
 
 
 # Fragments where a whole-text scrub could part from a per-line one: line
@@ -428,15 +422,14 @@ def test_lines_keep_the_scrubs_whitespace_and_readers_split_it(tmp_path):
 
 
 def test_vocabulary_is_the_count_of_every_lines_words_in_order(tmp_path):
-    # Raw chatter over more than two blocks: its dropped tokens and runs of
+    # Raw chatter over more than two reads: its dropped tokens and runs of
     # tabs and spaces leave whitespace inside and around the loaded lines.
-    block = corpus_module.BLOCK_LINES
-    clean = synth_lines(n_messages=2 * block + 300, seed=5, vocab_size=800)
+    clean = synth_lines(n_messages=2348, seed=5, vocab_size=800)
     path = tmp_path / "corpus.txt"
     path.write_text("\n".join(raw_lines(clean, seed=5)) + "\n", encoding="utf-8")
     corpus = load_corpus(path)
-    assert len(corpus) == len(clean) > 2 * block
-    assert sum(line != " ".join(line.split()) for line in corpus_lines(corpus)) > block
+    assert len(corpus) == len(clean) and len(corpus.texts) > 2
+    assert sum(line != " ".join(line.split()) for line in corpus_lines(corpus)) > 1024
     expected = Counter(chain.from_iterable(map(str.split, corpus_lines(corpus))))
     assert list(corpus.vocabulary.items()) == list(expected.items())
 
@@ -469,20 +462,26 @@ _pool_line = st.lists(
 ).map("".join)
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 3])
-@given(lines=st.lists(_pool_line, max_size=12), order=st.randoms(use_true_random=False))
+# Texts of at most 1 to 3 lines, cut at drawn points, so that texts hold
+# uneven numbers of covers.
+@pytest.mark.parametrize("most", [1, 2, 3])
+@given(
+    lines=st.lists(_pool_line, max_size=12),
+    cuts=st.lists(st.booleans(), max_size=12),
+    order=st.randoms(use_true_random=False),
+)
 # Blank lines and lines of one and two tokens around covers of each spacing.
 @example(
     lines=["", "a bc\ta", "bc", "\u3000a\x1cbc\x85a ", "a bc", " ", "bc\ra\xa0abc", "a\x0bbc"],
+    cuts=[],
     order=random.Random(0),
 )
 @settings(deadline=None)
-def test_cover_pool_of_lines_matches_brute_force_in_any_order(block_lines, lines, order):
-    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
-        try:
-            corpus = Corpus(lines)
-        except EmptyCorpusError:
-            return
+def test_cover_pool_of_lines_matches_brute_force_in_any_order(most, lines, cuts, order):
+    try:
+        corpus = Corpus(texts_of(lines, most, cuts))
+    except EmptyCorpusError:
+        return
     expected = _covers(lines)
     pool = corpus.cover_pool
     assert len(pool) == len(expected)
@@ -500,8 +499,7 @@ def test_cover_pool_of_lines_matches_brute_force_in_any_order(block_lines, lines
     # rejects the same covers.
     codebook = Codebook(("0",), {"0": "abc"}, (1, None), 0)
     for seed in range(4):
-        with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
-            fresh = Corpus(lines)
+        fresh = Corpus(texts_of(lines, most, cuts))
         assert _draw_outcome(draw_cover, fresh, codebook, seed) == _draw_outcome(
             _reference_draw, expected, codebook, seed
         )
@@ -686,78 +684,130 @@ def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
     assert _tokens(loaded) == _reference_messages(raw)
 
 
-def _containing_reference(lines, words, block_lines):
-    """Brute force: for each word, the lines it occurs in, up to the first
-    block more than half of whose lines hold it, and every line from there."""
-    held = [False] * len(lines)
-    for word in words:
-        tail = len(lines)
-        for first in range(0, len(lines), block_lines):
-            block = lines[first : first + block_lines]
-            if 2 * sum(word in line for line in block) > len(block):
-                tail = first
-                break
-        held = [h or i >= tail or word in line for i, (h, line) in enumerate(zip(held, lines))]
-    return tuple(line for line, h in zip(lines, held) if h)
+def _containing_reference(texts, words):
+    """Brute force: the lines that hold a token and one of words, up to the
+    first text in which more than half the lines, blank ones counted, hold
+    one word, and every line that holds a token from there."""
+    texts = [text.split("\n") for text in texts]
+    tail = min(
+        (
+            number
+            for number, lines in enumerate(texts)
+            for word in words
+            if 2 * sum(word in line for line in lines) > len(lines)
+        ),
+        default=len(texts),
+    )
+    return tuple(
+        line
+        for number, lines in enumerate(texts)
+        for line in lines
+        if line.strip() and (number >= tail or any(word in line for word in words))
+    )
 
 
 # Short tokens over two letters, so that a word is often a substring of a
 # longer token, repeats within a line, or runs from one line into the next;
-# "c" occurs in no line.
+# "c" occurs in no line. Blank lines count in the half that stops a search.
 _short_text = st.text("ab", min_size=1, max_size=3)
 _containing_lines = st.lists(
-    st.lists(_short_text, min_size=1, max_size=4).map(" ".join), min_size=1, max_size=12
+    st.lists(_short_text, max_size=4).map(" ".join) | st.just(" "), min_size=1, max_size=12
 )
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 3, corpus_module.BLOCK_LINES])
+@pytest.mark.parametrize("most", [1, 2, 3, TEXT_LINES])
 @given(
     lines=_containing_lines,
+    cuts=st.lists(st.booleans(), max_size=12),
     words=st.sets(st.one_of(_short_text, st.just("c"), st.just("b a")), max_size=3),
 )
-# In blocks of 2, "a" is in one line of each of the first two blocks, then in
+# In texts of 2, "a" is in one line of each of the first two texts, then in
 # both lines of the third, so every line from there on is taken.
-@example(lines=["ab", "xx", "aa b", "b", "a", "ba", "c b", "xx"], words={"a"})
+@example(lines=["ab", "xx", "aa b", "b", "a", "ba", "c b", "xx"], cuts=[], words={"a"})
 # "ba" and "yz" occur only across the end of a line.
-@example(lines=["x b", "a y", "z"], words={"ba", "yz", "a y"})
-# In blocks of 2, "a" is in one line of the first block and both of the third,
+@example(lines=["x b", "a y", "z"], cuts=[], words={"ba", "yz", "a y"})
+# In texts of 2, "a" is in one line of the first text and both of the third,
 # and "b" in both lines of the second, so the two words take their tails in
-# different blocks and every line from the second block on is taken.
-@example(lines=["a", "x", "b", "b", "a", "a", "x", "x"], words={"a", "b"})
-# In blocks of 2, "b" takes every line from the second block on, and "c" is
+# different texts and every line from the second text on is taken.
+@example(lines=["a", "x", "b", "b", "a", "a", "x", "x"], cuts=[], words={"a", "b"})
+# In texts of 2, "b" takes every line from the second text on, and "c" is
 # only in lines after that.
-@example(lines=["a", "x", "b", "b", "c", "x", "x c", "x"], words={"a", "b", "c"})
+@example(lines=["a", "x", "b", "b", "c", "x", "x c", "x"], cuts=[], words={"a", "b", "c"})
+# In one text, "a" is in two of the three lines that hold a token but in no
+# more than half of all six, so the search takes only its lines.
+@example(lines=["a", "b", "", "a", " ", ""], cuts=[], words={"a"})
 @settings(deadline=None)
-def test_containing_matches_brute_force_and_searches_each_word_once(block_lines, lines, words):
-    with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
-        corpus = Corpus(lines)
-        texts = tuple(corpus.containing(words))
-        held = text_lines(texts)
-        assert held == _containing_reference(lines, words, block_lines)
-        # Every line that holds a word as a token, and possibly more.
-        tokens = [line for line in lines if not words.isdisjoint(line.split())]
-        assert set(tokens) <= set(held)
-        # A text with no hit gives nothing; from the first text in which
-        # more than half the lines hold one word, the corpus's own texts.
-        stop = next(
-            (
-                number
-                for number, text in enumerate(corpus.texts)
-                for word in words
-                if 2 * sum(word in line for line in text.split("\n")) > text.count("\n") + 1
-            ),
-            len(corpus.texts),
-        )
-        tail = corpus.texts[stop:]
-        assert all(texts) and len(texts) >= len(tail)
-        assert all(map(operator.is_, texts[len(texts) - len(tail) :], tail))
-        # A repeated request, alone or with words asked for before, gives
-        # the same texts.
-        assert tuple(corpus.containing(words)) == texts
-        for word in words:
-            assert text_lines(corpus.containing([word])) == _containing_reference(
-                lines, [word], block_lines
-            )
+def test_containing_matches_brute_force_and_searches_each_word_once(most, lines, cuts, words):
+    parts = texts_of(lines, most, cuts)
+    if not any(map(str.strip, lines)):
+        with pytest.raises(EmptyCorpusError):
+            Corpus(parts)
+        return
+    corpus = Corpus(parts)
+    texts = tuple(corpus.containing(words))
+    held = text_lines(texts)
+    assert held == _containing_reference(parts, words)
+    # Every line that holds a word as a token, and possibly more.
+    tokens = [line for line in lines if not words.isdisjoint(line.split())]
+    assert set(tokens) <= set(held)
+    # A text with no hit gives nothing; from the first text in which
+    # more than half the lines hold one word, the corpus's own texts.
+    stop = next(
+        (
+            number
+            for number, text in enumerate(corpus.texts)
+            for word in words
+            if 2 * sum(word in line for line in text.split("\n")) > text.count("\n") + 1
+        ),
+        len(corpus.texts),
+    )
+    tail = corpus.texts[stop:]
+    assert all(texts) and len(texts) >= len(tail)
+    assert all(map(operator.is_, texts[len(texts) - len(tail) :], tail))
+    # A repeated request, alone or with words asked for before, gives
+    # the same texts.
+    assert tuple(corpus.containing(words)) == texts
+    for word in words:
+        assert text_lines(corpus.containing([word])) == _containing_reference(parts, [word])
+
+
+# Clean lines, blank ones among them, whose tokens are often substrings of
+# other tokens.
+_clean_lines = st.lists(
+    st.lists(st.sampled_from(["a", "b", "ab"]), max_size=4).map(" ".join), max_size=12
+)
+
+
+@given(
+    lines=_clean_lines,
+    cuts=st.lists(st.booleans(), max_size=12),
+    words=st.sets(st.sampled_from(["a", "b", "ab", "z"]), max_size=2),
+)
+@settings(deadline=None)
+def test_a_corpus_of_any_cut_reads_as_the_loaded_file(corpus_file, lines, cuts, words):
+    # Any cut of clean lines into texts, from one text to one text a line,
+    # reads as the file of those lines. Only the lines the search gives
+    # beyond those that hold a word depend on the cut, since it stops text
+    # by text.
+    corpus_file.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    texts = texts_of(lines, TEXT_LINES, cuts)
+    try:
+        loaded = load_corpus(corpus_file)
+    except EmptyCorpusError:
+        with pytest.raises(EmptyCorpusError):
+            Corpus(texts)
+        return
+    corpus = Corpus(texts)
+    assert corpus_lines(corpus) == corpus_lines(loaded)
+    assert list(corpus.vocabulary.items()) == list(loaded.vocabulary.items())
+    assert tuple(corpus.cover_pool) == tuple(loaded.cover_pool)
+    assert len(corpus) == len(loaded)
+
+    def holding(corpus):
+        lines = text_lines(corpus.containing(words))
+        return tuple(line for line in lines if not words.isdisjoint(line.split()))
+
+    assert holding(corpus) == holding(loaded)
 
 
 def test_containing_refuses_the_empty_word():
