@@ -51,7 +51,12 @@ from .codebook import (
 )
 from .codec import decode, steganize
 from .corpus import load_corpus, scrub_message
-from .errors import InsufficientBandError, SteganizeError, WordstegError
+from .errors import (
+    CodebookValidationError,
+    InsufficientBandError,
+    SteganizeError,
+    WordstegError,
+)
 from .evaluate import (
     build_pairs,
     check_sizes,
@@ -140,8 +145,21 @@ def cmd_gen_codebook(args) -> int:
     return 0
 
 
+def _load_char_codebook(path):
+    """load_codebook, refusing a symbol that is not one character: encode
+    reads --secret one character a symbol and decode prints the symbols
+    joined, so an empty or longer symbol would be lost or misread."""
+    codebook = load_codebook(path)
+    for symbol in codebook.alphabet:
+        if len(symbol) != 1:
+            raise CodebookValidationError(
+                f"codebook symbol {symbol!r} is not one character, as encode and decode need"
+            )
+    return codebook
+
+
 def cmd_encode(args) -> int:
-    codebook = load_codebook(args.codebook)
+    codebook = _load_char_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
     result = steganize(args.secret, codebook, corpus, seed=args.seed)
     if args.out is not None:
@@ -152,7 +170,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    codebook = load_codebook(args.codebook)
+    codebook = _load_char_codebook(args.codebook)
     text = " ".join(args.text) if args.text else sys.stdin.read()
     symbols = decode(scrub_message(text).split(), codebook)
     print("".join(symbols))

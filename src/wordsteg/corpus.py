@@ -6,27 +6,28 @@ punctuation from whatever remains. Misspellings and other quirks are kept
 as-is; they are part of the cover signal.
 
 load_corpus is the one reader of raw text; Corpus(texts) takes texts that
-are already scrubbed. A corpus file is read about 64K characters at a time,
-each read cut at its last line break, with no Python code run per line.
-Each read is one string that is lowercased, cleared of dropped tokens by
-regex passes that each begin with a literal and run only on a read that
-holds their trigger character (clean text holds none, and a one-character
-`in` is a memchr where the literal scan is not) and stripped of
-punctuation, by one of two routes that give the same text:
+are already scrubbed. A corpus file is read READ_CHARS characters at a time,
+and the reads are cut into texts of whole lines by the one rule every
+Corpus follows (_cut), with no Python code run per line. Each text is one
+string that is lowercased, cleared of dropped tokens by regex passes that
+each begin with a literal and run only on a text that holds their trigger
+character (clean text holds none, and a one-character `in` is a memchr
+where the literal scan is not) and stripped of punctuation, by one of two
+routes that give the same text:
 
 - ASCII text is scrubbed as str and loses its punctuation in one
   str.translate.
 - str.lower, str.replace and str.translate are slow on other text: one
-  curly quote or dash sends every character of a read down a slow path.
+  curly quote or dash sends every character of a text down a slow path.
   So other text is encoded to UTF-8 once, whose bytes below 0x80 are
   exactly its ASCII characters, its distinct non-ASCII characters are
   looked up once each, and the scrub runs on the bytes, with the same
   patterns compiled as bytes. bytes.lower changes only ASCII letters, so
-  a read with a non-ASCII character that changes case is lowercased as
+  a text with a non-ASCII character that changes case is lowercased as
   str first (str.lower may make ASCII of it, and lowers a final sigma
   in context). The bytes patterns and bytes.split take neither non-ASCII
   whitespace nor the ASCII separators \x1c-\x1f for whitespace, so each
-  of those becomes a space first. A line of such a read keeps a space
+  of those becomes a space first. A line of such a text keeps a space
   where its raw text held one of them.
 
 The marks then leave the UTF-8 bytes (_delete_marks): when every
@@ -37,13 +38,17 @@ str.translate when there are more than MAX_REPLACED_MARKS. The rule is the
 one scrub_message applies to a single line, so each message is what
 scrub_message makes of its line.
 
-A corpus keeps each scrubbed read as it is, one text of whole lines joined
-by "\n", and holds no line, and no token, as a string of its own. A line
-keeps the whitespace the scrub leaves in it (a dropped @mention leaves its
-spaces behind), and a line that scrubs to nothing stays in its text as a
-blank line, which no reader takes for a message. The word count splits each
-text once, and str.split discards that whitespace and the line breaks. The
-word counts are computed on first access, so a verb that never reads them
+A corpus holds its lines as texts, whole lines joined by "\n", and holds no
+line, and no token, as a string of its own. Whatever texts it is given, it
+cuts their lines again by one rule: a text ends at the first line break at
+or after READ_CHARS characters from its start, and the last text ends the
+corpus. So its texts, and all that is read from them, depend on its lines
+alone: any cut of the same lines is the same corpus. A line keeps the
+whitespace the scrub leaves in it (a dropped @mention leaves its spaces
+behind), and a line that scrubs to nothing stays in its text as a blank
+line, which no reader takes for a message. The word count splits each text
+once, and str.split discards that whitespace and the line breaks. The word
+counts are computed on first access, so a verb that never reads them
 (encode) never pays for them.
 
 The cover pool is an index of the lines with at least MIN_COVER_TOKENS
@@ -65,7 +70,7 @@ import re
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, filterfalse
 import unicodedata
 
@@ -165,10 +170,50 @@ _BYTE_DROPS = tuple(
     (trigger.encode(), re.compile(rule.encode())) for trigger, rule in _DROP_RULES
 )
 
-# Characters per read of a corpus file, and so per text of a loaded Corpus:
-# about a thousand typical messages, enough that each reader's cost per text
-# vanishes. Larger reads raise the peak memory of a load and of the readers.
+# Characters per read of a corpus file, and the least a text of a Corpus
+# holds but the last: about a thousand typical messages, enough that each
+# reader's cost per text vanishes. Larger reads raise the peak memory of a
+# load and of the readers.
 READ_CHARS = 1 << 16
+
+
+def _cut(pieces: Iterable[str]) -> Iterator[str]:
+    """The lines of the joined pieces, cut into texts: each text ends at the
+    first line break at or after READ_CHARS characters from its start, and
+    the last one ends the lines.
+
+    A line break ends the line before it, so joined pieces that end with one
+    end with a whole line and start no blank one. The pieces may break a
+    line anywhere; each text is joined once, when the piece that ends it
+    arrives, so a line longer than many pieces is joined once.
+    """
+    parts, size = [], 0  # the pieces of the text so far, and their length
+    for piece in pieces:
+        start = 0
+        while (end := piece.find("\n", start + max(READ_CHARS - size, 0))) >= 0:
+            parts.append(piece[start:end])
+            yield "".join(parts)
+            parts, size, start = [], 0, end + 1
+        parts.append(piece[start:])
+        size += len(piece) - start
+    if last := "".join(parts):
+        yield last.removesuffix("\n")
+
+
+def _ended(texts: Iterable[str]) -> Iterator[str]:
+    """texts, each followed by a line break, joined a few at a time into
+    pieces of at least READ_CHARS characters, so that _cut takes one piece
+    and not one line at a time."""
+    batch, size = [], 0
+    for text in texts:
+        batch.append(text)
+        size += len(text) + 1
+        if size >= READ_CHARS:
+            batch.append("")
+            yield "\n".join(batch)
+            batch, size = [], 0
+    batch.append("")
+    yield "\n".join(batch)
 
 
 def _scrub_text(text: str) -> str:
@@ -272,20 +317,20 @@ class CoverPool(Sequence):
     text, up to the next line break, a new string on every call.
     """
 
-    def __init__(self, texts: Sequence[str]):
+    def __init__(self, texts: Sequence[str], line_counts: Sequence[int]):
         self._texts = texts
         self._numbers = array("I")  # the text number of each cover
         self._firsts = []  # the rank of each text's first cover
         self._short = {}  # text number -> the starts of its short lines
         self._indexes = [None] * len(texts)  # each text's cover starts, once drawn
-        for number, text in enumerate(texts):
+        for number, (text, lines) in enumerate(zip(texts, line_counts)):
             # Each match is the line break before a short line of "\n" + text,
             # so its start is that line's start in text.
             short = array("Q", map(re.Match.start, _SHORT_LINE.finditer("\n" + text)))
             if short:
                 self._short[number] = short
             self._firsts.append(len(self._numbers))
-            self._numbers += array("I", [number]) * (text.count("\n") + 1 - len(short))
+            self._numbers += array("I", [number]) * (lines - len(short))
 
     def __len__(self) -> int:
         return len(self._numbers)
@@ -320,26 +365,26 @@ class CoverPool(Sequence):
 class Corpus:
     """Immutable collection of scrubbed messages with vocabulary counts.
 
-    Corpus(texts) keeps the given texts, in order, but those that are empty
-    or all whitespace, and raises EmptyCorpusError when none is left. A text
-    is whole scrubbed lines joined by "\n", one message a line, and
+    Corpus(texts) takes whole scrubbed lines joined by "\n", one message a
+    line, cut into texts in any way, one line a text included. It cuts
+    their lines again as load_corpus does (_cut), keeps the texts that are
+    neither empty nor all whitespace, in order, and raises EmptyCorpusError
+    when none is left; so any cut of the same lines gives the same texts.
     line.split() gives a line's tokens; no line is a string of its own. A
     line with no token is no message, and a line keeps the whitespace the
-    scrub leaves in it. load_corpus makes each scrubbed read one text. Where
-    the lines are cut into texts changes only which lines containing gives
-    beyond those that hold a word, and the cost of the search and the pool,
-    which work text by text.
+    scrub leaves in it.
 
-    vocabulary and cover_pool are computed on first access and then kept;
-    the pool indexes a text's covers when a draw first lands in it. len()
-    and containing read the texts again on every call and keep nothing.
+    vocabulary, cover_pool and the line count of each text are computed on
+    first access and then kept; the pool indexes a text's covers when a
+    draw first lands in it. len() and containing read the texts again on
+    every call and keep nothing.
     """
 
     def __init__(self, texts: Iterable[str]):
         # str.isspace and str.split agree on what whitespace is, so a text
         # that is empty or all whitespace splits into no token.
         self.texts: tuple[str, ...] = tuple(
-            text for text in texts if text and not text.isspace()
+            text for text in _cut(_ended(texts)) if text and not text.isspace()
         )
         if not self.texts:
             raise EmptyCorpusError("corpus contains no usable messages")
@@ -368,7 +413,12 @@ class Corpus:
 
         Empty when no line qualifies; codec.draw_cover raises on that.
         """
-        return CoverPool(self.texts)
+        return CoverPool(self.texts, self._line_counts)
+
+    @cached_property
+    def _line_counts(self) -> tuple[int, ...]:
+        """The number of lines of each text, blank ones included."""
+        return tuple(text.count("\n") + 1 for text in self.texts)
 
     def containing(self, words: Iterable[str]) -> Iterator[str]:
         """The texts in which any of `words` may occur, in corpus order.
@@ -395,8 +445,9 @@ class Corpus:
             raise ValueError("cannot search the lines for the empty word or a line break")
         held = []
         # With no word, no text is searched.
-        for number, text in enumerate(self.texts if words else ()):
-            lines = _lines_holding(text, words)
+        counted = zip(self.texts, self._line_counts) if words else ()
+        for number, (text, count) in enumerate(counted):
+            lines = _lines_holding(text, count, words)
             if lines is None:
                 held += self.texts[number:]
                 break
@@ -405,11 +456,12 @@ class Corpus:
         return iter(held)
 
 
-def _lines_holding(text: str, words: set[str]) -> str | None:
+def _lines_holding(text: str, count: int, words: set[str]) -> str | None:
     """The lines of text in which one of words occurs, joined by "\n" in
-    text order, or None once more than half its lines hold one word."""
+    text order, or None once more than half its `count` lines hold one
+    word."""
     ends = {}  # line start -> line end
-    half = (text.count("\n") + 1) // 2
+    half = count // 2
     for word in words:
         held = 0
         at = text.find(word)
@@ -431,21 +483,11 @@ def load_corpus(path) -> Corpus:
     into a Corpus. I/O errors propagate.
 
     The file is read READ_CHARS characters at a time, with universal
-    newlines. Each read is cut at its last line break; the lines before
-    the cut are scrubbed as one text, which the Corpus keeps as it is, and
-    the rest of the read is kept, in pieces, until a line break ends it, so
-    a line longer than many reads is joined once.
+    newlines, and the reads are cut into texts by _cut, the rule the
+    Corpus applies again to the scrubbed texts. Each text is scrubbed as
+    one string as soon as the read that ends it arrives, so the load holds
+    about two reads of raw text at a time.
     """
-    texts: list[str] = []
-    pending: list[str] = []
     with open(path, encoding="utf-8-sig") as handle:
-        while chunk := handle.read(READ_CHARS):
-            cut = chunk.rfind("\n")
-            if cut < 0:
-                pending.append(chunk)
-                continue
-            pending.append(chunk[:cut])
-            texts.append(_scrub_text("".join(pending)))
-            pending = [chunk[cut + 1 :]]
-    texts.append(_scrub_text("".join(pending)))
-    return Corpus(texts)
+        reads = iter(partial(handle.read, READ_CHARS), "")
+        return Corpus(map(_scrub_text, _cut(reads)))

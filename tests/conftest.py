@@ -4,7 +4,6 @@ from hypothesis import settings
 from wordsteg.codebook import Codebook
 from wordsteg.corpus import Corpus
 
-from corpuslines import texts_of
 from synthcorpus import synth_lines
 
 # A deeper search for CI's separate run of the scrub, codebook, codec,
@@ -18,7 +17,7 @@ TOY_LINES = ["the cat sat", "the cat ran", "a cat sat"]
 
 @pytest.fixture()
 def toy_corpus():
-    return Corpus(texts_of(TOY_LINES))
+    return Corpus(TOY_LINES)
 
 
 @pytest.fixture()
@@ -34,12 +33,12 @@ def two_word_codebook():
 
 @pytest.fixture(scope="session")
 def desk_corpus():
-    return Corpus(texts_of(synth_lines()))
+    return Corpus(synth_lines())
 
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    return Corpus(texts_of(synth_lines(n_messages=400, seed=3, vocab_size=500)))
+    return Corpus(synth_lines(n_messages=400, seed=3, vocab_size=500))
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from wordsteg import cli
 from wordsteg import codebook as codebook_module
 from wordsteg import corpus as corpus_module
 from wordsteg.cli import main
+from wordsteg.codebook import Codebook, save_codebook
 from wordsteg.errors import (
     CodebookValidationError,
     EmptyCorpusError,
@@ -232,6 +233,40 @@ def test_decode_codebook_nested_too_deeply_exits_2(tmp_path, capsys):
     code = main(["decode", "--codebook", str(cb_path), "text"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _write_codebook(path, alphabet):
+    forward = {symbol: f"w{number + 1:04d}" for number, symbol in enumerate(alphabet)}
+    save_codebook(Codebook(alphabet, forward, (1, None), 0), path)
+
+
+@pytest.mark.parametrize("symbol", ["", "12"])
+def test_decode_refuses_a_symbol_that_is_not_one_character(tmp_path, capsys, symbol):
+    cb_path = tmp_path / "cb.json"
+    _write_codebook(cb_path, (symbol, "1"))
+    code = main(["decode", "--codebook", str(cb_path), "w0000 w0001 w0002 w0003"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: codebook symbol {symbol!r} is not one character, as encode and decode need\n"
+    )
+
+
+@pytest.mark.parametrize("symbol", ["", "12"])
+def test_encode_refuses_a_symbol_that_is_not_one_character(cli_files, tmp_path, capsys, symbol):
+    cb_path = tmp_path / "cb.json"
+    _write_codebook(cb_path, ("1", symbol))
+    out = tmp_path / "stego.json"
+    code = main(
+        ["encode", "--secret", "1", "--codebook", str(cb_path),
+         "--corpus", cli_files["corpus"], "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"codebook symbol {symbol!r} is not one character" in captured.err
+    assert not out.exists()
 
 
 def test_encode_unknown_symbol_exits_2(cli_files, capsys):
@@ -600,8 +635,9 @@ RAW_CLEAN_VERBS = [
 
 
 def test_raw_and_clean_corpora_print_the_same(tmp_path, capsys, monkeypatch):
-    # 2500 messages cross the corpus reader's 1024-line blocks; the raw lines
-    # keep the gaps a scrub leaves.
+    # 2500 messages cross the corpus reader's 64K-character reads, and the
+    # texts of the corpus end at other line breaks; the raw lines keep the
+    # gaps a scrub leaves.
     clean = synth_lines(n_messages=2500, seed=19, vocab_size=900)
     outputs = {}
     for form, lines in (("clean", clean), ("raw", raw_lines(clean, seed=19))):

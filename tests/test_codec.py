@@ -20,7 +20,7 @@ from wordsteg.corpus import MIN_COVER_TOKENS, Corpus, load_corpus, scrub_message
 from wordsteg.errors import CodebookValidationError, SteganizeError
 from wordsteg.ngram import build_model
 
-from corpuslines import corpus_lines, texts_of
+from corpuslines import corpus_lines, corpus_of
 from synthcorpus import synth_lines
 from test_ngram import window_count
 
@@ -216,7 +216,7 @@ def test_encode_path_never_counts_the_vocabulary(small_corpus):
     # What encode does: steganize, which counts the model for its cover, on a
     # corpus of its own that nothing else has read.
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    corpus = Corpus(texts_of(synth_lines(n_messages=400, seed=3, vocab_size=500)))
+    corpus = Corpus(synth_lines(n_messages=400, seed=3, vocab_size=500))
     result = steganize("314", codebook, corpus, seed=99)
     assert decode(result.stego, codebook) == ("3", "1", "4")
     assert "vocabulary" not in corpus.__dict__
@@ -224,11 +224,11 @@ def test_encode_path_never_counts_the_vocabulary(small_corpus):
 
 @pytest.mark.parametrize("seed", [2, 4, 9])
 def test_encode_path_indexes_only_the_texts_it_draws_from(small_corpus, seed):
-    # One steganize on a fresh corpus of 25 texts: each attempt draws one
-    # cover, and only the texts those covers lie in have their line starts
-    # indexed; the others are only counted.
+    # One steganize on a fresh corpus of 25 texts, cut at 1150 characters:
+    # each attempt draws one cover, and only the texts those covers lie in
+    # have their line starts indexed; the others are only counted.
     codebook = select_codebook(small_corpus.vocabulary, (14, None), DIGITS, seed=1)
-    corpus = Corpus(texts_of(synth_lines(n_messages=400, seed=3, vocab_size=500), 16))
+    corpus = corpus_of(synth_lines(n_messages=400, seed=3, vocab_size=500), 1150)
     result = steganize("314", codebook, corpus, seed=seed)
     assert result.attempts >= 3
     # Brute force: the text of each cover a seeded draw lands on.
@@ -332,7 +332,7 @@ def test_steganize_needs_covers_with_three_tokens():
     assert excinfo.value.attempts == 0
 
 
-_codec_corpus = Corpus(texts_of(synth_lines(n_messages=150, seed=5, vocab_size=300)))
+_codec_corpus = Corpus(synth_lines(n_messages=150, seed=5, vocab_size=300))
 _codec_codebook = select_codebook(_codec_corpus.vocabulary, (2, None), DIGITS, seed=8)
 
 

@@ -25,7 +25,7 @@ from wordsteg.codec import (
 from wordsteg.corpus import Corpus, load_corpus, scrub_message
 from wordsteg.errors import EmptyCorpusError, SteganizeError
 
-from corpuslines import TEXT_LINES, corpus_lines, text_lines, texts_of
+from corpuslines import corpus_lines, corpus_of, text_lines, texts_of
 from synthcorpus import raw_lines, synth_lines
 
 
@@ -155,9 +155,16 @@ def test_messages_are_immutable(toy_corpus):
 
 
 def test_corpus_keeps_the_texts_that_hold_a_token():
-    corpus = Corpus(["a b\n", "", " \n\t", "\x1c", "\x1c\nd e f", "g"])
-    # A text whose lines hold no token is no text; blank lines inside one stay.
-    assert corpus.texts == ("a b\n", "\x1c\nd e f", "g")
+    # The lines "a b", four blank ones, "\x1c" twice, "d e f" and "g", in
+    # two cuts: the corpus cuts them again, so both are one corpus.
+    texts = ["a b\n", "", " \n\t", "\x1c", "\x1c\nd e f", "g"]
+    lines = ["a b", "", "", " ", "\t", "\x1c", "\x1c", "d e f", "g"]
+    assert Corpus(texts).texts == Corpus(lines).texts == ("\n".join(lines),)
+    # Each text ends at the first line break at least two characters from
+    # its start. A text whose lines hold no token is no text; blank lines
+    # inside one stay.
+    corpus = corpus_of(texts, 2)
+    assert corpus.texts == corpus_of(lines, 2).texts == ("a b", "\x1c\nd e f", "g")
     assert corpus_lines(corpus) == ("a b", "d e f", "g")
     assert len(corpus) == 3
     for texts in ([], ["", " \u3000", "\x1c\n \n"]):
@@ -462,24 +469,29 @@ _pool_line = st.lists(
 ).map("".join)
 
 
-# Texts of at most 1 to 3 lines, cut at drawn points, so that texts hold
-# uneven numbers of covers.
+# Lines given in texts of at most 1 to 3 lines, cut at drawn points, and
+# cut again at a drawn READ_CHARS, so that texts hold uneven numbers of
+# covers.
 @pytest.mark.parametrize("most", [1, 2, 3])
 @given(
     lines=st.lists(_pool_line, max_size=12),
     cuts=st.lists(st.booleans(), max_size=12),
+    read_chars=st.integers(1, 16),
     order=st.randoms(use_true_random=False),
 )
 # Blank lines and lines of one and two tokens around covers of each spacing.
 @example(
     lines=["", "a bc\ta", "bc", "\u3000a\x1cbc\x85a ", "a bc", " ", "bc\ra\xa0abc", "a\x0bbc"],
     cuts=[],
+    read_chars=4,
     order=random.Random(0),
 )
 @settings(deadline=None)
-def test_cover_pool_of_lines_matches_brute_force_in_any_order(most, lines, cuts, order):
+def test_cover_pool_of_lines_matches_brute_force_in_any_order(
+    most, lines, cuts, read_chars, order
+):
     try:
-        corpus = Corpus(texts_of(lines, most, cuts))
+        corpus = corpus_of(texts_of(lines, most, cuts), read_chars)
     except EmptyCorpusError:
         return
     expected = _covers(lines)
@@ -499,7 +511,7 @@ def test_cover_pool_of_lines_matches_brute_force_in_any_order(most, lines, cuts,
     # rejects the same covers.
     codebook = Codebook(("0",), {"0": "abc"}, (1, None), 0)
     for seed in range(4):
-        fresh = Corpus(texts_of(lines, most, cuts))
+        fresh = corpus_of(texts_of(lines, most, cuts), read_chars)
         assert _draw_outcome(draw_cover, fresh, codebook, seed) == _draw_outcome(
             _reference_draw, expected, codebook, seed
         )
@@ -524,8 +536,8 @@ def _draw_outcome(draw, covers, codebook, seed):
 
 
 def test_loaded_corpus_holds_no_per_token_objects(tmp_path):
-    # One text per read: a tuple of token strings per message held 11x the
-    # file size, a tuple of lines 1.8x, and the texts hold about 1.02x. The
+    # Texts of about one read each: a tuple of token strings per message held
+    # 11x the file size, a tuple of lines 1.8x, and the texts hold about 1.02x. The
     # word counts and an index of the covers add under half as much again,
     # where a tuple of cover lines, beside the lines, took it to 2.3x.
     path = tmp_path / "corpus.txt"
@@ -582,6 +594,22 @@ def test_the_codebook_and_encode_paths_build_no_line_tuple(tmp_path):
     assert encode_transient <= size // 4
 
 
+def test_the_cut_yields_each_text_as_its_last_piece_arrives():
+    taken = []
+
+    def pieces():
+        for piece in ["ab", "c\nd", "\n", "efg\nh", "i\n"]:
+            taken.append(piece)
+            yield piece
+
+    with mock.patch.object(corpus_module, "READ_CHARS", 3):
+        texts = corpus_module._cut(pieces())
+        assert next(texts) == "abc"
+        assert taken == ["ab", "c\nd"]
+        # A final line break ends the last line and starts no other.
+        assert list(texts) == ["d\nefg", "hi"]
+
+
 def test_a_line_longer_than_many_reads_is_scrubbed_once(tmp_path):
     long_line = "Wörd! @drop " * 833 + "Wörd"
     assert len(long_line) == 10_000
@@ -632,7 +660,7 @@ def test_punctuation_deletion_matches_the_category_rule_at_every_code_point():
 
 
 def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
-    """Each read is exactly one section of lines, in turn: ASCII only; raw
+    """Each text is exactly one section of lines, in turn: ASCII only; raw
     chatter, whose ideographic spaces become spaces, with a dropped #café
     token on some lines, so that its few distinct marks go one str.replace
     each; lines with more distinct marks than replace passes are made for
@@ -658,8 +686,9 @@ def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
                 break
             raw.append(line)
             size += len(line) + 1
-        # Spaces pad the section to one read, cut at its final line break.
-        raw[-1] += " " * (read_chars - size)
+        # Spaces pad the section to READ_CHARS characters and its final
+        # line break, which ends a text.
+        raw[-1] += " " * (read_chars + 1 - size)
     path = tmp_path / "corpus.txt"
     path.write_text("\n".join(raw) + "\n", encoding="utf-8")
     with mock.patch.object(
@@ -669,7 +698,7 @@ def test_load_corpus_of_reads_alternating_ascii_and_marked_text(tmp_path):
     ) as drop:
         loaded = load_corpus(path)
     texts = [call.args[0] for call in scrub.call_args_list]
-    assert [len(text) for text in texts[:8]] == [read_chars - 1] * 8
+    assert [len(text) for text in texts[:8]] == [read_chars] * 8
     assert [text.isascii() for text in texts[:8]] == [True, False, False, False] * 2
     routes = [type(call.args[0]) for call in drop.call_args_list]
     assert routes[:8] == [str, bytes, bytes, bytes] * 2
@@ -715,38 +744,53 @@ _containing_lines = st.lists(
 )
 
 
-@pytest.mark.parametrize("most", [1, 2, 3, TEXT_LINES])
+# The lines are given in texts of at most `most` lines, cut at drawn points,
+# and the corpus cuts them again at a drawn READ_CHARS.
+@pytest.mark.parametrize("most", [1, 2, 3, 1024])
 @given(
     lines=_containing_lines,
     cuts=st.lists(st.booleans(), max_size=12),
+    read_chars=st.integers(1, 16),
     words=st.sets(st.one_of(_short_text, st.just("c"), st.just("b a")), max_size=3),
 )
-# In texts of 2, "a" is in one line of each of the first two texts, then in
-# both lines of the third, so every line from there on is taken.
-@example(lines=["ab", "xx", "aa b", "b", "a", "ba", "c b", "xx"], cuts=[], words={"a"})
+# In texts of 2 lines, "a" is in one line of each of the first two texts,
+# then in both lines of the third, so every line from there on is taken.
+@example(
+    lines=["ab", "xx", "ba", "bb", "aa", "ax", "cb", "xx"], cuts=[], read_chars=3, words={"a"}
+)
 # "ba" and "yz" occur only across the end of a line.
-@example(lines=["x b", "a y", "z"], cuts=[], words={"ba", "yz", "a y"})
-# In texts of 2, "a" is in one line of the first text and both of the third,
-# and "b" in both lines of the second, so the two words take their tails in
-# different texts and every line from the second text on is taken.
-@example(lines=["a", "x", "b", "b", "a", "a", "x", "x"], cuts=[], words={"a", "b"})
-# In texts of 2, "b" takes every line from the second text on, and "c" is
-# only in lines after that.
-@example(lines=["a", "x", "b", "b", "c", "x", "x c", "x"], cuts=[], words={"a", "b", "c"})
+@example(lines=["x b", "a y", "z"], cuts=[], read_chars=16, words={"ba", "yz", "a y"})
+@example(lines=["x b", "a y", "z"], cuts=[], read_chars=1, words={"ba", "yz", "a y"})
+# In texts of 2 lines, "a" is in one line of the first text and both of the
+# third, and "b" in both lines of the second, so the two words take their
+# tails in different texts and every line from the second text on is taken.
+@example(
+    lines=["a", "x", "b", "b", "a", "a", "x", "x"], cuts=[], read_chars=2, words={"a", "b"}
+)
+# In texts of 2 lines, "b" takes every line from the second text on, and "c"
+# is only in lines after that.
+@example(
+    lines=["a", "x", "b", "b", "c", "x", "x c", "x"],
+    cuts=[],
+    read_chars=2,
+    words={"a", "b", "c"},
+)
 # In one text, "a" is in two of the three lines that hold a token but in no
 # more than half of all six, so the search takes only its lines.
-@example(lines=["a", "b", "", "a", " ", ""], cuts=[], words={"a"})
+@example(lines=["a", "b", "", "a", " ", ""], cuts=[], read_chars=16, words={"a"})
 @settings(deadline=None)
-def test_containing_matches_brute_force_and_searches_each_word_once(most, lines, cuts, words):
+def test_containing_matches_brute_force_and_searches_each_word_once(
+    most, lines, cuts, read_chars, words
+):
     parts = texts_of(lines, most, cuts)
     if not any(map(str.strip, lines)):
         with pytest.raises(EmptyCorpusError):
-            Corpus(parts)
+            corpus_of(parts, read_chars)
         return
-    corpus = Corpus(parts)
+    corpus = corpus_of(parts, read_chars)
     texts = tuple(corpus.containing(words))
     held = text_lines(texts)
-    assert held == _containing_reference(parts, words)
+    assert held == _containing_reference(corpus.texts, words)
     # Every line that holds a word as a token, and possibly more.
     tokens = [line for line in lines if not words.isdisjoint(line.split())]
     assert set(tokens) <= set(held)
@@ -768,46 +812,64 @@ def test_containing_matches_brute_force_and_searches_each_word_once(most, lines,
     # the same texts.
     assert tuple(corpus.containing(words)) == texts
     for word in words:
-        assert text_lines(corpus.containing([word])) == _containing_reference(parts, [word])
+        assert text_lines(corpus.containing([word])) == _containing_reference(
+            corpus.texts, [word]
+        )
+
+
+def _reference_cut(lines, read_chars):
+    """Brute force: lines joined into texts, each ended by the first line
+    break at or after read_chars characters from its start, less the texts
+    that hold no token."""
+    texts, text = [], None
+    for line in lines:
+        text = line if text is None else f"{text}\n{line}"
+        if len(text) >= read_chars:
+            texts.append(text)
+            text = None
+    if text is not None:
+        texts.append(text)
+    return tuple(text for text in texts if not text.isspace() and text)
 
 
 # Clean lines, blank ones among them, whose tokens are often substrings of
 # other tokens.
 _clean_lines = st.lists(
-    st.lists(st.sampled_from(["a", "b", "ab"]), max_size=4).map(" ".join), max_size=12
+    st.lists(st.sampled_from(["a", "b", "ab"]), max_size=4).map(" ".join) | st.just(" "),
+    max_size=12,
 )
 
 
 @given(
     lines=_clean_lines,
+    most=st.integers(1, 4),
     cuts=st.lists(st.booleans(), max_size=12),
+    read_chars=st.integers(1, 24),
     words=st.sets(st.sampled_from(["a", "b", "ab", "z"]), max_size=2),
 )
 @settings(deadline=None)
-def test_a_corpus_of_any_cut_reads_as_the_loaded_file(corpus_file, lines, cuts, words):
+def test_a_corpus_of_any_cut_reads_as_the_loaded_file(
+    corpus_file, lines, most, cuts, read_chars, words
+):
     # Any cut of clean lines into texts, from one text to one text a line,
-    # reads as the file of those lines. Only the lines the search gives
-    # beyond those that hold a word depend on the cut, since it stops text
-    # by text.
+    # is the corpus of the lines one a text and of the file of those lines:
+    # the same texts, and so the same search.
     corpus_file.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    texts = texts_of(lines, TEXT_LINES, cuts)
-    try:
-        loaded = load_corpus(corpus_file)
-    except EmptyCorpusError:
-        with pytest.raises(EmptyCorpusError):
-            Corpus(texts)
-        return
-    corpus = Corpus(texts)
-    assert corpus_lines(corpus) == corpus_lines(loaded)
-    assert list(corpus.vocabulary.items()) == list(loaded.vocabulary.items())
-    assert tuple(corpus.cover_pool) == tuple(loaded.cover_pool)
-    assert len(corpus) == len(loaded)
-
-    def holding(corpus):
-        lines = text_lines(corpus.containing(words))
-        return tuple(line for line in lines if not words.isdisjoint(line.split()))
-
-    assert holding(corpus) == holding(loaded)
+    makers = (
+        lambda: Corpus(texts_of(lines, most, cuts)),
+        lambda: Corpus(lines),
+        lambda: load_corpus(corpus_file),
+    )
+    with mock.patch.object(corpus_module, "READ_CHARS", read_chars):
+        if not any(map(str.strip, lines)):
+            for make in makers:
+                with pytest.raises(EmptyCorpusError):
+                    make()
+            return
+        cut, corpus, loaded = (make() for make in makers)
+    assert cut.texts == corpus.texts == loaded.texts == _reference_cut(lines, read_chars)
+    searches = [list(each.containing(words)) for each in (cut, corpus, loaded)]
+    assert searches[0] == searches[1] == searches[2]
 
 
 def test_containing_refuses_the_empty_word():

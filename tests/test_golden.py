@@ -228,10 +228,11 @@ EDGE_FORMS = (
 
 
 def edge_lines():
-    """Chatter over three read edges: every fifth line, and every line
+    """Chatter over three text edges: every fifth line, and every line
     within 300 characters before or 100 after a multiple of READ_CHARS, in
-    one of EDGE_FORMS, so the first and last lines of the loaded texts take
-    those forms."""
+    one of EDGE_FORMS, so the first and last lines of the loaded texts,
+    each of which ends at the first line break at or after READ_CHARS
+    characters from its start, take those forms."""
     lines, size = [], 0
     forms = cycle(EDGE_FORMS)
     read = corpus_module.READ_CHARS
@@ -249,9 +250,12 @@ def edge_files(tmp_path_factory):
     files = {"CORPUS": str(workdir / "edges.txt"), "CODEBOOK": str(workdir / "cb14.json")}
     (workdir / "edges.txt").write_text("\n".join(edge_lines()) + "\n", encoding="utf-8")
     texts = load_corpus(files["CORPUS"]).texts
-    # Four reads, each text ending in a line too short to be a cover.
+    # Four texts: a line too short to be a cover ends one of them and
+    # begins another, and a cover ends a third.
     assert len(texts) == 4
-    assert all(len(text.rsplit("\n", 1)[-1].split()) < 3 for text in texts[:-1])
+    lasts = [len(text.rsplit("\n", 1)[-1].split()) for text in texts[:-1]]
+    firsts = [len(text.split("\n", 1)[0].split()) for text in texts[1:]]
+    assert min(lasts) < 3 <= max(lasts) and min(firsts) < 3
     assert main(_argv(files, GEN_CODEBOOK)) == 0
     return files
 

@@ -15,7 +15,7 @@ from wordsteg.ngram import (
     plausibility_score,
 )
 
-from corpuslines import corpus_lines, texts_of
+from corpuslines import corpus_lines, corpus_of, texts_of
 from kl_reference import smoothed_distribution
 
 
@@ -177,16 +177,22 @@ def test_model_counted_around_is_exact_where_it_answers(messages, codewords, cov
                 assert table.get(gram, 0) == window_count(token_lists, gram)
 
 
-# Texts of uneven sizes, at most 1 to 3 lines each, so that hypothesis's
-# short corpora cross text edges, both in the counts and in the search for
-# the lines that hold a codeword; every single-letter word of the messages
-# is a cover word.
+# Texts of a drawn READ_CHARS, so that hypothesis's short corpora cross text
+# edges, both in the counts and in the search for the lines that hold a
+# codeword; the corpus is given the lines in texts of at most 1 to 3 lines,
+# cut at drawn points. Every single-letter word of the messages is a cover
+# word.
 @pytest.mark.parametrize("most", [1, 2, 3])
-@given(messages=wide_messages, codewords=codeword_sets, cuts=st.lists(st.booleans()))
+@given(
+    messages=wide_messages,
+    codewords=codeword_sets,
+    cuts=st.lists(st.booleans()),
+    read_chars=st.integers(1, 24),
+)
 @settings(deadline=None)
-def test_both_counts_are_exact_across_block_edges(most, messages, codewords, cuts):
+def test_both_counts_are_exact_across_text_edges(most, messages, codewords, cuts, read_chars):
     grams = [g for n in range(2, MAX_N + 1) for g in product("abcdez", repeat=n)]
-    corpus = Corpus(texts_of((" ".join(m) for m in messages), most, cuts))
+    corpus = corpus_of(texts_of((" ".join(m) for m in messages), most, cuts), read_chars)
     token_lists = [line.split() for line in corpus_lines(corpus)]
     counts = count_grams(corpus, grams)
     model = build_model(corpus, codewords, [tuple("abcde")])
@@ -232,7 +238,7 @@ def test_scoring_outside_either_domain_raises(
 
 def _distinct_word_corpus(n_messages):
     """Every message holds the codeword "cw"; every other word occurs once."""
-    return Corpus(texts_of(f"a{i} b{i} cw c{i} d{i}" for i in range(n_messages)))
+    return Corpus(f"a{i} b{i} cw c{i} d{i}" for i in range(n_messages))
 
 
 def test_insertion_tables_do_not_grow_with_the_corpus():
