@@ -5,6 +5,12 @@ removes the token classes that cannot occur in spoken language, then strips
 punctuation from whatever remains. Misspellings and other quirks are kept
 as-is; they are part of the cover signal.
 
+Punctuation is what Unicode 14.0.0 puts in category P*, read from one
+frozen table in this module (_PUNCTUATION) and never from the running
+Python's unicodedata, whose Unicode version moves with the Python. A
+receiver splits a stego text into the tokens the sender wrote only if both
+scrub alike, so every Python scrubs by the same table.
+
 load_corpus is the one reader of raw text; Corpus(texts) takes texts that
 are already scrubbed. A corpus file is read READ_CHARS characters at a time,
 and the reads are cut into texts of whole lines by the one rule every
@@ -72,7 +78,6 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, partial
 from itertools import accumulate, filterfalse
-import unicodedata
 
 from .errors import EmptyCorpusError
 
@@ -95,29 +100,46 @@ _SHORT_LINE = re.compile(
 )
 
 
-class _PunctuationTable(dict):
-    """Which code points are Unicode punctuation (category P*): code -> None
-    for a mark, code -> code for any other character.
+# Unicode 14.0.0's punctuation (category P*), the one definition of a mark
+# (see the module docstring): 819 code points, as runs of hexadecimal code
+# points, "first-last" or one code point alone. A test derives the table
+# again wherever the running Python's unicodedata is Unicode 14.0.0.
+_PUNCTUATION_RUNS = """
+21-23 25-2a 2c-2f 3a-3b 3f-40 5b-5d 5f 7b 7d a1 a7 ab b6-b7 bb bf 37e 387
+55a-55f 589-58a 5be 5c0 5c3 5c6 5f3-5f4 609-60a 60c-60d 61b 61d-61f 66a-66d
+6d4 700-70d 7f7-7f9 830-83e 85e 964-965 970 9fd a76 af0 c77 c84 df4 e4f
+e5a-e5b f04-f12 f14 f3a-f3d f85 fd0-fd4 fd9-fda 104a-104f 10fb 1360-1368
+1400 166e 169b-169c 16eb-16ed 1735-1736 17d4-17d6 17d8-17da 1800-180a
+1944-1945 1a1e-1a1f 1aa0-1aa6 1aa8-1aad 1b5a-1b60 1b7d-1b7e 1bfc-1bff
+1c3b-1c3f 1c7e-1c7f 1cc0-1cc7 1cd3 2010-2027 2030-2043 2045-2051 2053-205e
+207d-207e 208d-208e 2308-230b 2329-232a 2768-2775 27c5-27c6 27e6-27ef
+2983-2998 29d8-29db 29fc-29fd 2cf9-2cfc 2cfe-2cff 2d70 2e00-2e2e 2e30-2e4f
+2e52-2e5d 3001-3003 3008-3011 3014-301f 3030 303d 30a0 30fb a4fe-a4ff
+a60d-a60f a673 a67e a6f2-a6f7 a874-a877 a8ce-a8cf a8f8-a8fa a8fc a92e-a92f
+a95f a9c1-a9cd a9de-a9df aa5c-aa5f aade-aadf aaf0-aaf1 abeb fd3e-fd3f
+fe10-fe19 fe30-fe52 fe54-fe61 fe63 fe68 fe6a-fe6b ff01-ff03 ff05-ff0a
+ff0c-ff0f ff1a-ff1b ff1f-ff20 ff3b-ff3d ff3f ff5b ff5d ff5f-ff65 10100-10102
+1039f 103d0 1056f 10857 1091f 1093f 10a50-10a58 10a7f 10af0-10af6
+10b39-10b3f 10b99-10b9c 10ead 10f55-10f59 10f86-10f89 11047-1104d
+110bb-110bc 110be-110c1 11140-11143 11174-11175 111c5-111c8 111cd 111db
+111dd-111df 11238-1123d 112a9 1144b-1144f 1145a-1145b 1145d 114c6
+115c1-115d7 11641-11643 11660-1166c 116b9 1173c-1173e 1183b 11944-11946
+119e2 11a3f-11a46 11a9a-11a9c 11a9e-11aa2 11c41-11c45 11c70-11c71
+11ef7-11ef8 11fff 12470-12474 12ff1-12ff2 16a6e-16a6f 16af5 16b37-16b3b
+16b44 16e97-16e9a 16fe2 1bc9f 1da87-1da8b 1e95e-1e95f
+"""
+_PUNCTUATION = frozenset(
+    code
+    for first, _, last in (run.partition("-") for run in _PUNCTUATION_RUNS.split())
+    for code in range(int(first, 16), int(last or first, 16) + 1)
+)
 
-    It is the str.translate table for ASCII text and for text with too many
-    distinct marks to delete one at a time, and the lookup that picks out the
-    marks of any other text. Filled one code point at a time, on first sight,
-    so no call pays for a table over all of Unicode; it holds one entry per
-    distinct code point the process has scrubbed.
-    """
-
-    def __missing__(self, code: int) -> int | None:
-        kept = None if unicodedata.category(chr(code)).startswith("P") else code
-        self[code] = kept
-        return kept
-
-
-_PUNCTUATION = _PunctuationTable()
-
-# The ASCII characters of category P*, written out so that importing the
-# module looks up no character's category; a test derives them again.
-_ASCII_MARKS = b'!"#%&\'()*,-./:;?@[\\]_{}'
 _ASCII = bytes(range(128))
+_ASCII_MARKS = bytes(filter(_PUNCTUATION.__contains__, _ASCII))
+# The str.translate table for ASCII text: None for a mark, the code itself for
+# any other character, so that no lookup misses (a miss raises a KeyError
+# inside translate, once per distinct character).
+_ASCII_TABLE = {code: None if code in _PUNCTUATION else code for code in _ASCII}
 # What one bytes.translate deletes from UTF-8 text whose non-ASCII characters
 # are all marks: the ASCII marks and every byte of a non-ASCII character.
 _ASCII_MARKS_AND_WIDE = _ASCII_MARKS + bytes(range(128, 256))
@@ -127,9 +149,10 @@ _STR_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 # Most distinct non-ASCII marks one text may hold and still have each deleted
 # by a str.replace pass of its own; a text with more goes through translate.
-# On a 64K-character read with a mark after every word, translate took
-# 5-6 ms whatever the marks, and the replace passes about 0.12 ms each, so
-# they stopped paying at about 40 marks.
+# On a 64K-character read with a mark after every word and an é, translate
+# with the text's own table took 3.3-5.2 ms whatever the marks, and a replace
+# pass 0.07-0.12 ms (Python 3.11.7, 2 shared vCPUs, under varying load); the
+# two routes crossed at 36-44 marks in each of three runs.
 MAX_REPLACED_MARKS = 32
 
 # The drop rules, each compiled twice below: for str text and for its UTF-8
@@ -226,7 +249,7 @@ def _scrub_text(text: str) -> str:
     becomes a space.
     """
     if text.isascii():
-        return _drop_tokens(text.lower(), _STR_DROPS).translate(_PUNCTUATION)
+        return _drop_tokens(text.lower(), _STR_DROPS).translate(_ASCII_TABLE)
     data = text.encode("utf-8", "surrogatepass")
     wide = _wide_chars(data)
     joined = "".join(wide)
@@ -273,20 +296,23 @@ def _delete_marks(data: bytes, wide: set[str]) -> str:
 
     wide holds every non-ASCII mark of data and, if data holds a non-ASCII
     character that is no mark, at least one character that is no mark; it
-    may hold more, such as a capital that data holds lowercased. Only its
-    marks are looked up, each once. When all of wide are marks, one
-    bytes.translate deletes them with the ASCII marks and leaves ASCII, so
-    _scrub_text leaves out of wide the whitespace it made spaces. Otherwise
-    the ASCII marks go in one bytes.translate and each non-ASCII mark in
-    one str.replace, or all of them in one str.translate when there are
-    more than MAX_REPLACED_MARKS.
+    may hold more, such as a capital that data holds lowercased. Each
+    character of wide is looked up in _PUNCTUATION once. When all of wide
+    are marks, one bytes.translate deletes them with the ASCII marks and
+    leaves ASCII, so _scrub_text leaves out of wide the whitespace it made
+    spaces. Otherwise the ASCII marks go in one bytes.translate and each
+    non-ASCII mark in one str.replace, or all of them in one str.translate
+    when there are more than MAX_REPLACED_MARKS, by a table made for this
+    text: _ASCII_TABLE and an entry for each character of wide, so that a
+    lookup misses only for a character that the lowercasing made.
     """
-    marks = [char for char in wide if _PUNCTUATION[ord(char)] is None]
+    marks = [char for char in wide if ord(char) in _PUNCTUATION]
     if len(marks) == len(wide):
         return data.translate(None, _ASCII_MARKS_AND_WIDE).decode("ascii")
     text = data.translate(None, _ASCII_MARKS).decode("utf-8", "surrogatepass")
     if len(marks) > MAX_REPLACED_MARKS:
-        return text.translate(_PUNCTUATION)
+        kept = {ord(char): ord(char) for char in wide}
+        return text.translate(_ASCII_TABLE | kept | dict.fromkeys(map(ord, marks)))
     for mark in marks:
         text = text.replace(mark, "")
     return text

@@ -222,6 +222,16 @@ def test_decode_scrubs_raw_input(tmp_path, capsys):
     assert capsys.readouterr().out == "21\n"
 
 
+def test_decode_reads_a_codeword_before_a_unicode_14_mark(tmp_path, capsys):
+    # U+2E53 is punctuation in Unicode 14.0, which the scrub follows on every
+    # Python, so "good⹓" is the codeword "good" on each of them.
+    cb_path = tmp_path / "cb.json"
+    write_two_word_codebook(cb_path)
+    code = main(["decode", "--codebook", str(cb_path), "poor cast off to the good⹓ trash heap"])
+    assert code == 0
+    assert capsys.readouterr().out == "2\n"
+
+
 def test_decode_missing_codebook_exits_2(tmp_path, capsys):
     code = main(["decode", "--codebook", str(tmp_path / "nope.json"), "text"])
     assert code == 2

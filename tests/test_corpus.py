@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import random
 import re
@@ -62,6 +63,24 @@ def test_scrub_strips_inner_punctuation():
     assert scrub_message("can't re-use") == "cant reuse"
 
 
+def test_scrub_deletes_unicode_14_punctuation_on_every_python():
+    # U+2E53 is punctuation from Unicode 14.0 on; Python 3.10's unicodedata
+    # (13.0) has it unassigned.
+    assert scrub_message("a\u2e53b") == "ab"
+
+
+# The scrub deletes Unicode 14.0.0's punctuation. Where the running Python's
+# unicodedata is that version, the oracles below read its category rule and
+# so stay independent of corpus._PUNCTUATION; elsewhere they read the table.
+CATEGORY_RULE = unicodedata.unidata_version == "14.0.0"
+
+
+def _is_mark(char):
+    if CATEGORY_RULE:
+        return unicodedata.category(char).startswith("P")
+    return ord(char) in corpus_module._PUNCTUATION
+
+
 def _scrub_reference(raw):
     """The per-character scrubber that scrub_message's translate table replaced."""
     kept = []
@@ -70,7 +89,7 @@ def _scrub_reference(raw):
             continue
         if "://" in token or token.startswith("www."):
             continue
-        word = "".join(ch for ch in token if not unicodedata.category(ch).startswith("P"))
+        word = "".join(ch for ch in token if not _is_mark(ch))
         if word:
             kept.append(word)
     return " ".join(kept)
@@ -624,12 +643,9 @@ def test_a_line_longer_than_many_reads_is_scrubbed_once(tmp_path):
     assert scrub.call_args_list.count(mock.call(long_line)) == 1
 
 
-def _is_mark(char):
-    return unicodedata.category(char).startswith("P")
-
-
 def test_ascii_marks_are_the_ascii_punctuation():
     assert corpus_module._ASCII_MARKS == bytes(c for c in range(128) if _is_mark(chr(c)))
+    assert corpus_module._ASCII_TABLE == {c: None if _is_mark(chr(c)) else c for c in range(128)}
 
 
 def _delete_marks(text):
@@ -638,11 +654,31 @@ def _delete_marks(text):
     return corpus_module._delete_marks(data, corpus_module._wide_chars(data))
 
 
-# A table of its own, so the entries for all of Unicode go with the test.
-@mock.patch.object(corpus_module, "_PUNCTUATION", corpus_module._PunctuationTable())
-def test_punctuation_deletion_matches_the_category_rule_at_every_code_point():
+# The sha256 of the UTF-8 text of Unicode 14.0.0's punctuation, in code
+# point order.
+PUNCTUATION_SHA256 = "9487e554c8d34f7d4b752bd82a35ae45fd8e66b96291572d57233805e741e046"
+
+
+def test_punctuation_deletion_matches_the_category_rule_at_every_code_point(capsys):
     everything = "".join(map(chr, range(0x110000)))
-    kept = [not _is_mark(char) for char in everything]
+    table = corpus_module._PUNCTUATION
+    runtime = {ord(char) for char in everything if unicodedata.category(char).startswith("P")}
+    if CATEGORY_RULE:
+        assert table == runtime
+    else:
+        marks = "".join(map(chr, sorted(table))).encode("utf-8")
+        assert hashlib.sha256(marks).hexdigest() == PUNCTUATION_SHA256
+        differ = sorted(table ^ runtime)
+        with capsys.disabled():
+            print(
+                f"\nUnicode {unicodedata.unidata_version} and the table's 14.0.0 differ"
+                f" on {len(differ)} code points:",
+                " ".join(f"U+{code:04X}" for code in differ),
+            )
+        # Python 3.10's Unicode 13.0 has every mark that 14.0 added unassigned.
+        if unicodedata.unidata_version == "13.0.0":
+            assert all(unicodedata.category(chr(code)) == "Cn" for code in differ)
+    kept = [code not in table for code in range(0x110000)]
     # Fed as one text, every mark there is takes the translate fallback.
     assert kept.count(False) > corpus_module.MAX_REPLACED_MARKS
     assert _delete_marks(everything) == "".join(compress(everything, kept))
