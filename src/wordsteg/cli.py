@@ -25,7 +25,9 @@ the rules the experiments apply, before it reads any file; so a bad value
 is reported at once, not after a full corpus load. Every artifact written
 by --out embeds the seed, the settings, and the tool version, and is
 written atomically before anything is printed; rerunning a command with the
-same inputs rewrites the same bytes except for the created_utc stamp. The
+same inputs and --seed rewrites the same bytes except for the created_utc
+stamp. Without --seed, gen-codebook and encode draw one from os.urandom and
+record it in their file, never on stdout; the eval verbs default to 0. The
 three eval verbs print and write their rows through one function, _report.
 Every artifact's settings follow one rule, in _artifact: every flag the
 verb parses except --seed, --out, --format and --secret; encode adds the
@@ -51,12 +53,7 @@ from .codebook import (
 )
 from .codec import decode, steganize
 from .corpus import load_corpus, scrub_message
-from .errors import (
-    CodebookValidationError,
-    InsufficientBandError,
-    SteganizeError,
-    WordstegError,
-)
+from .errors import InsufficientBandError, SteganizeError, WordstegError
 from .evaluate import (
     build_pairs,
     check_sizes,
@@ -130,13 +127,19 @@ def _report(args, docs: list[dict]) -> None:
             print("  ".join(str(row[f]).ljust(widths[f]) for f in fields))
 
 
+def _seed(args) -> int:
+    """--seed, or if omitted a fresh one, kept in args for the file to record."""
+    if args.seed is None:
+        args.seed = int.from_bytes(os.urandom(8), "big")
+    return args.seed
+
+
 def cmd_gen_codebook(args) -> int:
     band = parse_band(args.band)
-    alphabet = tuple(args.alphabet)
-    check_alphabet(alphabet)
+    check_alphabet(args.alphabet)
     vocabulary = load_corpus(args.corpus).vocabulary
     words = band_words(vocabulary, band)
-    codebook = select_codebook(vocabulary, band, alphabet, seed=args.seed, words=words)
+    codebook = select_codebook(vocabulary, band, args.alphabet, seed=_seed(args), words=words)
     save_codebook(codebook, args.out)
     print(
         f"band={format_band(band)} occupancy={len(words)} "
@@ -145,23 +148,10 @@ def cmd_gen_codebook(args) -> int:
     return 0
 
 
-def _load_char_codebook(path):
-    """load_codebook, refusing a symbol that is not one character: encode
-    reads --secret one character a symbol and decode prints the symbols
-    joined, so an empty or longer symbol would be lost or misread."""
-    codebook = load_codebook(path)
-    for symbol in codebook.alphabet:
-        if len(symbol) != 1:
-            raise CodebookValidationError(
-                f"codebook symbol {symbol!r} is not one character, as encode and decode need"
-            )
-    return codebook
-
-
 def cmd_encode(args) -> int:
-    codebook = _load_char_codebook(args.codebook)
+    codebook = load_codebook(args.codebook)
     corpus = load_corpus(args.corpus)
-    result = steganize(args.secret, codebook, corpus, seed=args.seed)
+    result = steganize(args.secret, codebook, corpus, seed=_seed(args))
     if args.out is not None:
         with atomic_open(args.out) as handle:
             _write_json(handle, _artifact(args, result.to_doc(), secret_len=len(args.secret)))
@@ -170,21 +160,19 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    codebook = _load_char_codebook(args.codebook)
+    codebook = load_codebook(args.codebook)
     text = " ".join(args.text) if args.text else sys.stdin.read()
-    symbols = decode(scrub_message(text).split(), codebook)
-    print("".join(symbols))
+    print(decode(scrub_message(text).split(), codebook))
     return 0
 
 
 def cmd_eval_band(args) -> int:
     bands = [parse_band(b) for b in args.bands.split(",")]
-    alphabet = tuple(args.alphabet)
-    check_alphabet(alphabet)
+    check_alphabet(args.alphabet)
     check_sizes(args.trials)
     corpus = load_corpus(args.corpus)
     rows = run_band_experiment(
-        corpus, bands, alphabet=alphabet, trials=args.trials, seed=args.seed
+        corpus, bands, alphabet=args.alphabet, trials=args.trials, seed=args.seed
     )
     _report(args, rows)
     return 0
@@ -259,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-codebook", help="draw codewords from a frequency band")
     p.add_argument("--corpus", required=True, help="line-delimited corpus file")
     p.add_argument("--band", required=True, help="inclusive band, e.g. 4-6 or 14+")
-    p.add_argument("--alphabet", default="".join(DIGITS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alphabet", default=DIGITS)
+    p.add_argument("--seed", type=int, help="default: a fresh seed, recorded in --out")
     p.add_argument("--out", required=True, help="where to write the codebook JSON")
     p.set_defaults(func=cmd_gen_codebook)
 
@@ -268,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret", required=True, help="symbol string, e.g. 21")
     p.add_argument("--codebook", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default: a fresh seed, recorded in --out")
     p.add_argument("--out", help="also write the full result as JSON")
     p.set_defaults(func=cmd_encode)
 
@@ -283,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ev_sub.add_parser("band", help="decode errors per codeword frequency band")
     _add_eval_common(p)
     p.add_argument("--bands", default="4-6,6-8,8-12,14+", help="comma-separated bands")
-    p.add_argument("--alphabet", default="".join(DIGITS))
+    p.add_argument("--alphabet", default=DIGITS)
     p.add_argument("--trials", type=int, default=2000, help="rounds per band")
     p.set_defaults(func=cmd_eval_band)
 

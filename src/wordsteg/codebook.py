@@ -1,5 +1,6 @@
 """The shared-secret codebook: a bijection from symbols to codewords.
 
+A symbol is one character (check_alphabet), so an alphabet is a str.
 Codewords are drawn from a band of unigram frequency, because how common a
 codeword is drives the whole quality trade-off: rare codewords almost never
 collide with cover text but stick out statistically, common ones blend in
@@ -17,7 +18,7 @@ from .corpus import scrub_message
 from .errors import CodebookValidationError, FormatError, InsufficientBandError
 
 CODEBOOK_FORMAT_VERSION = 1
-DIGITS = tuple("0123456789")
+DIGITS = "0123456789"
 
 # Inclusive occurrence-count band; hi=None means unbounded above.
 Band = tuple[int, int | None]
@@ -52,17 +53,20 @@ def format_band(band: Band) -> str:
     return f"{lo}+" if hi is None else f"{lo}-{hi}"
 
 
-def check_alphabet(alphabet: tuple[str, ...]) -> None:
+def check_alphabet(alphabet: Sequence[str]) -> None:
     """Raise CodebookValidationError unless the alphabet holds at least one
-    symbol and none twice; the CLI checks --alphabet with it before it reads
-    a corpus."""
+    symbol, each exactly one character, and none twice; the CLI checks
+    --alphabet with it before it reads a corpus."""
     if not alphabet:
         raise CodebookValidationError("alphabet is empty")
+    for symbol in alphabet:
+        if len(symbol) != 1:
+            raise CodebookValidationError(f"symbol {symbol!r} is not one character")
     if len(set(alphabet)) != len(alphabet):
         raise CodebookValidationError("alphabet contains duplicate symbols")
 
 
-def _check_band_and_alphabet(band: Band, alphabet: tuple[str, ...]) -> None:
+def _check_band_and_alphabet(band: Band, alphabet: Sequence[str]) -> None:
     """The invariants a codebook and its draw share; select_codebook checks
     them before it draws, so a bad alphabet is named before a thin band."""
     if not _band_in_order(*band):
@@ -71,11 +75,10 @@ def _check_band_and_alphabet(band: Band, alphabet: tuple[str, ...]) -> None:
 
 
 class Codebook:
-    """Bijective symbol-to-codeword map plus the provenance of its draw."""
+    """Bijective symbol-to-codeword map plus the provenance of its draw; an
+    alphabet given as a sequence of one-character strings is kept joined."""
 
-    def __init__(
-        self, alphabet: tuple[str, ...], forward: dict[str, str], band: Band, seed: int
-    ):
+    def __init__(self, alphabet: Sequence[str], forward: dict[str, str], band: Band, seed: int):
         _check_band_and_alphabet(band, alphabet)
         if set(forward) != set(alphabet):
             raise CodebookValidationError("mapped symbols do not match the alphabet")
@@ -89,7 +92,7 @@ class Codebook:
                 raise CodebookValidationError(
                     f"codeword {word!r} is not in scrubbed form, so decode never sees it"
                 )
-        self.alphabet, self.forward, self.band, self.seed = alphabet, forward, band, seed
+        self.alphabet, self.forward, self.band, self.seed = "".join(alphabet), forward, band, seed
 
 
 def band_words(counts: Mapping[str, int], band: Band) -> list[str]:
@@ -102,7 +105,7 @@ def band_words(counts: Mapping[str, int], band: Band) -> list[str]:
 def select_codebook(
     counts: Mapping[str, int],
     band: Band,
-    alphabet: tuple[str, ...] = DIGITS,
+    alphabet: Sequence[str] = DIGITS,
     seed: int = 0,
     *,
     words: Sequence[str] | None = None,
@@ -116,7 +119,6 @@ def select_codebook(
     a bad band or alphabet, InsufficientBandError when the band holds fewer
     words than the alphabet has symbols.
     """
-    alphabet = tuple(alphabet)
     _check_band_and_alphabet(band, alphabet)
     candidates = band_words(counts, band) if words is None else words
     if len(candidates) < len(alphabet):
@@ -150,8 +152,9 @@ def load_codebook(path) -> Codebook:
     """Read a codebook written by save_codebook.
 
     Malformed files raise FormatError; files that parse but violate an
-    invariant (duplicate or unscrubbed codewords, alphabet mismatch, a band
-    out of order) raise CodebookValidationError.
+    invariant (a symbol that is not one character, duplicate or unscrubbed
+    codewords, alphabet mismatch, a band out of order) raise
+    CodebookValidationError.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -182,4 +185,4 @@ def load_codebook(path) -> Codebook:
         raise FormatError("codebook band must be [int, int or null]")
     if type(seed) is not int:
         raise FormatError("codebook seed must be an integer")
-    return Codebook(tuple(alphabet), forward, tuple(band), seed)
+    return Codebook(alphabet, forward, tuple(band), seed)

@@ -13,8 +13,9 @@ steganize draws the cover first and then counts the model for that cover
 and the secret's codewords alone (build_model(corpus, codewords, [cover]));
 the counts are exact for every gram it scores. The count reads only the
 lines that may hold one of those codewords, which the Corpus searches for
-again on every call and does not keep. Decoding is a plain scan: every
-token that is a codeword contributes its symbol.
+again on every call and does not keep. A secret is a str of symbols.
+Decoding is a plain scan: every token that is a codeword contributes its
+symbol, and the symbols joined are the secret.
 
 Correct decoding therefore requires that the cover itself contains no
 codewords, so draw_cover rejects such covers, which makes the round trip
@@ -152,21 +153,16 @@ def insert_codewords(
     return tuple(out), tuple(positions)
 
 
-def decode(tokens: Sequence[str], codebook: Codebook) -> tuple[str, ...]:
-    """Extract the symbol sequence: one symbol per codeword token, in order."""
-    return tuple(
+def decode(tokens: Sequence[str], codebook: Codebook) -> str:
+    """Extract the secret: one symbol per codeword token, in order, joined."""
+    return "".join(
         symbol
         for token in tokens
         if (symbol := codebook.inverse.get(token)) is not None
     )
 
 
-def steganize(
-    secret: Sequence[str],
-    codebook: Codebook,
-    covers: Corpus,
-    seed: int,
-) -> StegoResult:
+def steganize(secret: str, codebook: Codebook, covers: Corpus, seed: int) -> StegoResult:
     """Embed a secret into a randomly drawn cover message.
 
     Draws one cover with no codeword via draw_cover (seeded, uniform over
@@ -176,15 +172,14 @@ def steganize(
     the pool is empty, all MAX_ATTEMPTS covers drawn hold a codeword, or the
     stego text does not decode to the secret.
     """
-    symbols: tuple[str, ...] = tuple(secret)
-    unknown = [s for s in symbols if s not in codebook.forward]
+    unknown = [s for s in secret if s not in codebook.forward]
     if unknown:
         raise ValueError(f"secret symbols {unknown!r} are not in the alphabet")
     attempt, cover = draw_cover(covers, codebook, random.Random(seed))
-    words = [codebook.forward[s] for s in symbols]
+    words = [codebook.forward[s] for s in secret]
     model = build_model(covers, words, [cover])
     stego_tokens, positions = insert_codewords(model, cover, words)
-    if decode(stego_tokens, codebook) != symbols:
+    if decode(stego_tokens, codebook) != secret:
         raise SteganizeError(attempt, "stego text does not decode to the secret")
     return StegoResult(
         stego=stego_tokens,

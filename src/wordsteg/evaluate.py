@@ -53,8 +53,8 @@ def check_sizes(trials: int, secret_len: int = 0, densities: Sequence[float] = (
         raise ValueError("secret_len must be >= 0")
 
 
-def random_secret(rng: random.Random, alphabet: Sequence[str], length: int) -> tuple:
-    return tuple(rng.choice(alphabet) for _ in range(length))
+def random_secret(rng: random.Random, alphabet: str, length: int) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(length))
 
 
 def _band_row(
@@ -77,8 +77,9 @@ def _band_row(
 def run_band_experiment(
     corpus: Corpus,
     bands: Sequence[Band],
-    alphabet: tuple[str, ...] = DIGITS,
-    trials: int = 2000,
+    alphabet: str = DIGITS,
+    *,
+    trials: int,
     seed: int = 0,
 ) -> list[dict]:
     """Measure raw decode errors as codeword frequency rises.
@@ -157,7 +158,7 @@ def run_density_experiment(
     corpus: Corpus,
     codebook: Codebook,
     densities: Sequence[float],
-    trials: int = 500,
+    trials: int,
     seed: int = 0,
 ) -> list[dict]:
     """Trace distribution shift against codeword density.
@@ -223,8 +224,9 @@ def build_pairs(
     corpus: Corpus,
     codebook: Codebook,
     trials: int,
+    *,
+    secret_len: int,
     seed: int = 0,
-    secret_len: int = 2,
 ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Build `trials` (cover, stego) pairs for the distinguisher.
 

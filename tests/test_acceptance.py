@@ -48,7 +48,7 @@ def test_golden_message_decodes_exactly():
         band=(1, None),
         seed=0,
     )
-    decoded = "".join(decode(GOLDEN_STEGO.split(), codebook))
+    decoded = decode(GOLDEN_STEGO.split(), codebook)
     check("golden-decode", decoded == "21", f"decoded={decoded!r}")
 
 
@@ -61,9 +61,7 @@ def test_thousand_seeded_round_trips(desk_corpus):
         codebook = select_codebook(desk_corpus.vocabulary, band, DIGITS, seed=41)
         rng = random.Random(derive_seed(606, "roundtrip", band_index))
         for trial in range(trials_per_band):
-            secret = tuple(
-                rng.choice(DIGITS) for _ in range(trial % 4 + 1)
-            )
+            secret = "".join(rng.choice(DIGITS) for _ in range(trial % 4 + 1))
             result = steganize(
                 secret,
                 codebook,
@@ -234,7 +232,7 @@ def test_distinguisher_blind_then_sighted(desk_corpus):
     blind_ok = abs(blind - 0.5) <= margin
 
     rare = select_codebook(desk_corpus.vocabulary, (4, 6), DIGITS, seed=41)
-    pairs = build_pairs(desk_corpus, rare, 200, seed=5)
+    pairs = build_pairs(desk_corpus, rare, 200, secret_len=2, seed=5)
     sighted = distinguisher_accuracy(desk_corpus, pairs, seed=6)
     correct = round(sighted * len(pairs))
     # Exact one-sided binomial tail against blind guessing.

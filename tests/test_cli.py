@@ -15,7 +15,7 @@ from wordsteg import cli
 from wordsteg import codebook as codebook_module
 from wordsteg import corpus as corpus_module
 from wordsteg.cli import main
-from wordsteg.codebook import Codebook, save_codebook
+from wordsteg.codebook import load_codebook
 from wordsteg.errors import (
     CodebookValidationError,
     EmptyCorpusError,
@@ -246,37 +246,52 @@ def test_decode_codebook_nested_too_deeply_exits_2(tmp_path, capsys):
 
 
 def _write_codebook(path, alphabet):
+    """A version-1 codebook file written by hand, since no Codebook holds a
+    symbol that is not one character."""
     forward = {symbol: f"w{number + 1:04d}" for number, symbol in enumerate(alphabet)}
-    save_codebook(Codebook(alphabet, forward, (1, None), 0), path)
+    doc = {"version": 1, "alphabet": alphabet, "forward": forward, "band": [1, None], "seed": 0}
+    path.write_text(json.dumps(doc), encoding="utf-8")
 
 
 @pytest.mark.parametrize("symbol", ["", "12"])
 def test_decode_refuses_a_symbol_that_is_not_one_character(tmp_path, capsys, symbol):
     cb_path = tmp_path / "cb.json"
-    _write_codebook(cb_path, (symbol, "1"))
+    _write_codebook(cb_path, [symbol, "1"])
     code = main(["decode", "--codebook", str(cb_path), "w0000 w0001 w0002 w0003"])
     assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: codebook symbol {symbol!r} is not one character, as encode and decode need\n"
-    )
+    assert capsys.readouterr() == ("", f"error: symbol {symbol!r} is not one character\n")
 
 
 @pytest.mark.parametrize("symbol", ["", "12"])
 def test_encode_refuses_a_symbol_that_is_not_one_character(cli_files, tmp_path, capsys, symbol):
     cb_path = tmp_path / "cb.json"
-    _write_codebook(cb_path, ("1", symbol))
+    _write_codebook(cb_path, ["1", symbol])
     out = tmp_path / "stego.json"
     code = main(
         ["encode", "--secret", "1", "--codebook", str(cb_path),
          "--corpus", cli_files["corpus"], "--out", str(out)]
     )
     assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"codebook symbol {symbol!r} is not one character" in captured.err
+    assert capsys.readouterr() == ("", f"error: symbol {symbol!r} is not one character\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("symbol", ["", "12"])
+@pytest.mark.parametrize("experiment", ["density", "distinguish"])
+def test_eval_refuses_a_symbol_that_is_not_one_character(
+    cli_files, tmp_path, capsys, experiment, symbol
+):
+    # The rule is the codebook's own, so every verb that loads one refuses it.
+    cb_path = tmp_path / "cb.json"
+    _write_codebook(cb_path, [symbol])
+    out = tmp_path / "result"
+    code = main(
+        ["eval", experiment, "--corpus", cli_files["corpus"], "--codebook", str(cb_path),
+         "--trials", "5", "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: symbol {symbol!r} is not one character\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cb.json"]
 
 
 def test_encode_unknown_symbol_exits_2(cli_files, capsys):
@@ -308,6 +323,70 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
         "corpus": cli_files["corpus"],
         "secret_len": 2,
     }
+
+
+def _fake_urandom(monkeypatch, *seeds):
+    """Make os.urandom return each seed in turn, as 8 big-endian bytes; a
+    call past the last fails the test. Returns the seeds not yet drawn."""
+    left = list(seeds)
+
+    def urandom(size):
+        assert size == 8 and left, "unexpected os.urandom call"
+        return left.pop(0).to_bytes(8, "big")
+
+    monkeypatch.setattr(os, "urandom", urandom)
+    return left
+
+
+def test_encode_without_seed_sends_the_cover_of_a_fresh_seed(
+    cli_files, tmp_path, capsys, monkeypatch
+):
+    # Two calls on one corpus and codebook draw two seeds, so they do not
+    # send one cover twice; --out records each seed and stdout shows none.
+    left = _fake_urandom(monkeypatch, 2**64 - 1, 12345)
+    argv = ["encode", "--secret", "3141", "--codebook", cli_files["cb_common"],
+            "--corpus", cli_files["corpus"]]
+    sent = []
+    for number in range(2):
+        out = tmp_path / f"stego{number}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        sent.append((capsys.readouterr().out, json.loads(out.read_text(encoding="utf-8"))))
+    assert left == []
+    assert [doc["seed"] for _, doc in sent] == [2**64 - 1, 12345]
+    assert sent[0][0] != sent[1][0]
+    for stego, doc in sent:
+        assert str(doc["seed"]) not in stego
+        assert main([*argv, "--seed", str(doc["seed"])]) == 0
+        assert capsys.readouterr().out == stego
+
+
+def test_gen_codebook_without_seed_records_the_drawn_one(
+    cli_files, tmp_path, capsys, monkeypatch
+):
+    left = _fake_urandom(monkeypatch, 2**64 - 1)
+    argv = ["gen-codebook", "--corpus", cli_files["corpus"], "--band", "14+", "--out"]
+    assert main([*argv, str(tmp_path / "drawn.json")]) == 0
+    printed = capsys.readouterr().out
+    assert left == []
+    assert load_codebook(tmp_path / "drawn.json").seed == 2**64 - 1
+    assert main([*argv, str(tmp_path / "given.json"), "--seed", str(2**64 - 1)]) == 0
+    assert capsys.readouterr().out.replace("given", "drawn") == printed
+    assert (tmp_path / "drawn.json").read_bytes() == (tmp_path / "given.json").read_bytes()
+
+
+def test_a_given_seed_and_the_eval_verbs_draw_no_seed(cli_files, tmp_path, monkeypatch):
+    # So every pinned output keeps its bytes: the golden and README commands
+    # pass --seed, and the eval verbs' seed defaults to 0.
+    _fake_urandom(monkeypatch)
+    files = ["--corpus", cli_files["corpus"], "--out", str(tmp_path / "out")]
+    assert main(["gen-codebook", "--band", "14+", "--seed", "3", *files]) == 0
+    assert (tmp_path / "out").read_bytes() == Path(cli_files["cb_common"]).read_bytes()
+    codebook = ["--codebook", cli_files["cb_common"]]
+    assert main(["encode", "--secret", "21", *codebook, "--seed", "0", *files]) == 0
+    for verb in (["eval", "band"], ["eval", "density", *codebook],
+                 ["eval", "distinguish", *codebook]):
+        assert main([*verb, "--trials", "5", *files]) == 0
+        assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["seed"] == 0
 
 
 def test_encode_exhaustion_exits_4(tmp_path, capsys):
@@ -593,10 +672,10 @@ def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, i
          "--densities items must be numbers, got 'x'", None),
         (["eval", "density", "--codebook", "nope.json", "--densities", "0.1,1.5"],
          "target density 1.5 outside [0, 1)",
-         lambda corpus, codebook: run_density_experiment(corpus, codebook, [0.1, 1.5])),
+         lambda corpus, codebook: run_density_experiment(corpus, codebook, [0.1, 1.5], 500)),
         (["eval", "density", "--codebook", "nope.json", "--densities", "nan"],
          "target density nan outside [0, 1)",
-         lambda corpus, codebook: run_density_experiment(corpus, codebook, [math.nan])),
+         lambda corpus, codebook: run_density_experiment(corpus, codebook, [math.nan], 500)),
         (["eval", "band", "--trials", "0"], "trials must be >= 1",
          lambda corpus, codebook: run_band_experiment(corpus, [(1, None)], trials=0)),
         (["eval", "density", "--codebook", "nope.json", "--trials", "0"], "trials must be >= 1",
@@ -604,7 +683,7 @@ def test_eval_density_bad_densities_item_exits_2(cli_files, capsys, densities, i
              corpus, codebook, [0.0, 0.05, 0.1, 0.2, 0.3], trials=0)),
         (["eval", "distinguish", "--codebook", "nope.json", "--trials", "0"],
          "trials must be >= 1",
-         lambda corpus, codebook: build_pairs(corpus, codebook, trials=0)),
+         lambda corpus, codebook: build_pairs(corpus, codebook, trials=0, secret_len=2)),
         (["eval", "distinguish", "--codebook", "nope.json", "--secret-len", "-3"],
          "secret_len must be >= 0",
          lambda corpus, codebook: build_pairs(corpus, codebook, trials=200, secret_len=-3)),

@@ -115,6 +115,33 @@ def test_select_codebook_checks_the_alphabet_as_codebook_does(toy_corpus, alphab
     assert issubclass(CodebookValidationError, ValueError)
 
 
+@pytest.mark.parametrize("symbol", ["", "12"])
+def test_every_codebook_refuses_a_symbol_that_is_not_one_character(
+    tmp_path, toy_corpus, symbol
+):
+    # One rule, check_alphabet, for a codebook built, drawn or loaded.
+    message = f"^symbol {re.escape(repr(symbol))} is not one character$"
+    with pytest.raises(CodebookValidationError, match=message):
+        Codebook(("0", symbol), {"0": "cat", symbol: "sat"}, (1, None), 0)
+    with pytest.raises(CodebookValidationError, match=message):
+        select_codebook(toy_corpus.vocabulary, (1, None), ["0", symbol], seed=0)
+    path = tmp_path / "codebook.json"
+    doc = {"version": 1, "alphabet": [symbol], "forward": {symbol: "cat"}, "band": [1, None],
+           "seed": 0}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CodebookValidationError, match=message):
+        load_codebook(path)
+
+
+def test_codebook_keeps_its_alphabet_as_a_string(toy_corpus):
+    assert DIGITS == "0123456789"
+    codebook = Codebook(["1", "2"], {"2": "good", "1": "really"}, (1, None), 0)
+    assert codebook.alphabet == "12"
+    drawn = select_codebook(toy_corpus.vocabulary, (1, None), ("a", "b"), seed=0)
+    assert drawn.alphabet == "ab"
+    assert select_codebook(toy_corpus.vocabulary, (1, None), "ab", seed=0).forward == drawn.forward
+
+
 def test_select_codebook_rejects_inverted_band(toy_corpus):
     with pytest.raises(ValueError):
         select_codebook(toy_corpus.vocabulary, (6, 4), ("0",), seed=0)
@@ -280,8 +307,9 @@ codewords = st.text(
 
 @st.composite
 def codebooks(draw):
-    symbols = st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=12, unique=True)
-    alphabet = tuple(draw(symbols))
+    # One-character symbols, drawn from what st.text draws: any but a surrogate.
+    symbol = st.characters(codec="utf-8")
+    alphabet = "".join(draw(st.lists(symbol, min_size=1, max_size=12, unique=True)))
     words = draw(
         st.lists(codewords, min_size=len(alphabet), max_size=len(alphabet), unique=True)
     )

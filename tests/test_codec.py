@@ -63,16 +63,15 @@ def toy_insert(toy_corpus, tokens, words):
 
 
 def test_decode_extracts_symbols_in_order(two_word_codebook):
-    assert decode(GOLDEN_STEGO.split(), two_word_codebook) == ("2", "1")
-    assert "".join(decode(GOLDEN_STEGO.split(), two_word_codebook)) == "21"
+    assert decode(GOLDEN_STEGO.split(), two_word_codebook) == "21"
 
 
 def test_decode_of_plain_cover_is_empty(two_word_codebook):
-    assert decode(GOLDEN_COVER.split(), two_word_codebook) == ()
+    assert decode(GOLDEN_COVER.split(), two_word_codebook) == ""
 
 
 def test_decode_counts_repeated_codewords(two_word_codebook):
-    assert decode(["good", "x", "good", "really"], two_word_codebook) == ("2", "2", "1")
+    assert decode(["good", "x", "good", "really"], two_word_codebook) == "221"
 
 
 def test_contains_codeword(two_word_codebook):
@@ -197,7 +196,7 @@ def test_insert_codewords_keeps_cover_order(toy_corpus):
 
 def test_steganize_round_trip(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    secret = ("3", "1", "4")
+    secret = "314"
     result = steganize(secret, codebook, small_corpus, seed=99)
     assert decode(result.stego, codebook) == secret
     kept = [
@@ -218,7 +217,7 @@ def test_encode_path_never_counts_the_vocabulary(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     corpus = Corpus(synth_lines(n_messages=400, seed=3, vocab_size=500))
     result = steganize("314", codebook, corpus, seed=99)
-    assert decode(result.stego, codebook) == ("3", "1", "4")
+    assert decode(result.stego, codebook) == "314"
     assert "vocabulary" not in corpus.__dict__
 
 
@@ -254,7 +253,7 @@ def test_a_loop_of_calls_searches_each_call_for_its_own_codewords(desk_corpus):
     secrets = []
     with mock.patch.object(corpus, "containing", wraps=corpus.containing) as search:
         for seed in range(1000):
-            secret = [rng.choice(DIGITS) for _ in range(seed % 4 + 1)]
+            secret = "".join(rng.choice(DIGITS) for _ in range(seed % 4 + 1))
             secrets.append(secret)
             steganize(secret, codebook, corpus, seed=seed)
     assert [set(call.args[0]) for call in search.call_args_list] == [
@@ -265,14 +264,14 @@ def test_a_loop_of_calls_searches_each_call_for_its_own_codewords(desk_corpus):
 def test_steganize_accepts_plain_string_secret(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
     result = steganize("271", codebook, small_corpus, seed=4)
-    assert "".join(decode(result.stego, codebook)) == "271"
+    assert decode(result.stego, codebook) == "271"
 
 
 def test_steganize_empty_secret_returns_cover(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    result = steganize((), codebook, small_corpus, seed=5)
+    result = steganize("", codebook, small_corpus, seed=5)
     assert result.stego == result.cover
-    assert decode(result.stego, codebook) == ()
+    assert decode(result.stego, codebook) == ""
     assert result.inserted_positions == ()
     assert result.density == 0.0
 
@@ -294,16 +293,16 @@ def test_steganize_avoids_covers_that_already_hold_codewords():
     corpus = Corpus(["x y z", "q x y", "x z y"])
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     for seed in range(10):
-        result = steganize(("0",), codebook, corpus, seed=seed)
+        result = steganize("0", codebook, corpus, seed=seed)
         assert not contains_codeword(result.cover, codebook)
-        assert decode(result.stego, codebook) == ("0",)
+        assert decode(result.stego, codebook) == "0"
 
 
 def test_steganize_fails_when_every_cover_holds_a_codeword():
     corpus = Corpus(["q a b", "b q a"])
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     with pytest.raises(SteganizeError) as excinfo:
-        steganize(("0",), codebook, corpus, seed=0)
+        steganize("0", codebook, corpus, seed=0)
     assert excinfo.value.attempts == MAX_ATTEMPTS
     assert str(excinfo.value) == (
         f"every drawn cover contained a codeword after {MAX_ATTEMPTS} attempts"
@@ -328,7 +327,7 @@ def test_steganize_needs_covers_with_three_tokens():
     corpus = Corpus(["a b", "c d"])
     codebook = Codebook(("0",), {"0": "q"}, (1, None), 0)
     with pytest.raises(SteganizeError) as excinfo:
-        steganize(("0",), codebook, corpus, seed=0)
+        steganize("0", codebook, corpus, seed=0)
     assert excinfo.value.attempts == 0
 
 
@@ -337,15 +336,13 @@ _codec_codebook = select_codebook(_codec_corpus.vocabulary, (2, None), DIGITS, s
 
 
 @given(
-    secret=st.lists(st.sampled_from(DIGITS), max_size=4),
+    secret=st.text(DIGITS, max_size=4),
     seed=st.integers(min_value=0, max_value=2**32),
 )
 @settings(deadline=None, max_examples=60)
 def test_round_trip_property(secret, seed):
-    result = steganize(
-        tuple(secret), _codec_codebook, _codec_corpus, seed=seed
-    )
-    assert decode(result.stego, _codec_codebook) == tuple(secret)
+    result = steganize(secret, _codec_codebook, _codec_corpus, seed=seed)
+    assert decode(result.stego, _codec_codebook) == secret
     kept = [
         t
         for i, t in enumerate(result.stego)
@@ -381,9 +378,9 @@ def test_printed_stego_decodes_after_scrubbing(
     raw_corpus, alphabet, codebook_seed, seed, data
 ):
     codebook = select_codebook(
-        raw_corpus.vocabulary, (2, 20), tuple(alphabet), seed=codebook_seed
+        raw_corpus.vocabulary, (2, 20), alphabet, seed=codebook_seed
     )
-    secret = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=4)))
+    secret = data.draw(st.text(alphabet, max_size=4))
     result = steganize(secret, codebook, raw_corpus, seed=seed)
     printed = " ".join(result.stego)
     assert decode(scrub_message(printed).split(), codebook) == secret

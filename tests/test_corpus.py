@@ -602,7 +602,7 @@ def test_the_codebook_and_encode_paths_build_no_line_tuple(tmp_path):
         encode_transient = peak - held
     finally:
         tracemalloc.stop()
-    assert "".join(decode(result.stego, codebook)) == "2718"
+    assert decode(result.stego, codebook) == "2718"
     held = [*vars(corpus).values(), *vars(corpus.cover_pool).values()]
     assert max(len(value) for value in held if isinstance(value, (tuple, list))) < 100
     # What each step takes on the way and lets go of. The codebook path

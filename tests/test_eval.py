@@ -119,7 +119,7 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
         )
         secret_rng = random.Random(derive_seed(seed, "band", index, "secrets"))
         secrets = [
-            tuple(secret_rng.choice(codebook.alphabet) for _ in range(secret_len))
+            "".join(secret_rng.choice(codebook.alphabet) for _ in range(secret_len))
             for _ in range(row["trials"])
         ]
         cover_rng = random.Random(derive_seed(seed, "band", index, "trials"))
@@ -290,7 +290,7 @@ def test_distinguisher_is_blind_on_identical_pairs(small_corpus):
 
 def test_distinguisher_spots_rare_word_insertions(small_corpus):
     codebook = select_codebook(small_corpus.vocabulary, (4, 6), DIGITS, seed=1)
-    pairs = build_pairs(small_corpus, codebook, 60, seed=0)
+    pairs = build_pairs(small_corpus, codebook, 60, secret_len=2, seed=0)
     accuracy = distinguisher_accuracy(small_corpus, pairs, seed=1)
     assert accuracy > 0.7
 

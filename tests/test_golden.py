@@ -182,13 +182,13 @@ def test_cli_stdout_matches_golden(golden_files, capsys, argv, expected):
 
 def _steganize_reason(corpus, codebook):
     with pytest.raises(SteganizeError) as excinfo:
-        steganize(("0",), codebook, corpus, seed=0)
+        steganize("0", codebook, corpus, seed=0)
     return str(excinfo.value)
 
 
 def _pairs_reason(corpus, codebook):
     with pytest.raises(SteganizeError) as excinfo:
-        build_pairs(corpus, codebook, 3, seed=0)
+        build_pairs(corpus, codebook, 3, secret_len=2, seed=0)
     return str(excinfo.value)
 
 
