@@ -106,16 +106,17 @@ def select_codebook(
     counts: Mapping[str, int],
     band: Band,
     alphabet: Sequence[str] = DIGITS,
-    seed: int = 0,
     *,
+    seed: int,
     words: Sequence[str] | None = None,
 ) -> Codebook:
     """Sample one codeword per symbol, uniformly without replacement.
 
     The draw is deterministic in (counts, band, alphabet, seed); the CLI
-    passes Corpus.vocabulary as counts. A caller that has already listed
-    the band's words, band_words(counts, band), passes that list as words,
-    and the band is not filtered again. Raises CodebookValidationError for
+    passes Corpus.vocabulary as counts. seed has no default, because anyone
+    who holds the corpus can redo a draw from a known seed. A caller that
+    has already listed the band's words, band_words(counts, band), passes
+    that list as words, and the band is not filtered again. Raises CodebookValidationError for
     a bad band or alphabet, InsufficientBandError when the band holds fewer
     words than the alphabet has symbols.
     """

@@ -39,9 +39,8 @@ routes that give the same text:
 The marks then leave the UTF-8 bytes (_delete_marks): when every
 non-ASCII character is a mark, one bytes.translate deletes them with the
 ASCII marks; otherwise the ASCII marks go in one bytes.translate and each
-distinct non-ASCII mark in one str.replace, or all of them in one
-str.translate when there are more than MAX_REPLACED_MARKS. The rule is the
-one scrub_message applies to a single line, so each message is what
+distinct non-ASCII mark in one str.replace. The rule is the one
+scrub_message applies to a single line, so each message is what
 scrub_message makes of its line.
 
 A corpus holds its lines as texts, whole lines joined by "\n", and holds no
@@ -146,14 +145,6 @@ _ASCII_MARKS_AND_WIDE = _ASCII_MARKS + bytes(range(128, 256))
 # The ASCII characters that str.split and re's str \s take for whitespace
 # and bytes.split and re's bytes \s do not.
 _STR_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-# Most distinct non-ASCII marks one text may hold and still have each deleted
-# by a str.replace pass of its own; a text with more goes through translate.
-# On a 64K-character read with a mark after every word and an é, translate
-# with the text's own table took 3.3-5.2 ms whatever the marks, and a replace
-# pass 0.07-0.12 ms (Python 3.11.7, 2 shared vCPUs, under varying load); the
-# two routes crossed at 36-44 marks in each of three runs.
-MAX_REPLACED_MARKS = 32
 
 # The drop rules, each compiled twice below: for str text and for its UTF-8
 # bytes. The first three drop a whole token that starts with "@", "#" or
@@ -301,18 +292,12 @@ def _delete_marks(data: bytes, wide: set[str]) -> str:
     are marks, one bytes.translate deletes them with the ASCII marks and
     leaves ASCII, so _scrub_text leaves out of wide the whitespace it made
     spaces. Otherwise the ASCII marks go in one bytes.translate and each
-    non-ASCII mark in one str.replace, or all of them in one str.translate
-    when there are more than MAX_REPLACED_MARKS, by a table made for this
-    text: _ASCII_TABLE and an entry for each character of wide, so that a
-    lookup misses only for a character that the lowercasing made.
+    non-ASCII mark in one str.replace.
     """
     marks = [char for char in wide if ord(char) in _PUNCTUATION]
     if len(marks) == len(wide):
         return data.translate(None, _ASCII_MARKS_AND_WIDE).decode("ascii")
     text = data.translate(None, _ASCII_MARKS).decode("utf-8", "surrogatepass")
-    if len(marks) > MAX_REPLACED_MARKS:
-        kept = {ord(char): ord(char) for char in wide}
-        return text.translate(_ASCII_TABLE | kept | dict.fromkeys(map(ord, marks)))
     for mark in marks:
         text = text.replace(mark, "")
     return text

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 
@@ -64,6 +65,13 @@ def test_select_codebook_is_deterministic(desk_corpus):
     first = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=11)
     again = select_codebook(desk_corpus.vocabulary, (14, None), DIGITS, seed=11)
     assert _fields(first) == _fields(again)
+
+
+def test_select_codebook_requires_its_seed():
+    # A default seed would let anyone who holds the corpus redo the draw.
+    seed = inspect.signature(select_codebook).parameters["seed"]
+    assert seed.default is inspect.Parameter.empty
+    assert seed.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_select_codebook_draws_from_the_band(desk_corpus):

@@ -1,4 +1,5 @@
 import io
+import random
 import re
 import shlex
 from pathlib import Path
@@ -6,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from wordsteg.cli import main
+from wordsteg.codebook import band_words, select_codebook
+from wordsteg.codec import steganize
+from wordsteg.corpus import Corpus
 
 from synthcorpus import synth_lines
 
@@ -75,3 +79,30 @@ def test_shown_cli_output_is_what_the_command_prints(messages_dir, capsys, monke
             (messages_dir / stdout).write_text(out, encoding="utf-8")
             out = ""
         assert [line.rstrip() for line in out.splitlines()] == shown, command
+
+
+def _holds_in_order(message, stego):
+    words = iter(stego)
+    return all(word in words for word in message)
+
+
+def test_threat_model_figures():
+    # The seeded figures of the README's "Threat model", on the quick-start
+    # corpus and codebook.
+    lines = synth_lines(n_messages=800, seed=7, vocab_size=900)
+    corpus = Corpus(lines)
+    codebook = select_codebook(corpus.vocabulary, (14, None), seed=7)
+    assert len(band_words(corpus.vocabulary, (14, None))) == 74
+    # An observer who holds the corpus traces every output to its cover: the
+    # one longest corpus line that the stego message holds in order.
+    messages = {tuple(line.split()) for line in lines}
+    for seed in range(1, 101):
+        result = steganize("2024", codebook, corpus, seed=seed)
+        stego = result.stego
+        held = [m for m in messages if len(m) < len(stego) and _holds_in_order(m, stego)]
+        longest = max(map(len, held))
+        assert [m for m in held if len(m) == longest] == [result.cover], seed
+    # A fixed seed draws one cover whatever the secret.
+    rng = random.Random(1)
+    secrets = ("".join(rng.choices("0123456789", k=rng.randint(1, 8))) for _ in range(100))
+    assert len({steganize(secret, codebook, corpus, seed=11).cover for secret in secrets}) == 1
