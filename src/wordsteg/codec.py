@@ -1,9 +1,9 @@
 """Encoder and decoder for the insertion code.
 
 The encoder hides a secret by inserting one codeword per symbol into a cover
-message drawn from the corpus. Each codeword goes into the inter-word slot
-whose newly created n-grams are most frequent in the corpus, scanning left
-to right so the receiver recovers symbol order with a single pass.
+message drawn from the corpus by CoverPool.draw. Each codeword goes into the
+inter-word slot whose newly created n-grams are most frequent in the corpus,
+scanning left to right so the receiver recovers symbol order in one pass.
 insert_codewords scores all of a codeword's slots in one scan of the
 message: it looks up the (at most) five grams of orders 2 and 3 around each
 slot in the model's tables, and checks the codeword and the words around the
@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from math import log1p
 
 from .codebook import Codebook
-from .corpus import MIN_COVER_TOKENS, Corpus
+from .corpus import Corpus
 from .errors import SteganizeError
 from .ngram import MAX_N, NGramModel, build_model
 
@@ -65,10 +65,6 @@ class StegoResult(
         }
 
 
-# Why no cover can be drawn from an empty pool, as every caller reports it.
-NO_COVERS = f"no covers with >= {MIN_COVER_TOKENS} tokens"
-
-
 def contains_codeword(tokens: Sequence[str], codebook: Codebook) -> bool:
     return not codebook.inverse.keys().isdisjoint(tokens)
 
@@ -76,26 +72,20 @@ def contains_codeword(tokens: Sequence[str], codebook: Codebook) -> bool:
 def draw_cover(
     covers: Corpus, codebook: Codebook, rng: random.Random
 ) -> tuple[int, tuple[str, ...]]:
-    """Seeded uniform draws from covers.cover_pool, one rng.randrange each,
-    over len(pool) read once per call.
+    """Covers drawn by covers.cover_pool.draw(rng) until one holds no
+    codeword of `codebook`.
 
-    Each drawn line is split into its tokens; the first draw into a text of
-    the corpus indexes that text, so a call indexes at most one text per
-    attempt. Returns (attempt, cover tokens) for the first drawn cover that
-    holds no codeword of `codebook`. Raises SteganizeError on an empty pool
-    (after 0 attempts), or once MAX_ATTEMPTS covers have been drawn and
-    every one held a codeword. There is no mode without rejection:
-    run_band_experiment, which counts the covers that hold a codeword,
-    draws from the pool itself.
+    Returns (attempt, cover tokens) for that cover. Raises SteganizeError
+    as the draw does on an empty pool, or once MAX_ATTEMPTS covers have
+    been drawn and every one held a codeword. There is no mode without
+    rejection: run_band_experiment, which counts the covers that hold a
+    codeword, calls the draw itself.
     """
-    pool = covers.cover_pool
-    size = len(pool)
-    if not size:
-        raise SteganizeError(0, NO_COVERS)
+    draw = covers.cover_pool.draw
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        cover = tuple(pool[rng.randrange(size)].split())
+        cover = draw(rng)
         if not contains_codeword(cover, codebook):
-            return attempt, cover
+            return attempt, tuple(cover)
     raise SteganizeError(MAX_ATTEMPTS, "every drawn cover contained a codeword")
 
 
@@ -165,8 +155,8 @@ def decode(tokens: Sequence[str], codebook: Codebook) -> str:
 def steganize(secret: str, codebook: Codebook, covers: Corpus, seed: int) -> StegoResult:
     """Embed a secret into a randomly drawn cover message.
 
-    Draws one cover with no codeword via draw_cover (seeded, uniform over
-    covers.cover_pool), counts the model for that cover and the secret's
+    Draws one cover with no codeword via draw_cover (seeded draws by
+    CoverPool.draw), counts the model for that cover and the secret's
     codewords, then inserts the codeword for each secret symbol in order;
     an empty secret returns the cover unchanged. Raises SteganizeError when
     the pool is empty, all MAX_ATTEMPTS covers drawn hold a codeword, or the

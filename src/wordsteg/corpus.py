@@ -32,9 +32,9 @@ routes that give the same text:
   a text with a non-ASCII character that changes case is lowercased as
   str first (str.lower may make ASCII of it, and lowers a final sigma
   in context). The bytes patterns and bytes.split take neither non-ASCII
-  whitespace nor the ASCII separators \x1c-\x1f for whitespace, so each
-  of those becomes a space first. A line of such a text keeps a space
-  where its raw text held one of them.
+  whitespace nor the ASCII separators \x1c-\x1f for whitespace, so one
+  lookup (_str_only_chars) finds both, and each becomes a space first. A
+  line of such a text keeps a space where its raw text held one of them.
 
 The marks then leave the UTF-8 bytes (_delete_marks): when every
 non-ASCII character is a mark, one bytes.translate deletes them with the
@@ -59,9 +59,9 @@ counts are computed on first access, so a verb that never reads them
 The cover pool is an index of the lines with at least MIN_COVER_TOKENS
 tokens, so no verb holds the corpus text twice. Built on first use, it
 counts each text's covers with one regex pass that stops only at the lines
-with fewer tokens, and makes no string per line; the first draw into a
-text indexes the starts of that text's covers, and a draw slices one line
-out of its text.
+with fewer tokens, and makes no string per line. CoverPool.draw, the one
+cover draw, indexes the starts of a text's covers on the first draw into
+it, and slices the drawn line out of its text.
 
 The texts that may hold one of some words are found by str.find over each
 text, one hit per line, each hit's line bounded by the line breaks around
@@ -71,6 +71,7 @@ every text from there on as it is. Each call searches again and keeps
 nothing on the corpus.
 """
 
+import random
 import re
 from array import array
 from collections import Counter
@@ -78,10 +79,12 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, partial
 from itertools import accumulate, filterfalse
 
-from .errors import EmptyCorpusError
+from .errors import EmptyCorpusError, SteganizeError
 
 # A cover must offer at least two inter-word slots before any insertion.
 MIN_COVER_TOKENS = 3
+# Why no cover can be drawn from an empty pool, as every draw reports it.
+NO_COVERS = f"no covers with >= {MIN_COVER_TOKENS} tokens"
 
 # The line break before each line with fewer than MIN_COVER_TOKENS tokens.
 # A line that holds that many fails the first lookahead, a fast path, when
@@ -142,9 +145,10 @@ _ASCII_TABLE = {code: None if code in _PUNCTUATION else code for code in _ASCII}
 # What one bytes.translate deletes from UTF-8 text whose non-ASCII characters
 # are all marks: the ASCII marks and every byte of a non-ASCII character.
 _ASCII_MARKS_AND_WIDE = _ASCII_MARKS + bytes(range(128, 256))
-# The ASCII characters that str.split and re's str \s take for whitespace
-# and bytes.split and re's bytes \s do not.
-_STR_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# What one bytes.translate deletes to leave what str and bytes take differently:
+# every ASCII byte but \x1c-\x1f, which str.split and re's str \s take for
+# whitespace and bytes.split and re's bytes \s do not.
+_ASCII_BUT_SEPARATORS = _ASCII.translate(None, b"\x1c\x1d\x1e\x1f")
 
 # The drop rules, each compiled twice below: for str text and for its UTF-8
 # bytes. The first three drop a whole token that starts with "@", "#" or
@@ -242,7 +246,7 @@ def _scrub_text(text: str) -> str:
     if text.isascii():
         return _drop_tokens(text.lower(), _STR_DROPS).translate(_ASCII_TABLE)
     data = text.encode("utf-8", "surrogatepass")
-    wide = _wide_chars(data)
+    wide = _str_only_chars(data)
     joined = "".join(wide)
     # str.lower changes no mark, makes none and changes no whitespace, so
     # wide still holds every mark and space of the lowercased text.
@@ -250,8 +254,6 @@ def _scrub_text(text: str) -> str:
         data = text.lower().encode("utf-8", "surrogatepass")
     else:
         data = data.lower()
-    for space in _STR_ONLY_SPACES:
-        data = data.replace(space, b" ")
     if spaces := set(filter(str.isspace, wide)):
         wide -= spaces
         for space in spaces:
@@ -259,14 +261,15 @@ def _scrub_text(text: str) -> str:
     return _delete_marks(_drop_tokens(data, _BYTE_DROPS), wide)
 
 
-def _wide_chars(data: bytes) -> set[str]:
-    """The distinct non-ASCII characters of UTF-8 `data`.
+def _str_only_chars(data: bytes) -> set[str]:
+    """The distinct characters of UTF-8 `data` that str and bytes methods
+    take differently: its non-ASCII characters and the separators \x1c-\x1f.
 
     Every byte of a non-ASCII character is at least 0x80, so deleting the
-    ASCII bytes leaves exactly those characters. Lone surrogates pass
+    other ASCII bytes leaves exactly those characters. Lone surrogates pass
     through "surrogatepass" unchanged.
     """
-    return set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
+    return set(data.translate(None, _ASCII_BUT_SEPARATORS).decode("utf-8", "surrogatepass"))
 
 
 def _drop_tokens(text, drops):
@@ -360,6 +363,16 @@ class CoverPool(Sequence):
         end = text.find("\n", start)
         return text[start:end] if end >= 0 else text[start:]
 
+    def draw(self, rng: random.Random) -> list[str]:
+        """The tokens of one cover, pool[rng.randrange(len(pool))].split():
+        a uniform draw by one randrange, the package's only cover draw, so
+        an rng draws the same covers for every caller. Raises SteganizeError
+        after 0 attempts, with the reason NO_COVERS, on an empty pool.
+        """
+        if not self._numbers:
+            raise SteganizeError(0, NO_COVERS)
+        return self[rng.randrange(len(self._numbers))].split()
+
     def _index(self, number: int) -> array:
         """The start of each cover of text `number`."""
         # Each line starts one past the end of the line before it; the last
@@ -422,7 +435,7 @@ class Corpus:
         """The lines long enough to serve as covers, counted on first use
         and indexed text by text as draws land in them.
 
-        Empty when no line qualifies; codec.draw_cover raises on that.
+        Empty when no line qualifies; CoverPool.draw raises on that.
         """
         return CoverPool(self.texts, self._line_counts)
 

@@ -10,6 +10,7 @@ order. The other draws come in turn from streams, so each depends on the
 draws before it in its stream: each band draws its trials' covers from one
 "trials" stream of its own, and run_density_experiment draws all its covers
 from one "covers" stream and each point's secrets from one stream per point.
+Each cover is one CoverPool.draw on its stream, with or without rejection.
 """
 
 import math
@@ -19,7 +20,7 @@ from collections.abc import Sequence
 from itertools import chain
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
-from .codec import NO_COVERS, contains_codeword, draw_cover, insert_codewords
+from .codec import contains_codeword, draw_cover, insert_codewords
 from .corpus import Corpus
 from .errors import InsufficientBandError, SteganizeError
 from .ngram import build_model, count_grams, message_grams, plausibility_score
@@ -86,21 +87,17 @@ def run_band_experiment(
 
     Each band gets its own codebook, drawn from corpus.vocabulary, and
     `trials` cover draws without rejection, so not through draw_cover: each
-    trial takes pool[rng.randrange(size)] from pool = corpus.cover_pool,
-    with size = len(pool) read once per band, each draw in turn from one
-    rng seeded by the band's index; the first draw into a text of the
-    corpus indexes that text. So a band's row does not depend on the other
-    bands or on the order they run in. A raw embed into a drawn cover
-    decodes wrongly exactly when that cover already holds a codeword:
+    trial is one corpus.cover_pool.draw(rng), each in turn from one rng
+    seeded by the band's index. So a band's row does not depend on the
+    other bands or on the order they run in. A raw embed into a drawn
+    cover decodes wrongly exactly when that cover already holds a codeword:
     insertion always finds a slot and the inserted codewords decode in
     order, so no other error occurs, whatever the secret. Errors therefore
     count the drawn covers that hold a codeword. Bands too thin to fill a
-    codebook are reported as skipped, not raised. When no message has
-    MIN_COVER_TOKENS or more tokens, the cover pool is empty and nothing
-    can be drawn: failures then equals trials for every band not skipped,
-    errors is 0, and the reason is the one draw_cover gives, "no covers
-    with >= 3 tokens after 0 attempts"; otherwise failures is 0. Returns
-    one _band_row per band.
+    codebook are reported as skipped, not raised. An empty cover pool makes
+    the draw raise: failures then equals trials for every band not skipped,
+    errors is 0, and the reason is the raised error's text; otherwise
+    failures is 0. Returns one _band_row per band.
     """
     if not bands:
         raise ValueError("need at least one band")
@@ -114,16 +111,15 @@ def run_band_experiment(
         except InsufficientBandError as exc:
             rows.append(_band_row(band, trials=0, errors=0, reason=str(exc)))
             continue
-        pool = corpus.cover_pool
-        size = len(pool)
-        if not size:
-            reason = str(SteganizeError(0, NO_COVERS))
-            rows.append(_band_row(band, trials, errors=0, failures=trials, reason=reason))
-            continue
-        errors = 0
+        draw = corpus.cover_pool.draw
         rng = random.Random(derive_seed(seed, "band", index, "trials"))
-        for _ in range(trials):
-            errors += contains_codeword(pool[rng.randrange(size)].split(), codebook)
+        errors = 0
+        try:
+            for _ in range(trials):
+                errors += contains_codeword(draw(rng), codebook)
+        except SteganizeError as exc:
+            rows.append(_band_row(band, trials, errors=0, failures=trials, reason=str(exc)))
+            continue
         rows.append(_band_row(band, trials, errors))
     return rows
 

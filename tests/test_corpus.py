@@ -15,15 +15,8 @@ from hypothesis import strategies as st
 
 from wordsteg import corpus as corpus_module
 from wordsteg.codebook import DIGITS, Codebook, select_codebook
-from wordsteg.codec import (
-    MAX_ATTEMPTS,
-    NO_COVERS,
-    contains_codeword,
-    decode,
-    draw_cover,
-    steganize,
-)
-from wordsteg.corpus import Corpus, load_corpus, scrub_message
+from wordsteg.codec import MAX_ATTEMPTS, contains_codeword, decode, draw_cover, steganize
+from wordsteg.corpus import NO_COVERS, Corpus, load_corpus, scrub_message
 from wordsteg.errors import EmptyCorpusError, SteganizeError
 
 from corpuslines import corpus_lines, corpus_of, text_lines, texts_of
@@ -330,7 +323,7 @@ def test_text_whose_bytes_scrub_differently_is_scrubbed_as_str(char):
     data = raw.encode("utf-8")
     as_bytes = corpus_module._delete_marks(
         corpus_module._drop_tokens(data.lower(), corpus_module._BYTE_DROPS),
-        corpus_module._wide_chars(data),
+        corpus_module._str_only_chars(data),
     )
     assert " ".join(as_bytes.split()) != expected
 
@@ -554,6 +547,34 @@ def _draw_outcome(draw, covers, codebook, seed):
         return str(exc)
 
 
+# Lines of 0 to 5 tokens, cut into texts of one to three lines and again at
+# a small READ_CHARS, so that draws land in texts of uneven cover counts.
+@pytest.mark.parametrize("read_chars", [1, 4, 16, corpus_module.READ_CHARS])
+@pytest.mark.parametrize("most", [1, 3])
+def test_cover_pool_draw_is_one_randrange_over_the_pool(read_chars, most):
+    rng = random.Random(read_chars)
+    lines = [" ".join(rng.choices("abcde", k=rng.randrange(6))) for _ in range(60)]
+    texts = texts_of(lines, most)
+    assert len(corpus_of(texts, read_chars).cover_pool) > 10
+    for seed in range(5):
+        pool = corpus_of(texts, read_chars).cover_pool
+        drawing, reference = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert pool.draw(drawing) == pool[reference.randrange(len(pool))].split()
+        assert drawing.getstate() == reference.getstate()
+
+
+def test_cover_pool_draw_from_an_empty_pool_raises_after_0_attempts():
+    pool = Corpus(["a b", "c d", "e"]).cover_pool
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(SteganizeError) as raised:
+        pool.draw(rng)
+    assert raised.value.attempts == 0
+    assert str(raised.value) == "no covers with >= 3 tokens after 0 attempts"
+    assert rng.getstate() == state
+
+
 def test_loaded_corpus_holds_no_per_token_objects(tmp_path):
     # Texts of about one read each: a tuple of token strings per message held
     # 11x the file size, a tuple of lines 1.8x, and the texts hold about 1.02x. The
@@ -651,7 +672,7 @@ def test_ascii_marks_are_the_ascii_punctuation():
 def _delete_marks(text):
     """corpus._delete_marks of text's UTF-8 bytes and its non-ASCII characters."""
     data = text.encode("utf-8", "surrogatepass")
-    return corpus_module._delete_marks(data, corpus_module._wide_chars(data))
+    return corpus_module._delete_marks(data, corpus_module._str_only_chars(data))
 
 
 # The sha256 of the UTF-8 text of Unicode 14.0.0's punctuation, in code
