@@ -317,9 +317,10 @@ def scrub_message(raw: str) -> str:
     return " ".join(_scrub_text(raw).split())
 
 
-class CoverPool(Sequence):
+class CoverPool:
     """The lines of a corpus's texts with at least MIN_COVER_TOKENS tokens,
-    in corpus order, held as counts and indexes and not as lines.
+    in corpus order, held as counts and indexes and not as lines. draw is
+    its one public method.
 
     At build, each text's covers are counted by one _SHORT_LINE pass, which
     finds the start of each line with fewer tokens; only those starts are
@@ -327,8 +328,8 @@ class CoverPool(Sequence):
     of each cover, 4 bytes a cover. The first draw into a text indexes the
     starts of that text's covers, 8 bytes a cover, and later draws reuse
     the index, so a verb that draws a few covers indexes a few texts and no
-    verb holds the corpus text twice. pool[k] slices line k out of its
-    text, up to the next line break, a new string on every call.
+    verb holds the corpus text twice. A draw slices its line out of its
+    text, up to the next line break, a new string on every draw.
     """
 
     def __init__(self, texts: Sequence[str], line_counts: Sequence[int]):
@@ -346,14 +347,15 @@ class CoverPool(Sequence):
             self._firsts.append(len(self._numbers))
             self._numbers += array("I", [number]) * (lines - len(short))
 
-    def __len__(self) -> int:
-        return len(self._numbers)
-
-    def __getitem__(self, k: int) -> str:
-        if k < 0:
-            k += len(self._numbers)
-            if k < 0:
-                raise IndexError("cover pool index out of range")
+    def draw(self, rng: random.Random) -> list[str]:
+        """The tokens of cover k, k = rng.randrange(number of covers): a
+        uniform draw by one randrange, the package's only cover draw, so an
+        rng draws the same covers for every caller. Raises SteganizeError
+        after 0 attempts, with the reason NO_COVERS, on an empty pool.
+        """
+        if not self._numbers:
+            raise SteganizeError(0, NO_COVERS)
+        k = rng.randrange(len(self._numbers))
         number = self._numbers[k]
         starts = self._indexes[number]
         if starts is None:
@@ -361,17 +363,7 @@ class CoverPool(Sequence):
         start = starts[k - self._firsts[number]]
         text = self._texts[number]
         end = text.find("\n", start)
-        return text[start:end] if end >= 0 else text[start:]
-
-    def draw(self, rng: random.Random) -> list[str]:
-        """The tokens of one cover, pool[rng.randrange(len(pool))].split():
-        a uniform draw by one randrange, the package's only cover draw, so
-        an rng draws the same covers for every caller. Raises SteganizeError
-        after 0 attempts, with the reason NO_COVERS, on an empty pool.
-        """
-        if not self._numbers:
-            raise SteganizeError(0, NO_COVERS)
-        return self[rng.randrange(len(self._numbers))].split()
+        return (text[start:end] if end >= 0 else text[start:]).split()
 
     def _index(self, number: int) -> array:
         """The start of each cover of text `number`."""

@@ -26,7 +26,7 @@ from wordsteg.evaluate import (
     run_density_experiment,
 )
 
-from corpuslines import corpus_lines
+from corpuslines import corpus_lines, cover_lines
 from kl_reference import kl_divergence
 
 GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
@@ -111,14 +111,14 @@ def test_decode_errors_grow_with_codeword_frequency(desk_corpus):
     )
     # One Monte Carlo row can break the order by sampling luck alone; trials * q,
     # the exact mean of each row, shows how close this seed came to it.
-    pool = desk_corpus.cover_pool
+    covers = cover_lines(desk_corpus)
     means = []
     for index, band in enumerate(ACCEPTANCE_BANDS):
         codebook = select_codebook(
             desk_corpus.vocabulary, band, DIGITS, seed=derive_seed(0, "band", index)
         )
-        held = sum(any(t in codebook.inverse for t in line.split()) for line in pool)
-        means.append(round(2000 * held / len(pool), 1))
+        held = sum(any(t in codebook.inverse for t in line.split()) for line in covers)
+        means.append(round(2000 * held / len(covers), 1))
     check("band-errors", ok, f"errors={errors} trials*q={means} elapsed={elapsed:.1f}s")
 
 
@@ -130,7 +130,7 @@ def test_band_errors_agree_with_exact_collision_rate(desk_corpus):
     # must lie within four standard deviations of it (plus one for the
     # integer count).
     trials = 2000
-    pool = desk_corpus.cover_pool
+    covers = cover_lines(desk_corpus)
     ok = True
     details = []
     for seed in (0, 1, 2):
@@ -140,8 +140,8 @@ def test_band_errors_agree_with_exact_collision_rate(desk_corpus):
             codebook = select_codebook(
                 desk_corpus.vocabulary, band, DIGITS, seed=derive_seed(seed, "band", index)
             )
-            held = sum(any(t in codebook.inverse for t in line.split()) for line in pool)
-            q = held / len(pool)
+            held = sum(any(t in codebook.inverse for t in line.split()) for line in covers)
+            q = held / len(covers)
             mean = trials * q
             bound = 4 * math.sqrt(trials * q * (1 - q)) + 1
             ok = ok and (row["trials"], row["failures"], row["skipped"]) == (trials, 0, False)

@@ -19,7 +19,7 @@ from wordsteg.codec import MAX_ATTEMPTS, contains_codeword, decode, draw_cover, 
 from wordsteg.corpus import NO_COVERS, Corpus, load_corpus, scrub_message
 from wordsteg.errors import EmptyCorpusError, SteganizeError
 
-from corpuslines import corpus_lines, corpus_of, text_lines, texts_of
+from corpuslines import check_draws, corpus_lines, corpus_of, cover_lines, text_lines, texts_of
 from synthcorpus import raw_lines, synth_lines
 
 
@@ -437,7 +437,8 @@ def test_lines_keep_the_scrubs_whitespace_and_readers_split_it(tmp_path):
         ("one", 1), ("three", 2), ("four", 1), ("a", 1), ("b", 1), ("five", 1), ("üno", 1)
     ]
     assert corpus.vocabulary.total() == 8
-    assert tuple(corpus.cover_pool) == ("one \tthree  four",)
+    assert cover_lines(corpus) == ("one \tthree  four",)
+    check_draws(corpus)
 
 
 def test_vocabulary_is_the_count_of_every_lines_words_in_order(tmp_path):
@@ -453,11 +454,6 @@ def test_vocabulary_is_the_count_of_every_lines_words_in_order(tmp_path):
     assert list(corpus.vocabulary.items()) == list(expected.items())
 
 
-def _covers(lines):
-    """Brute force: the lines with at least MIN_COVER_TOKENS tokens."""
-    return tuple(line for line in lines if len(line.split()) >= corpus_module.MIN_COVER_TOKENS)
-
-
 @pytest.mark.parametrize("read_chars", [1, 2, 3, 5, 8, corpus_module.READ_CHARS])
 @given(text=_hazard_text(st.sampled_from("ab \t\u3000@")))
 @settings(deadline=None)
@@ -468,7 +464,7 @@ def test_cover_pool_holds_the_lines_with_enough_tokens(corpus_file, read_chars, 
             corpus = load_corpus(corpus_file)
     except EmptyCorpusError:
         return
-    assert tuple(corpus.cover_pool) == _covers(corpus_lines(corpus))
+    check_draws(corpus)
 
 
 # Whitespace that str.split splits on and no line break of a Corpus: ASCII
@@ -506,19 +502,9 @@ def test_cover_pool_of_lines_matches_brute_force_in_any_order(
         corpus = corpus_of(texts_of(lines, most, cuts), read_chars)
     except EmptyCorpusError:
         return
-    expected = _covers(lines)
-    pool = corpus.cover_pool
-    assert len(pool) == len(expected)
-    ranks = list(range(len(expected)))
-    order.shuffle(ranks)
-    assert {k: pool[k] for k in ranks} == dict(enumerate(expected))
-    with pytest.raises(IndexError):
-        pool[len(expected)]
-    with pytest.raises(IndexError):
-        pool[-len(expected) - 1]
-    if expected:
-        assert pool[-1] == expected[-1]
-        assert pool[-len(expected)] == expected[0]
+    assert corpus_lines(corpus) == text_lines(lines)
+    check_draws(corpus, order)
+    expected = cover_lines(corpus)
     # A fresh corpus draws what a draw over the brute-force tuple draws, and
     # rejects the same covers.
     codebook = Codebook(("0",), {"0": "abc"}, (1, None), 0)
@@ -555,12 +541,13 @@ def test_cover_pool_draw_is_one_randrange_over_the_pool(read_chars, most):
     rng = random.Random(read_chars)
     lines = [" ".join(rng.choices("abcde", k=rng.randrange(6))) for _ in range(60)]
     texts = texts_of(lines, most)
-    assert len(corpus_of(texts, read_chars).cover_pool) > 10
+    covers = cover_lines(corpus_of(texts, read_chars))
+    assert len(covers) > 10
     for seed in range(5):
         pool = corpus_of(texts, read_chars).cover_pool
         drawing, reference = random.Random(seed), random.Random(seed)
         for _ in range(20):
-            assert pool.draw(drawing) == pool[reference.randrange(len(pool))].split()
+            assert pool.draw(drawing) == covers[reference.randrange(len(covers))].split()
         assert drawing.getstate() == reference.getstate()
 
 
@@ -589,11 +576,12 @@ def test_loaded_corpus_holds_no_per_token_objects(tmp_path):
         corpus = load_corpus(path)
         retained, peak = (traced - before for traced in tracemalloc.get_traced_memory())
         corpus.vocabulary
-        assert len(corpus.cover_pool) > 19_000
+        corpus.cover_pool
         counted = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(corpus) == 20_000
+    assert len(cover_lines(corpus)) > 19_000
     assert retained <= 1.25 * size
     assert counted <= 1.9 * size
     # The copies a load makes of its text on the way are bounded by the read
@@ -870,6 +858,25 @@ def test_containing_matches_brute_force_and_searches_each_word_once(
         assert text_lines(corpus.containing([word])) == _containing_reference(
             corpus.texts, [word]
         )
+
+
+def test_containing_hands_over_only_the_hit_lines_until_a_word_takes_a_text(desk_corpus):
+    # A work pin on what one search hands its reader. Four codewords of one
+    # codebook take 375 lines, 4,927 of the corpus's 119,939 tokens, one
+    # string from each of its 11 texts; whole texts would hold every token.
+    codebook = select_codebook(desk_corpus.vocabulary, (14, None), seed=7)
+    words = [codebook.forward[symbol] for symbol in codebook.alphabet[:4]]
+    assert words == ["w0331", "w0154", "w0404", "w0049"]
+    held = tuple(desk_corpus.containing(words))
+    assert len(held) == len(desk_corpus.texts) == 11
+    assert len(text_lines(held)) == 375
+    assert sum(len(text.split()) for text in held) == 4_927
+    assert desk_corpus.vocabulary.total() == 119_939
+    # "w0000" is in more than half the lines of text 0, so the search stops
+    # there and hands over the corpus's own texts.
+    tail = tuple(desk_corpus.containing(["w0000"]))
+    assert len(tail) == len(desk_corpus.texts)
+    assert all(map(operator.is_, tail, desk_corpus.texts))
 
 
 def _reference_cut(lines, read_chars):

@@ -20,7 +20,7 @@ from wordsteg.evaluate import (
 )
 from wordsteg.ngram import build_model
 
-from corpuslines import corpus_lines
+from corpuslines import corpus_lines, cover_lines
 from kl_reference import kl_divergence, smoothed_distribution
 
 
@@ -113,6 +113,7 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
     bands = [(2, 4), (8, 12), (30, None)]
     seed = 11
     rows = run_band_experiment(small_corpus, bands, DIGITS, trials=120, seed=seed)
+    lines = cover_lines(small_corpus)
     for index, (band, row) in enumerate(zip(bands, rows)):
         codebook = select_codebook(
             small_corpus.vocabulary, band, DIGITS, seed=derive_seed(seed, "band", index)
@@ -123,9 +124,8 @@ def test_band_errors_equal_raw_embed_decode_errors(small_corpus, secret_len):
             for _ in range(row["trials"])
         ]
         cover_rng = random.Random(derive_seed(seed, "band", index, "trials"))
-        pool = small_corpus.cover_pool
         covers = [
-            tuple(pool[cover_rng.randrange(len(pool))].split()) for _ in range(row["trials"])
+            tuple(lines[cover_rng.randrange(len(lines))].split()) for _ in range(row["trials"])
         ]
         model = build_model(small_corpus, codebook.inverse, covers)
         mismatches = 0
@@ -153,7 +153,7 @@ def test_band_row_does_not_depend_on_other_bands(small_corpus):
 
 def test_empty_cover_pool_fails_every_band_trial():
     corpus = Corpus(["a b", "c d", "e"])
-    assert tuple(corpus.cover_pool) == ()
+    assert cover_lines(corpus) == ()
     # A thin band is skipped before the empty pool fails the next band's trials.
     thin, row = run_band_experiment(corpus, [(2, None), (1, None)], ("0",), trials=25, seed=0)
     assert (thin["trials"], thin["failures"], thin["skipped"]) == (0, 0, True)
