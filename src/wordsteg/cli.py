@@ -22,13 +22,14 @@ errors, --help, --version) escapes it. A verb parses its list flags
 (--bands, --densities) and checks --alphabet, and then --densities,
 --trials and --secret-len with evaluate.check_sizes, the one definition of
 the rules the experiments apply, before it reads any file; so a bad value
-is reported at once, not after a full corpus load. Every artifact written
-by --out embeds the seed, the settings, and the tool version, and is
-written atomically before anything is printed; rerunning a command with the
-same inputs and --seed rewrites the same bytes except for the created_utc
-stamp. Without --seed, gen-codebook and encode draw one from os.urandom and
-record it in their file, never on stdout; the eval verbs default to 0. The
-three eval verbs print and write their rows through one function, _report.
+is reported at once, not after a full corpus load; so is a negative --seed
+in every verb that takes one. Every artifact written by --out embeds the
+seed, the settings, and the tool version, and is written atomically before
+anything is printed; rerunning a command with the same inputs and --seed
+rewrites the same bytes. Without --seed, gen-codebook and encode draw one
+from os.urandom and record it in their file, never on stdout; the eval
+verbs default to 0. The three eval verbs print and write their rows through
+one function, _report.
 Every artifact's settings follow one rule, in _artifact: every flag the
 verb parses except --seed, --out, --format and --secret; encode adds the
 secret's length, never the secret.
@@ -72,17 +73,12 @@ _NOT_CONFIG = frozenset({"func", "command", "experiment", "seed", "out", "format
 def _artifact(args, results, **settings) -> dict:
     """The --out document: its config is every parsed flag outside
     _NOT_CONFIG plus `settings`, so no verb lists its flags a second time."""
-    # Imported here, as csv is in _write_csv, so that a verb that writes no
-    # artifact (decode, encode without --out) never loads it.
-    from datetime import datetime, timezone
-
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     return {
         "tool": "wordsteg",
         "tool_version": __version__,
         "seed": args.seed,
         "config": config | settings,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
         "results": results,
     }
 
@@ -125,6 +121,18 @@ def _report(args, docs: list[dict]) -> None:
         print("  ".join(f.ljust(widths[f]) for f in fields))
         for row in docs:
             print("  ".join(str(row[f]).ljust(widths[f]) for f in fields))
+
+
+def _seed_arg(text: str) -> int:
+    """--seed's type in every verb: a non-negative integer. random.Random
+    seeds with the absolute value of an int, so a negative seed would draw
+    what its absolute value draws."""
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
 def _seed(args) -> int:
@@ -224,7 +232,7 @@ def cmd_eval_distinguish(args) -> int:
 
 def _add_eval_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="line-delimited corpus file")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed_arg, default=0)
     parser.add_argument("--out", help="base path; writes <out>.json and <out>.csv")
     parser.add_argument(
         "--format",
@@ -248,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="line-delimited corpus file")
     p.add_argument("--band", required=True, help="inclusive band, e.g. 4-6 or 14+")
     p.add_argument("--alphabet", default=DIGITS)
-    p.add_argument("--seed", type=int, help="default: a fresh seed, recorded in --out")
+    p.add_argument("--seed", type=_seed_arg, help="default: a fresh seed, recorded in --out")
     p.add_argument("--out", required=True, help="where to write the codebook JSON")
     p.set_defaults(func=cmd_gen_codebook)
 
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret", required=True, help="symbol string, e.g. 21")
     p.add_argument("--codebook", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", type=int, help="default: a fresh seed, recorded in --out")
+    p.add_argument("--seed", type=_seed_arg, help="default: a fresh seed, recorded in --out")
     p.add_argument("--out", help="also write the full result as JSON")
     p.set_defaults(func=cmd_encode)
 

@@ -9,17 +9,18 @@ message: it looks up the (at most) five grams of orders 2 and 3 around each
 slot in the model's tables, and checks the codeword and the words around the
 slots once per codeword, not once per slot. Every gram it scores holds the
 inserted codeword, and its other words are cover words or codewords, so
-steganize draws the cover first and then counts the model for that cover
-and the secret's codewords alone (build_model(corpus, codewords, [cover]));
-the counts are exact for every gram it scores. The count reads only the
-lines that may hold one of those codewords, which the Corpus searches for
-again on every call and does not keep. A secret is a str of symbols.
+embed, the one place that counts a model and inserts, takes covers already
+drawn and counts the model for them and the secrets' codewords alone
+(build_model(corpus, codewords, covers)); the counts are exact for every
+gram it scores. The count reads only the lines that may hold one of those
+codewords, which the Corpus searches for again on every call and does not
+keep. A secret is a str of symbols.
 Decoding is a plain scan: every token that is a codeword contributes its
 symbol, and the symbols joined are the secret.
 
 Correct decoding therefore requires that the cover itself contains no
 codewords, so draw_cover rejects such covers, which makes the round trip
-exact by construction; steganize checks it anyway. Without that rejection an
+exact by construction; embed checks it anyway. Without that rejection an
 embed would decode wrongly exactly when its cover holds a codeword, so the
 evaluation harness counts such covers instead of embedding. Insertion always
 places every codeword, so the density experiment, which reads only token
@@ -30,6 +31,7 @@ import math
 import random
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import chain
 from math import log1p
 
 from .codebook import Codebook
@@ -152,29 +154,41 @@ def decode(tokens: Sequence[str], codebook: Codebook) -> str:
     )
 
 
+def embed(
+    covers: Corpus,
+    codebook: Codebook,
+    drawn: Sequence[tuple[int, tuple[str, ...], str]],
+) -> list[StegoResult]:
+    """Embed each secret in its cover, counting one model for them all.
+
+    drawn holds (attempts, cover, secret) triples, attempts and cover as
+    draw_cover returns them. Each stego must decode to its secret, else
+    SteganizeError carries that triple's attempts. Returns one StegoResult
+    per triple, in order.
+    """
+    words = [[codebook.forward[s] for s in secret] for _, _, secret in drawn]
+    model = build_model(covers, chain.from_iterable(words), (cover for _, cover, _ in drawn))
+    results = []
+    for (attempts, cover, secret), codewords in zip(drawn, words):
+        stego, positions = insert_codewords(model, cover, codewords)
+        if decode(stego, codebook) != secret:
+            raise SteganizeError(attempts, "stego text does not decode to the secret")
+        results.append(StegoResult(stego, cover, positions, attempts, len(positions) / len(stego)))
+    return results
+
+
 def steganize(secret: str, codebook: Codebook, covers: Corpus, seed: int) -> StegoResult:
     """Embed a secret into a randomly drawn cover message.
 
     Draws one cover with no codeword via draw_cover (seeded draws by
-    CoverPool.draw), counts the model for that cover and the secret's
-    codewords, then inserts the codeword for each secret symbol in order;
-    an empty secret returns the cover unchanged. Raises SteganizeError when
-    the pool is empty, all MAX_ATTEMPTS covers drawn hold a codeword, or the
-    stego text does not decode to the secret.
+    CoverPool.draw) and embeds the secret in it with embed; an empty secret
+    returns the cover unchanged. Raises ValueError for a symbol outside the
+    codebook's alphabet, and SteganizeError when the pool is empty, all
+    MAX_ATTEMPTS covers drawn hold a codeword, or the stego text does not
+    decode to the secret.
     """
     unknown = [s for s in secret if s not in codebook.forward]
     if unknown:
         raise ValueError(f"secret symbols {unknown!r} are not in the alphabet")
     attempt, cover = draw_cover(covers, codebook, random.Random(seed))
-    words = [codebook.forward[s] for s in secret]
-    model = build_model(covers, words, [cover])
-    stego_tokens, positions = insert_codewords(model, cover, words)
-    if decode(stego_tokens, codebook) != secret:
-        raise SteganizeError(attempt, "stego text does not decode to the secret")
-    return StegoResult(
-        stego=stego_tokens,
-        cover=cover,
-        inserted_positions=positions,
-        attempts=attempt,
-        density=len(positions) / len(stego_tokens),
-    )
+    return embed(covers, codebook, [(attempt, cover, secret)])[0]

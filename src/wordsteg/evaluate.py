@@ -20,10 +20,10 @@ from collections.abc import Sequence
 from itertools import chain
 
 from .codebook import DIGITS, Band, Codebook, format_band, select_codebook
-from .codec import contains_codeword, draw_cover, insert_codewords
+from .codec import contains_codeword, draw_cover, embed
 from .corpus import Corpus
 from .errors import InsufficientBandError, SteganizeError
-from .ngram import build_model, count_grams, message_grams, plausibility_score
+from .ngram import count_grams, message_grams, plausibility_score
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -181,8 +181,8 @@ def run_density_experiment(
     prints the same digits.
 
     Both outputs read only token counts, so nothing is inserted. Every cover
-    has at least MIN_COVER_TOKENS tokens, so insert_codewords would place
-    every codeword, and where it lands changes neither the stego set's token
+    has at least MIN_COVER_TOKENS tokens, so an embed would place every
+    codeword, and where it lands changes neither the stego set's token
     multiset nor its length: each point's stego counts are the cover counts
     plus that point's codewords.
     """
@@ -229,22 +229,16 @@ def build_pairs(
     secret_len (>= 0) fixes the number of inserted codewords per pair;
     secret_len=0 yields identical pairs, the blind-guess baseline. Every
     cover and secret is drawn first, each pair from its own seeded rng;
-    then one model is counted for all the covers and the drawn codewords,
-    and the codewords are inserted.
+    then embed counts one model for them all, inserts each secret and
+    checks that its stego decodes.
     """
     check_sizes(trials, secret_len)
-    draws = []
+    drawn = []
     for index in range(trials):
         rng = random.Random(derive_seed(seed, "pair", index))
-        _, cover = draw_cover(corpus, codebook, rng)
-        secret = random_secret(rng, codebook.alphabet, secret_len)
-        draws.append((cover, [codebook.forward[s] for s in secret]))
-    model = build_model(
-        corpus,
-        chain.from_iterable(words for _, words in draws),
-        (cover for cover, _ in draws),
-    )
-    return [(cover, insert_codewords(model, cover, words)[0]) for cover, words in draws]
+        attempts, cover = draw_cover(corpus, codebook, rng)
+        drawn.append((attempts, cover, random_secret(rng, codebook.alphabet, secret_len)))
+    return [(result.cover, result.stego) for result in embed(corpus, codebook, drawn)]
 
 
 def distinguisher_accuracy(

@@ -246,14 +246,9 @@ def test_distinguisher_blind_then_sighted(desk_corpus):
     )
 
 
-def _strip_timestamp(path):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return "\n".join(line for line in lines if '"created_utc"' not in line)
-
-
 def _run_pipeline(corpus, workdir):
     # Identical argv both times (relative output paths, run from workdir),
-    # so the artifacts must agree byte for byte apart from the timestamp.
+    # so the artifacts must agree byte for byte.
     commands = [
         ["gen-codebook", "--corpus", corpus, "--band", "14+", "--seed", "9",
          "--out", "codebook.json"],
@@ -285,17 +280,14 @@ def test_pipelines_rerun_byte_identically(small_corpus_path, tmp_path, capsys):
     _run_pipeline(str(small_corpus_path), second)
     capsys.readouterr()
 
-    identical_files = ["codebook.json"]
-    stamped_files = ["stego.json", "bands.json", "density.json", "pairs.json"]
-    csv_files = ["bands.csv", "density.csv", "pairs.csv"]
-    mismatches = []
-    for name in identical_files + csv_files:
-        if (first / name).read_bytes() != (second / name).read_bytes():
-            mismatches.append(name)
-    for name in stamped_files:
-        if _strip_timestamp(first / name) != _strip_timestamp(second / name):
-            mismatches.append(name)
-    # Sanity: the stamped JSON artifacts really carry config and seed.
+    names = [
+        "codebook.json", "stego.json", "bands.json", "density.json", "pairs.json",
+        "bands.csv", "density.csv", "pairs.csv",
+    ]
+    mismatches = [
+        name for name in names if (first / name).read_bytes() != (second / name).read_bytes()
+    ]
+    # Sanity: the JSON artifacts really carry config and seed.
     doc = json.loads((first / "bands.json").read_text(encoding="utf-8"))
     labeled = doc["seed"] == 3 and doc["tool"] == "wordsteg" and "config" in doc
     check(

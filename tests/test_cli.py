@@ -1,10 +1,11 @@
+import contextlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
-from datetime import datetime, timedelta
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ from wordsteg import codebook as codebook_module
 from wordsteg import corpus as corpus_module
 from wordsteg.cli import main
 from wordsteg.codebook import load_codebook
+from wordsteg.corpus import _PUNCTUATION, scrub_message
 from wordsteg.errors import (
     CodebookValidationError,
     EmptyCorpusError,
@@ -25,7 +27,7 @@ from wordsteg.errors import (
 )
 from wordsteg.evaluate import build_pairs, run_band_experiment, run_density_experiment
 
-from synthcorpus import raw_lines, synth_lines
+from synthcorpus import CLOSERS, OPENERS, raw_lines, synth_lines
 
 GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
 
@@ -315,7 +317,8 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     assert doc["tool"] == "wordsteg"
     assert doc["seed"] == 2
     assert doc["results"]["stego"] == stego_line
-    assert "created_utc" in doc
+    # No timestamp or other run-dependent key: a rerun rewrites the same bytes.
+    assert sorted(doc) == ["config", "results", "seed", "tool", "tool_version"]
     # Every value is pinned, so the secret "88" is nowhere in the config: the
     # paths are the test's own, and only the secret's length is recorded.
     assert doc["config"] == {
@@ -709,7 +712,31 @@ def test_bad_list_flag_is_reported_before_any_file_is_read(
         assert str(excinfo.value) == message
 
 
-# Each verb's stdout, run in a directory of its own so relative paths print alike.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-codebook", "--band", "14+", "--out", "nope.json"],
+        ["encode", "--secret", "1", "--codebook", "nope.json"],
+        ["eval", "band"],
+        ["eval", "density", "--codebook", "nope.json"],
+        ["eval", "distinguish", "--codebook", "nope.json"],
+    ],
+    ids=["gen-codebook", "encode", "band", "density", "distinguish"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    # random.Random seeds with abs(), so -3 would draw what 3 draws. The
+    # refusal is argparse's, before the missing corpus is opened.
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--corpus", str(tmp_path / "nope.txt"), "--seed", "-3"])
+    assert excinfo.value.code == 2
+    message = "argument --seed: must be a non-negative integer, got '-3'"
+    assert message in capsys.readouterr().err
+
+
+# Each verb's stdout, run in a directory of its own so relative paths print
+# alike. The second codebook, from band 3000+, holds the corpus's two most
+# frequent words, so the word search stops early on every form, and encode
+# and eval distinguish count over nearly every message.
 RAW_CLEAN_VERBS = [
     ["gen-codebook", "--corpus", "corpus.txt", "--band", "14+", "--seed", "3",
      "--out", "codebook.json"],
@@ -720,27 +747,128 @@ RAW_CLEAN_VERBS = [
      "--trials", "40", "--seed", "2", "--format", "csv"],
     ["eval", "distinguish", "--corpus", "corpus.txt", "--codebook", "codebook.json",
      "--trials", "30", "--seed", "2", "--format", "json"],
+    ["gen-codebook", "--corpus", "corpus.txt", "--band", "3000+", "--alphabet", "01",
+     "--seed", "3", "--out", "common.json"],
+    ["encode", "--secret", "1001", "--codebook", "common.json", "--corpus", "corpus.txt",
+     "--seed", "5"],
+    ["eval", "distinguish", "--corpus", "corpus.txt", "--codebook", "common.json",
+     "--trials", "20", "--format", "json"],
 ]
 
 
-def test_raw_and_clean_corpora_print_the_same(tmp_path, capsys, monkeypatch):
-    # 2500 messages cross the corpus reader's 64K-character reads, and the
-    # texts of the corpus end at other line breaks; the raw lines keep the
-    # gaps a scrub leaves.
-    clean = synth_lines(n_messages=2500, seed=19, vocab_size=900)
-    outputs = {}
-    for form, lines in (("clean", clean), ("raw", raw_lines(clean, seed=19))):
-        workdir = tmp_path / form
-        workdir.mkdir()
-        (workdir / "corpus.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        monkeypatch.chdir(workdir)
-        outputs[form] = []
+@pytest.fixture(scope="module")
+def corpus_forms():
+    """Eight forms of one corpus, each a (lines, line end) pair, that scrub to
+    the same messages.
+
+    The 3000 messages (about 218K characters clean, 328K raw) cross the
+    corpus reader's 64K-character reads, and each form's texts end at the
+    first line break at or after 64K characters. Each text takes one route
+    through the scrub, and runs the drop passes whose trigger it holds ("@",
+    "#", "." for www., ":" for the "://" search and the two URL passes):
+    - clean is ASCII, runs no drop pass and loses its marks in one
+      str.translate;
+    - stops glues ASCII "." and ":" after some clean words, so it runs the
+      www. pass and the "://" search but not the "@" or "#" pass;
+    - raw and crlf (LF or CRLF line ends) are scrubbed as UTF-8 bytes; their
+      ideographic spaces become spaces, so their only other non-ASCII
+      characters are marks, which go in one bytes.translate; they hold
+      @mentions, #tags and URLs, so they run every drop pass;
+    - marks adds lone marks, 40 distinct non-ASCII ones and 10 ASCII, to the
+      clean lines, so it is scrubbed as bytes and every non-ASCII byte goes
+      in one bytes.translate;
+    - cased adds to each marks line a dropped @Émile, an ideographic space
+      and the ASCII separator \\x1f, so it is lowered as str, then scrubbed as
+      bytes, where the one lookup of its non-ASCII characters and separators
+      makes both spaces; É is no mark, so each distinct non-ASCII mark goes
+      in one str.replace;
+    - accents adds a dropped #café and one or two lone marks from a set of
+      six, so it runs the "#" pass and deletes each distinct non-ASCII mark
+      with one str.replace;
+    - gaps puts three lines that hold no message after every seventh clean
+      line (empty, blank, and one that scrubs to nothing), so its texts keep
+      blank lines inside and at their edges, where the word search, the word
+      and gram counts and the cover pool must pass them by.
+    """
+    clean = synth_lines(3000, 23)
+    lone = "、。「」،؟‐‹›†‡§¶〈〉《》【】〔〕・‘’‚„‰′″‼⁇※" + OPENERS + CLOSERS
+    assert all(ord(mark) in _PUNCTUATION for mark in lone)
+    assert sum(not mark.isascii() for mark in set(lone)) == 40
+    rng = random.Random(23)
+    marked = []
+    cased = []
+    for line in clean:
+        words = line.split()
+        for _ in range(2):
+            words.insert(rng.randrange(len(words) + 1), rng.choice(lone))
+        marked.append(" ".join(words))
+        words.insert(rng.randrange(len(words) + 1), "@Émile")
+        gap = rng.randrange(1, len(words))
+        # At least four words, so a space is left for the separator.
+        spaced = " ".join(words[:gap]) + "\u3000" + " ".join(words[gap:])
+        cased.append(spaced.replace(" ", "\x1f", 1))
+    assert all("\u3000" in m and "\x1f" in m for m in cased)
+    stops = []
+    for line in clean:
+        words = line.split()
+        for _ in range(2):
+            words[rng.randrange(len(words))] += rng.choice(".:")
+        stops.append(" ".join(words))
+    assert not any("@" in s or "#" in s for s in stops)
+    few = "«»¿¡“”"
+    assert len(set(few)) == 6
+    accents = []
+    for line in clean:
+        words = line.split()
+        words.insert(rng.randrange(len(words) + 1), "#café")
+        for _ in range(rng.randint(1, 2)):
+            words.insert(rng.randrange(len(words) + 1), rng.choice(few))
+        accents.append(" ".join(words))
+    blanks = ["", "  \t\u3000 ", "@user #tag https://t.co/x"]
+    gaps = []
+    for i, line in enumerate(clean, 1):
+        gaps.append(line)
+        if i % 7 == 0:
+            gaps.extend(blanks)
+    raw = raw_lines(clean, 23)
+    return {
+        "clean": (clean, "\n"), "stops": (stops, "\n"), "raw": (raw, "\n"),
+        "crlf": (raw, "\r\n"), "marks": (marked, "\n"), "cased": (cased, "\n"),
+        "accents": (accents, "\n"), "gaps": (gaps, "\n"),
+    }
+
+
+def _print_all(workdir, lines, end):
+    """Each RAW_CLEAN_VERBS stdout, then both codebook files, run in workdir
+    on a corpus file of `lines`."""
+    workdir.mkdir()
+    with open(workdir / "corpus.txt", "w", encoding="utf-8", newline="") as handle:
+        handle.write(end.join(lines) + end)
+    outputs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(workdir)
         for argv in RAW_CLEAN_VERBS:
-            assert main(argv) == 0, argv
-            outputs[form].append(capsys.readouterr().out)
-        outputs[form].append((workdir / "codebook.json").read_bytes())
-    assert all(outputs["clean"])
-    assert outputs["raw"] == outputs["clean"]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0, argv
+            outputs.append(out.getvalue())
+    return outputs + [(workdir / name).read_bytes() for name in ("codebook.json", "common.json")]
+
+
+@pytest.fixture(scope="module")
+def clean_outputs(corpus_forms, tmp_path_factory):
+    outputs = _print_all(tmp_path_factory.mktemp("forms") / "clean", *corpus_forms["clean"])
+    assert all(outputs)
+    assert "w0000" in json.loads(outputs[-1])["forward"].values()
+    return outputs
+
+
+@pytest.mark.parametrize("form", ["stops", "raw", "crlf", "marks", "cased", "accents", "gaps"])
+def test_raw_and_clean_corpora_print_the_same(corpus_forms, clean_outputs, tmp_path, form):
+    lines, end = corpus_forms[form]
+    # Line by line, the form scrubs to the clean messages, plus lines that
+    # scrub to nothing.
+    assert [m for m in map(scrub_message, lines) if m] == corpus_forms["clean"][0]
+    assert _print_all(tmp_path / form, lines, end) == clean_outputs
 
 
 def test_usage_error_exits_2(capsys):
@@ -907,8 +1035,8 @@ def test_imports_load_only_the_modules_they_need(tmp_path):
     assert package == ["wordsteg"]
     assert corpus == ["wordsteg", "wordsteg.corpus", "wordsteg.errors"]
     assert heavy == []
-    # hashlib (which loads OpenSSL), datetime and csv wait for the code that
-    # uses them. wordsteg.evaluate itself still loads with cli: the
+    # hashlib (which loads OpenSSL) and csv wait for the code that uses them,
+    # and nothing loads datetime. wordsteg.evaluate itself still loads with cli: the
     # benchmark's traced run wraps only the wordsteg modules loaded right
     # after `import wordsteg.cli`, so importing it lazily waits until that
     # run reads an in-program stage timer instead.
@@ -916,16 +1044,12 @@ def test_imports_load_only_the_modules_they_need(tmp_path):
 
 
 def test_eval_band_artifact_in_a_fresh_process(cli_files, tmp_path):
-    # A process that has not loaded datetime or csv yet still stamps the
-    # artifact and writes the CSV header.
+    # A process that has not loaded csv yet still writes the CSV header.
     child = _run_python(
         "-S", "-m", "wordsteg.cli", "eval", "band", "--corpus", cli_files["corpus"],
         "--bands", "14+", "--trials", "5", "--out", "band", cwd=tmp_path,
     )
     assert child.returncode == 0, child.stderr
-    doc = json.loads((tmp_path / "band.json").read_text(encoding="utf-8"))
-    stamp = datetime.fromisoformat(doc["created_utc"])
-    assert stamp.utcoffset() == timedelta(0)
-    assert doc["created_utc"] == stamp.isoformat()
+    assert json.loads((tmp_path / "band.json").read_text(encoding="utf-8"))["seed"] == 0
     header = (tmp_path / "band.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "band,trials,errors,failures,skipped,reason"

@@ -13,6 +13,7 @@ from wordsteg.codec import (
     contains_codeword,
     decode,
     draw_cover,
+    embed,
     insert_codewords,
     steganize,
 )
@@ -209,6 +210,22 @@ def test_steganize_round_trip(small_corpus):
     assert result.density == pytest.approx(
         len(secret) / len(result.stego)
     )
+
+
+def test_one_model_embeds_each_cover_as_it_would_alone(small_corpus):
+    # The model is exact for every gram that insertion scores, so counting one
+    # over many covers and secrets changes no stego.
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
+    secrets = ["314", "", "2718", "0", "99"]
+    drawn = [
+        (*draw_cover(small_corpus, codebook, random.Random(seed)), secret)
+        for seed, secret in enumerate(secrets)
+    ]
+    alone = [
+        steganize(secret, codebook, small_corpus, seed) for seed, secret in enumerate(secrets)
+    ]
+    assert embed(small_corpus, codebook, drawn) == alone
+    assert [result.attempts for result in alone] == [attempts for attempts, _, _ in drawn]
 
 
 def test_encode_path_never_counts_the_vocabulary(small_corpus):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wordsteg.codebook import DIGITS, Codebook, select_codebook
 from wordsteg.codec import decode, draw_cover, insert_codewords, steganize
 from wordsteg.corpus import Corpus
+from wordsteg.errors import SteganizeError
 from wordsteg.evaluate import (
     _insert_count,
     build_pairs,
@@ -274,6 +275,20 @@ def test_build_pairs_identical_when_secret_len_zero(small_corpus):
     pairs = build_pairs(small_corpus, codebook, 12, seed=0, secret_len=0)
     assert len(pairs) == 12
     assert all(cover == stego for cover, stego in pairs)
+
+
+def test_build_pairs_raises_when_round_trip_fails(small_corpus, monkeypatch):
+    # Every pair is embedded by codec.embed, which checks that its stego
+    # decodes: an insertion that loses a codeword fails on the first pair.
+    def drop_last(model, tokens, words):
+        return insert_codewords(model, tokens, list(words)[:-1])
+
+    monkeypatch.setattr("wordsteg.codec.insert_codewords", drop_last)
+    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
+    with pytest.raises(SteganizeError, match="stego text does not decode") as excinfo:
+        build_pairs(small_corpus, codebook, 5, secret_len=2, seed=0)
+    attempts, _ = draw_cover(small_corpus, codebook, random.Random(derive_seed(0, "pair", 0)))
+    assert excinfo.value.attempts == attempts
 
 
 def test_negative_secret_len_is_rejected(small_corpus):
