@@ -98,18 +98,21 @@ def _write_csv(handle, rows: list[dict]) -> None:
 
 
 def _report(args, docs: list[dict]) -> None:
-    """Print an eval verb's rows in --format; with --out, first write
-    <out>.csv and then <out>.json, each atomically; if either write fails,
-    the run leaves neither new file behind.
+    """Print an eval verb's rows in --format; with --out, write both files,
+    then move <out>.csv and <out>.json into place. If the JSON's move fails
+    after the CSV's, the new CSV is removed, and an earlier one is lost.
     """
     if args.out is not None:
-        with atomic_open(f"{args.out}.csv", newline="") as handle:
-            _write_csv(handle, docs)
+        csv_path, csv_moved = f"{args.out}.csv", False
         try:
-            with atomic_open(f"{args.out}.json") as handle:
-                _write_json(handle, _artifact(args, docs))
+            with atomic_open(f"{args.out}.json") as json_handle:
+                _write_json(json_handle, _artifact(args, docs))
+                with atomic_open(csv_path, newline="") as handle:
+                    _write_csv(handle, docs)
+                csv_moved = True
         except BaseException:
-            os.unlink(f"{args.out}.csv")
+            if csv_moved:
+                os.unlink(csv_path)
             raise
     if args.format == "json":
         _write_json(sys.stdout, docs)

@@ -11,9 +11,9 @@ Insertion (build_model) scores a slot only by the grams of orders 2 and 3
 that hold the inserted codeword; insertion only puts codewords between
 cover words, so every other word of such a gram is a cover word or a
 codeword. The model therefore reads only the lines that may hold a
-codeword, counts every other word in them as one placeholder, None, and
-keeps only the grams that hold a codeword. Its tables are bounded by the
-covers' vocabulary, and codec.insert_codewords refuses a word or neighbour
+codeword, and keeps only the grams that hold a codeword and whose every
+word is a codeword or a cover word. Its tables are bounded by the covers'
+vocabulary, and codec.insert_codewords refuses a word or neighbour
 outside it. Corpus.containing finds those lines: it searches the corpus
 texts for the codewords on every call, keeps nothing, and gives texts of
 the lines it finds.
@@ -41,7 +41,7 @@ MAX_N = 3
 # Both counts put this token in place of each line break of a text: the
 # scrub deletes every punctuation character, so it is never a word, and any
 # gram that spans two messages holds it. count_grams refuses a requested
-# gram that holds it, and build_model counts it as None.
+# gram that holds it, and build_model keeps no gram that holds it.
 _SEPARATOR = "."
 _JOINER = f" {_SEPARATOR} "
 
@@ -49,10 +49,10 @@ _JOINER = f" {_SEPARATOR} "
 class NGramModel:
     """Insertion counts: counts[n] maps an n-gram tuple to its count.
 
-    counts holds orders 2 and 3, in ascending order. The tables hold only
-    grams that hold one of `codewords`, and are exact for every such gram
-    whose other words all lie in `words` (the codewords plus the cover words
-    the model was counted for); every other word is counted as None.
+    counts holds orders 2 and 3, in ascending order. The tables hold
+    exactly the grams that occur, hold one of `codewords`, and whose every
+    word lies in `words` (the codewords plus the cover words the model was
+    counted for), each with its exact count; no other gram is a key.
     """
 
     def __init__(
@@ -73,10 +73,10 @@ def build_model(
 
     Only the lines that may hold a codeword are read, since every gram that
     holds one lies inside a line that holds it: corpus.containing gives texts
-    of them, each split once with a separator after each line. Each word
-    that is neither a codeword nor a word of `covers`, the separator
-    included, becomes None, and only the grams that hold a codeword are
-    kept, so the tables hold at most (len(words) + 1) ** n keys of order n.
+    of them, each split once with a separator in place of each line break.
+    Only the grams that hold a codeword and whose every word is a codeword
+    or a word of `covers` are kept, so no gram spans two lines and the
+    tables hold at most len(words) ** n keys of order n.
     """
     codewords = frozenset(codewords)
     # word -> the same string, so the table keys share one string per word.
@@ -84,15 +84,12 @@ def build_model(
     counts = {n: Counter() for n in range(2, MAX_N + 1)}
     # A line that holds a codeword as a token holds it as a substring too.
     for text in corpus.containing(codewords):
-        words = text.replace("\n", _JOINER).split()
-        words.append(_SEPARATOR)
-        tokens = list(map(known.get, words))
+        tokens = list(map(known.get, text.replace("\n", _JOINER).split()))
         for n, table in counts.items():
             # zip over n staggered views yields exactly the n-grams of the
-            # text; only those that hold a codeword are ever read.
-            table.update(
-                filterfalse(codewords.isdisjoint, zip(*(tokens[i:] for i in range(n))))
-            )
+            # text; only those that hold a codeword and no None are ever read.
+            grams = filterfalse(codewords.isdisjoint, zip(*(tokens[i:] for i in range(n))))
+            table.update(filter(all, grams))
     return NGramModel(counts, codewords, frozenset(known))
 
 

@@ -516,6 +516,28 @@ def test_eval_failed_json_write_leaves_no_csv(cli_files, tmp_path, capsys):
     assert list((tmp_path / "pair.json").iterdir()) == []
 
 
+def test_eval_failed_json_write_keeps_an_earlier_csv(cli_files, tmp_path, capsys, monkeypatch):
+    # The JSON write raises before either file is moved into place, so the
+    # CSV of an earlier run keeps its bytes and no new file is left.
+    out = tmp_path / "pair"
+    (tmp_path / "pair.csv").write_bytes(b"earlier,run\r\n1,2\r\n")
+
+    def fail(handle, doc):
+        raise OSError(28, "No space left on device", f"{out}.json")
+
+    monkeypatch.setattr(cli, "_write_json", fail)
+    code = main(
+        ["eval", "band", "--corpus", cli_files["corpus"],
+         "--bands", "14+", "--trials", "5", "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No space left on device" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.csv"]
+    assert (tmp_path / "pair.csv").read_bytes() == b"earlier,run\r\n1,2\r\n"
+
+
 def test_eval_band_writes_json_and_csv(cli_files, tmp_path, capsys):
     out = tmp_path / "bands"
     code = main(

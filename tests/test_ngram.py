@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordsteg.codebook import select_codebook
 from wordsteg.codec import insert_codewords
 from wordsteg.corpus import Corpus
 from wordsteg.ngram import (
@@ -15,7 +16,7 @@ from wordsteg.ngram import (
     plausibility_score,
 )
 
-from corpuslines import corpus_lines, corpus_of, texts_of
+from corpuslines import corpus_lines, corpus_of, cover_lines, texts_of
 from kl_reference import smoothed_distribution
 
 
@@ -82,9 +83,9 @@ def test_model_counted_around_refuses_what_it_cannot_answer(toy_corpus):
     assert model.codewords == frozenset({"ran"})
     assert model.words == frozenset({"ran", "the", "cat"})
     # Only "the cat ran" holds "ran", so only its grams that hold "ran" are
-    # counted; the None after it ends the message.
-    assert model.counts[2] == {("cat", "ran"): 1, ("ran", None): 1}
-    assert model.counts[3] == {("the", "cat", "ran"): 1, ("cat", "ran", None): 1}
+    # counted; "ran" ends the message, so no gram follows it.
+    assert model.counts[2] == {("cat", "ran"): 1}
+    assert model.counts[3] == {("the", "cat", "ran"): 1}
     # Slot 2 of "the cat the" reads (cat ran) and (the cat ran), 1 each, so
     # it scores log 2 + log 2 = log 4. Slot 1 reads only (the ran), unseen;
     # at a count of 2 it scores log 3 and loses, at 4 log 5 and wins. Every
@@ -169,12 +170,15 @@ def test_model_counted_around_is_exact_where_it_answers(messages, codewords, cov
     words = codewords | {w for cover in covers for w in cover}
     assert model.words == words
     assert set(model.counts) == set(range(2, MAX_N + 1))
+    # Each table holds exactly the grams over `words` that hold a codeword
+    # and occur, with their counts: no None, no gram insertion cannot read.
     for n, table in model.counts.items():
-        assert all(w is None or w in words for gram in table for w in gram)
-        assert all(set(gram) & codewords for gram in table)
-        for gram in product(sorted(words), repeat=n):
-            if set(gram) & codewords:
-                assert table.get(gram, 0) == window_count(token_lists, gram)
+        expected = {
+            gram: count
+            for gram in product(sorted(words), repeat=n)
+            if set(gram) & codewords and (count := window_count(token_lists, gram))
+        }
+        assert dict(table) == expected
 
 
 # Texts of a drawn READ_CHARS, so that hypothesis's short corpora cross text
@@ -249,7 +253,19 @@ def test_insertion_tables_do_not_grow_with_the_corpus():
         n: len(t) for n, t in large.counts.items()
     }
     for n, table in large.counts.items():
-        assert len(table) <= (len(large.words) + 1) ** n
+        assert len(table) <= len(large.words) ** n
+
+
+def test_insertion_keeps_only_the_grams_insertion_reads(desk_corpus):
+    # A work pin on what one model keeps: four codewords of one codebook and
+    # the desk corpus's first cover keep 58 grams that count 276
+    # occurrences. A model that also kept the grams that hold a word outside
+    # the cover or end a text would keep {2: 30, 3: 114}, counting 1,907.
+    codebook = select_codebook(desk_corpus.vocabulary, (14, None), seed=7)
+    codewords = [codebook.forward[symbol] for symbol in "0123"]
+    model = build_model(desk_corpus, codewords, [cover_lines(desk_corpus)[0].split()])
+    assert {n: len(t) for n, t in model.counts.items()} == {2: 22, 3: 36}
+    assert sum(t.total() for t in model.counts.values()) == 276
 
 
 @given(messages=message_lists)
