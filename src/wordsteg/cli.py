@@ -23,13 +23,14 @@ errors, --help, --version) escapes it. A verb parses its list flags
 --trials and --secret-len with evaluate.check_sizes, the one definition of
 the rules the experiments apply, before it reads any file; so a bad value
 is reported at once, not after a full corpus load; so is a negative --seed
-in every verb that takes one. Every artifact written by --out embeds the
-seed, the settings, and the tool version, and is written atomically before
-anything is printed; rerunning a command with the same inputs and --seed
-rewrites the same bytes. Without --seed, gen-codebook and encode draw one
-from os.urandom and record it in their file, never on stdout; the eval
-verbs default to 0. The three eval verbs print and write their rows through
-one function, _report.
+in every verb that takes one, and encode's --secret, checked against the
+codebook before the corpus is read. Every artifact written by --out embeds
+the seed, the settings, and the tool version, and is written atomically
+before anything is printed; rerunning a command with the same inputs and
+--seed rewrites the same bytes. Without --seed, gen-codebook and encode
+draw one from os.urandom and record it in their file, never on stdout; the
+eval verbs default to 0. The three eval verbs print and write their rows
+through one function, _report.
 Every artifact's settings follow one rule, in _artifact: every flag the
 verb parses except --seed, --out, --format and --secret; encode adds the
 secret's length, never the secret.
@@ -46,6 +47,7 @@ from .codebook import (
     DIGITS,
     band_words,
     check_alphabet,
+    check_secret,
     format_band,
     load_codebook,
     parse_band,
@@ -161,11 +163,13 @@ def cmd_gen_codebook(args) -> int:
 
 def cmd_encode(args) -> int:
     codebook = load_codebook(args.codebook)
+    check_secret(args.secret, codebook.alphabet)
     corpus = load_corpus(args.corpus)
     result = steganize(args.secret, codebook, corpus, seed=_seed(args))
     if args.out is not None:
+        doc = result._asdict() | {"stego": " ".join(result.stego), "cover": " ".join(result.cover)}
         with atomic_open(args.out) as handle:
-            _write_json(handle, _artifact(args, result.to_doc(), secret_len=len(args.secret)))
+            _write_json(handle, _artifact(args, doc, secret_len=len(args.secret)))
     print(" ".join(result.stego))
     return 0
 

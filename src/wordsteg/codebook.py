@@ -66,6 +66,13 @@ def check_alphabet(alphabet: Sequence[str]) -> None:
         raise CodebookValidationError("alphabet contains duplicate symbols")
 
 
+def check_secret(secret: str, alphabet: str) -> None:
+    """Raise ValueError naming every symbol of secret outside alphabet."""
+    unknown = [s for s in secret if s not in alphabet]
+    if unknown:
+        raise ValueError(f"secret symbols {unknown!r} are not in the alphabet")
+
+
 def _check_band_and_alphabet(band: Band, alphabet: Sequence[str]) -> None:
     """The invariants a codebook and its draw share; select_codebook checks
     them before it draws, so a bad alphabet is named before a thin band."""

@@ -6,8 +6,8 @@ inter-word slot whose newly created n-grams are most frequent in the corpus,
 scanning left to right so the receiver recovers symbol order in one pass.
 insert_codewords scores all of a codeword's slots in one scan of the
 message: it looks up the (at most) five grams of orders 2 and 3 around each
-slot in the model's tables, and checks the codeword and the words around the
-slots once per codeword, not once per slot. Every gram it scores holds the
+slot in the model's tables, and checks the codewords and the cover words
+once per call, before it inserts anything. Every gram it scores holds the
 inserted codeword, and its other words are cover words or codewords, so
 embed, the one place that counts a model and inserts, takes covers already
 drawn and counts the model for them and the secrets' codewords alone
@@ -34,10 +34,10 @@ from collections.abc import Sequence
 from itertools import chain
 from math import log1p
 
-from .codebook import Codebook
+from .codebook import Codebook, check_secret
 from .corpus import Corpus
 from .errors import SteganizeError
-from .ngram import MAX_N, NGramModel, build_model
+from .ngram import NGramModel, build_model
 
 # Covers drawn per draw_cover call. 1000 draws all hold a codeword only when
 # nearly every cover does (at 99% the chance is 0.99**1000, about 4e-5), and
@@ -45,26 +45,10 @@ from .ngram import MAX_N, NGramModel, build_model
 MAX_ATTEMPTS = 1000
 
 
-class StegoResult(
-    namedtuple("StegoResult", "stego cover inserted_positions attempts density")
-):
-    """One successful embedding.
-
-    stego and cover are token tuples; inserted_positions are indexes into
-    stego, strictly increasing; attempts counts covers drawn, including the
-    accepted one; density is inserted codewords over total stego tokens.
-    """
-
-    __slots__ = ()
-
-    def to_doc(self) -> dict:
-        return {
-            "stego": " ".join(self.stego),
-            "cover": " ".join(self.cover),
-            "inserted_positions": list(self.inserted_positions),
-            "attempts": self.attempts,
-            "density": self.density,
-        }
+# One successful embedding. stego and cover are token tuples; inserted_positions
+# index stego, strictly increasing; attempts counts covers drawn, the accepted
+# one included; density is inserted codewords over total stego tokens.
+StegoResult = namedtuple("StegoResult", "stego cover inserted_positions attempts density")
 
 
 def contains_codeword(tokens: Sequence[str], codebook: Codebook) -> bool:
@@ -104,26 +88,26 @@ def insert_codewords(
     slot. All of a word's slots are scored in one scan of the tokens.
     Returns the modified token tuple and the final index of every inserted
     word. Indexes stay valid because later insertions always land to the
-    right of earlier ones. Each insertion leaves a slot to its right, so
-    ValueError ("no insertion slot") is raised only when `words` is not
-    empty and `tokens` has fewer than 2 tokens. The model answers exactly
-    for a word among its codewords whose neighbours lie among its words;
-    anything else raises ValueError.
+    right of earlier ones. Nonempty `words` are checked once, before any
+    insertion: ValueError if `tokens` has fewer than 2 tokens ("no
+    insertion slot"), else for the first word outside model.codewords, else
+    for a token outside model.words. Each insertion leaves a slot to its
+    right, and later grams read only checked tokens and codewords.
     """
     bigrams, trigrams = model.counts[2], model.counts[3]
     out = list(tokens)
+    if words:
+        if len(out) < 2:
+            raise ValueError("no insertion slot at or after position 1")
+        unknown = [word for word in words if word not in model.codewords]
+        if unknown:
+            raise ValueError(f"model was not counted for the codeword {unknown[0]!r}")
+        if not model.words.issuperset(out):
+            raise ValueError(f"model was not counted for the words {out!r}")
     positions = []
     first = 1
     for word in words:
         last = len(out) - 1
-        if first > last:
-            raise ValueError(f"no insertion slot at or after position {first}")
-        if word not in model.codewords:
-            raise ValueError(f"model was not counted for the codeword {word!r}")
-        # The grams of a slot read at most MAX_N - 1 words each side of it.
-        neighbours = out[max(0, first - MAX_N + 1) :]
-        if not model.words.issuperset(neighbours):
-            raise ValueError(f"model was not counted for the words {neighbours!r}")
         best, best_score = first, -math.inf
         for position in range(first, last + 1):
             left, right = out[position - 1], out[position]
@@ -187,8 +171,6 @@ def steganize(secret: str, codebook: Codebook, covers: Corpus, seed: int) -> Ste
     MAX_ATTEMPTS covers drawn hold a codeword, or the stego text does not
     decode to the secret.
     """
-    unknown = [s for s in secret if s not in codebook.forward]
-    if unknown:
-        raise ValueError(f"secret symbols {unknown!r} are not in the alphabet")
+    check_secret(secret, codebook.alphabet)
     attempt, cover = draw_cover(covers, codebook, random.Random(seed))
     return embed(covers, codebook, [(attempt, cover, secret)])[0]

@@ -28,7 +28,7 @@ with a separator token in place of each line break.
 """
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, filterfalse
 
@@ -45,25 +45,12 @@ MAX_N = 3
 _SEPARATOR = "."
 _JOINER = f" {_SEPARATOR} "
 
-
-class NGramModel:
-    """Insertion counts: counts[n] maps an n-gram tuple to its count.
-
-    counts holds orders 2 and 3, in ascending order. The tables hold
-    exactly the grams that occur, hold one of `codewords`, and whose every
-    word lies in `words` (the codewords plus the cover words the model was
-    counted for), each with its exact count; no other gram is a key.
-    """
-
-    def __init__(
-        self,
-        counts: dict[int, Counter],
-        codewords: frozenset[str],
-        words: frozenset[str],
-    ):
-        self.counts = counts
-        self.codewords = codewords
-        self.words = words
+# Insertion counts: counts[n] maps an n-gram tuple to its count, for orders 2
+# and 3 in ascending order. The tables hold exactly the grams that occur, hold
+# one of `codewords`, and whose every word lies in `words` (the codewords plus
+# the cover words the model was counted for), each with its exact count; no
+# other gram is a key.
+NGramModel = namedtuple("NGramModel", "counts codewords words")
 
 
 def build_model(

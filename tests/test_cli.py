@@ -17,7 +17,8 @@ from wordsteg import codebook as codebook_module
 from wordsteg import corpus as corpus_module
 from wordsteg.cli import main
 from wordsteg.codebook import load_codebook
-from wordsteg.corpus import _PUNCTUATION, scrub_message
+from wordsteg.codec import steganize
+from wordsteg.corpus import _PUNCTUATION, load_corpus, scrub_message
 from wordsteg.errors import (
     CodebookValidationError,
     EmptyCorpusError,
@@ -305,6 +306,16 @@ def test_encode_unknown_symbol_exits_2(cli_files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_encode_names_an_unknown_symbol_before_it_reads_the_corpus(cli_files, tmp_path, capsys):
+    # The corpus path does not exist: the symbol is named, not the missing file.
+    code = main(
+        ["encode", "--secret", "2x", "--codebook", cli_files["cb_common"],
+         "--corpus", str(tmp_path / "nope.txt")]
+    )
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: secret symbols ['x'] are not in the alphabet\n")
+
+
 def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     out = tmp_path / "stego.json"
     code = main(
@@ -317,6 +328,18 @@ def test_encode_writes_result_artifact(cli_files, tmp_path, capsys):
     assert doc["tool"] == "wordsteg"
     assert doc["seed"] == 2
     assert doc["results"]["stego"] == stego_line
+    # The results are the library's record for the same seed, field by field,
+    # with the token tuples joined and the positions as a JSON list.
+    result = steganize(
+        "88", load_codebook(cli_files["cb_common"]), load_corpus(cli_files["corpus"]), seed=2
+    )
+    assert doc["results"] == {
+        "stego": " ".join(result.stego),
+        "cover": " ".join(result.cover),
+        "inserted_positions": list(result.inserted_positions),
+        "attempts": result.attempts,
+        "density": result.density,
+    }
     # No timestamp or other run-dependent key: a rerun rewrites the same bytes.
     assert sorted(doc) == ["config", "results", "seed", "tool", "tool_version"]
     # Every value is pinned, so the secret "88" is nowhere in the config: the

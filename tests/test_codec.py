@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import islice, product
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg.codebook import DIGITS, Codebook, select_codebook
+from wordsteg.cli import main
+from wordsteg.codebook import DIGITS, Codebook, save_codebook, select_codebook
 from wordsteg.codec import (
     MAX_ATTEMPTS,
     contains_codeword,
@@ -147,10 +149,17 @@ def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corp
     for cover in [("the", "ran"), ("ran", "sat")]:
         with pytest.raises(ValueError, match="words"):
             insert_codewords(model, cover, ["cat"])
+    # The cover is checked whole, so a foreign token left of every slot that
+    # a later word reads is refused too.
+    with pytest.raises(ValueError, match="words"):
+        insert_codewords(model, ("ran",) + ("the", "sat") * 3, ["cat", "cat"])
+    # Nothing to insert reads no gram, so foreign tokens need no count.
+    for cover in [("ran", "dog"), ("ran",), ()]:
+        assert insert_codewords(model, cover, []) == (cover, ())
 
 
 # "z" never occurs in a message; "d" occurs, but is never a codeword, so the
-# model counts it as a placeholder wherever no cover holds it.
+# model keeps no gram that holds it wherever no cover holds it.
 @given(
     messages=st.lists(
         st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), min_size=1, max_size=8
@@ -403,12 +412,25 @@ def test_printed_stego_decodes_after_scrubbing(
     assert decode(scrub_message(printed).split(), codebook) == secret
 
 
-def test_stego_result_serializes_to_plain_doc(small_corpus):
-    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    result = steganize("90", codebook, small_corpus, seed=77)
-    doc = result.to_doc()
-    assert doc["stego"] == " ".join(result.stego)
-    assert doc["cover"] == " ".join(result.cover)
-    assert doc["inserted_positions"] == list(result.inserted_positions)
-    assert doc["attempts"] == result.attempts
-    assert doc["density"] == result.density
+def test_stego_result_serializes_to_plain_doc(small_corpus_path, tmp_path, capsys):
+    # The encode document's results are the library's record, field by field,
+    # with the token tuples joined and the positions as a JSON list.
+    corpus = load_corpus(small_corpus_path)
+    codebook = select_codebook(corpus.vocabulary, (4, 8), DIGITS, seed=1)
+    save_codebook(codebook, tmp_path / "cb.json")
+    out = tmp_path / "stego.json"
+    code = main(
+        ["encode", "--secret", "90", "--codebook", str(tmp_path / "cb.json"),
+         "--corpus", str(small_corpus_path), "--seed", "77", "--out", str(out)]
+    )
+    assert code == 0
+    result = steganize("90", codebook, corpus, seed=77)
+    assert capsys.readouterr().out == " ".join(result.stego) + "\n"
+    doc = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert doc == {
+        "stego": " ".join(result.stego),
+        "cover": " ".join(result.cover),
+        "inserted_positions": list(result.inserted_positions),
+        "attempts": result.attempts,
+        "density": result.density,
+    }
