@@ -1,5 +1,9 @@
-"""Atomic file writes: a reader sees the old file or the whole new one."""
+"""Atomic file writes, and the one JSON form of every document written.
 
+A reader sees the old file or the whole new one.
+"""
+
+import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -31,3 +35,9 @@ def atomic_open(path, newline: str | None = None):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_json(handle, doc) -> None:
+    """Write `doc` with sorted keys, a two-space indent and a final newline."""
+    json.dump(doc, handle, sort_keys=True, indent=2)
+    handle.write("\n")

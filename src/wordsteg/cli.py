@@ -37,12 +37,11 @@ secret's length, never the secret.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from . import __version__
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .codebook import (
     DIGITS,
     band_words,
@@ -85,11 +84,6 @@ def _artifact(args, results, **settings) -> dict:
     }
 
 
-def _write_json(handle, doc: dict) -> None:
-    json.dump(doc, handle, sort_keys=True, indent=2)
-    handle.write("\n")
-
-
 def _write_csv(handle, rows: list[dict]) -> None:
     """Header plus rows; the columns are the keys of the first row, in order."""
     import csv
@@ -108,7 +102,7 @@ def _report(args, docs: list[dict]) -> None:
         csv_path, csv_moved = f"{args.out}.csv", False
         try:
             with atomic_open(f"{args.out}.json") as json_handle:
-                _write_json(json_handle, _artifact(args, docs))
+                write_json(json_handle, _artifact(args, docs))
                 with atomic_open(csv_path, newline="") as handle:
                     _write_csv(handle, docs)
                 csv_moved = True
@@ -117,7 +111,7 @@ def _report(args, docs: list[dict]) -> None:
                 os.unlink(csv_path)
             raise
     if args.format == "json":
-        _write_json(sys.stdout, docs)
+        write_json(sys.stdout, docs)
     elif args.format == "csv":
         _write_csv(sys.stdout, docs)
     else:
@@ -169,7 +163,7 @@ def cmd_encode(args) -> int:
     if args.out is not None:
         doc = result._asdict() | {"stego": " ".join(result.stego), "cover": " ".join(result.cover)}
         with atomic_open(args.out) as handle:
-            _write_json(handle, _artifact(args, doc, secret_len=len(args.secret)))
+            write_json(handle, _artifact(args, doc, secret_len=len(args.secret)))
     print(" ".join(result.stego))
     return 0
 

@@ -13,7 +13,7 @@ import math
 import random
 from collections.abc import Mapping, Sequence
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .corpus import scrub_message
 from .errors import CodebookValidationError, FormatError, InsufficientBandError
 
@@ -152,8 +152,7 @@ def save_codebook(codebook: Codebook, path) -> None:
         "seed": codebook.seed,
     }
     with atomic_open(path) as handle:
-        json.dump(doc, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        write_json(handle, doc)
 
 
 def load_codebook(path) -> Codebook:

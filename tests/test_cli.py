@@ -548,7 +548,7 @@ def test_eval_failed_json_write_keeps_an_earlier_csv(cli_files, tmp_path, capsys
     def fail(handle, doc):
         raise OSError(28, "No space left on device", f"{out}.json")
 
-    monkeypatch.setattr(cli, "_write_json", fail)
+    monkeypatch.setattr(cli, "write_json", fail)
     code = main(
         ["eval", "band", "--corpus", cli_files["corpus"],
          "--bands", "14+", "--trials", "5", "--out", str(out)]

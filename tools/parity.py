@@ -1,12 +1,12 @@
 """Byte-identity check of the wordsteg CLI: one digest line per call.
 
-For seeds 1-3 it writes the three benchmark corpora with perfbench/corpora.py
-(synth_lines(10000, s), its noisy_lines, and synth_lines(100000, s, 20000)),
-then one corpus with no cover. On each it runs a fixed list of calls in
-process through wordsteg.cli.main, every verb that takes --seed with one:
-gen-codebook --band 14+, ten encodes (half with --out), a decode of each
-stego by argument and by stdin, and eval band, density and distinguish in
-every --format, with --out. The codebook and eval seeds of a corpus are
+For seeds 1-3 it writes the corpus of every workload in perfbench/run.py's
+WORKLOADS, with that workload's message count, vocabulary size and noise,
+through perfbench/corpora.py; then one corpus with no cover. On each it
+runs a fixed list of calls in process through wordsteg.cli.main, every
+verb that takes --seed with one: gen-codebook --band 14+, ten encodes (half
+with --out), a decode of each stego by argument and by stdin, and eval
+band, density and distinguish in every --format, with --out. The codebook and eval seeds of a corpus are
 derived from its workload name and seed as perfbench/run.py's Session
 derives them. Each call prints one line: its label, its exit code and the
 sha256 of its exit code, stdout, stderr and every file it wrote. To compare two checkouts,
@@ -35,9 +35,17 @@ from wordsteg.codebook import DIGITS
 from wordsteg.corpus import scrub_message
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("corpora", ROOT / "perfbench" / "corpora.py")
-corpora = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(corpora)
+
+
+def _load(name: str):
+    """perfbench/<name>.py as a module, read only."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+corpora, bench = _load("corpora"), _load("run")
 
 ENCODES = 10
 EXPERIMENTS = ("band", "density", "distinguish")
@@ -47,10 +55,11 @@ FORMATS = ("table", "csv", "json")
 def workloads():
     """(workload name, seed, corpus lines) for every corpus checked."""
     for seed in (1, 2, 3):
-        clean = corpora.synth_lines(10000, seed)
-        yield "encode-10k-noisy", seed, corpora.noisy_lines(clean, seed, scrub_message)
-        yield "eval-10k", seed, clean
-        yield "session-100k", seed, corpora.synth_lines(100000, seed, 20000)
+        for name, workload in bench.WORKLOADS.items():
+            lines = corpora.synth_lines(workload.messages, seed, workload.vocab_size)
+            if workload.noisy:
+                lines = corpora.noisy_lines(lines, seed, scrub_message)
+            yield name, seed, lines
     # Two tokens a line, one fewer than a cover needs: every draw finds none.
     lines = corpora.synth_lines(2000, 1)
     yield "no-cover", 1, [" ".join(line.split()[:2]) for line in lines]
