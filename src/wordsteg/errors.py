@@ -22,8 +22,11 @@ class InsufficientBandError(WordstegError):
 
 
 class SteganizeError(WordstegError):
-    """steganize failed after `attempts` cover draws: no acceptable cover
-    was found within the budget, or the stego failed its round-trip check.
+    """No cover, or no stego, after `attempts` cover draws. Raised by
+    CoverPool.draw on an empty pool (0 attempts; reached from eval band and
+    every draw_cover caller), by draw_cover when all MAX_ATTEMPTS covers it
+    drew held a codeword, and by embed when a stego fails its round-trip
+    check (reached from steganize and from build_pairs).
     """
 
     def __init__(self, attempts: int, reason: str):

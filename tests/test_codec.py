@@ -65,10 +65,6 @@ def toy_insert(toy_corpus, tokens, words):
     return insert_codewords(build_model(toy_corpus, words, [tokens]), tokens, words)
 
 
-def test_decode_extracts_symbols_in_order(two_word_codebook):
-    assert decode(GOLDEN_STEGO.split(), two_word_codebook) == "21"
-
-
 def test_decode_of_plain_cover_is_empty(two_word_codebook):
     assert decode(GOLDEN_COVER.split(), two_word_codebook) == ""
 
