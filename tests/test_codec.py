@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from itertools import islice, product
@@ -8,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsteg.cli import main
-from wordsteg.codebook import DIGITS, Codebook, save_codebook, select_codebook
+from wordsteg.codebook import DIGITS, Codebook, select_codebook
 from wordsteg.codec import (
     MAX_ATTEMPTS,
     contains_codeword,
@@ -200,23 +198,6 @@ def test_insert_codewords_keeps_cover_order(toy_corpus):
     assert [stego[i] for i in positions] == ["p", "q"]
 
 
-def test_steganize_round_trip(small_corpus):
-    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    secret = "314"
-    result = steganize(secret, codebook, small_corpus, seed=99)
-    assert decode(result.stego, codebook) == secret
-    kept = [
-        t
-        for i, t in enumerate(result.stego)
-        if i not in set(result.inserted_positions)
-    ]
-    assert tuple(kept) == result.cover
-    assert len(result.stego) == len(result.cover) + len(secret)
-    assert result.density == pytest.approx(
-        len(secret) / len(result.stego)
-    )
-
-
 def test_one_model_embeds_each_cover_as_it_would_alone(small_corpus):
     # The model is exact for every gram that insertion scores, so counting one
     # over many covers and secrets changes no stego.
@@ -281,12 +262,6 @@ def test_a_loop_of_calls_searches_each_call_for_its_own_codewords(desk_corpus):
     assert [set(call.args[0]) for call in search.call_args_list] == [
         {codebook.forward[symbol] for symbol in secret} for secret in secrets
     ]
-
-
-def test_steganize_accepts_plain_string_secret(small_corpus):
-    codebook = select_codebook(small_corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    result = steganize("271", codebook, small_corpus, seed=4)
-    assert decode(result.stego, codebook) == "271"
 
 
 def test_steganize_empty_secret_returns_cover(small_corpus):
@@ -372,6 +347,8 @@ def test_round_trip_property(secret, seed):
     ]
     assert tuple(kept) == result.cover
     assert list(result.inserted_positions) == sorted(result.inserted_positions)
+    assert len(result.stego) == len(result.cover) + len(secret)
+    assert result.density == len(secret) / len(result.stego)
 
 
 @pytest.fixture(scope="module")
@@ -406,27 +383,3 @@ def test_printed_stego_decodes_after_scrubbing(
     result = steganize(secret, codebook, raw_corpus, seed=seed)
     printed = " ".join(result.stego)
     assert decode(scrub_message(printed).split(), codebook) == secret
-
-
-def test_stego_result_serializes_to_plain_doc(small_corpus_path, tmp_path, capsys):
-    # The encode document's results are the library's record, field by field,
-    # with the token tuples joined and the positions as a JSON list.
-    corpus = load_corpus(small_corpus_path)
-    codebook = select_codebook(corpus.vocabulary, (4, 8), DIGITS, seed=1)
-    save_codebook(codebook, tmp_path / "cb.json")
-    out = tmp_path / "stego.json"
-    code = main(
-        ["encode", "--secret", "90", "--codebook", str(tmp_path / "cb.json"),
-         "--corpus", str(small_corpus_path), "--seed", "77", "--out", str(out)]
-    )
-    assert code == 0
-    result = steganize("90", codebook, corpus, seed=77)
-    assert capsys.readouterr().out == " ".join(result.stego) + "\n"
-    doc = json.loads(out.read_text(encoding="utf-8"))["results"]
-    assert doc == {
-        "stego": " ".join(result.stego),
-        "cover": " ".join(result.cover),
-        "inserted_positions": list(result.inserted_positions),
-        "attempts": result.attempts,
-        "density": result.density,
-    }
