@@ -6,9 +6,9 @@ from wordsteg.corpus import Corpus
 
 from synthcorpus import synth_lines
 
-# A deeper search for CI's separate run of the scrub, codebook, codec,
-# n-gram and evaluation properties (pytest --hypothesis-profile=ci); tier-1
-# keeps hypothesis's default profile.
+# A deeper search for CI's separate run of the scrub, codebook, codec and
+# n-gram properties (pytest --hypothesis-profile=ci); tier-1 keeps
+# hypothesis's default profile.
 # No deadline: on a shared runner a slow example is no property failure.
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
