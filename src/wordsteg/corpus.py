@@ -218,22 +218,6 @@ def _cut(pieces: Iterable[str]) -> Iterator[str]:
         yield last.removesuffix("\n")
 
 
-def _ended(texts: Iterable[str]) -> Iterator[str]:
-    """texts, each followed by a line break, joined a few at a time into
-    pieces of at least READ_CHARS characters, so that _cut takes one piece
-    and not one line at a time."""
-    batch, size = [], 0
-    for text in texts:
-        batch.append(text)
-        size += len(text) + 1
-        if size >= READ_CHARS:
-            batch.append("")
-            yield "\n".join(batch)
-            batch, size = [], 0
-    batch.append("")
-    yield "\n".join(batch)
-
-
 def _scrub_text(text: str) -> str:
     """Lowercase, delete dropped tokens, then delete punctuation.
 
@@ -400,7 +384,9 @@ class Corpus:
         # str.isspace and str.split agree on what whitespace is, so a text
         # that is empty or all whitespace splits into no token.
         self.texts: tuple[str, ...] = tuple(
-            text for text in _cut(_ended(texts)) if text and not text.isspace()
+            text
+            for text in _cut(text + "\n" for text in texts)
+            if text and not text.isspace()
         )
         if not self.texts:
             raise EmptyCorpusError("corpus contains no usable messages")

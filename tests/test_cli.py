@@ -30,9 +30,6 @@ from wordsteg.evaluate import build_pairs, run_band_experiment, run_density_expe
 
 from synthcorpus import CLOSERS, OPENERS, raw_lines, synth_lines
 
-GOLDEN_STEGO = "poor cast off to the good trash heap when no longer really usefull"
-
-
 def write_two_word_codebook(path):
     doc = {
         "version": 1,
@@ -151,14 +148,6 @@ def test_decode_reads_stdin(cli_files, capsys, monkeypatch):
     code = main(["decode", "--codebook", cli_files["cb_common"], stego])
     direct = capsys.readouterr().out
     assert piped == direct == "27\n"
-
-
-def test_decode_known_message(tmp_path, capsys):
-    cb_path = tmp_path / "cb.json"
-    write_two_word_codebook(cb_path)
-    code = main(["decode", "--codebook", str(cb_path), GOLDEN_STEGO])
-    assert code == 0
-    assert capsys.readouterr().out == "21\n"
 
 
 def test_decode_scrubs_raw_input(tmp_path, capsys):
@@ -624,6 +613,17 @@ def test_bad_alphabet_exits_2_before_a_thin_band(
         (["eval", "density", "--codebook", "nope.json", "--densities", "0.1,1.5"],
          "target density 1.5 outside [0, 1)",
          lambda corpus, codebook: run_density_experiment(corpus, codebook, [0.1, 1.5], 500)),
+        (["eval", "density", "--codebook", "nope.json", "--densities", "1.0"],
+         "target density 1.0 outside [0, 1)",
+         lambda corpus, codebook: run_density_experiment(corpus, codebook, [1.0], 500)),
+        # argparse takes "-0.1" as the flag's value, not as an option.
+        (["eval", "density", "--codebook", "nope.json", "--densities", "-0.1"],
+         "target density -0.1 outside [0, 1)",
+         lambda corpus, codebook: run_density_experiment(corpus, codebook, [-0.1], 500)),
+        # A bad target is named before a bad trials count.
+        (["eval", "density", "--codebook", "nope.json", "--densities", "1.5", "--trials", "0"],
+         "target density 1.5 outside [0, 1)",
+         lambda corpus, codebook: run_density_experiment(corpus, codebook, [1.5], trials=0)),
         (["eval", "density", "--codebook", "nope.json", "--densities", "nan"],
          "target density nan outside [0, 1)",
          lambda corpus, codebook: run_density_experiment(corpus, codebook, [math.nan], 500)),
@@ -643,7 +643,8 @@ def test_bad_alphabet_exits_2_before_a_thin_band(
         (["eval", "band", "--alphabet", "00"], "alphabet contains duplicate symbols", None),
     ],
     ids=["band", "gen-codebook-band", "density", "density-empty", "density-trailing-comma",
-         "density-parsed-first", "density-range", "density-nan", "band-trials",
+         "density-parsed-first", "density-range", "density-one", "density-negative",
+         "density-range-before-trials", "density-nan", "band-trials",
          "density-trials", "distinguish-trials", "distinguish-secret-len",
          "gen-codebook-alphabet", "band-alphabet"],
 )

@@ -76,13 +76,13 @@ def test_contains_codeword(two_word_codebook):
     assert not contains_codeword(GOLDEN_COVER.split(), two_word_codebook)
 
 
-def test_contains_codeword_empty_codebook():
+def test_codebook_refuses_an_empty_alphabet():
     # A codebook with no symbols hides nothing, so none can be built.
     with pytest.raises(CodebookValidationError, match="alphabet is empty"):
         Codebook(alphabet=(), forward={}, band=(1, None), seed=0)
 
 
-def test_insertion_score_matches_hand_computation(toy_corpus):
+def test_insert_codewords_matches_hand_computation(toy_corpus):
     # Slot 1 of "the _ sat q" for "cat" reads (the cat) 2, (cat sat) 2,
     # (the cat sat) 1 and (cat sat q) 0: log 3 + log 3 + log 2 = log 18,
     # about 2.890. Slot 2 reads only (cat q), set here: at 16 it scores
@@ -95,7 +95,7 @@ def test_insertion_score_matches_hand_computation(toy_corpus):
         assert insert_codewords(model, cover, ["cat"])[1] == (slot,)
 
 
-def test_insertion_score_matches_oracle_everywhere(toy_corpus):
+def test_insert_codewords_matches_oracle_everywhere(toy_corpus):
     tokens = ("the", "cat", "sat", "ran")
     words = ("cat", "a", "zzz")
     model = build_model(toy_corpus, words, [tokens])
@@ -109,7 +109,7 @@ def test_insertion_score_matches_oracle_everywhere(toy_corpus):
             )
 
 
-def test_insertion_score_matches_oracle_on_trigram_model(small_corpus):
+def test_insert_codewords_matches_oracle_on_trigram_model(small_corpus):
     tokens = tuple(corpus_lines(small_corpus)[0].split())
     words = list(islice(small_corpus.vocabulary, 3))
     model = build_model(small_corpus, words, [tokens])
@@ -120,7 +120,7 @@ def test_insertion_score_matches_oracle_on_trigram_model(small_corpus):
             )
 
 
-def test_insertion_score_rejects_edge_positions(toy_corpus):
+def test_insert_codewords_rejects_edge_positions(toy_corpus):
     # "the cat sat" favours the slot after "cat" for "sat", and "a cat sat"
     # the slot before "cat" for "a", but insertion goes only between words.
     model = build_model(toy_corpus, {"sat"}, [("the", "cat")])
@@ -133,7 +133,7 @@ def test_insertion_score_rejects_edge_positions(toy_corpus):
     assert insert_codewords(model, ("cat", "sat"), ["a"]) == (("cat", "a", "sat"), (1,))
 
 
-def test_insertion_score_rejects_words_the_model_was_not_counted_around(toy_corpus):
+def test_insert_codewords_rejects_words_the_model_was_not_counted_around(toy_corpus):
     model = build_model(toy_corpus, {"cat"}, [("the", "sat")])
     assert insert_codewords(model, ("the", "sat"), ["cat"]) == (("the", "cat", "sat"), (1,))
     with pytest.raises(ValueError, match="codeword"):
@@ -174,28 +174,19 @@ def test_insert_codewords_same_under_model_counted_around(messages, codewords, d
         assert insert_codewords(model, cover, words) == oracle_insert(corpus, cover, words)
 
 
-def test_best_position_prefers_frequent_context(toy_corpus):
+def test_insert_codewords_prefers_frequent_context(toy_corpus):
     assert toy_insert(toy_corpus, ("the", "sat", "ran"), ["cat"])[1] == (1,)
 
 
-def test_best_position_breaks_ties_leftward(toy_corpus):
+def test_insert_codewords_breaks_ties_leftward(toy_corpus):
     # Unknown words score zero everywhere, so the tie covers all slots: the
     # first "q" takes slot 1 and the second the first slot to its right.
     assert toy_insert(toy_corpus, ("x", "y", "z"), ["q", "q"])[1] == (1, 2)
 
 
-def test_best_position_without_slots_raises(toy_corpus):
+def test_insert_codewords_without_slots_raises(toy_corpus):
     with pytest.raises(ValueError, match="no insertion slot"):
         toy_insert(toy_corpus, ("the",), ["sat"])
-
-
-def test_insert_codewords_keeps_cover_order(toy_corpus):
-    stego, positions = toy_insert(toy_corpus, ("x", "y", "z"), ["p", "q"])
-    assert list(positions) == sorted(positions)
-    assert len(set(positions)) == len(positions)
-    remaining = [t for i, t in enumerate(stego) if i not in set(positions)]
-    assert tuple(remaining) == ("x", "y", "z")
-    assert [stego[i] for i in positions] == ["p", "q"]
 
 
 def test_one_model_embeds_each_cover_as_it_would_alone(small_corpus):
